@@ -31,14 +31,7 @@ from .master_equation import (
     equilibrium_state,
     master_rhs,
 )
-from .environment import (
-    EnvironmentObservableReport,
-    HeatBath,
-    InfiniteBathError,
-    bind_bath_rates,
-    environment_rhs,
-    total_energy,
-)
+from .environment import EnvironmentObservableReport, HeatBath, environment_rhs
 from .two_level import (
     SIGMA,
     PauliVector,

@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -80,7 +81,16 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _run_one(setup: RunSetup, nonlinear: bool) -> Trajectory:
-    return simulate(setup.rho0, setup.bath, setup.system, setup.integrator, nonlinear=nonlinear)
+    variant = "nonlinear" if nonlinear else "linearized"
+    log.info("%s run: %d steps of dt=%g", variant, setup.integrator.n_steps, setup.integrator.dt)
+    start = perf_counter()
+    traj = simulate(setup.rho0, setup.bath, setup.system, setup.integrator, nonlinear=nonlinear)
+    log.info(
+        "%s run: %s at t=%g after %.3f s", variant, traj.termination, traj.final.t, perf_counter() - start
+    )
+    if traj.violation is not None:
+        log.info("%s run: monitor violation: %s", variant, traj.violation)
+    return traj
 
 
 def cmd_run(args) -> int:
@@ -94,6 +104,7 @@ def cmd_run(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
+    log.info("run: config %s, output %s", args.config, out_path)
     traj = _run_one(setup, setup.nonlinear)
     header, rows = _trajectory_rows(traj, setup)
     _write_csv(out_path, header, rows)
@@ -133,6 +144,7 @@ def cmd_compare(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    log.info("compare: config %s, output directory %s", args.config, out_dir)
 
     results = {}
     for name, nonlinear in (("nonlinear", True), ("linearized", False)):
@@ -198,7 +210,16 @@ def cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("THERMOQME_LOG", "WARNING").upper())
+    level = os.environ.get("THERMOQME_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):
+        print(
+            f"configuration error: THERMOQME_LOG: unknown logging level {level!r} "
+            "(use DEBUG, INFO, WARNING, ERROR or CRITICAL)",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG_ERROR
+    logging.basicConfig(level=level)
+    log.setLevel(level)
     parser = argparse.ArgumentParser(
         prog="thermoqme",
         description="Simulate the nonlinear thermodynamic quantum master equation",

@@ -279,14 +279,11 @@ def _parse_integrator(node, path) -> IntegratorConfig:
         ),
         energy=_number(tol_node.get("energy", defaults.energy), f"{tpath}.energy", positive=True),
     )
-    method = node.get("method", "rk4")
-    if method not in ("rk4", "euler"):
-        raise ConfigError(f"{path}.method", f"must be 'rk4' or 'euler', got {method!r}")
     try:
         return IntegratorConfig(
             dt=_number(node["dt"], f"{path}.dt", positive=True),
             t_end=_number(node["t_end"], f"{path}.t_end", positive=True),
-            method=method,
+            method=node.get("method", "rk4"),
             monitor_every=_integer(node.get("monitor_every", 10), f"{path}.monitor_every", minimum=1),
             tolerances=tolerances,
         )

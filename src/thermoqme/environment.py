@@ -14,27 +14,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import (
-    NATURAL,
-    PhysicalConstants,
-    _modified_in_basis,
-    _pairwise_log_mean,
-)
-from .master_equation import QuantumSystem, energy_expectation
+from .operators import NATURAL, PhysicalConstants
+from .master_equation import QuantumSystem, _as_state, _stage_rhs
 
 __all__ = [
     "HeatBath",
-    "InfiniteBathError",
     "EnvironmentObservableReport",
-    "bind_bath_rates",
     "environment_rhs",
-    "total_energy",
 ]
 
 
-class InfiniteBathError(ValueError):
-    """Raised when a quantity that needs a finite bath is requested of an
-    infinite reservoir."""
+class _BathDrained(ValueError):
+    """A finite bath's energy reached zero or below."""
 
 
 @dataclass(frozen=True)
@@ -78,8 +69,8 @@ class HeatBath:
                 raise ValueError("finite bath requires a positive heat capacity C_e")
             if self.H_ref is None or self.H_ref <= 0.0:
                 raise ValueError("finite bath requires a positive reference energy H_ref")
-            if self.H_e <= 0.0:
-                raise ValueError(f"finite bath energy must stay positive, got H_e={self.H_e}")
+            if not self.H_e > 0.0:
+                raise _BathDrained(f"finite bath energy must stay positive, got H_e={self.H_e:.6g}")
 
     @classmethod
     def infinite(cls, T_e: float, gamma0: float, omega_ref: float, H_e: float = 0.0) -> "HeatBath":
@@ -106,9 +97,12 @@ class HeatBath:
 
     def temperature(self) -> float:
         """Instantaneous bath temperature; H_e/C_e for the finite bath."""
+        return self._temperature_at(self.H_e)
+
+    def _temperature_at(self, H_e: float) -> float:
         if self.kind == "infinite":
             return float(self.T_e)
-        return self.H_e / self.C_e
+        return H_e / self.C_e
 
     def entropy(self) -> float:
         """Bath entropy relative to its reference point.
@@ -133,8 +127,11 @@ class HeatBath:
         temperature.  Both rates are nonnegative; for a finite bath they move
         with the temperature as energy is exchanged.
         """
+        return self._rates_at(self.H_e, constants)
+
+    def _rates_at(self, H_e: float, constants: PhysicalConstants) -> tuple[float, float]:
         base = self.gamma0 * constants.kB / (constants.hbar * self.omega_ref)
-        return base, base * self.temperature()
+        return base, base * self._temperature_at(H_e)
 
 
 @dataclass(frozen=True)
@@ -147,83 +144,46 @@ class EnvironmentObservableReport:
     energy_flux_to_quantum: float
 
 
-def bind_bath_rates(system: QuantumSystem, bath: HeatBath) -> QuantumSystem:
-    """Materialize the rates of every bath-coupled channel from the bath state.
+def _stage_rates(bath: HeatBath, system: QuantumSystem, H_e: float):
+    """Per-channel (friction, diffusion) rate arrays at bath energy ``H_e``.
 
-    Channels with fixed rates are passed through unchanged.  Bath-coupled
-    channels get weight * (friction, diffusion) evaluated at the bath's
-    current temperature, which is what makes the master equation's
-    coefficients time dependent when the bath is finite.
+    A bath-coupled channel's rates are ``weight`` times the bath bracket at
+    the temperature of that energy, which is what makes the coefficients time
+    dependent when the bath is finite; a fixed channel keeps its rates.
+    Raises for a finite bath whose energy is not positive.
     """
-    if not any(ch.bath_coupled for ch in system.channels):
-        return system
-    f, d = bath.channel_rates(system.constants)
-    if all(
-        ch.friction_rate == ch.weight * f and ch.diffusion_rate == ch.weight * d
-        for ch in system.channels
-        if ch.bath_coupled
-    ):
-        return system  # rates already current (always the case for infinite baths)
-    channels = tuple(
-        replace(ch, friction_rate=ch.weight * f, diffusion_rate=ch.weight * d)
-        if ch.bath_coupled
-        else ch
-        for ch in system.channels
-    )
-    return replace(system, channels=channels)
+    if bath.kind == "finite" and not H_e > 0.0:
+        raise _BathDrained(f"finite bath energy must stay positive, got H_e={H_e:.6g}")
+    coupled = system._coupled
+    if not coupled.any():
+        return system._friction, system._diffusion
+    f, d = bath._rates_at(H_e, system.constants)
+    w = system._weight
+    return np.where(coupled, w * f, system._friction), np.where(coupled, w * d, system._diffusion)
+
+
+def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear: bool):
+    """(drho/dt, dH_e/dt) at one stage of the coupled system.
+
+    The subsystem and the bath only exchange energy, so the bath's rate is
+    the closure identity dH_e/dt = -Re tr(H drho/dt), taken from this very
+    drho/dt in either variant.
+    """
+    k = _stage_rhs(rho, system, *_stage_rates(bath, system, H_e), nonlinear)
+    return k, -float(np.vdot(system.H, k).real)
 
 
 def environment_rhs(bath: HeatBath, rho, system: QuantumSystem) -> float:
     """Rate of change of the bath energy, dH_e/dt.
 
-    For a heat bath the reversible part and the purely classical dissipative
-    part vanish by degeneracy, leaving only the exchange terms:
+    The subsystem and the bath only exchange energy, so this is the closure
+    identity dH_e/dt = -Re tr(H drho/dt), with the nonlinear drho/dt at the
+    bath's current rates.  Expanded, the reversible part drops out and
+    what remains are the exchange terms
 
         - (1/k_B) sum_j friction_j * <<[H, Q_j]; [H, Q_j]>>
         +         sum_j diffusion_j * <[Q_j, [Q_j, H]]>
 
-    evaluated with the canonical correlation and the plain average.  Summed
-    with d<H>/dt from the master equation this is zero at every state: the
-    two subsystems only exchange energy.
+    with the canonical correlation and the plain average.
     """
-    rated = bind_bath_rates(system, bath)
-    return _exchange_flux(np.asarray(rho, dtype=complex), rated)
-
-
-def _exchange_flux(rho: np.ndarray, rated: QuantumSystem) -> float:
-    """environment_rhs after rate binding; shares one eigendecomposition of
-    rho across the channel correlations."""
-    H = rated.H
-    kB = rated.constants.kB
-    flux = 0.0
-    basis = weights = None
-    for ch in rated.channels:
-        if ch.friction_rate == 0.0 and ch.diffusion_rate == 0.0:
-            continue
-        Q = ch.Q
-        qh = Q @ H - H @ Q
-        if ch.friction_rate != 0.0:
-            # <<[H,Q];[H,Q]>> = <<[Q,H];[Q,H]>> since the correlation is quadratic.
-            if basis is None:
-                basis = np.linalg.eigh(rho)
-                weights = _pairwise_log_mean(basis[0])
-            modified = _modified_in_basis(basis[0], basis[1], qh, weights)
-            flux -= (ch.friction_rate / kB) * float(np.real(np.trace(modified @ qh)))
-        if ch.diffusion_rate != 0.0:
-            double = Q @ qh - qh @ Q
-            flux += ch.diffusion_rate * float(np.real(np.trace(rho @ double)))
-    return flux
-
-
-def total_energy(bath: HeatBath, rho, H) -> float:
-    """tr(H rho) + H_e for a finite (closed-total) system.
-
-    Raises :class:`InfiniteBathError` for an infinite reservoir, whose total
-    energy is not a meaningful observable.
-    """
-    if bath.kind == "infinite":
-        raise InfiniteBathError(
-            "total energy is not defined for an infinite bath; "
-            "use the trajectory's bookkeeping monitor instead"
-        )
-    return energy_expectation(rho, H) + bath.H_e
+    return _joint_rhs(_as_state(rho, system), bath.H_e, bath, system, True)[1]

@@ -1,10 +1,12 @@
 """Fixed-step time integration of the coupled quantum-bath system.
 
 Steps the density matrix and the bath energy jointly with classic RK4 (or
-explicit Euler), re-evaluating the bath-coupled channel rates at every
-internal stage.  Structure monitors (trace, hermiticity, positivity, total
-energy for closed totals) are sampled on a configurable cadence; a breach
-terminates the run with a flagged violation rather than a silent repair.
+explicit Euler).  Every internal stage evaluates the bath-coupled channel
+rates at that stage's bath energy and takes the bath's energy rate from the
+closure identity.  Structure monitors (trace, hermiticity, positivity, total
+energy for closed totals) are sampled on a configurable cadence; a breach,
+or a finite bath drained of its energy, terminates the run with a flagged
+violation rather than a silent repair or a traceback.
 """
 
 from __future__ import annotations
@@ -14,14 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import validate_density_matrix, von_neumann_entropy
-from .master_equation import QuantumSystem, energy_expectation, master_rhs
-from .environment import (
-    EnvironmentObservableReport,
-    HeatBath,
-    _exchange_flux,
-    bind_bath_rates,
-    environment_rhs,
-)
+from .master_equation import QuantumSystem, energy_expectation
+from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs
 
 __all__ = [
     "MonitorTolerances",
@@ -98,11 +94,6 @@ class Trajectory:
         return np.array([p.monitors[key] for p in self.points])
 
 
-def _coupled_rhs(rho, bath, system, nonlinear):
-    rated = bind_bath_rates(system, bath)
-    return master_rhs(rho, rated, nonlinear), _exchange_flux(rho, rated)
-
-
 def step(
     rho: np.ndarray,
     bath: HeatBath,
@@ -113,42 +104,41 @@ def step(
 ) -> tuple[np.ndarray, HeatBath]:
     """One explicit step of the joint (rho, H_e) system.
 
-    Every internal stage re-evaluates the bath-coupled channel rates at that
-    stage's bath energy, which is what keeps the exchange terms consistent
-    and the total energy of a closed finite-bath system conserved to scheme
-    order.  The returned density matrix is re-Hermitized by conjugate
-    transpose averaging (a correction at the 1e-16 scale per step).
+    Every internal stage evaluates the bath-coupled channel rates at that
+    stage's bath energy and sets dH_e/dt = -Re tr(H drho/dt) from the
+    stage's own drho/dt.  The total tr(H rho) + H_e of a closed finite-bath
+    system is therefore conserved to rounding in both variants.  The returned
+    density matrix is re-Hermitized by conjugate transpose averaging (a
+    correction at the 1e-16 scale per step), which leaves tr(H rho) as it is.
+
+    A finite bath whose energy is not positive at any stage or at the end of
+    the step raises ValueError.
     """
+    rho = np.asarray(rho, dtype=complex)
+    h = bath.H_e
     if method == "rk4":
-        k1, e1 = _coupled_rhs(rho, bath, system, nonlinear)
-        k2, e2 = _coupled_rhs(
-            rho + (0.5 * dt) * k1, bath.with_energy(bath.H_e + 0.5 * dt * e1), system, nonlinear
-        )
-        k3, e3 = _coupled_rhs(
-            rho + (0.5 * dt) * k2, bath.with_energy(bath.H_e + 0.5 * dt * e2), system, nonlinear
-        )
-        k4, e4 = _coupled_rhs(
-            rho + dt * k3, bath.with_energy(bath.H_e + dt * e3), system, nonlinear
-        )
+        k1, e1 = _joint_rhs(rho, h, bath, system, nonlinear)
+        k2, e2 = _joint_rhs(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1, bath, system, nonlinear)
+        k3, e3 = _joint_rhs(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2, bath, system, nonlinear)
+        k4, e4 = _joint_rhs(rho + dt * k3, h + dt * e3, bath, system, nonlinear)
         rho_new = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        he_new = bath.H_e + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        he_new = h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
     elif method == "euler":
-        k1, e1 = _coupled_rhs(rho, bath, system, nonlinear)
+        k1, e1 = _joint_rhs(rho, h, bath, system, nonlinear)
         rho_new = rho + dt * k1
-        he_new = bath.H_e + dt * e1
+        he_new = h + dt * e1
     else:
         raise ValueError(f"unknown method {method!r}")
     rho_new = 0.5 * (rho_new + rho_new.conj().T)
     return rho_new, bath.with_energy(he_new)
 
 
-def _observe(t, rho, bath, system, energy_ref, tolerances):
+def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):
     """Build a trajectory point and return (point, violation detail or None)."""
     trace_err = abs(complex(np.trace(rho)) - 1.0)
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     min_eig = float(np.linalg.eigvalsh(rho)[0])
-    rated = bind_bath_rates(system, bath)
-    flux_to_quantum = -environment_rhs(bath, rho, rated)
+    flux_to_quantum = -_joint_rhs(rho, bath.H_e, bath, system, nonlinear)[1]
     env = EnvironmentObservableReport(
         H_e=bath.H_e,
         T_e=bath.temperature(),
@@ -200,12 +190,13 @@ def simulate(
 
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
-    output.
+    output.  A finite bath drained of its energy within a step also ends the
+    run as a violation, with the points recorded before that step.
     """
     rho = validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10)
     points: list[TrajectoryPoint] = []
 
-    point, violation = _observe(0.0, rho, bath0, system, None, config.tolerances)
+    point, violation = _observe(0.0, rho, bath0, system, nonlinear, None, config.tolerances)
     points.append(point)
     if violation is not None:
         return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
@@ -214,10 +205,14 @@ def simulate(
     bath = bath0
     n = config.n_steps
     for k in range(1, n + 1):
-        rho, bath = step(rho, bath, system, config.dt, config.method, nonlinear)
+        t = k * config.dt
+        try:
+            rho, bath = step(rho, bath, system, config.dt, config.method, nonlinear)
+        except _BathDrained as exc:
+            violation = f"{exc} in the step to t={t:.6g}"
+            return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
         if k % config.monitor_every == 0 or k == n:
-            t = k * config.dt
-            point, violation = _observe(t, rho, bath, system, energy_ref, config.tolerances)
+            point, violation = _observe(t, rho, bath, system, nonlinear, energy_ref, config.tolerances)
             points.append(point)
             if violation is not None:
                 return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)

@@ -17,7 +17,6 @@ from .operators import (
     PhysicalConstants,
     _as_square_matrix,
     _modified_in_basis,
-    _pairwise_log_mean,
     hermitianize,
     validate_hermitian,
 )
@@ -74,10 +73,30 @@ class QuantumSystem:
                 raise ValueError(
                     f"channel {k}: coupling operator shape {ch.Q.shape} does not match dimension {dim}"
                 )
+        # Compiled once for the stage kernel: the stacked Q_j, the constant
+        # commutators C_j = [Q_j, H], and the per-channel rates and weights.
+        Q = np.array([ch.Q for ch in self.channels], dtype=complex).reshape(-1, dim, dim)
+        compiled = {
+            "_Q": Q,
+            "_C": Q @ self.H - self.H @ Q,
+            "_friction": np.array([ch.friction_rate for ch in self.channels], dtype=float),
+            "_diffusion": np.array([ch.diffusion_rate for ch in self.channels], dtype=float),
+            "_coupled": np.array([ch.bath_coupled for ch in self.channels], dtype=bool),
+            "_weight": np.array([ch.weight for ch in self.channels], dtype=float),
+        }
+        for name, value in compiled.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.H.shape[0]
+
+
+def _as_state(rho, system: QuantumSystem) -> np.ndarray:
+    rho = _as_square_matrix(rho, "density matrix")
+    if rho.shape != system.H.shape:
+        raise ValueError(f"dimension mismatch: rho {rho.shape} vs H {system.H.shape}")
+    return rho
 
 
 def master_rhs(rho, system: QuantumSystem, nonlinear: bool = True) -> np.ndarray:
@@ -90,37 +109,40 @@ def master_rhs(rho, system: QuantumSystem, nonlinear: bool = True) -> np.ndarray
     With ``nonlinear=False`` the modified operator is replaced by the
     symmetrized product ([Q_j, H] rho + rho [Q_j, H])/2, which linearizes
     the equation; both variants share every other term.  The result is
-    Hermitian and traceless, so normalization is preserved.
+    Hermitian and traceless, so normalization is preserved.  The rates are
+    the ones stored on the channels.
 
     ``rho`` must be a valid density matrix (Hermitian, unit trace);
     positivity is not enforced here so that pathological trajectories can be
     monitored rather than interrupted.
     """
-    rho = _as_square_matrix(rho, "density matrix")
-    if rho.shape != system.H.shape:
-        raise ValueError(f"dimension mismatch: rho {rho.shape} vs H {system.H.shape}")
-    hbar = system.constants.hbar
-    kB = system.constants.kB
+    return _stage_rhs(_as_state(rho, system), system, system._friction, system._diffusion, nonlinear)
+
+
+def _stage_rhs(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool) -> np.ndarray:
+    """:func:`master_rhs` with the per-channel rates given as arrays.
+
+    Decomposes rho at most once, and only for a nonlinear variant with some
+    nonzero friction rate; every channel is assembled in one batched
+    (k, n, n) product as -sum_j [Q_j, X_j].
+    """
     H = system.H
-    out = (1j / hbar) * (rho @ H - H @ rho)
-
-    basis = weights = None
-    if nonlinear and any(ch.friction_rate != 0.0 for ch in system.channels):
-        basis = np.linalg.eigh(rho)
-        weights = _pairwise_log_mean(basis[0])
-
-    for ch in system.channels:
-        Q = ch.Q
-        if ch.friction_rate != 0.0:
-            c = Q @ H - H @ Q
-            if nonlinear:
-                c_mod = _modified_in_basis(basis[0], basis[1], c, weights)
-            else:
-                c_mod = 0.5 * (c @ rho + rho @ c)
-            out -= (ch.friction_rate / kB) * (Q @ c_mod - c_mod @ Q)
-        if ch.diffusion_rate != 0.0:
-            qr = Q @ rho - rho @ Q
-            out -= ch.diffusion_rate * (Q @ qr - qr @ Q)
+    out = (1j / system.constants.hbar) * (rho @ H - H @ rho)
+    Q = system._Q
+    x = None
+    if friction.any():
+        C = system._C
+        if nonlinear:
+            w, u = np.linalg.eigh(rho)
+            c_mod = _modified_in_basis(w, u, C)
+        else:
+            c_mod = 0.5 * (C @ rho + rho @ C)
+        x = (friction / system.constants.kB)[:, None, None] * c_mod
+    if diffusion.any():
+        qr = diffusion[:, None, None] * (Q @ rho - rho @ Q)
+        x = qr if x is None else x + qr
+    if x is not None:
+        out -= (Q @ x - x @ Q).sum(axis=0)
     return out
 
 

@@ -36,11 +36,6 @@ __all__ = [
     "von_neumann_entropy",
 ]
 
-# Eigenvalue pairs closer than this in log space are treated as degenerate
-# when forming divided differences (avoids 0/0 without losing symmetry).
-LOG_DEGENERACY_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Unit system, threaded explicitly so SI runs are possible.
@@ -174,33 +169,36 @@ def operator_function(a, f: Callable[[float], float]) -> np.ndarray:
 def _pairwise_log_mean(p: np.ndarray) -> np.ndarray:
     """Matrix of divided differences d(p_i, p_j) of the exponential in log space.
 
-    d(p, q) = (p - q)/(ln p - ln q) for distinct positive p, q (the
-    logarithmic mean), the midpoint (p + q)/2 for (near-)degenerate pairs,
+    d(p, q) = (p - q)/(ln p - ln q) for positive p, q (the logarithmic mean),
     and 0 whenever either argument is nonpositive: a nonpositive weight is
     treated as a rank deficiency, whose analytic limit is zero.
+
+    With x = (p - q)/(p + q), the direct quotient is used only for |x| > 0.5.
+    Closer pairs use the equal form (p + q)/2 * x/artanh(x), which keeps full
+    relative precision down to p = q, where it is the midpoint.
     """
     pos = p > 0.0
-    if np.all(pos):
-        logs = np.log(p)
-        dl = logs[:, None] - logs[None, :]
-        near = np.abs(dl) < LOG_DEGENERACY_TOL
-        lm = (p[:, None] - p[None, :]) / np.where(near, 1.0, dl)
-        return np.where(near, 0.5 * (p[:, None] + p[None, :]), lm)
-    d = np.zeros((p.size, p.size))
-    idx = np.flatnonzero(pos)
-    if idx.size:
-        sub = _pairwise_log_mean(p[idx])
-        d[np.ix_(idx, idx)] = sub
+    if not np.all(pos):
+        d = np.zeros((p.size, p.size))
+        idx = np.flatnonzero(pos)
+        if idx.size:
+            d[np.ix_(idx, idx)] = _pairwise_log_mean(p[idx])
+        return d
+    a, b = p[:, None], p[None, :]
+    x = (a - b) / (a + b)
+    far = np.abs(x) > 0.5
+    near_x = np.where(far, 0.0, x)
+    ratio = np.divide(near_x, np.arctanh(near_x), out=np.ones_like(near_x), where=near_x != 0.0)
+    d = 0.5 * (a + b) * ratio
+    logs = np.log(p)
+    np.divide(a - b, logs[:, None] - logs[None, :], out=d, where=far)
     return d
 
 
-def _modified_in_basis(
-    w: np.ndarray, u: np.ndarray, a: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    if weights is None:
-        weights = _pairwise_log_mean(w)
-    at = u.conj().T @ a @ u
-    return u @ (at * weights) @ u.conj().T
+def _modified_in_basis(w: np.ndarray, u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """modified_operator in the eigenbasis (w, u) of rho; ``a`` may be a stack (k, n, n)."""
+    uh = u.conj().T
+    return u @ ((uh @ a @ u) * _pairwise_log_mean(w)) @ uh
 
 
 def modified_operator(rho, a) -> np.ndarray:

@@ -269,3 +269,54 @@ def test_output_stride(tmp_path):
     _, rows = _read_csv(out)
     # 5.0/0.01 = 500 steps at monitor_every 10 -> 51 points -> every 5th
     assert len(rows) == 11
+
+
+def test_run_drained_finite_bath_exits_with_violation(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "finite_bath_closure.json").read_text())
+    cfg["environment"]["finite"] = {"C_e": 0.01, "H_e0": 0.01}
+    cfg["integrator"].update({"dt": 0.1, "t_end": 2.0, "monitor_every": 1})
+    cfg["initial_state"] = {"bloch": [0.0, 0.0, -0.99]}
+    out = tmp_path / "drained.csv"
+    assert main(["run", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert "H_e=" in capsys.readouterr().err
+    header, rows = _read_csv(out)
+    assert 1 <= len(rows) < 21
+    assert all(r[header.index("H_e")] > 0.0 for r in rows)
+
+
+def test_run_rejects_unknown_method(tmp_path, capsys):
+    cfg = _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "method": "rk5"})
+    out = tmp_path / "never.csv"
+    assert main(["run", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+    assert "method" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_log_level_from_environment(tmp_path, monkeypatch, caplog):
+    cfg_path = _write(tmp_path, _two_level_config(integrator={"dt": 0.01, "t_end": 0.5}))
+    monkeypatch.setenv("THERMOQME_LOG", "info")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a.csv")]) == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "thermoqme"]
+    assert any("50 steps" in m for m in messages)
+    assert any("completed at t=0.5" in m for m in messages)
+    assert all(r.levelname == "INFO" for r in caplog.records if r.name == "thermoqme")
+
+    caplog.clear()
+    monkeypatch.setenv("THERMOQME_LOG", "warning")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b.csv")]) == 0
+    assert not [r for r in caplog.records if r.name == "thermoqme"]
+
+
+def test_log_level_violation_is_logged(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("THERMOQME_LOG", "INFO")
+    cfg_path = CONFIG_DIR / "sphere_linearized_x10.json"
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "lin.csv")]) == 2
+    assert any("positivity" in r.getMessage() for r in caplog.records if r.name == "thermoqme")
+
+
+def test_unknown_log_level_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("THERMOQME_LOG", "verbose")
+    out = tmp_path / "mu.csv"
+    assert main(["mu-table", "--min", "0", "--max", "0.5", "--steps", "3", "--out", str(out)]) == 1
+    assert "THERMOQME_LOG" in capsys.readouterr().err
+    assert not out.exists()

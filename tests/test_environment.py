@@ -6,19 +6,17 @@ import pytest
 from thermoqme import (
     CouplingChannel,
     HeatBath,
-    InfiniteBathError,
     QuantumSystem,
     TwoLevelParams,
-    bind_bath_rates,
     check_bath_equilibrium,
     energy_expectation,
     environment_rhs,
     equilibrium_state,
     master_rhs,
-    total_energy,
     two_level_bath,
     two_level_system,
 )
+from thermoqme.environment import _joint_rhs, _stage_rates
 from thermoqme.two_level import SIGMA
 
 from conftest import random_density, random_hermitian
@@ -131,33 +129,67 @@ def test_exchange_balance(rng):
 
 
 def test_exchange_balance_with_bath_coupled_channels(rng):
+    # the bath sits at the channels' stored temperature, so master_rhs uses the bath's rates
     p = TwoLevelParams(omega=1.0, gamma0=0.8, T_e=0.7)
     sys_ = two_level_system(p)
     bath = HeatBath.finite(C_e=5.0, H_e=3.5, gamma0=0.8, omega_ref=1.0)
     rho = random_density(rng, 2)
-    rated = bind_bath_rates(sys_, bath)
-    flux = environment_rhs(bath, rho, rated)
-    d_energy = energy_expectation(master_rhs(rho, rated), rated.H)
+    flux = environment_rhs(bath, rho, sys_)
+    d_energy = energy_expectation(master_rhs(rho, sys_), sys_.H)
     assert abs(flux + d_energy) < 1e-12
 
 
-def test_bind_bath_rates(rng):
+def test_bath_rate_rule():
     fixed = CouplingChannel(S1, friction_rate=0.11, diffusion_rate=0.22)
     coupled = CouplingChannel(S2, bath_coupled=True, weight=0.5)
     sys_ = QuantumSystem(0.5 * S3, (fixed, coupled))
     bath = HeatBath.infinite(T_e=2.0, gamma0=1.0, omega_ref=1.0)
-    rated = bind_bath_rates(sys_, bath)
-    assert rated.channels[0].friction_rate == 0.11
-    assert rated.channels[0].diffusion_rate == 0.22
-    assert rated.channels[1].friction_rate == 0.5 * 1.0
-    assert rated.channels[1].diffusion_rate == 0.5 * 2.0
-    # no bath-coupled channels: the system is returned as-is
+    friction, diffusion = _stage_rates(bath, sys_, bath.H_e)
+    assert list(friction) == [0.11, 0.5 * 1.0]
+    assert list(diffusion) == [0.22, 0.5 * 2.0]
+    # a finite bath's rates follow the energy passed in, not the snapshot's
+    finite = HeatBath.finite(C_e=4.0, H_e=4.0, gamma0=1.0, omega_ref=1.0)
+    friction, diffusion = _stage_rates(finite, sys_, 6.0)
+    assert list(friction) == [0.11, 0.5]
+    assert list(diffusion) == [0.22, 0.5 * 1.5]
+    with pytest.raises(ValueError, match="positive"):
+        _stage_rates(finite, sys_, 0.0)
+    # no bath-coupled channels: the stored rates are used as they are
     sys_fixed = QuantumSystem(0.5 * S3, (fixed,))
-    assert bind_bath_rates(sys_fixed, bath) is sys_fixed
+    assert _stage_rates(bath, sys_fixed, bath.H_e)[0] is sys_fixed._friction
 
 
-def test_total_energy():
-    bath = HeatBath.finite(C_e=10.0, H_e=5.0, gamma0=1.0, omega_ref=1.0)
-    assert abs(total_energy(bath, I2 / 2, 0.5 * S3) - 5.0) < 1e-15
-    with pytest.raises(InfiniteBathError):
-        total_energy(HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0), I2 / 2, 0.5 * S3)
+def _materialized(system, bath, H_e):
+    """The system with every bath-coupled channel's rates written out by hand."""
+    f, d = bath.with_energy(H_e).channel_rates(system.constants)
+    return QuantumSystem(
+        system.H,
+        tuple(
+            CouplingChannel(ch.Q, ch.weight * f, ch.weight * d) if ch.bath_coupled else ch
+            for ch in system.channels
+        ),
+        system.constants,
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_stage_bath_rate_closes_energy(rng, dim, nonlinear):
+    # dH_e/dt + Re tr(H k) = 0 for the stage's own k, fixed and bath-coupled
+    # channels together, a finite bath at energies away from its snapshot
+    h = random_hermitian(rng, dim)
+    channels = (
+        CouplingChannel(random_hermitian(rng, dim), friction_rate=0.4, diffusion_rate=0.9),
+        CouplingChannel(random_hermitian(rng, dim), bath_coupled=True),
+        CouplingChannel(random_hermitian(rng, dim), bath_coupled=True, weight=0.3),
+    )
+    sys_ = QuantumSystem(h, channels)
+    bath = HeatBath.finite(C_e=2.0, H_e=3.0, gamma0=0.7, omega_ref=1.2)
+    for H_e in (3.0, 1.1, 7.5):
+        rho = random_density(rng, dim)
+        k, e = _joint_rhs(rho, H_e, bath, sys_, nonlinear)
+        reference = master_rhs(rho, _materialized(sys_, bath, H_e), nonlinear)
+        assert np.max(np.abs(k - reference)) < 1e-13
+        assert abs(e + np.real(np.trace(h @ reference))) < 1e-12
+        if nonlinear:
+            assert abs(e - environment_rhs(bath.with_energy(H_e), rho, sys_)) < 1e-14

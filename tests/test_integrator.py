@@ -195,3 +195,41 @@ def test_violation_point_is_kept():
     traj = simulate(I2 / 2, two_level_bath(p), two_level_system(p), cfg, nonlinear=False)
     assert traj.points[-1].monitors["min_eig"] < 0.0
     assert np.min([p.monitors["min_eig"] for p in traj.points[:-1]]) >= -cfg.tolerances.positivity
+
+
+def test_linearized_finite_bath_conserves_total_energy():
+    # the bath's rate comes from the linearized drho/dt itself, so the closed
+    # total is conserved in this variant as well
+    system, bath = _finite_bath_setup(gamma0=1.0)
+    cfg = IntegratorConfig(dt=0.01, t_end=20.0, monitor_every=50)
+    traj = simulate(pauli_compose(1.0, np.array([0.5, 0.0, 0.4])), bath, system, cfg, nonlinear=False)
+    assert traj.termination == COMPLETED
+    energy = traj.monitor_series("total_energy")
+    assert np.max(np.abs(energy - energy[0])) / abs(energy[0]) < 1e-11
+
+
+def test_drained_finite_bath_is_flagged():
+    # a tiny bath cannot absorb the energy the subsystem gives up
+    system, bath = _finite_bath_setup(C_e=0.01, H_e0=0.01)
+    cfg = IntegratorConfig(dt=0.1, t_end=2.0, monitor_every=1)
+    traj = simulate(pauli_compose(1.0, np.array([0.0, 0.0, -0.99])), bath, system, cfg)
+    assert traj.termination == MONITOR_VIOLATION
+    assert "H_e=" in traj.violation and "t=" in traj.violation
+    assert traj.final.t < 2.0
+    assert len(traj.points) == round(traj.final.t / 0.1) + 1
+    assert all(p.env.H_e > 0.0 for p in traj.points)
+
+
+@pytest.mark.parametrize("nonlinear, expected", [(True, 4), (False, 0)])
+def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    system, bath = _finite_bath_setup()
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    step(random_density(rng, 2), bath, system, 1e-3, nonlinear=nonlinear)
+    assert len(calls) == expected

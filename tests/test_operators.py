@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from thermoqme import (
     validate_hermitian,
     von_neumann_entropy,
 )
+from thermoqme.operators import _pairwise_log_mean
 from thermoqme.two_level import SIGMA, pauli_compose, pauli_function, PauliVector
 
 from conftest import random_density, random_hermitian
@@ -145,6 +147,29 @@ def test_modified_operator_frozen_value():
     # same number from the independent quadrature oracle
     via_quad = modified_operator_quadrature(np.diag([0.75, 0.25]).astype(complex), S1, 64)
     assert np.max(np.abs(out - via_quad)) < 1e-12
+
+
+def _log_mean_reference(p: float, q: float) -> float:
+    """(p - q)/(ln p - ln q) in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(p), Decimal(q)
+        return float(a if a == b else (a - b) / (a.ln() - b.ln()))
+
+
+@pytest.mark.parametrize("gap", [1e-15, 1e-14, 1e-13, 1e-12, 3e-12, 1e-11, 1e-10, 1e-9, 1e-7, 1e-4, 1e-2, 1e-1])
+@pytest.mark.parametrize("p", [0.5, 0.3, 1e-6])
+def test_log_mean_near_degenerate_precision(p, gap):
+    q = p * (1.0 + gap)
+    expected = _log_mean_reference(p, q)
+    d = _pairwise_log_mean(np.array([p, q]))
+    assert d[0, 1] == d[1, 0]
+    assert abs(d[0, 1] - expected) <= 1e-14 * expected
+    # and through the modified operator of the normalized state
+    rho = np.diag([p, q]).astype(complex) / (p + q)
+    out = modified_operator(rho, S1)
+    expected = _log_mean_reference(p / (p + q), q / (p + q))
+    assert abs(out[0, 1] - expected) <= 1e-14 * expected
 
 
 def test_modified_operator_trace_and_hermiticity(rng):
