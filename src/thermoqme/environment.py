@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import NATURAL, PhysicalConstants
-from .master_equation import QuantumSystem, _as_state, _stage_rhs
+from .master_equation import QuantumSystem, _as_state, _kernel_rates, _stage_rhs
 
 __all__ = [
     "HeatBath",
@@ -100,8 +100,11 @@ class HeatBath:
         return self._temperature_at(self.H_e)
 
     def _temperature_at(self, H_e: float) -> float:
+        """Temperature at bath energy ``H_e``; raises for a drained finite bath."""
         if self.kind == "infinite":
             return float(self.T_e)
+        if not H_e > 0.0:
+            raise _BathDrained(f"finite bath energy must stay positive, got H_e={H_e:.6g}")
         return H_e / self.C_e
 
     def entropy(self) -> float:
@@ -124,14 +127,15 @@ class HeatBath:
         friction = gamma0 k_B / (hbar omega_ref),
         diffusion = gamma0 k_B T / (hbar omega_ref) = T * friction,
         so the bath-equilibrium condition holds identically at the bath's own
-        temperature.  Both rates are nonnegative; for a finite bath they move
-        with the temperature as energy is exchanged.
+        temperature.  Both rates are nonnegative; for a finite bath the
+        diffusion rate moves with the temperature as energy is exchanged,
+        while the friction rate does not depend on the bath's state.
         """
-        return self._rates_at(self.H_e, constants)
+        f = self._friction_rate(constants)
+        return f, f * self.temperature()
 
-    def _rates_at(self, H_e: float, constants: PhysicalConstants) -> tuple[float, float]:
-        base = self.gamma0 * constants.kB / (constants.hbar * self.omega_ref)
-        return base, base * self._temperature_at(H_e)
+    def _friction_rate(self, constants: PhysicalConstants) -> float:
+        return self.gamma0 * constants.kB / (constants.hbar * self.omega_ref)
 
 
 @dataclass(frozen=True)
@@ -144,32 +148,47 @@ class EnvironmentObservableReport:
     energy_flux_to_quantum: float
 
 
-def _stage_rates(bath: HeatBath, system: QuantumSystem, H_e: float):
-    """Per-channel (friction, diffusion) rate arrays at bath energy ``H_e``.
+def _step_rates(bath: HeatBath, system: QuantumSystem):
+    """Kernel rates of every channel, built once per step.
 
-    A bath-coupled channel's rates are ``weight`` times the bath bracket at
-    the temperature of that energy, which is what makes the coefficients time
-    dependent when the bath is finite; a fixed channel keeps its rates.
-    Raises for a finite bath whose energy is not positive.
+    Returns (friction/k_B, diffusion at zero temperature, diffusion per unit
+    temperature) as (k, 1, 1) arrays, with None for the first when every
+    friction rate is zero; see :func:`_stage_rates`.  A
+    bath-coupled channel's friction is ``weight`` times the bath bracket,
+    which does not depend on the bath energy, and its diffusion is that
+    friction times the bath temperature.  A fixed channel keeps its rates.
     """
-    if bath.kind == "finite" and not H_e > 0.0:
-        raise _BathDrained(f"finite bath energy must stay positive, got H_e={H_e:.6g}")
     coupled = system._coupled
-    if not coupled.any():
-        return system._friction, system._diffusion
-    f, d = bath._rates_at(H_e, system.constants)
-    w = system._weight
-    return np.where(coupled, w * f, system._friction), np.where(coupled, w * d, system._diffusion)
+    f_bath = system._weight * bath._friction_rate(system.constants)
+    friction, d_fixed = _kernel_rates(
+        np.where(coupled, f_bath, system._friction),
+        np.where(coupled, 0.0, system._diffusion),
+        system.constants,
+    )
+    return friction, d_fixed, np.where(coupled, f_bath, 0.0)[:, None, None]
 
 
-def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear: bool):
+def _stage_rates(rates, bath: HeatBath, H_e: float):
+    """(friction/k_B, diffusion) kernel arrays at bath energy ``H_e``.
+
+    Only the diffusion of bath-coupled channels follows the temperature of
+    that energy, which is what makes the coefficients time dependent when
+    the bath is finite.  Raises for a finite bath whose energy is not
+    positive.
+    """
+    friction, d_fixed, d_per_T = rates
+    return friction, d_fixed + bath._temperature_at(H_e) * d_per_T
+
+
+def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, rates, nonlinear: bool):
     """(drho/dt, dH_e/dt) at one stage of the coupled system.
 
-    The subsystem and the bath only exchange energy, so the bath's rate is
-    the closure identity dH_e/dt = -Re tr(H drho/dt), taken from this very
-    drho/dt in either variant.
+    ``rates`` come from :func:`_step_rates`.  The subsystem and the bath
+    only exchange energy, so the bath's rate is the closure identity
+    dH_e/dt = -Re tr(H drho/dt), taken from this very drho/dt in either
+    variant.
     """
-    k = _stage_rhs(rho, system, *_stage_rates(bath, system, H_e), nonlinear)
+    k = _stage_rhs(rho, system, *_stage_rates(rates, bath, H_e), nonlinear)
     return k, -float(np.vdot(system.H, k).real)
 
 
@@ -186,4 +205,4 @@ def environment_rhs(bath: HeatBath, rho, system: QuantumSystem) -> float:
 
     with the canonical correlation and the plain average.
     """
-    return _joint_rhs(_as_state(rho, system), bath.H_e, bath, system, True)[1]
+    return _joint_rhs(_as_state(rho, system), bath.H_e, bath, system, _step_rates(bath, system), True)[1]

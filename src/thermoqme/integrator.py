@@ -1,7 +1,7 @@
 """Fixed-step time integration of the coupled quantum-bath system.
 
 Steps the density matrix and the bath energy jointly with classic RK4 (or
-explicit Euler).  Every internal stage evaluates the bath-coupled channel
+explicit Euler).  Every internal stage evaluates the bath-coupled diffusion
 rates at that stage's bath energy and takes the bath's energy rate from the
 closure identity.  Structure monitors (trace, hermiticity, positivity, total
 energy for closed totals) are sampled on a configurable cadence; a breach,
@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import validate_density_matrix, von_neumann_entropy
+from .operators import _spectrum_entropy, validate_density_matrix
 from .master_equation import QuantumSystem, energy_expectation
-from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs
+from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs, _step_rates
 
 __all__ = [
     "MonitorTolerances",
@@ -104,8 +104,9 @@ def step(
 ) -> tuple[np.ndarray, HeatBath]:
     """One explicit step of the joint (rho, H_e) system.
 
-    Every internal stage evaluates the bath-coupled channel rates at that
-    stage's bath energy and sets dH_e/dt = -Re tr(H drho/dt) from the
+    The channel rates are built once per step; every internal stage only
+    scales the bath-coupled diffusion rates to the temperature at that
+    stage's bath energy, and sets dH_e/dt = -Re tr(H drho/dt) from the
     stage's own drho/dt.  The total tr(H rho) + H_e of a closed finite-bath
     system is therefore conserved to rounding in both variants.  The returned
     density matrix is re-Hermitized by conjugate transpose averaging (a
@@ -116,15 +117,16 @@ def step(
     """
     rho = np.asarray(rho, dtype=complex)
     h = bath.H_e
+    rates = _step_rates(bath, system)
     if method == "rk4":
-        k1, e1 = _joint_rhs(rho, h, bath, system, nonlinear)
-        k2, e2 = _joint_rhs(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1, bath, system, nonlinear)
-        k3, e3 = _joint_rhs(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2, bath, system, nonlinear)
-        k4, e4 = _joint_rhs(rho + dt * k3, h + dt * e3, bath, system, nonlinear)
+        k1, e1 = _joint_rhs(rho, h, bath, system, rates, nonlinear)
+        k2, e2 = _joint_rhs(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1, bath, system, rates, nonlinear)
+        k3, e3 = _joint_rhs(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2, bath, system, rates, nonlinear)
+        k4, e4 = _joint_rhs(rho + dt * k3, h + dt * e3, bath, system, rates, nonlinear)
         rho_new = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         he_new = h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
     elif method == "euler":
-        k1, e1 = _joint_rhs(rho, h, bath, system, nonlinear)
+        k1, e1 = _joint_rhs(rho, h, bath, system, rates, nonlinear)
         rho_new = rho + dt * k1
         he_new = h + dt * e1
     else:
@@ -137,8 +139,9 @@ def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):
     """Build a trajectory point and return (point, violation detail or None)."""
     trace_err = abs(complex(np.trace(rho)) - 1.0)
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    flux_to_quantum = -_joint_rhs(rho, bath.H_e, bath, system, nonlinear)[1]
+    spectrum = np.linalg.eigvalsh(rho)
+    min_eig = float(spectrum[0])
+    flux_to_quantum = -_joint_rhs(rho, bath.H_e, bath, system, _step_rates(bath, system), nonlinear)[1]
     env = EnvironmentObservableReport(
         H_e=bath.H_e,
         T_e=bath.temperature(),
@@ -148,7 +151,7 @@ def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):
     # tr(H rho) + H_e: the exact total for a finite bath, and the
     # exchange-consistent bookkeeping total for an infinite one.
     total_energy = energy_expectation(rho, system.H) + bath.H_e
-    total_entropy = env.S_e + von_neumann_entropy(rho, system.constants)
+    total_entropy = env.S_e + _spectrum_entropy(spectrum, system.constants)
     monitors = {
         "trace_err": float(trace_err),
         "herm_err": herm_err,

@@ -73,16 +73,24 @@ class QuantumSystem:
                 raise ValueError(
                     f"channel {k}: coupling operator shape {ch.Q.shape} does not match dimension {dim}"
                 )
-        # Compiled once for the stage kernel: the stacked Q_j, the constant
-        # commutators C_j = [Q_j, H], and the per-channel rates and weights.
-        Q = np.array([ch.Q for ch in self.channels], dtype=complex).reshape(-1, dim, dim)
+        # Compiled once for the stage kernel: the stack S = [H; Q_1..Q_k], whose
+        # one product with rho gives [H, rho] and every [Q_j, rho]; the row
+        # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; the
+        # per-channel rates and weights; and the stored rates in the kernel's
+        # (k, 1, 1) form.
+        S = np.array([self.H] + [ch.Q for ch in self.channels], dtype=complex)
+        Q = S[1:]
+        friction = np.array([ch.friction_rate for ch in self.channels], dtype=float)
+        diffusion = np.array([ch.diffusion_rate for ch in self.channels], dtype=float)
         compiled = {
-            "_Q": Q,
+            "_S": S,
+            "_Q_row": Q.transpose(1, 0, 2).reshape(dim, Q.shape[0] * dim),
             "_C": Q @ self.H - self.H @ Q,
-            "_friction": np.array([ch.friction_rate for ch in self.channels], dtype=float),
-            "_diffusion": np.array([ch.diffusion_rate for ch in self.channels], dtype=float),
+            "_friction": friction,
+            "_diffusion": diffusion,
             "_coupled": np.array([ch.bath_coupled for ch in self.channels], dtype=bool),
             "_weight": np.array([ch.weight for ch in self.channels], dtype=float),
+            "_rates": _kernel_rates(friction, diffusion, self.constants),
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
@@ -116,34 +124,46 @@ def master_rhs(rho, system: QuantumSystem, nonlinear: bool = True) -> np.ndarray
     positivity is not enforced here so that pathological trajectories can be
     monitored rather than interrupted.
     """
-    return _stage_rhs(_as_state(rho, system), system, system._friction, system._diffusion, nonlinear)
+    return _stage_rhs(_as_state(rho, system), system, *system._rates, nonlinear)
+
+
+def _kernel_rates(friction, diffusion, constants: PhysicalConstants):
+    """Per-channel rates in the form :func:`_stage_rhs` takes them.
+
+    Returns (friction/k_B, diffusion) as (k, 1, 1) arrays, with None in
+    place of the friction array when every friction rate is zero.
+    """
+    f = (friction / constants.kB)[:, None, None] if friction.any() else None
+    return f, diffusion[:, None, None]
 
 
 def _stage_rhs(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool) -> np.ndarray:
-    """:func:`master_rhs` with the per-channel rates given as arrays.
+    """:func:`master_rhs` with the rates given as :func:`_kernel_rates` arrays.
 
-    Decomposes rho at most once, and only for a nonlinear variant with some
-    nonzero friction rate; every channel is assembled in one batched
-    (k, n, n) product as -sum_j [Q_j, X_j].
+    rho must be Hermitian; the products below use that.  For Hermitian A,
+    rho A = (A rho)^dagger, so one stacked product P = S rho gives [H, rho]
+    and every [Q_j, rho] as P - P^dagger.
+    rho is decomposed at most once, and only for the nonlinear variant with
+    some nonzero friction rate.  Channel j enters through the anti-Hermitian
+    X_j = friction_j/k_B M_j + diffusion_j [Q_j, rho], where M_j is the
+    modified (or, linearized, the symmetrized) product of C_j = [Q_j, H]
+    with rho.  Because X_j is anti-Hermitian, the channel sum
+    -sum_j [Q_j, X_j] is -(A + A^dagger) with A = sum_j Q_j X_j, which is one
+    (n, kn) @ (kn, n) product.
     """
-    H = system.H
-    out = (1j / system.constants.hbar) * (rho @ H - H @ rho)
-    Q = system._Q
-    x = None
-    if friction.any():
+    p = system._S @ rho
+    comm = p - p.conj().swapaxes(1, 2)
+    x = diffusion * comm[1:]
+    if friction is not None:
         C = system._C
         if nonlinear:
             w, u = np.linalg.eigh(rho)
-            c_mod = _modified_in_basis(w, u, C)
+            x += friction * _modified_in_basis(w, u, C)
         else:
-            c_mod = 0.5 * (C @ rho + rho @ C)
-        x = (friction / system.constants.kB)[:, None, None] * c_mod
-    if diffusion.any():
-        qr = diffusion[:, None, None] * (Q @ rho - rho @ Q)
-        x = qr if x is None else x + qr
-    if x is not None:
-        out -= (Q @ x - x @ Q).sum(axis=0)
-    return out
+            c = C @ rho  # rho C = -(C rho)^dagger, as C is anti-Hermitian
+            x += friction * (0.5 * (c - c.conj().swapaxes(1, 2)))
+    a = system._Q_row @ x.reshape(-1, rho.shape[0])
+    return (-1j / system.constants.hbar) * comm[0] - (a + a.conj().T)
 
 
 def equilibrium_state(H, T: float, constants: PhysicalConstants = NATURAL) -> np.ndarray:

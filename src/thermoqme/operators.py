@@ -173,25 +173,26 @@ def _pairwise_log_mean(p: np.ndarray) -> np.ndarray:
     and 0 whenever either argument is nonpositive: a nonpositive weight is
     treated as a rank deficiency, whose analytic limit is zero.
 
-    With x = (p - q)/(p + q), the direct quotient is used only for |x| > 0.5.
-    Closer pairs use the equal form (p + q)/2 * x/artanh(x), which keeps full
-    relative precision down to p = q, where it is the midpoint.
+    Each pair is taken in order, lo <= hi, as (hi - lo)/log1p((hi - lo)/lo).
+    log1p keeps full relative precision down to hi = lo, where the mean is
+    lo itself (so lo sits on the diagonal), and the ordering makes the
+    matrix exactly symmetric.
     """
-    pos = p > 0.0
-    if not np.all(pos):
-        d = np.zeros((p.size, p.size))
-        idx = np.flatnonzero(pos)
-        if idx.size:
-            d[np.ix_(idx, idx)] = _pairwise_log_mean(p[idx])
-        return d
     a, b = p[:, None], p[None, :]
-    x = (a - b) / (a + b)
-    far = np.abs(x) > 0.5
-    near_x = np.where(far, 0.0, x)
-    ratio = np.divide(near_x, np.arctanh(near_x), out=np.ones_like(near_x), where=near_x != 0.0)
-    d = 0.5 * (a + b) * ratio
-    logs = np.log(p)
-    np.divide(a - b, logs[:, None] - logs[None, :], out=d, where=far)
+    lo = np.minimum(a, b)
+    gap = np.maximum(a, b) - lo
+    with np.errstate(all="ignore"):
+        ratio = gap / lo
+        # where hi = lo the mean is lo itself, which the division leaves in place
+        d = np.divide(gap, np.log1p(ratio), out=lo, where=gap > 0.0)
+    if not d.min() > 0.0:
+        # Every mean of positive members is positive, so this is rare: a
+        # nonpositive member, whose pairs are 0, or a ratio that overflowed
+        # (a subnormal lo far below hi), whose log1p is ln hi - ln lo.
+        lo = np.minimum(a, b)
+        over = np.isinf(ratio) & (lo > 0.0)
+        d[over] = gap[over] / (np.log(np.maximum(a, b)[over]) - np.log(lo[over]))
+        d[~(lo > 0.0)] = 0.0
     return d
 
 
@@ -292,6 +293,12 @@ def von_neumann_entropy(rho, constants: PhysicalConstants = NATURAL) -> float:
     noise contribute nothing rather than NaN.
     """
     arr = _as_square_matrix(rho, "density matrix")
-    w = np.clip(np.linalg.eigvalsh(arr), 0.0, 1.0)
+    return _spectrum_entropy(np.linalg.eigvalsh(arr), constants)
+
+
+def _spectrum_entropy(w: np.ndarray, constants: PhysicalConstants) -> float:
+    """-k_B sum_i w_i ln w_i over the spectrum ``w`` of a density matrix,
+    with each eigenvalue clipped to [0, 1] and 0 ln 0 = 0."""
+    w = np.clip(w, 0.0, 1.0)
     nz = w[w > 0.0]
     return float(-constants.kB * np.sum(nz * np.log(nz)))

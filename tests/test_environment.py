@@ -6,17 +6,21 @@ import pytest
 from thermoqme import (
     CouplingChannel,
     HeatBath,
+    PhysicalConstants,
     QuantumSystem,
     TwoLevelParams,
+    anticommutator,
     check_bath_equilibrium,
+    commutator,
     energy_expectation,
     environment_rhs,
     equilibrium_state,
     master_rhs,
+    modified_operator,
     two_level_bath,
     two_level_system,
 )
-from thermoqme.environment import _joint_rhs, _stage_rates
+from thermoqme.environment import _joint_rhs, _stage_rates, _step_rates
 from thermoqme.two_level import SIGMA
 
 from conftest import random_density, random_hermitian
@@ -139,24 +143,30 @@ def test_exchange_balance_with_bath_coupled_channels(rng):
     assert abs(flux + d_energy) < 1e-12
 
 
+def _rates_at(bath, system, H_e):
+    """(friction, diffusion) lists at bath energy ``H_e``, as one stage gets them (k_B = 1)."""
+    friction, diffusion = _stage_rates(_step_rates(bath, system), bath, H_e)
+    return friction.ravel().tolist(), diffusion.ravel().tolist()
+
+
 def test_bath_rate_rule():
     fixed = CouplingChannel(S1, friction_rate=0.11, diffusion_rate=0.22)
     coupled = CouplingChannel(S2, bath_coupled=True, weight=0.5)
     sys_ = QuantumSystem(0.5 * S3, (fixed, coupled))
     bath = HeatBath.infinite(T_e=2.0, gamma0=1.0, omega_ref=1.0)
-    friction, diffusion = _stage_rates(bath, sys_, bath.H_e)
+    friction, diffusion = _rates_at(bath, sys_, bath.H_e)
     assert list(friction) == [0.11, 0.5 * 1.0]
     assert list(diffusion) == [0.22, 0.5 * 2.0]
     # a finite bath's rates follow the energy passed in, not the snapshot's
     finite = HeatBath.finite(C_e=4.0, H_e=4.0, gamma0=1.0, omega_ref=1.0)
-    friction, diffusion = _stage_rates(finite, sys_, 6.0)
+    friction, diffusion = _rates_at(finite, sys_, 6.0)
     assert list(friction) == [0.11, 0.5]
     assert list(diffusion) == [0.22, 0.5 * 1.5]
     with pytest.raises(ValueError, match="positive"):
-        _stage_rates(finite, sys_, 0.0)
+        _rates_at(finite, sys_, 0.0)
     # no bath-coupled channels: the stored rates are used as they are
     sys_fixed = QuantumSystem(0.5 * S3, (fixed,))
-    assert _stage_rates(bath, sys_fixed, bath.H_e)[0] is sys_fixed._friction
+    assert _rates_at(bath, sys_fixed, bath.H_e) == ([0.11], [0.22])
 
 
 def _materialized(system, bath, H_e):
@@ -187,9 +197,61 @@ def test_stage_bath_rate_closes_energy(rng, dim, nonlinear):
     bath = HeatBath.finite(C_e=2.0, H_e=3.0, gamma0=0.7, omega_ref=1.2)
     for H_e in (3.0, 1.1, 7.5):
         rho = random_density(rng, dim)
-        k, e = _joint_rhs(rho, H_e, bath, sys_, nonlinear)
+        k, e = _joint_rhs(rho, H_e, bath, sys_, _step_rates(bath, sys_), nonlinear)
         reference = master_rhs(rho, _materialized(sys_, bath, H_e), nonlinear)
         assert np.max(np.abs(k - reference)) < 1e-13
         assert abs(e + np.real(np.trace(h @ reference))) < 1e-12
         if nonlinear:
             assert abs(e - environment_rhs(bath.with_energy(H_e), rho, sys_)) < 1e-14
+
+
+def _channel_loop_rhs(rho, system, rates, nonlinear):
+    """drho/dt summed channel by channel from the public commutator and
+    modified_operator, with the (friction, diffusion) rates given per channel."""
+    kB = system.constants.kB
+    out = (1j / system.constants.hbar) * commutator(rho, system.H)
+    for ch, (friction, diffusion) in zip(system.channels, rates):
+        c = commutator(ch.Q, system.H)
+        m = modified_operator(rho, c) if nonlinear else 0.5 * anticommutator(c, rho)
+        out = out - (friction / kB) * commutator(ch.Q, m)
+        out = out - diffusion * commutator(ch.Q, commutator(ch.Q, rho))
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_stage_kernel_matches_channel_loop(rng, dim, nonlinear):
+    # master_rhs (stored rates) and one coupled stage (bath rates at H_e)
+    # against a plain per-channel sum, with fixed, bath-coupled and weighted
+    # bath-coupled channels side by side, in units with hbar, k_B != 1
+    constants = PhysicalConstants(hbar=0.8, kB=1.3)
+
+    def unit(a):
+        return a / np.linalg.norm(a, 2)
+
+    channels = (
+        CouplingChannel(unit(random_hermitian(rng, dim)), friction_rate=0.4, diffusion_rate=0.9),
+        CouplingChannel(unit(random_hermitian(rng, dim)), diffusion_rate=0.25),
+        CouplingChannel(unit(random_hermitian(rng, dim)), 0.3, 0.5, bath_coupled=True),
+        CouplingChannel(unit(random_hermitian(rng, dim)), 0.1, 0.2, bath_coupled=True, weight=0.35),
+    )
+    sys_ = QuantumSystem(unit(random_hermitian(rng, dim)), channels, constants)
+    rho = random_density(rng, dim)
+    stored = [(ch.friction_rate, ch.diffusion_rate) for ch in channels]
+    reference = _channel_loop_rhs(rho, sys_, stored, nonlinear)
+    assert np.max(np.abs(master_rhs(rho, sys_, nonlinear) - reference)) < 1e-13
+
+    infinite = HeatBath.infinite(T_e=0.9, gamma0=0.7, omega_ref=1.2)
+    finite = HeatBath.finite(C_e=2.0, H_e=3.0, gamma0=0.7, omega_ref=1.2)
+    f = 0.7 * constants.kB / (constants.hbar * 1.2)
+    for bath, H_e, T in [(infinite, 0.0, 0.9), (infinite, 4.0, 0.9)] + [
+        (finite, H_e, H_e / 2.0) for H_e in (3.0, 1.1, 7.5)
+    ]:
+        rates = [
+            (ch.weight * f, ch.weight * f * T) if ch.bath_coupled else (ch.friction_rate, ch.diffusion_rate)
+            for ch in channels
+        ]
+        reference = _channel_loop_rhs(rho, sys_, rates, nonlinear)
+        k, e = _joint_rhs(rho, H_e, bath, sys_, _step_rates(bath, sys_), nonlinear)
+        assert np.max(np.abs(k - reference)) < 1e-13
+        assert abs(e + np.real(np.trace(sys_.H @ reference))) < 1e-13

@@ -14,8 +14,9 @@ from thermoqme import (
     step,
     two_level_bath,
     two_level_system,
+    von_neumann_entropy,
 )
-from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION
+from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _observe
 from thermoqme.two_level import SIGMA
 
 from conftest import random_density
@@ -233,3 +234,30 @@ def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     step(random_density(rng, 2), bath, system, 1e-3, nonlinear=nonlinear)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("nonlinear, eigh_calls", [(True, 1), (False, 0)])
+def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, eigh_calls):
+    # min_eig and the entropy share one spectrum; only the flux stage decomposes again
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls[name] += 1
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    system, bath = _finite_bath_setup()
+    rho = random_density(rng, 2)
+    w = np.linalg.eigvalsh(rho)
+    entropy = bath.entropy() + von_neumann_entropy(rho)
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    point, violation = _observe(0.0, rho, bath, system, nonlinear, None, MonitorTolerances())
+    assert calls == {"eigh": eigh_calls, "eigvalsh": 1}
+    assert violation is None
+    assert point.monitors["min_eig"] == w[0]
+    assert point.monitors["total_entropy"] == entropy

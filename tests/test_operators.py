@@ -157,8 +157,10 @@ def _log_mean_reference(p: float, q: float) -> float:
         return float(a if a == b else (a - b) / (a.ln() - b.ln()))
 
 
-@pytest.mark.parametrize("gap", [1e-15, 1e-14, 1e-13, 1e-12, 3e-12, 1e-11, 1e-10, 1e-9, 1e-7, 1e-4, 1e-2, 1e-1])
-@pytest.mark.parametrize("p", [0.5, 0.3, 1e-6])
+@pytest.mark.parametrize(
+    "gap", [1e-15, 1e-14, 1e-13, 1e-12, 3e-12, 1e-11, 1e-10, 1e-9, 1e-7, 1e-4, 1e-2, 1e-1, 1e1, 1e6, 1e300]
+)
+@pytest.mark.parametrize("p", [0.5, 0.3, 1e-6, 5e-324])
 def test_log_mean_near_degenerate_precision(p, gap):
     q = p * (1.0 + gap)
     expected = _log_mean_reference(p, q)
@@ -166,10 +168,19 @@ def test_log_mean_near_degenerate_precision(p, gap):
     assert d[0, 1] == d[1, 0]
     assert abs(d[0, 1] - expected) <= 1e-14 * expected
     # and through the modified operator of the normalized state
-    rho = np.diag([p, q]).astype(complex) / (p + q)
+    rho = np.diag(np.array([p, q]) / (p + q)).astype(complex)
     out = modified_operator(rho, S1)
     expected = _log_mean_reference(p / (p + q), q / (p + q))
     assert abs(out[0, 1] - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1e-310, 1e300), (5e-324, 0.3)])
+def test_log_mean_extreme_ratio(p, q):
+    # (q - p)/p overflows here; the mean must still be finite, exact and symmetric
+    d = _pairwise_log_mean(np.array([q, p]))
+    assert d[0, 1] == d[1, 0]
+    assert abs(d[0, 1] - _log_mean_reference(p, q)) <= 1e-14 * _log_mean_reference(p, q)
+    assert d[0, 0] == q and d[1, 1] == p
 
 
 def test_modified_operator_trace_and_hermiticity(rng):
