@@ -49,15 +49,17 @@ def _trajectory_rows(traj: Trajectory, setup: RunSetup):
         header += ["H_e", "T_e"]
     header += ["total_energy", "total_entropy", "min_eig", "trace_err"]
 
+    # The upper triangle as interleaved (re, im) floats, one %-format per row;
+    # "%.16e" gives the same text as _fmt, -0.0 included.
+    upper = np.triu_indices(dim)
+    upper_fmt = ",".join(["%.16e"] * (dim * (dim + 1)))
     rows = []
     for point in traj.points[:: setup.stride]:
         row = [_fmt(point.t)]
         if setup.two_level:
             row += [_fmt(v) for v in pauli_decompose(point.rho, tol=1e-6).a]
         else:
-            for i in range(dim):
-                for j in range(i, dim):
-                    row += [_fmt(point.rho[i, j].real), _fmt(point.rho[i, j].imag)]
+            row.append(upper_fmt % tuple(point.rho[upper].view(float).tolist()))
         if finite:
             row += [_fmt(point.env.H_e), _fmt(point.env.T_e)]
         row += [

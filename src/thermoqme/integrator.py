@@ -11,6 +11,7 @@ violation rather than a silent repair or a traceback.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,8 @@ __all__ = [
     "step",
     "simulate",
 ]
+
+log = logging.getLogger("thermoqme")
 
 COMPLETED = "completed"
 MONITOR_VIOLATION = "monitor_violation"
@@ -101,6 +104,8 @@ def step(
     dt: float,
     method: str = "rk4",
     nonlinear: bool = True,
+    *,
+    first: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, HeatBath]:
     """One explicit step of the joint (rho, H_e) system.
 
@@ -112,21 +117,25 @@ def step(
     density matrix is re-Hermitized by conjugate transpose averaging (a
     correction at the 1e-16 scale per step), which leaves tr(H rho) as it is.
 
+    ``first`` is the stage already evaluated at exactly ``(rho, bath.H_e)`` in
+    the same variant, the ``(drho/dt, dH_e/dt)`` pair :func:`_observe` returns;
+    the step then uses it as its first stage instead of evaluating it again,
+    with the same result.
+
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError.
     """
     rho = np.asarray(rho, dtype=complex)
     h = bath.H_e
     rates = _step_rates(bath, system)
+    k1, e1 = _joint_rhs(rho, h, bath, system, rates, nonlinear) if first is None else first
     if method == "rk4":
-        k1, e1 = _joint_rhs(rho, h, bath, system, rates, nonlinear)
         k2, e2 = _joint_rhs(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1, bath, system, rates, nonlinear)
         k3, e3 = _joint_rhs(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2, bath, system, rates, nonlinear)
         k4, e4 = _joint_rhs(rho + dt * k3, h + dt * e3, bath, system, rates, nonlinear)
         rho_new = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         he_new = h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
     elif method == "euler":
-        k1, e1 = _joint_rhs(rho, h, bath, system, rates, nonlinear)
         rho_new = rho + dt * k1
         he_new = h + dt * e1
     else:
@@ -136,17 +145,19 @@ def step(
 
 
 def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):
-    """Build a trajectory point and return (point, violation detail or None)."""
+    """Build a trajectory point and return (point, violation detail or None,
+    stage), where stage is the (drho/dt, dH_e/dt) pair at (rho, bath.H_e)
+    that gives the point's energy flux and the next step's first stage."""
     trace_err = abs(complex(np.trace(rho)) - 1.0)
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     spectrum = np.linalg.eigvalsh(rho)
     min_eig = float(spectrum[0])
-    flux_to_quantum = -_joint_rhs(rho, bath.H_e, bath, system, _step_rates(bath, system), nonlinear)[1]
+    stage = _joint_rhs(rho, bath.H_e, bath, system, _step_rates(bath, system), nonlinear)
     env = EnvironmentObservableReport(
         H_e=bath.H_e,
         T_e=bath.temperature(),
         S_e=bath.entropy(),
-        energy_flux_to_quantum=flux_to_quantum,
+        energy_flux_to_quantum=-stage[1],
     )
     # tr(H rho) + H_e: the exact total for a finite bath, and the
     # exchange-consistent bookkeeping total for an infinite one.
@@ -178,7 +189,7 @@ def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):
                 f"total energy drift {drift:.3e} exceeds tolerance at t={t:.6g} "
                 f"(reference {energy_ref:.6g})"
             )
-    return point, violation
+    return point, violation, stage
 
 
 def simulate(
@@ -191,32 +202,44 @@ def simulate(
     """Integrate from t=0 to t_end, recording monitors every
     ``monitor_every`` steps (plus the initial and final states).
 
+    The stage a recorded point evaluates for its energy flux is the first
+    stage of the next step, so observing costs no extra stage evaluation
+    (except at the final point).  Each recorded point's monitors are logged
+    at DEBUG level.
+
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
     output.  A finite bath drained of its energy within a step also ends the
     run as a violation, with the points recorded before that step.
     """
     rho = validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10)
-    points: list[TrajectoryPoint] = []
-
-    point, violation = _observe(0.0, rho, bath0, system, nonlinear, None, config.tolerances)
-    points.append(point)
-    if violation is not None:
-        return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
-    energy_ref = point.monitors["total_energy"]
-
     bath = bath0
+    points: list[TrajectoryPoint] = []
+    energy_ref = None
+    stage = None
+    debug = log.isEnabledFor(logging.DEBUG)
     n = config.n_steps
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         t = k * config.dt
-        try:
-            rho, bath = step(rho, bath, system, config.dt, config.method, nonlinear)
-        except _BathDrained as exc:
-            violation = f"{exc} in the step to t={t:.6g}"
-            return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
+        if k:
+            try:
+                rho, bath = step(rho, bath, system, config.dt, config.method, nonlinear, first=stage)
+            except _BathDrained as exc:
+                violation = f"{exc} in the step to t={t:.6g}"
+                return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
+            stage = None
         if k % config.monitor_every == 0 or k == n:
-            point, violation = _observe(t, rho, bath, system, nonlinear, energy_ref, config.tolerances)
+            point, violation, stage = _observe(t, rho, bath, system, nonlinear, energy_ref, config.tolerances)
             points.append(point)
+            if debug:
+                log.debug(
+                    "%s t=%.6g %s",
+                    "nonlinear" if nonlinear else "linearized",
+                    t,
+                    " ".join(f"{key}={value:.6e}" for key, value in point.monitors.items()),
+                )
             if violation is not None:
                 return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
+            if energy_ref is None:
+                energy_ref = point.monitors["total_energy"]
     return Trajectory(tuple(points), config, COMPLETED)

@@ -1,12 +1,13 @@
 import csv
 import json
+import logging
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thermoqme import config_to_dict, load_config, parse_config
+from thermoqme import config_to_dict, load_config, parse_config, simulate
 from thermoqme.cli import main
 from thermoqme.config import ConfigError, build_run
 
@@ -84,22 +85,35 @@ def test_run_linearized_cold_exits_with_violation(tmp_path):
     assert rows[-1][0] < 1.25
 
 
-def test_run_generic_system_with_finite_bath(tmp_path):
-    # three-level system, fixed-rate channel, closed total
-    h = [[[0.6, 0.0], [0.0, 0.0], [0.0, 0.0]],
-         [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]],
-         [[0.0, 0.0], [0.2, 0.0], [-0.5, 0.0]]]
-    q = [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
-         [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]],
-         [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]]
+def _pairs(m):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
+def _generic_finite_bath_config(dim=3, rho0=None, **integrator):
+    # three-level system, fixed-rate channel, closed total; dim 4 adds a
+    # fourth level coupled to the third
+    h = np.array([[0.6, 0.0, 0.0], [0.0, 0.1, 0.2], [0.0, 0.2, -0.5]], dtype=complex)
+    q = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    q[1, 2], q[2, 1] = complex(0.0, -1.0), complex(0.0, 1.0)
+    if dim == 4:
+        h = np.pad(h, (0, 1))
+        q = np.pad(q, (0, 1))
+        h[3, 3], h[2, 3], h[3, 2] = -0.9, 0.15, 0.15
+        q[2, 3] = q[3, 2] = 1.0
     cfg = {
-        "system": {"generic": {"hamiltonian": h, "channels": [
-            {"Q": q, "friction_rate": 0.2, "diffusion_rate": 0.16},
+        "system": {"generic": {"hamiltonian": _pairs(h), "channels": [
+            {"Q": _pairs(q), "friction_rate": 0.2, "diffusion_rate": 0.16},
         ]}},
         "environment": {"finite": {"C_e": 5.0, "H_e0": 4.0}},
-        "integrator": {"dt": 0.005, "t_end": 3.0, "monitor_every": 20},
+        "integrator": {"dt": 0.005, "t_end": 3.0, "monitor_every": 20, **integrator},
     }
-    cfg_path = _write(tmp_path, cfg)
+    if rho0 is not None:
+        cfg["initial_state"] = {"matrix": rho0}
+    return cfg
+
+
+def test_run_generic_system_with_finite_bath(tmp_path):
+    cfg_path = _write(tmp_path, _generic_finite_bath_config())
     out = tmp_path / "generic.csv"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     header, rows = _read_csv(out)
@@ -108,6 +122,38 @@ def test_run_generic_system_with_finite_bath(tmp_path):
     assert "H_e" in header and "T_e" in header
     energy = np.array([r[header.index("total_energy")] for r in rows])
     assert np.max(np.abs(energy - energy[0])) / abs(energy[0]) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_generic_rows_match_per_element_format(tmp_path, dim):
+    # every field of a generic row is format(float(x), ".16e") of its value,
+    # in header order, down to the sign of a zero imaginary part
+    p = np.linspace(2.0, 1.0, dim)
+    rho0 = _pairs(np.diag(p / p.sum()).astype(complex))
+    rho0[0][0][1] = -0.0
+    rho0[0][1], rho0[1][0] = [0.1, 0.05], [0.1, -0.05]
+    cfg_path = _write(tmp_path, _generic_finite_bath_config(dim, rho0, t_end=0.5, monitor_every=5))
+    out = tmp_path / "generic.csv"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    setup = build_run(load_config(cfg_path))
+    traj = simulate(setup.rho0, setup.bath, setup.system, setup.integrator, nonlinear=setup.nonlinear)
+    upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+    expected = []
+    for point in traj.points:
+        values = [point.t]
+        for i, j in upper:
+            values += [point.rho[i, j].real, point.rho[i, j].imag]
+        values += [point.env.H_e, point.env.T_e]
+        values += [point.monitors[key] for key in ("total_energy", "total_entropy", "min_eig", "trace_err")]
+        expected.append(",".join(format(float(x), ".16e") for x in values))
+
+    header, *lines = out.read_text(encoding="utf-8").splitlines()
+    assert header.split(",")[1 : 1 + 2 * len(upper)] == [
+        f"rho{i}{j}_{part}" for i, j in upper for part in ("re", "im")
+    ]
+    assert lines == expected
+    assert lines[0].split(",")[header.split(",").index("rho00_im")] == "-0.0000000000000000e+00"
 
 
 def test_run_generic_bath_bracket_requires_env_rates(tmp_path):
@@ -320,3 +366,22 @@ def test_unknown_log_level_is_a_configuration_error(tmp_path, monkeypatch, capsy
     assert main(["mu-table", "--min", "0", "--max", "0.5", "--steps", "3", "--out", str(out)]) == 1
     assert "THERMOQME_LOG" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_log_level_debug_logs_each_sampled_point(tmp_path, monkeypatch, caplog):
+    cfg_path = _write(tmp_path, _two_level_config(integrator={"dt": 0.01, "t_end": 0.5}))
+    monkeypatch.setenv("THERMOQME_LOG", "debug")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a.csv")]) == 0
+    debug = [r.getMessage() for r in caplog.records if r.name == "thermoqme" and r.levelname == "DEBUG"]
+    # 50 steps sampled every 10 -> t = 0, 0.1, ..., 0.5
+    assert len(debug) == 6
+    assert debug[0].startswith("nonlinear t=0 ") and debug[-1].startswith("nonlinear t=0.5 ")
+    for key in ("trace_err", "herm_err", "min_eig", "total_energy", "total_entropy"):
+        assert all(f"{key}=" in m for m in debug)
+
+    # below DEBUG no per-sample message is even formatted
+    caplog.clear()
+    monkeypatch.setenv("THERMOQME_LOG", "info")
+    monkeypatch.setattr(logging.getLogger("thermoqme"), "debug", None)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b.csv")]) == 0
+    assert all(r.levelname == "INFO" for r in caplog.records if r.name == "thermoqme")

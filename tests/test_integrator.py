@@ -16,6 +16,7 @@ from thermoqme import (
     two_level_system,
     von_neumann_entropy,
 )
+from thermoqme.environment import _joint_rhs, _step_rates
 from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _observe
 from thermoqme.two_level import SIGMA
 
@@ -256,8 +257,51 @@ def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, eigh_calls):
     entropy = bath.entropy() + von_neumann_entropy(rho)
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
-    point, violation = _observe(0.0, rho, bath, system, nonlinear, None, MonitorTolerances())
+    point, violation, _ = _observe(0.0, rho, bath, system, nonlinear, None, MonitorTolerances())
     assert calls == {"eigh": eigh_calls, "eigvalsh": 1}
     assert violation is None
     assert point.monitors["min_eig"] == w[0]
     assert point.monitors["total_entropy"] == entropy
+
+
+@pytest.mark.parametrize("nonlinear, per_step", [(True, 4), (False, 0)])
+def test_sampled_stage_is_the_next_first_stage(monkeypatch, rng, nonlinear, per_step):
+    # a point sampled every step evaluates the stage the next step starts
+    # from, so N steps cost 4N + 1 decompositions, not 5N + 1
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    system, bath = _finite_bath_setup()
+    cfg = IntegratorConfig(dt=1e-3, t_end=6e-3, monitor_every=1)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    traj = simulate(random_density(rng, 2), bath, system, cfg, nonlinear=nonlinear)
+    assert traj.termination == COMPLETED and len(traj.points) == cfg.n_steps + 1
+    assert len(calls) == per_step * cfg.n_steps + (1 if nonlinear else 0)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
+    system, bath0 = _finite_bath_setup(gamma0=0.7)
+    cfg = IntegratorConfig(dt=5e-3, t_end=0.2, monitor_every=3)
+    traj = simulate(random_density(rng, 2), bath0, system, cfg, nonlinear=nonlinear)
+    assert traj.termination == COMPLETED
+    for point in traj.points:
+        bath = bath0.with_energy(point.env.H_e)
+        _, rate = _joint_rhs(point.rho, bath.H_e, bath, system, _step_rates(bath, system), nonlinear)
+        assert point.env.energy_flux_to_quantum == -rate
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
+    system, bath = _finite_bath_setup()
+    rho = random_density(rng, 2)
+    first = _joint_rhs(rho, bath.H_e, bath, system, _step_rates(bath, system), nonlinear)
+    rho_a, bath_a = step(rho, bath, system, 1e-2, method, nonlinear)
+    rho_b, bath_b = step(rho, bath, system, 1e-2, method, nonlinear, first=first)
+    assert np.array_equal(rho_a, rho_b)
+    assert bath_a == bath_b
