@@ -223,44 +223,28 @@ def _parse_environment(node, path, generic: bool) -> EnvironmentSettings:
     _require_keys(node, path, (), ("infinite", "finite"))
     if ("infinite" in node) == ("finite" in node):
         raise ConfigError(path, "exactly one of 'infinite' or 'finite' must be present")
+    # gamma0/omega_ref are accepted only for generic systems; two-level runs
+    # take them from the system block, and _require_keys rejects them here.
     extras = ("gamma0", "omega_ref") if generic else ()
-    if "infinite" in node:
-        sub = node["infinite"]
-        spath = f"{path}.infinite"
+    kind = "infinite" if "infinite" in node else "finite"
+    sub = node[kind]
+    spath = f"{path}.{kind}"
+    if kind == "infinite":
         _require_keys(sub, spath, ("T_e",), extras)
-        settings = EnvironmentSettings(
-            kind="infinite",
-            T_e=_number(sub["T_e"], f"{spath}.T_e", positive=True),
-        )
+        fields = {"T_e": _number(sub["T_e"], f"{spath}.T_e", positive=True)}
     else:
-        sub = node["finite"]
-        spath = f"{path}.finite"
         _require_keys(sub, spath, ("C_e", "H_e0"), ("H_ref",) + extras)
-        settings = EnvironmentSettings(
-            kind="finite",
-            C_e=_number(sub["C_e"], f"{spath}.C_e", positive=True),
-            H_e0=_number(sub["H_e0"], f"{spath}.H_e0", positive=True),
-            H_ref=(
-                _number(sub["H_ref"], f"{spath}.H_ref", positive=True) if "H_ref" in sub else None
-            ),
-        )
-    if not generic:
-        # gamma0/omega_ref are rejected above as unknown fields; two-level
-        # runs take them from the system block.
-        return settings
-    gamma0 = _number(sub["gamma0"], f"{spath}.gamma0", nonnegative=True) if "gamma0" in sub else None
-    omega_ref = (
-        _number(sub["omega_ref"], f"{spath}.omega_ref", positive=True) if "omega_ref" in sub else None
-    )
-    return EnvironmentSettings(
-        kind=settings.kind,
-        T_e=settings.T_e,
-        C_e=settings.C_e,
-        H_e0=settings.H_e0,
-        H_ref=settings.H_ref,
-        gamma0=gamma0,
-        omega_ref=omega_ref,
-    )
+        fields = {
+            "C_e": _number(sub["C_e"], f"{spath}.C_e", positive=True),
+            "H_e0": _number(sub["H_e0"], f"{spath}.H_e0", positive=True),
+        }
+        if "H_ref" in sub:
+            fields["H_ref"] = _number(sub["H_ref"], f"{spath}.H_ref", positive=True)
+    if "gamma0" in sub:
+        fields["gamma0"] = _number(sub["gamma0"], f"{spath}.gamma0", nonnegative=True)
+    if "omega_ref" in sub:
+        fields["omega_ref"] = _number(sub["omega_ref"], f"{spath}.omega_ref", positive=True)
+    return EnvironmentSettings(kind=kind, **fields)
 
 
 def _parse_integrator(node, path) -> IntegratorConfig:

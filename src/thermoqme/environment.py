@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import NATURAL, PhysicalConstants
-from .master_equation import QuantumSystem, _as_state, _kernel_rates, _stage_rhs
+from .master_equation import QuantumSystem, _as_state, _stage_rhs
 
 __all__ = [
     "HeatBath",
@@ -148,47 +148,26 @@ class EnvironmentObservableReport:
     energy_flux_to_quantum: float
 
 
-def _step_rates(bath: HeatBath, system: QuantumSystem):
-    """Kernel rates of every channel, built once per step.
+def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear: bool):
+    """(drho/dt, dH_e/dt) at one stage of the coupled system, bath energy ``H_e``.
 
-    Returns (friction/k_B, diffusion at zero temperature, diffusion per unit
-    temperature) as (k, 1, 1) arrays, with None for the first when every
-    friction rate is zero; see :func:`_stage_rates`.  A
-    bath-coupled channel's friction is ``weight`` times the bath bracket,
+    A bath-coupled channel's friction is ``weight`` times the bath bracket,
     which does not depend on the bath energy, and its diffusion is that
-    friction times the bath temperature.  A fixed channel keeps its rates.
+    friction times the temperature at ``H_e``; a fixed channel keeps its
+    rates.  The subsystem and the bath only exchange energy, so the bath's
+    rate is the closure identity dH_e/dt = -Re tr(H drho/dt), taken from
+    this very drho/dt in either variant.  Raises for a finite bath whose
+    energy is not positive.
     """
-    coupled = system._coupled
-    f_bath = system._weight * bath._friction_rate(system.constants)
-    friction, d_fixed = _kernel_rates(
-        np.where(coupled, f_bath, system._friction),
-        np.where(coupled, 0.0, system._diffusion),
-        system.constants,
-    )
-    return friction, d_fixed, np.where(coupled, f_bath, 0.0)[:, None, None]
-
-
-def _stage_rates(rates, bath: HeatBath, H_e: float):
-    """(friction/k_B, diffusion) kernel arrays at bath energy ``H_e``.
-
-    Only the diffusion of bath-coupled channels follows the temperature of
-    that energy, which is what makes the coefficients time dependent when
-    the bath is finite.  Raises for a finite bath whose energy is not
-    positive.
-    """
-    friction, d_fixed, d_per_T = rates
-    return friction, d_fixed + bath._temperature_at(H_e) * d_per_T
-
-
-def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, rates, nonlinear: bool):
-    """(drho/dt, dH_e/dt) at one stage of the coupled system.
-
-    ``rates`` come from :func:`_step_rates`.  The subsystem and the bath
-    only exchange energy, so the bath's rate is the closure identity
-    dH_e/dt = -Re tr(H drho/dt), taken from this very drho/dt in either
-    variant.
-    """
-    k = _stage_rhs(rho, system, *_stage_rates(rates, bath, H_e), nonlinear)
+    T = bath._temperature_at(H_e)
+    friction, diffusion = system._fixed_rates
+    weight = system._bath_weight
+    if weight is not None and bath.gamma0 > 0.0:
+        f = weight * bath._friction_rate(system.constants)
+        f_k = f / system.constants.kB
+        friction = f_k if friction is None else friction + f_k
+        diffusion = diffusion + T * f
+    k = _stage_rhs(rho, system, friction, diffusion, nonlinear)
     return k, -float(np.vdot(system.H, k).real)
 
 
@@ -205,4 +184,4 @@ def environment_rhs(bath: HeatBath, rho, system: QuantumSystem) -> float:
 
     with the canonical correlation and the plain average.
     """
-    return _joint_rhs(_as_state(rho, system), bath.H_e, bath, system, _step_rates(bath, system), True)[1]
+    return _joint_rhs(_as_state(rho, system), bath.H_e, bath, system, True)[1]

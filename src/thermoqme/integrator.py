@@ -18,7 +18,7 @@ import numpy as np
 
 from .operators import _spectrum_entropy, validate_density_matrix
 from .master_equation import QuantumSystem, energy_expectation
-from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs, _step_rates
+from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs
 
 __all__ = [
     "MonitorTolerances",
@@ -109,10 +109,10 @@ def step(
 ) -> tuple[np.ndarray, HeatBath]:
     """One explicit step of the joint (rho, H_e) system.
 
-    The channel rates are built once per step; every internal stage only
-    scales the bath-coupled diffusion rates to the temperature at that
-    stage's bath energy, and sets dH_e/dt = -Re tr(H drho/dt) from the
-    stage's own drho/dt.  The total tr(H rho) + H_e of a closed finite-bath
+    Every internal stage builds the bath-coupled channels' rates at that
+    stage's bath energy from the system's compiled fixed rates and bath
+    weights, and sets dH_e/dt = -Re tr(H drho/dt) from the stage's own
+    drho/dt.  The total tr(H rho) + H_e of a closed finite-bath
     system is therefore conserved to rounding in both variants.  The returned
     density matrix is re-Hermitized by conjugate transpose averaging (a
     correction at the 1e-16 scale per step), which leaves tr(H rho) as it is.
@@ -127,12 +127,11 @@ def step(
     """
     rho = np.asarray(rho, dtype=complex)
     h = bath.H_e
-    rates = _step_rates(bath, system)
-    k1, e1 = _joint_rhs(rho, h, bath, system, rates, nonlinear) if first is None else first
+    k1, e1 = _joint_rhs(rho, h, bath, system, nonlinear) if first is None else first
     if method == "rk4":
-        k2, e2 = _joint_rhs(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1, bath, system, rates, nonlinear)
-        k3, e3 = _joint_rhs(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2, bath, system, rates, nonlinear)
-        k4, e4 = _joint_rhs(rho + dt * k3, h + dt * e3, bath, system, rates, nonlinear)
+        k2, e2 = _joint_rhs(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1, bath, system, nonlinear)
+        k3, e3 = _joint_rhs(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2, bath, system, nonlinear)
+        k4, e4 = _joint_rhs(rho + dt * k3, h + dt * e3, bath, system, nonlinear)
         rho_new = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         he_new = h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
     elif method == "euler":
@@ -152,7 +151,7 @@ def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     spectrum = np.linalg.eigvalsh(rho)
     min_eig = float(spectrum[0])
-    stage = _joint_rhs(rho, bath.H_e, bath, system, _step_rates(bath, system), nonlinear)
+    stage = _joint_rhs(rho, bath.H_e, bath, system, nonlinear)
     env = EnvironmentObservableReport(
         H_e=bath.H_e,
         T_e=bath.temperature(),

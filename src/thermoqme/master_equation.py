@@ -37,8 +37,8 @@ class CouplingChannel:
 
     ``friction_rate`` weights the modified-operator (entropy-driven) term and
     ``diffusion_rate`` the plain double-commutator term.  Channels marked
-    ``bath_coupled`` have their rates re-evaluated from the instantaneous
-    bath state by the integrator; ``weight`` scales those bath rates, which
+    ``bath_coupled`` have their rates re-evaluated from the bath state at
+    every stage of a coupled run; ``weight`` scales those bath rates, which
     covers e.g. an enhanced longitudinal channel.
     """
 
@@ -75,22 +75,26 @@ class QuantumSystem:
                 )
         # Compiled once for the stage kernel: the stack S = [H; Q_1..Q_k], whose
         # one product with rho gives [H, rho] and every [Q_j, rho]; the row
-        # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; the
-        # per-channel rates and weights; and the stored rates in the kernel's
-        # (k, 1, 1) form.
+        # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; the stored
+        # rates in the kernel's (k, 1, 1) form; and, for a stage coupled to a
+        # bath, the fixed channels' rates in that form (bath-coupled channels
+        # zeroed) plus the bath-coupled channels' weights as a (k, 1, 1)
+        # array, None when no bath-coupled channel has positive weight.
         S = np.array([self.H] + [ch.Q for ch in self.channels], dtype=complex)
         Q = S[1:]
+        coupled = np.array([ch.bath_coupled for ch in self.channels], dtype=bool)
         friction = np.array([ch.friction_rate for ch in self.channels], dtype=float)
         diffusion = np.array([ch.diffusion_rate for ch in self.channels], dtype=float)
+        weight = np.where(coupled, [ch.weight for ch in self.channels], 0.0)
         compiled = {
             "_S": S,
             "_Q_row": Q.transpose(1, 0, 2).reshape(dim, Q.shape[0] * dim),
             "_C": Q @ self.H - self.H @ Q,
-            "_friction": friction,
-            "_diffusion": diffusion,
-            "_coupled": np.array([ch.bath_coupled for ch in self.channels], dtype=bool),
-            "_weight": np.array([ch.weight for ch in self.channels], dtype=float),
             "_rates": _kernel_rates(friction, diffusion, self.constants),
+            "_fixed_rates": _kernel_rates(
+                np.where(coupled, 0.0, friction), np.where(coupled, 0.0, diffusion), self.constants
+            ),
+            "_bath_weight": weight[:, None, None] if weight.any() else None,
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)

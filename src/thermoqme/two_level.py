@@ -307,8 +307,7 @@ def two_level_channels(p: TwoLevelParams) -> tuple[CouplingChannel, ...]:
     """Transverse coupling pair sigma1/2, sigma2/2 (plus sigma3/2 when
     isotropic), rated from the bath bracket at T_e and marked bath-coupled so
     coupled runs track a moving bath temperature."""
-    f = p.gamma0 * p.constants.kB / (p.constants.hbar * p.omega)
-    d = f * p.T_e
+    f, d = two_level_bath(p).channel_rates(p.constants)
     channels = [
         CouplingChannel(0.5 * SIGMA[0], f, d, bath_coupled=True),
         CouplingChannel(0.5 * SIGMA[1], f, d, bath_coupled=True),

@@ -20,7 +20,9 @@ from thermoqme import (
     two_level_bath,
     two_level_system,
 )
-from thermoqme.environment import _joint_rhs, _stage_rates, _step_rates
+from thermoqme import environment
+from thermoqme.environment import _joint_rhs
+from thermoqme.master_equation import _stage_rhs
 from thermoqme.two_level import SIGMA
 
 from conftest import random_density, random_hermitian
@@ -143,30 +145,43 @@ def test_exchange_balance_with_bath_coupled_channels(rng):
     assert abs(flux + d_energy) < 1e-12
 
 
-def _rates_at(bath, system, H_e):
-    """(friction, diffusion) lists at bath energy ``H_e``, as one stage gets them (k_B = 1)."""
-    friction, diffusion = _stage_rates(_step_rates(bath, system), bath, H_e)
+def _rates_at(monkeypatch, bath, system, H_e):
+    """(friction, diffusion) lists that one stage at bath energy ``H_e`` hands
+    to the stage kernel (k_B = 1)."""
+    seen = []
+
+    def capture(rho, system, friction, diffusion, nonlinear):
+        seen.append((friction, diffusion))
+        return _stage_rhs(rho, system, friction, diffusion, nonlinear)
+
+    monkeypatch.setattr(environment, "_stage_rhs", capture)
+    _joint_rhs(I2 / 2, H_e, bath, system, True)
+    ((friction, diffusion),) = seen
     return friction.ravel().tolist(), diffusion.ravel().tolist()
 
 
-def test_bath_rate_rule():
+def test_bath_rate_rule(monkeypatch):
     fixed = CouplingChannel(S1, friction_rate=0.11, diffusion_rate=0.22)
     coupled = CouplingChannel(S2, bath_coupled=True, weight=0.5)
     sys_ = QuantumSystem(0.5 * S3, (fixed, coupled))
     bath = HeatBath.infinite(T_e=2.0, gamma0=1.0, omega_ref=1.0)
-    friction, diffusion = _rates_at(bath, sys_, bath.H_e)
+    friction, diffusion = _rates_at(monkeypatch, bath, sys_, bath.H_e)
     assert list(friction) == [0.11, 0.5 * 1.0]
     assert list(diffusion) == [0.22, 0.5 * 2.0]
     # a finite bath's rates follow the energy passed in, not the snapshot's
     finite = HeatBath.finite(C_e=4.0, H_e=4.0, gamma0=1.0, omega_ref=1.0)
-    friction, diffusion = _rates_at(finite, sys_, 6.0)
+    friction, diffusion = _rates_at(monkeypatch, finite, sys_, 6.0)
     assert list(friction) == [0.11, 0.5]
     assert list(diffusion) == [0.22, 0.5 * 1.5]
     with pytest.raises(ValueError, match="positive"):
-        _rates_at(finite, sys_, 0.0)
+        _rates_at(monkeypatch, finite, sys_, 0.0)
     # no bath-coupled channels: the stored rates are used as they are
     sys_fixed = QuantumSystem(0.5 * S3, (fixed,))
-    assert _rates_at(bath, sys_fixed, bath.H_e) == ([0.11], [0.22])
+    assert _rates_at(monkeypatch, bath, sys_fixed, bath.H_e) == ([0.11], [0.22])
+    # ... and a drained finite bath still raises, in either variant
+    for nonlinear in (True, False):
+        with pytest.raises(ValueError, match="positive"):
+            _joint_rhs(I2 / 2, 0.0, finite, sys_fixed, nonlinear)
 
 
 def _materialized(system, bath, H_e):
@@ -197,7 +212,7 @@ def test_stage_bath_rate_closes_energy(rng, dim, nonlinear):
     bath = HeatBath.finite(C_e=2.0, H_e=3.0, gamma0=0.7, omega_ref=1.2)
     for H_e in (3.0, 1.1, 7.5):
         rho = random_density(rng, dim)
-        k, e = _joint_rhs(rho, H_e, bath, sys_, _step_rates(bath, sys_), nonlinear)
+        k, e = _joint_rhs(rho, H_e, bath, sys_, nonlinear)
         reference = master_rhs(rho, _materialized(sys_, bath, H_e), nonlinear)
         assert np.max(np.abs(k - reference)) < 1e-13
         assert abs(e + np.real(np.trace(h @ reference))) < 1e-12
@@ -252,6 +267,6 @@ def test_stage_kernel_matches_channel_loop(rng, dim, nonlinear):
             for ch in channels
         ]
         reference = _channel_loop_rhs(rho, sys_, rates, nonlinear)
-        k, e = _joint_rhs(rho, H_e, bath, sys_, _step_rates(bath, sys_), nonlinear)
+        k, e = _joint_rhs(rho, H_e, bath, sys_, nonlinear)
         assert np.max(np.abs(k - reference)) < 1e-13
         assert abs(e + np.real(np.trace(sys_.H @ reference))) < 1e-13

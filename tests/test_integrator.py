@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from thermoqme import (
+    CouplingChannel,
     HeatBath,
     IntegratorConfig,
     MonitorTolerances,
@@ -16,7 +17,7 @@ from thermoqme import (
     two_level_system,
     von_neumann_entropy,
 )
-from thermoqme.environment import _joint_rhs, _step_rates
+from thermoqme.environment import _joint_rhs
 from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _observe
 from thermoqme.two_level import SIGMA
 
@@ -232,9 +233,17 @@ def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
         return eigh(a, *args, **kwargs)
 
     system, bath = _finite_bath_setup()
+    # no friction anywhere, so no stage decomposes rho: gamma0 = 0, and
+    # bath-coupled channels of weight 0 at gamma0 > 0
+    weightless = QuantumSystem(
+        system.H, tuple(CouplingChannel(ch.Q, bath_coupled=True, weight=0.0) for ch in system.channels)
+    )
+    cases = [((system, bath), expected), (_finite_bath_setup(gamma0=0.0), 0), ((weightless, bath), 0)]
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    step(random_density(rng, 2), bath, system, 1e-3, nonlinear=nonlinear)
-    assert len(calls) == expected
+    for (sys_, bath_), want in cases:
+        calls.clear()
+        step(random_density(rng, 2), bath_, sys_, 1e-3, nonlinear=nonlinear)
+        assert len(calls) == want
 
 
 @pytest.mark.parametrize("nonlinear, eigh_calls", [(True, 1), (False, 0)])
@@ -291,7 +300,7 @@ def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
     assert traj.termination == COMPLETED
     for point in traj.points:
         bath = bath0.with_energy(point.env.H_e)
-        _, rate = _joint_rhs(point.rho, bath.H_e, bath, system, _step_rates(bath, system), nonlinear)
+        _, rate = _joint_rhs(point.rho, bath.H_e, bath, system, nonlinear)
         assert point.env.energy_flux_to_quantum == -rate
 
 
@@ -300,7 +309,7 @@ def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
 def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
     system, bath = _finite_bath_setup()
     rho = random_density(rng, 2)
-    first = _joint_rhs(rho, bath.H_e, bath, system, _step_rates(bath, system), nonlinear)
+    first = _joint_rhs(rho, bath.H_e, bath, system, nonlinear)
     rho_a, bath_a = step(rho, bath, system, 1e-2, method, nonlinear)
     rho_b, bath_b = step(rho, bath, system, 1e-2, method, nonlinear, first=first)
     assert np.array_equal(rho_a, rho_b)
