@@ -97,8 +97,7 @@ def _run_one(setup: RunSetup, nonlinear: bool) -> Trajectory:
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        setup = build_run(cfg)
+        setup = build_run(load_config(args.config))
         out_path = args.out or setup.output_path
         if out_path is None:
             raise ConfigError("output.path", "required unless --out is given")
@@ -138,8 +137,7 @@ def cmd_mu_table(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        cfg = load_config(args.config)
-        setup = build_run(cfg)
+        setup = build_run(load_config(args.config))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -178,7 +176,7 @@ def cmd_compare(args) -> int:
     }
     if setup.two_level:
         consts = setup.system.constants
-        x = consts.hbar * cfg.system.omega / (2.0 * consts.kB * setup.bath.temperature())
+        x = consts.hbar * setup.bath.omega_ref / (2.0 * consts.kB * setup.bath.temperature())
         m_nl = pauli_decompose(nl.final.rho, tol=1e-6).a
         m_lin = pauli_decompose(lin.final.rho, tol=1e-6).a
         summary["two_level"] = {

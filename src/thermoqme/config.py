@@ -4,23 +4,20 @@ A run is described by one JSON document: the quantum system (a two-level
 scenario or explicit matrices), the environment (infinite or finite heat
 bath), unit constants, integrator settings, the variant (nonlinear or
 linearized), and output options.  Complex matrices are written as nested
-[re, im] pairs.  Validation errors carry the offending field path.
+[re, im] pairs.  Validation errors carry the offending field path.  A
+checked configuration is held as its canonical document (SimulationConfig).
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .operators import (
-    NATURAL,
-    PhysicalConstants,
-    validate_density_matrix,
-    validate_hermitian,
-)
+from .operators import PhysicalConstants, validate_density_matrix, validate_hermitian
 from .master_equation import CouplingChannel, QuantumSystem
 from .environment import HeatBath
 from .integrator import IntegratorConfig, MonitorTolerances
@@ -87,10 +84,10 @@ def _boolean(node, path) -> bool:
 
 
 def _complex_matrix(node, path) -> np.ndarray:
+    """Checked nested [re, im] pairs as a float array of shape (dim, dim, 2)."""
     if not isinstance(node, list) or not node:
         raise ConfigError(path, "expected a nonempty nested list of [re, im] pairs")
     dim = len(node)
-    out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != dim:
             raise ConfigError(f"{path}[{i}]", f"expected a row of length {dim}")
@@ -101,125 +98,83 @@ def _complex_matrix(node, path) -> np.ndarray:
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
                 raise ConfigError(f"{path}[{i}][{j}]", f"expected an [re, im] pair, got {entry!r}")
-            out[i, j] = complex(entry[0], entry[1])
-    return out
+    return np.asarray(node, dtype=float)
 
 
-def _matrix_to_json(arr: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(arr, complex)]
+def _as_complex(pairs) -> np.ndarray:
+    """Complex matrix of [re, im] pairs; a view, so every float, -0.0 included, is kept exactly."""
+    return np.asarray(pairs, dtype=float).view(complex)[..., 0]
 
 
-@dataclass(frozen=True)
-class TwoLevelSystemConfig:
-    omega: float
-    gamma0: float
-    isotropic: bool = False
-    q3_multiplier: float = 1.0
+def _checked_operator(node, path, name) -> np.ndarray:
+    pairs = _complex_matrix(node, path)
+    try:
+        validate_hermitian(_as_complex(pairs), name=name)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    return pairs
 
 
-@dataclass(frozen=True)
-class GenericChannelConfig:
-    Q: np.ndarray
-    use_bath_bracket: bool = False
-    friction_rate: float | None = None
-    diffusion_rate: float | None = None
-
-
-@dataclass(frozen=True)
-class GenericSystemConfig:
-    hamiltonian: np.ndarray
-    channels: tuple[GenericChannelConfig, ...]
-
-
-@dataclass(frozen=True)
-class EnvironmentSettings:
-    kind: str
-    T_e: float | None = None
-    C_e: float | None = None
-    H_e0: float | None = None
-    H_ref: float | None = None
-    gamma0: float | None = None
-    omega_ref: float | None = None
-
-
-@dataclass(frozen=True)
-class OutputSettings:
-    path: str | None = None
-    stride: int = 1
-
-
-@dataclass(frozen=True)
-class InitialState:
-    bloch: np.ndarray | None = None
-    matrix: np.ndarray | None = None
+def _integrator_config(doc: dict) -> IntegratorConfig:
+    return IntegratorConfig(**{**doc, "tolerances": MonitorTolerances(**doc["tolerances"])})
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    system: TwoLevelSystemConfig | GenericSystemConfig
-    environment: EnvironmentSettings
-    constants: PhysicalConstants
-    integrator: IntegratorConfig
-    variant: str = "nonlinear"
-    output: OutputSettings = field(default_factory=OutputSettings)
-    initial_state: InitialState | None = None
+    """A checked configuration, held as its canonical document.
+
+    The document is the JSON object with every optional field filled in,
+    real values as floats (the counts monitor_every and stride stay
+    integers) and matrices as nested [re, im] float pairs.  build_run reads
+    it and config_to_dict returns a copy of it.
+    """
+
+    document: dict
 
     @property
     def nonlinear(self) -> bool:
-        return self.variant == "nonlinear"
+        return self.document["variant"] == "nonlinear"
 
 
-def _parse_two_level(node, path) -> TwoLevelSystemConfig:
+def _parse_two_level(node, path) -> dict:
     _require_keys(node, path, ("omega", "gamma0"), ("isotropic", "q3_multiplier"))
-    return TwoLevelSystemConfig(
-        omega=_number(node["omega"], f"{path}.omega", positive=True),
-        gamma0=_number(node["gamma0"], f"{path}.gamma0", nonnegative=True),
-        isotropic=_boolean(node.get("isotropic", False), f"{path}.isotropic"),
-        q3_multiplier=_number(node.get("q3_multiplier", 1.0), f"{path}.q3_multiplier", nonnegative=True),
-    )
+    return {
+        "omega": _number(node["omega"], f"{path}.omega", positive=True),
+        "gamma0": _number(node["gamma0"], f"{path}.gamma0", nonnegative=True),
+        "isotropic": _boolean(node.get("isotropic", False), f"{path}.isotropic"),
+        "q3_multiplier": _number(node.get("q3_multiplier", 1.0), f"{path}.q3_multiplier", nonnegative=True),
+    }
 
 
-def _parse_generic(node, path) -> GenericSystemConfig:
+def _parse_generic(node, path) -> dict:
     _require_keys(node, path, ("hamiltonian", "channels"))
-    ham = _complex_matrix(node["hamiltonian"], f"{path}.hamiltonian")
-    try:
-        validate_hermitian(ham, name="hamiltonian")
-    except ValueError as exc:
-        raise ConfigError(f"{path}.hamiltonian", str(exc)) from exc
+    ham = _checked_operator(node["hamiltonian"], f"{path}.hamiltonian", "hamiltonian")
     if not isinstance(node["channels"], list):
         raise ConfigError(f"{path}.channels", "expected a list")
     channels = []
     for k, ch in enumerate(node["channels"]):
         cpath = f"{path}.channels[{k}]"
         _require_keys(ch, cpath, ("Q",), ("use_bath_bracket", "friction_rate", "diffusion_rate"))
-        q = _complex_matrix(ch["Q"], f"{cpath}.Q")
-        try:
-            validate_hermitian(q, name="coupling operator")
-        except ValueError as exc:
-            raise ConfigError(f"{cpath}.Q", str(exc)) from exc
+        q = _checked_operator(ch["Q"], f"{cpath}.Q", "coupling operator")
         if q.shape != ham.shape:
-            raise ConfigError(f"{cpath}.Q", f"shape {q.shape} does not match hamiltonian {ham.shape}")
-        use_bracket = _boolean(ch.get("use_bath_bracket", False), f"{cpath}.use_bath_bracket")
-        friction = diffusion = None
-        if use_bracket:
+            raise ConfigError(f"{cpath}.Q", f"shape {q.shape[:2]} does not match hamiltonian {ham.shape[:2]}")
+        channel = {"Q": q.tolist()}
+        if _boolean(ch.get("use_bath_bracket", False), f"{cpath}.use_bath_bracket"):
             if "friction_rate" in ch or "diffusion_rate" in ch:
                 raise ConfigError(cpath, "fixed rates cannot be combined with use_bath_bracket")
+            channel["use_bath_bracket"] = True
         else:
             if "friction_rate" not in ch or "diffusion_rate" not in ch:
                 raise ConfigError(
                     cpath, "channel needs friction_rate and diffusion_rate unless use_bath_bracket is set"
                 )
-            friction = _number(ch["friction_rate"], f"{cpath}.friction_rate", nonnegative=True)
-            diffusion = _number(ch["diffusion_rate"], f"{cpath}.diffusion_rate", nonnegative=True)
-        channels.append(
-            GenericChannelConfig(
-                Q=q, use_bath_bracket=use_bracket, friction_rate=friction, diffusion_rate=diffusion
-            )
-        )
-    return GenericSystemConfig(hamiltonian=ham, channels=tuple(channels))
+            for key in ("friction_rate", "diffusion_rate"):
+                channel[key] = _number(ch[key], f"{cpath}.{key}", nonnegative=True)
+        channels.append(channel)
+    return {"hamiltonian": ham.tolist(), "channels": channels}
 
 
-def _parse_environment(node, path, generic: bool) -> EnvironmentSettings:
+def _parse_environment(node, path, generic: bool) -> dict:
     _require_keys(node, path, (), ("infinite", "finite"))
     if ("infinite" in node) == ("finite" in node):
         raise ConfigError(path, "exactly one of 'infinite' or 'finite' must be present")
@@ -231,53 +186,41 @@ def _parse_environment(node, path, generic: bool) -> EnvironmentSettings:
     spath = f"{path}.{kind}"
     if kind == "infinite":
         _require_keys(sub, spath, ("T_e",), extras)
-        fields = {"T_e": _number(sub["T_e"], f"{spath}.T_e", positive=True)}
     else:
         _require_keys(sub, spath, ("C_e", "H_e0"), ("H_ref",) + extras)
-        fields = {
-            "C_e": _number(sub["C_e"], f"{spath}.C_e", positive=True),
-            "H_e0": _number(sub["H_e0"], f"{spath}.H_e0", positive=True),
-        }
-        if "H_ref" in sub:
-            fields["H_ref"] = _number(sub["H_ref"], f"{spath}.H_ref", positive=True)
-    if "gamma0" in sub:
-        fields["gamma0"] = _number(sub["gamma0"], f"{spath}.gamma0", nonnegative=True)
-    if "omega_ref" in sub:
-        fields["omega_ref"] = _number(sub["omega_ref"], f"{spath}.omega_ref", positive=True)
-    return EnvironmentSettings(kind=kind, **fields)
+    body = {
+        key: _number(sub[key], f"{spath}.{key}", positive=key != "gamma0", nonnegative=key == "gamma0")
+        for key in ("T_e", "C_e", "H_e0", "H_ref", "gamma0", "omega_ref")
+        if key in sub
+    }
+    return {kind: body}
 
 
-def _parse_integrator(node, path) -> IntegratorConfig:
+def _parse_integrator(node, path) -> dict:
     _require_keys(node, path, ("dt", "t_end"), ("method", "monitor_every", "tolerances"))
     tol_node = node.get("tolerances", {})
     tpath = f"{path}.tolerances"
-    _require_keys(tol_node, tpath, (), ("trace", "hermiticity", "positivity", "energy"))
-    defaults = MonitorTolerances()
-    tolerances = MonitorTolerances(
-        trace=_number(tol_node.get("trace", defaults.trace), f"{tpath}.trace", positive=True),
-        hermiticity=_number(
-            tol_node.get("hermiticity", defaults.hermiticity), f"{tpath}.hermiticity", positive=True
-        ),
-        positivity=_number(
-            tol_node.get("positivity", defaults.positivity), f"{tpath}.positivity", positive=True
-        ),
-        energy=_number(tol_node.get("energy", defaults.energy), f"{tpath}.energy", positive=True),
-    )
+    defaults = asdict(MonitorTolerances())
+    _require_keys(tol_node, tpath, (), tuple(defaults))
+    tolerances = {
+        key: _number(tol_node.get(key, default), f"{tpath}.{key}", positive=True)
+        for key, default in defaults.items()
+    }
+    doc = {
+        "dt": _number(node["dt"], f"{path}.dt", positive=True),
+        "t_end": _number(node["t_end"], f"{path}.t_end", positive=True),
+        "method": node.get("method", "rk4"),
+        "monitor_every": _integer(node.get("monitor_every", 10), f"{path}.monitor_every", minimum=1),
+        "tolerances": tolerances,
+    }
     try:
-        return IntegratorConfig(
-            dt=_number(node["dt"], f"{path}.dt", positive=True),
-            t_end=_number(node["t_end"], f"{path}.t_end", positive=True),
-            method=node.get("method", "rk4"),
-            monitor_every=_integer(node.get("monitor_every", 10), f"{path}.monitor_every", minimum=1),
-            tolerances=tolerances,
-        )
-    except ConfigError:
-        raise
+        _integrator_config(doc)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
+    return doc
 
 
-def _parse_initial_state(node, path, system) -> InitialState:
+def _parse_initial_state(node, path, dim: int) -> dict:
     _require_keys(node, path, (), ("bloch", "matrix"))
     if ("bloch" in node) == ("matrix" in node):
         raise ConfigError(path, "exactly one of 'bloch' or 'matrix' must be present")
@@ -289,24 +232,24 @@ def _parse_initial_state(node, path, system) -> InitialState:
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in vec)
         ):
             raise ConfigError(f"{path}.bloch", f"expected three numbers, got {vec!r}")
-        m = np.asarray(vec, dtype=float)
-        if isinstance(system, GenericSystemConfig) and system.hamiltonian.shape[0] != 2:
+        if dim != 2:
             raise ConfigError(f"{path}.bloch", "bloch initial states require a two-dimensional system")
+        m = [float(v) for v in vec]
         if np.linalg.norm(m) > 1.0 + 1e-12:
             raise ConfigError(f"{path}.bloch", f"|m| = {np.linalg.norm(m)} exceeds 1")
-        return InitialState(bloch=m)
+        return {"bloch": m}
     mat = _complex_matrix(node["matrix"], f"{path}.matrix")
     try:
-        validate_density_matrix(mat, herm_tol=1e-10, trace_tol=1e-10)
+        validate_density_matrix(_as_complex(mat), herm_tol=1e-10, trace_tol=1e-10)
     except ValueError as exc:
         raise ConfigError(f"{path}.matrix", str(exc)) from exc
-    dim = 2 if isinstance(system, TwoLevelSystemConfig) else system.hamiltonian.shape[0]
     if mat.shape[0] != dim:
         raise ConfigError(f"{path}.matrix", f"dimension {mat.shape[0]} does not match system dimension {dim}")
-    return InitialState(matrix=mat)
+    return {"matrix": mat.tolist()}
 
 
 def parse_config(data: dict) -> SimulationConfig:
+    """Check a configuration and fill in its defaults (see SimulationConfig)."""
     _require_keys(
         data,
         "config",
@@ -317,14 +260,16 @@ def parse_config(data: dict) -> SimulationConfig:
     if ("two_level" in data["system"]) == ("generic" in data["system"]):
         raise ConfigError("system", "exactly one of 'two_level' or 'generic' must be present")
     if "two_level" in data["system"]:
-        system = _parse_two_level(data["system"]["two_level"], "system.two_level")
+        system = {"two_level": _parse_two_level(data["system"]["two_level"], "system.two_level")}
+        dim, channels = 2, []
     else:
-        system = _parse_generic(data["system"]["generic"], "system.generic")
-    generic = isinstance(system, GenericSystemConfig)
+        system = {"generic": _parse_generic(data["system"]["generic"], "system.generic")}
+        dim, channels = len(system["generic"]["hamiltonian"]), system["generic"]["channels"]
 
-    environment = _parse_environment(data["environment"], "environment", generic)
-    if generic and any(ch.use_bath_bracket for ch in system.channels):
-        if environment.gamma0 is None or environment.omega_ref is None:
+    environment = _parse_environment(data["environment"], "environment", "generic" in system)
+    if any(ch.get("use_bath_bracket") for ch in channels):
+        (env,) = environment.values()
+        if "gamma0" not in env or "omega_ref" not in env:
             raise ConfigError(
                 "environment",
                 "channels with use_bath_bracket require gamma0 and omega_ref in the environment block",
@@ -332,10 +277,10 @@ def parse_config(data: dict) -> SimulationConfig:
 
     const_node = data.get("constants", {})
     _require_keys(const_node, "constants", (), ("hbar", "kB"))
-    constants = PhysicalConstants(
-        hbar=_number(const_node.get("hbar", 1.0), "constants.hbar", positive=True),
-        kB=_number(const_node.get("kB", 1.0), "constants.kB", positive=True),
-    )
+    constants = {
+        "hbar": _number(const_node.get("hbar", 1.0), "constants.hbar", positive=True),
+        "kB": _number(const_node.get("kB", 1.0), "constants.kB", positive=True),
+    }
 
     integrator = _parse_integrator(data["integrator"], "integrator")
 
@@ -348,89 +293,24 @@ def parse_config(data: dict) -> SimulationConfig:
     path = out_node.get("path")
     if path is not None and not isinstance(path, str):
         raise ConfigError("output.path", f"expected a string, got {path!r}")
-    output = OutputSettings(
-        path=path,
-        stride=_integer(out_node.get("stride", 1), "output.stride", minimum=1),
-    )
+    output = {"path": path, "stride": _integer(out_node.get("stride", 1), "output.stride", minimum=1)}
 
-    initial = None
+    document = {
+        "system": system,
+        "environment": environment,
+        "constants": constants,
+        "integrator": integrator,
+        "variant": variant,
+        "output": output,
+    }
     if "initial_state" in data:
-        initial = _parse_initial_state(data["initial_state"], "initial_state", system)
-
-    return SimulationConfig(
-        system=system,
-        environment=environment,
-        constants=constants,
-        integrator=integrator,
-        variant=variant,
-        output=output,
-        initial_state=initial,
-    )
+        document["initial_state"] = _parse_initial_state(data["initial_state"], "initial_state", dim)
+    return SimulationConfig(document)
 
 
 def config_to_dict(cfg: SimulationConfig) -> dict:
     """Canonical JSON-compatible form; parse(config_to_dict(cfg)) reproduces cfg."""
-    if isinstance(cfg.system, TwoLevelSystemConfig):
-        system = {
-            "two_level": {
-                "omega": cfg.system.omega,
-                "gamma0": cfg.system.gamma0,
-                "isotropic": cfg.system.isotropic,
-                "q3_multiplier": cfg.system.q3_multiplier,
-            }
-        }
-    else:
-        channels = []
-        for ch in cfg.system.channels:
-            entry: dict = {"Q": _matrix_to_json(ch.Q)}
-            if ch.use_bath_bracket:
-                entry["use_bath_bracket"] = True
-            else:
-                entry["friction_rate"] = ch.friction_rate
-                entry["diffusion_rate"] = ch.diffusion_rate
-            channels.append(entry)
-        system = {
-            "generic": {"hamiltonian": _matrix_to_json(cfg.system.hamiltonian), "channels": channels}
-        }
-
-    env = cfg.environment
-    if env.kind == "infinite":
-        env_body: dict = {"T_e": env.T_e}
-    else:
-        env_body = {"C_e": env.C_e, "H_e0": env.H_e0}
-        if env.H_ref is not None:
-            env_body["H_ref"] = env.H_ref
-    if env.gamma0 is not None:
-        env_body["gamma0"] = env.gamma0
-    if env.omega_ref is not None:
-        env_body["omega_ref"] = env.omega_ref
-
-    tol = cfg.integrator.tolerances
-    out: dict = {
-        "system": system,
-        "environment": {env.kind: env_body},
-        "constants": {"hbar": cfg.constants.hbar, "kB": cfg.constants.kB},
-        "integrator": {
-            "dt": cfg.integrator.dt,
-            "t_end": cfg.integrator.t_end,
-            "method": cfg.integrator.method,
-            "monitor_every": cfg.integrator.monitor_every,
-            "tolerances": {
-                "trace": tol.trace,
-                "hermiticity": tol.hermiticity,
-                "positivity": tol.positivity,
-                "energy": tol.energy,
-            },
-        },
-        "variant": cfg.variant,
-        "output": {"path": cfg.output.path, "stride": cfg.output.stride},
-    }
-    if cfg.initial_state is not None:
-        if cfg.initial_state.bloch is not None:
-            out["initial_state"] = {"bloch": [float(v) for v in cfg.initial_state.bloch]}
-        else:
-            out["initial_state"] = {"matrix": _matrix_to_json(cfg.initial_state.matrix)}
-    return out
+    return copy.deepcopy(cfg.document)
 
 
 def load_config(path) -> SimulationConfig:
@@ -460,55 +340,57 @@ class RunSetup:
 
 def build_run(cfg: SimulationConfig) -> RunSetup:
     """Assemble initial state, bath, and quantum system from a configuration."""
-    env = cfg.environment
-    if isinstance(cfg.system, TwoLevelSystemConfig):
-        t_ref = env.T_e if env.kind == "infinite" else env.H_e0 / env.C_e
+    doc = cfg.document
+    constants = PhysicalConstants(**doc["constants"])
+    ((kind, env),) = doc["environment"].items()
+    two_level = "two_level" in doc["system"]
+    if two_level:
+        tl = doc["system"]["two_level"]
         params = TwoLevelParams(
-            omega=cfg.system.omega,
-            gamma0=cfg.system.gamma0,
-            T_e=t_ref,
-            isotropic=cfg.system.isotropic,
-            q3_weight=cfg.system.q3_multiplier,
-            constants=cfg.constants,
+            omega=tl["omega"],
+            gamma0=tl["gamma0"],
+            T_e=env["T_e"] if kind == "infinite" else env["H_e0"] / env["C_e"],
+            isotropic=tl["isotropic"],
+            q3_weight=tl["q3_multiplier"],
+            constants=constants,
         )
-        system = QuantumSystem(two_level_hamiltonian(params), two_level_channels(params), cfg.constants)
-        gamma0, omega_ref = cfg.system.gamma0, cfg.system.omega
-        dim = 2
+        system = QuantumSystem(two_level_hamiltonian(params), two_level_channels(params), constants)
+        gamma0, omega_ref = tl["gamma0"], tl["omega"]
     else:
-        channels = []
-        for ch in cfg.system.channels:
-            if ch.use_bath_bracket:
-                channels.append(CouplingChannel(ch.Q, bath_coupled=True))
-            else:
-                channels.append(
-                    CouplingChannel(ch.Q, friction_rate=ch.friction_rate, diffusion_rate=ch.diffusion_rate)
-                )
-        system = QuantumSystem(cfg.system.hamiltonian, tuple(channels), cfg.constants)
-        gamma0 = env.gamma0 if env.gamma0 is not None else 0.0
-        omega_ref = env.omega_ref if env.omega_ref is not None else 1.0
-        dim = system.dim
+        generic = doc["system"]["generic"]
+        channels = tuple(
+            CouplingChannel(_as_complex(ch["Q"]), bath_coupled=True)
+            if ch.get("use_bath_bracket")
+            else CouplingChannel(
+                _as_complex(ch["Q"]), friction_rate=ch["friction_rate"], diffusion_rate=ch["diffusion_rate"]
+            )
+            for ch in generic["channels"]
+        )
+        system = QuantumSystem(_as_complex(generic["hamiltonian"]), channels, constants)
+        gamma0, omega_ref = env.get("gamma0", 0.0), env.get("omega_ref", 1.0)
 
-    if env.kind == "infinite":
-        bath = HeatBath.infinite(T_e=env.T_e, gamma0=gamma0, omega_ref=omega_ref)
+    if kind == "infinite":
+        bath = HeatBath.infinite(T_e=env["T_e"], gamma0=gamma0, omega_ref=omega_ref)
     else:
         bath = HeatBath.finite(
-            C_e=env.C_e, H_e=env.H_e0, gamma0=gamma0, omega_ref=omega_ref, H_ref=env.H_ref
+            C_e=env["C_e"], H_e=env["H_e0"], gamma0=gamma0, omega_ref=omega_ref, H_ref=env.get("H_ref")
         )
 
-    if cfg.initial_state is None:
-        rho0 = np.eye(dim, dtype=complex) / dim
-    elif cfg.initial_state.bloch is not None:
-        rho0 = pauli_compose(1.0, cfg.initial_state.bloch)
+    initial = doc.get("initial_state")
+    if initial is None:
+        rho0 = np.eye(system.dim, dtype=complex) / system.dim
+    elif "bloch" in initial:
+        rho0 = pauli_compose(1.0, initial["bloch"])
     else:
-        rho0 = cfg.initial_state.matrix
+        rho0 = _as_complex(initial["matrix"])
 
     return RunSetup(
         rho0=rho0,
         bath=bath,
         system=system,
-        integrator=cfg.integrator,
+        integrator=_integrator_config(doc["integrator"]),
         nonlinear=cfg.nonlinear,
-        two_level=isinstance(cfg.system, TwoLevelSystemConfig),
-        output_path=cfg.output.path,
-        stride=cfg.output.stride,
+        two_level=two_level,
+        output_path=doc["output"]["path"],
+        stride=doc["output"]["stride"],
     )

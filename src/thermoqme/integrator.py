@@ -61,6 +61,12 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.t_end <= self.dt:
             raise ValueError("t_end must exceed dt")
+        # n_steps fixed steps end at n_steps * dt, so that must be t_end
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(
+                f"t_end = {self.t_end} is not a whole number of dt = {self.dt} steps "
+                f"(the nearest step ends at t = {self.n_steps * self.dt:g})"
+            )
         if self.method not in ("rk4", "euler"):
             raise ValueError(f"method must be 'rk4' or 'euler', got {self.method!r}")
         if int(self.monitor_every) != self.monitor_every or self.monitor_every < 1:

@@ -208,11 +208,77 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_config_round_trip_is_fixed_point():
-    for name in ("two_level_x1.json", "finite_bath_closure.json", "compare_low_temperature.json"):
-        cfg = load_config(CONFIG_DIR / name)
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert len(paths) >= 10
+    for path in paths:
+        cfg = load_config(path)
         once = config_to_dict(cfg)
         twice = config_to_dict(parse_config(once))
-        assert once == twice
+        assert once == twice, path.name
+
+
+def _float_pairs(doc_matrix):
+    return all(type(v) is float for row in doc_matrix for pair in row for v in pair)
+
+
+def test_canonical_document_two_level_defaults():
+    cfg = {
+        "system": {"two_level": {"omega": 1, "gamma0": 2}},
+        "environment": {"finite": {"C_e": 5, "H_e0": 4}},
+        "integrator": {"dt": 0.01, "t_end": 1},
+        "initial_state": {"bloch": [0, 0, -1]},
+    }
+    doc = config_to_dict(parse_config(cfg))
+    assert doc == {
+        "system": {"two_level": {"omega": 1.0, "gamma0": 2.0, "isotropic": False, "q3_multiplier": 1.0}},
+        "environment": {"finite": {"C_e": 5.0, "H_e0": 4.0}},
+        "constants": {"hbar": 1.0, "kB": 1.0},
+        "integrator": {
+            "dt": 0.01,
+            "t_end": 1.0,
+            "method": "rk4",
+            "monitor_every": 10,
+            "tolerances": {"trace": 1e-9, "hermiticity": 1e-9, "positivity": 1e-9, "energy": 1e-8},
+        },
+        "variant": "nonlinear",
+        "output": {"path": None, "stride": 1},
+        "initial_state": {"bloch": [0.0, 0.0, -1.0]},
+    }
+    assert all(type(v) is float for v in doc["initial_state"]["bloch"])
+    assert type(doc["system"]["two_level"]["omega"]) is float
+    assert type(doc["integrator"]["t_end"]) is float
+    # the document is a copy: editing it leaves the configuration as it was
+    doc["variant"] = "linearized"
+    assert parse_config(cfg).nonlinear and config_to_dict(parse_config(cfg))["variant"] == "nonlinear"
+
+
+def test_canonical_document_generic_matrices():
+    cfg = {
+        "system": {"generic": {"hamiltonian": [[[1, 0], [0, 0]], [[0, 0], [-1, -0.0]]],
+                               "channels": [{"Q": _X2, "use_bath_bracket": True},
+                                            {"Q": _X2, "friction_rate": 1, "diffusion_rate": 0}]}},
+        "environment": {"infinite": {"T_e": 1, "gamma0": 0, "omega_ref": 2}},
+        "integrator": {"dt": 0.01, "t_end": 1.0},
+        "initial_state": {"matrix": [[[0.5, -0.0], [0, 0]], [[0, 0], [0.5, 0]]]},
+    }
+    doc = config_to_dict(parse_config(cfg))
+    generic = doc["system"]["generic"]
+    assert generic["hamiltonian"] == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+    assert generic["channels"] == [
+        {"Q": _X2, "use_bath_bracket": True},
+        {"Q": _X2, "friction_rate": 1.0, "diffusion_rate": 0.0},
+    ]
+    assert doc["environment"] == {"infinite": {"T_e": 1.0, "gamma0": 0.0, "omega_ref": 2.0}}
+    assert doc["initial_state"] == {"matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+    matrices = [generic["hamiltonian"], doc["initial_state"]["matrix"]] + [ch["Q"] for ch in generic["channels"]]
+    assert all(_float_pairs(m) for m in matrices)
+    # -0.0 keeps its sign in the document and in the built run
+    assert math.copysign(1.0, generic["hamiltonian"][1][1][1]) == -1.0
+    assert math.copysign(1.0, doc["initial_state"]["matrix"][0][0][1]) == -1.0
+    setup = build_run(parse_config(cfg))
+    assert math.copysign(1.0, setup.rho0[0, 0].imag) == -1.0
+    assert setup.integrator.method == "rk4" and setup.output_path is None and setup.stride == 1
+    assert [ch.bath_coupled for ch in setup.system.channels] == [True, False]
 
 
 def test_config_round_trip_generic(tmp_path):
@@ -229,21 +295,190 @@ def test_config_round_trip_generic(tmp_path):
     assert once == twice
 
 
-def test_config_error_paths():
-    with pytest.raises(ConfigError, match=r"system"):
-        parse_config({"environment": {"infinite": {"T_e": 1.0}}, "integrator": {"dt": 0.1, "t_end": 1.0}})
-    with pytest.raises(ConfigError, match=r"system.two_level.omega"):
-        parse_config(_two_level_config(system={"two_level": {"omega": -1.0, "gamma0": 1.0}}))
-    with pytest.raises(ConfigError, match=r"environment"):
-        parse_config(_two_level_config(environment={}))
-    with pytest.raises(ConfigError, match=r"integrator.dt"):
-        parse_config(_two_level_config(integrator={"dt": "fast", "t_end": 1.0}))
-    with pytest.raises(ConfigError, match=r"variant"):
-        parse_config(_two_level_config(variant="both"))
-    with pytest.raises(ConfigError, match=r"unknown"):
-        parse_config(_two_level_config(extra_field=1))
-    with pytest.raises(ConfigError, match=r"initial_state.bloch"):
-        parse_config(_two_level_config(initial_state={"bloch": [1.0, 1.0, 1.0]}))
+_H2 = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+_X2 = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+_I3 = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+
+
+def _generic_config(channels=None, hamiltonian=_H2, **overrides):
+    cfg = {
+        "system": {"generic": {"hamiltonian": hamiltonian, "channels": [] if channels is None else channels}},
+        "environment": {"infinite": {"T_e": 1.0}},
+        "integrator": {"dt": 0.01, "t_end": 1.0},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def _without(cfg, key):
+    cfg = dict(cfg)
+    del cfg[key]
+    return cfg
+
+
+# One row per `raise ConfigError` site in thermoqme.config: (input, field path,
+# message fragment).  A string input is the text of a config file, read
+# through load_config; a dict goes through parse_config.
+CONFIG_ERRORS = {
+    "not_an_object": (_two_level_config(environment=3), "environment", "expected an object, got int"),
+    "missing_field": (_without(_two_level_config(), "system"), "config.system", "required field is missing"),
+    "unknown_field": (_two_level_config(extra_field=1), "config.extra_field", "unknown field"),
+    "two_level_bath_rates": (
+        _two_level_config(environment={"infinite": {"T_e": 0.5, "gamma0": 1.0}}),
+        "environment.infinite.gamma0",
+        "unknown field",
+    ),
+    "not_a_number": (
+        _two_level_config(integrator={"dt": "fast", "t_end": 1.0}),
+        "integrator.dt",
+        "expected a number, got 'fast'",
+    ),
+    "not_positive": (
+        _two_level_config(system={"two_level": {"omega": -1.0, "gamma0": 1.0}}),
+        "system.two_level.omega",
+        "must be positive, got -1.0",
+    ),
+    "negative": (
+        _two_level_config(system={"two_level": {"omega": 1.0, "gamma0": -0.5}}),
+        "system.two_level.gamma0",
+        "must be nonnegative, got -0.5",
+    ),
+    "not_an_integer": (
+        _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "monitor_every": 2.5}),
+        "integrator.monitor_every",
+        "expected an integer, got 2.5",
+    ),
+    "below_minimum": (_two_level_config(output={"stride": 0}), "output.stride", "must be >= 1, got 0"),
+    "not_a_boolean": (
+        _two_level_config(system={"two_level": {"omega": 1.0, "gamma0": 1.0, "isotropic": "yes"}}),
+        "system.two_level.isotropic",
+        "expected a boolean, got 'yes'",
+    ),
+    "empty_matrix": (
+        _generic_config(hamiltonian=[]),
+        "system.generic.hamiltonian",
+        "expected a nonempty nested list of [re, im] pairs",
+    ),
+    "ragged_matrix": (
+        _generic_config(hamiltonian=[[[0.5, 0.0]], _H2[1]]),
+        "system.generic.hamiltonian[0]",
+        "expected a row of length 2",
+    ),
+    "not_a_pair": (
+        _generic_config(hamiltonian=[[[0.5, 0.0], [0.0]], _H2[1]]),
+        "system.generic.hamiltonian[0][1]",
+        "expected an [re, im] pair, got [0.0]",
+    ),
+    "hamiltonian_not_hermitian": (
+        _generic_config(hamiltonian=[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+        "system.generic.hamiltonian",
+        "hamiltonian: not Hermitian",
+    ),
+    "channels_not_a_list": (
+        _generic_config(channels={}),
+        "system.generic.channels",
+        "expected a list",
+    ),
+    "coupling_not_hermitian": (
+        _generic_config([{"Q": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "use_bath_bracket": True}]),
+        "system.generic.channels[0].Q",
+        "coupling operator: not Hermitian",
+    ),
+    "coupling_shape": (
+        _generic_config([{"Q": _I3, "use_bath_bracket": True}]),
+        "system.generic.channels[0].Q",
+        "shape (3, 3) does not match hamiltonian (2, 2)",
+    ),
+    "bracket_with_fixed_rates": (
+        _generic_config([{"Q": _X2, "use_bath_bracket": True, "friction_rate": 0.1}]),
+        "system.generic.channels[0]",
+        "fixed rates cannot be combined with use_bath_bracket",
+    ),
+    "fixed_rates_missing": (
+        _generic_config([{"Q": _X2, "friction_rate": 0.1}]),
+        "system.generic.channels[0]",
+        "channel needs friction_rate and diffusion_rate unless use_bath_bracket is set",
+    ),
+    "bath_kind": (_two_level_config(environment={}), "environment", "exactly one of 'infinite' or 'finite'"),
+    "t_end_before_dt": (
+        _two_level_config(integrator={"dt": 1.0, "t_end": 0.5}),
+        "integrator",
+        "t_end must exceed dt",
+    ),
+    "t_end_off_the_dt_grid": (
+        _two_level_config(integrator={"dt": 0.3, "t_end": 1.0}),
+        "integrator",
+        "t_end = 1.0 is not a whole number of dt = 0.3 steps",
+    ),
+    "unknown_method": (
+        _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "method": "rk5"}),
+        "integrator",
+        "method must be 'rk4' or 'euler', got 'rk5'",
+    ),
+    "initial_state_kind": (
+        _two_level_config(initial_state={}),
+        "initial_state",
+        "exactly one of 'bloch' or 'matrix' must be present",
+    ),
+    "bloch_not_three_numbers": (
+        _two_level_config(initial_state={"bloch": [0.0, 0.0]}),
+        "initial_state.bloch",
+        "expected three numbers, got [0.0, 0.0]",
+    ),
+    "bloch_on_three_levels": (
+        _generic_config(
+            hamiltonian=_I3,
+            initial_state={"bloch": [0.0, 0.0, 0.5]},
+        ),
+        "initial_state.bloch",
+        "bloch initial states require a two-dimensional system",
+    ),
+    "bloch_outside_ball": (
+        _two_level_config(initial_state={"bloch": [1.0, 1.0, 1.0]}),
+        "initial_state.bloch",
+        "exceeds 1",
+    ),
+    "matrix_not_a_state": (
+        _two_level_config(initial_state={"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}),
+        "initial_state.matrix",
+        "density matrix: trace",
+    ),
+    "matrix_dimension": (
+        _two_level_config(
+            initial_state={"matrix": [[[float(i == j) / 3, 0.0] for j in range(3)] for i in range(3)]}
+        ),
+        "initial_state.matrix",
+        "dimension 3 does not match system dimension 2",
+    ),
+    "system_kind": (
+        _two_level_config(system={}),
+        "system",
+        "exactly one of 'two_level' or 'generic' must be present",
+    ),
+    "bracket_without_bath_rates": (
+        _generic_config([{"Q": _X2, "use_bath_bracket": True}]),
+        "environment",
+        "channels with use_bath_bracket require gamma0 and omega_ref in the environment block",
+    ),
+    "variant": (_two_level_config(variant="both"), "variant", "must be 'nonlinear' or 'linearized', got 'both'"),
+    "output_path": (_two_level_config(output={"path": 3}), "output.path", "expected a string, got 3"),
+    "invalid_json": ('{"system": ', "config", "invalid JSON"),
+    "top_level_not_an_object": ("[1, 2]", "config", "top-level value must be an object"),
+}
+
+
+@pytest.mark.parametrize("data, path, fragment", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+def test_config_error_paths(tmp_path, data, path, fragment):
+    with pytest.raises(ConfigError) as info:
+        if isinstance(data, str):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(data, encoding="utf-8")
+            load_config(cfg_path)
+        else:
+            parse_config(data)
+    assert info.value.path == path
+    assert str(info.value).startswith(f"{path}: ")
+    assert fragment in str(info.value)
 
 
 def test_mu_table(tmp_path):

@@ -43,6 +43,12 @@ def test_config_validation():
         IntegratorConfig(dt=0.1, t_end=1.0, method="rk5")
     with pytest.raises(ValueError, match="monitor_every"):
         IntegratorConfig(dt=0.1, t_end=1.0, monitor_every=0)
+    # a horizon off the dt grid would end early at round(t_end/dt) * dt
+    with pytest.raises(ValueError, match="whole number of dt"):
+        IntegratorConfig(dt=0.7, t_end=1.0)
+    with pytest.raises(ValueError, match=r"whole number of dt = 0.3 steps \(the nearest step ends at t = 0.9\)"):
+        IntegratorConfig(dt=0.3, t_end=1.0)
+    assert IntegratorConfig(dt=1e-3, t_end=6e-3).n_steps == 6
     with pytest.raises(ValueError, match="positive"):
         MonitorTolerances(trace=0.0)
 
