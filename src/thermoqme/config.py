@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -62,6 +63,8 @@ def _number(node, path, *, positive=False, nonnegative=False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(path, f"expected a number, got {node!r}")
     value = float(node)
+    if not math.isfinite(value):
+        raise ConfigError(path, f"must be finite, got {value}")
     if positive and value <= 0.0:
         raise ConfigError(path, f"must be positive, got {value}")
     if nonnegative and value < 0.0:
@@ -98,7 +101,12 @@ def _complex_matrix(node, path) -> np.ndarray:
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
                 raise ConfigError(f"{path}[{i}][{j}]", f"expected an [re, im] pair, got {entry!r}")
-    return np.asarray(node, dtype=float)
+    pairs = np.asarray(node, dtype=float)
+    bad = np.argwhere(~np.isfinite(pairs))
+    if bad.size:
+        i, j, _ = bad[0]
+        raise ConfigError(f"{path}[{i}][{j}]", f"must be finite, got {node[i][j]!r}")
+    return pairs
 
 
 def _as_complex(pairs) -> np.ndarray:
@@ -235,6 +243,8 @@ def _parse_initial_state(node, path, dim: int) -> dict:
         if dim != 2:
             raise ConfigError(f"{path}.bloch", "bloch initial states require a two-dimensional system")
         m = [float(v) for v in vec]
+        if not all(math.isfinite(v) for v in m):
+            raise ConfigError(f"{path}.bloch", f"must be finite, got {vec!r}")
         if np.linalg.norm(m) > 1.0 + 1e-12:
             raise ConfigError(f"{path}.bloch", f"|m| = {np.linalg.norm(m)} exceeds 1")
         return {"bloch": m}

@@ -57,17 +57,17 @@ class HeatBath:
     def __post_init__(self) -> None:
         if self.kind not in ("infinite", "finite"):
             raise ValueError(f"bath kind must be 'infinite' or 'finite', got {self.kind!r}")
-        if self.gamma0 < 0.0:
+        if not self.gamma0 >= 0.0:
             raise ValueError("gamma0 must be nonnegative")
-        if self.omega_ref <= 0.0:
+        if not self.omega_ref > 0.0:
             raise ValueError("omega_ref must be positive")
         if self.kind == "infinite":
-            if self.T_e is None or self.T_e <= 0.0:
+            if self.T_e is None or not self.T_e > 0.0:
                 raise ValueError("infinite bath requires a positive temperature T_e")
         else:
-            if self.C_e is None or self.C_e <= 0.0:
+            if self.C_e is None or not self.C_e > 0.0:
                 raise ValueError("finite bath requires a positive heat capacity C_e")
-            if self.H_ref is None or self.H_ref <= 0.0:
+            if self.H_ref is None or not self.H_ref > 0.0:
                 raise ValueError("finite bath requires a positive reference energy H_ref")
             if not self.H_e > 0.0:
                 raise _BathDrained(f"finite bath energy must stay positive, got H_e={self.H_e:.6g}")

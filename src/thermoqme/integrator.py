@@ -12,6 +12,7 @@ violation rather than a silent repair or a traceback.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ class MonitorTolerances:
 
     def __post_init__(self) -> None:
         for name in ("trace", "hermiticity", "positivity", "energy"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"tolerance {name!r} must be positive")
 
 
@@ -57,10 +58,12 @@ class IntegratorConfig:
     tolerances: MonitorTolerances = field(default_factory=MonitorTolerances)
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.t_end <= self.dt:
+        if not self.t_end > self.dt:
             raise ValueError("t_end must exceed dt")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         # n_steps fixed steps end at n_steps * dt, so that must be t_end
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(
@@ -177,8 +180,13 @@ def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):
     }
     point = TrajectoryPoint(t=t, rho=rho.copy(), env=env, monitors=monitors)
 
+    # a NaN fails every comparison below, so a non-finite monitor is a violation of its own
+    checked = ("trace_err", "herm_err", "min_eig", "total_energy")
+    nonfinite = [key for key in checked if not math.isfinite(monitors[key])]
     violation = None
-    if trace_err > tolerances.trace:
+    if nonfinite:
+        violation = f"non-finite monitor {', '.join(f'{key}={monitors[key]}' for key in nonfinite)} at t={t:.6g}"
+    elif trace_err > tolerances.trace:
         violation = f"trace drift {trace_err:.3e} exceeds {tolerances.trace:.1e} at t={t:.6g}"
     elif herm_err > tolerances.hermiticity:
         violation = f"hermiticity error {herm_err:.3e} exceeds {tolerances.hermiticity:.1e} at t={t:.6g}"

@@ -16,7 +16,7 @@ from .operators import (
     NATURAL,
     PhysicalConstants,
     _as_square_matrix,
-    _modified_in_basis,
+    _modified_stack,
     hermitianize,
     validate_hermitian,
 )
@@ -50,9 +50,9 @@ class CouplingChannel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Q", validate_hermitian(self.Q, name="coupling operator"))
-        if self.friction_rate < 0.0 or self.diffusion_rate < 0.0:
+        if not (self.friction_rate >= 0.0 and self.diffusion_rate >= 0.0):
             raise ValueError("channel rates must be nonnegative")
-        if self.weight < 0.0:
+        if not self.weight >= 0.0:
             raise ValueError("channel weight must be nonnegative")
 
 
@@ -147,8 +147,9 @@ def _stage_rhs(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool)
     rho must be Hermitian; the products below use that.  For Hermitian A,
     rho A = (A rho)^dagger, so one stacked product P = S rho gives [H, rho]
     and every [Q_j, rho] as P - P^dagger.
-    rho is decomposed at most once, and only for the nonlinear variant with
-    some nonzero friction rate.  Channel j enters through the anti-Hermitian
+    rho is decomposed at most once, by one :func:`_modified_stack` call, and
+    only for the nonlinear variant with some nonzero friction rate.  Channel
+    j enters through the anti-Hermitian
     X_j = friction_j/k_B M_j + diffusion_j [Q_j, rho], where M_j is the
     modified (or, linearized, the symmetrized) product of C_j = [Q_j, H]
     with rho.  Because X_j is anti-Hermitian, the channel sum
@@ -161,8 +162,7 @@ def _stage_rhs(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool)
     if friction is not None:
         C = system._C
         if nonlinear:
-            w, u = np.linalg.eigh(rho)
-            x += friction * _modified_in_basis(w, u, C)
+            x += friction * _modified_stack(rho, C)
         else:
             c = C @ rho  # rho C = -(C rho)^dagger, as C is anti-Hermitian
             x += friction * (0.5 * (c - c.conj().swapaxes(1, 2)))
@@ -177,7 +177,7 @@ def equilibrium_state(H, T: float, constants: PhysicalConstants = NATURAL) -> np
     exponentiation, so very low temperatures cannot overflow.  The result is
     full rank as long as the Boltzmann weights do not underflow.
     """
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError(f"temperature must be positive, got {T}")
     arr = validate_hermitian(H, name="hamiltonian")
     w, u = np.linalg.eigh(arr)
@@ -189,7 +189,7 @@ def equilibrium_state(H, T: float, constants: PhysicalConstants = NATURAL) -> np
 def check_bath_equilibrium(channel: CouplingChannel, T: float, tol: float = 1e-9) -> bool:
     """True when T * friction_rate matches diffusion_rate, the condition under
     which the Gibbs state at temperature T is a fixed point."""
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError(f"temperature must be positive, got {T}")
     return abs(T * channel.friction_rate - channel.diffusion_rate) <= tol * max(
         1.0, channel.diffusion_rate

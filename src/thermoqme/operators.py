@@ -12,6 +12,7 @@ for SI runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -47,7 +48,7 @@ class PhysicalConstants:
     kB: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.hbar <= 0.0 or self.kB <= 0.0:
+        if not (self.hbar > 0.0 and self.kB > 0.0):
             raise ValueError("hbar and kB must be strictly positive")
 
 
@@ -200,6 +201,97 @@ def _modified_in_basis(w: np.ndarray, u: np.ndarray, a: np.ndarray) -> np.ndarra
     """modified_operator in the eigenbasis (w, u) of rho; ``a`` may be a stack (k, n, n)."""
     uh = u.conj().T
     return u @ ((uh @ a @ u) * _pairwise_log_mean(w)) @ uh
+
+
+def _log_mean(p: float, q: float) -> float:
+    """One entry of :func:`_pairwise_log_mean`, by the same rule, in Python floats."""
+    if not (p > 0.0 and q > 0.0):
+        return 0.0
+    lo, hi = (p, q) if p <= q else (q, p)
+    gap = hi - lo
+    if not gap > 0.0:
+        return lo
+    ratio = gap / lo
+    if ratio == math.inf:
+        return gap / (math.log(hi) - math.log(lo))
+    # hi and lo are distinct floats, so ratio >= 2**-53 and log1p(ratio) > 0
+    return gap / math.log1p(ratio)
+
+
+def _modified_stack(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """modified_operator(rho, a_j) for every a_j of the stack ``a`` (k, n, n).
+
+    The one decomposition of rho a nonlinear stage makes.  For n > 2 it is
+    LAPACK's eigh and :func:`_modified_in_basis`.  For n = 2 numpy's call
+    overhead is many times the arithmetic, so the eigenbasis is built in
+    Python floats: the phase t of the lower off-diagonal makes
+    rho = P R P^dagger with P = diag(1, t) and R real symmetric, and
+    LAPACK's dlaev2 rotation diagonalizes R.  That rotation is orthonormal
+    to rounding at any eigenvalue gap, zero included, and its smaller
+    eigenvalue keeps full relative precision.  Non-finite input flows
+    through to a non-finite result without raising.
+    """
+    if rho.shape[0] != 2:
+        w, u = np.linalg.eigh(rho)
+        return _modified_in_basis(w, u, a)
+    (x, _), (beta, z) = rho.tolist()
+    x, z = x.real, z.real
+    b = math.hypot(beta.real, beta.imag)
+    t = beta / b if b > 0.0 else 1.0
+    tc = t.conjugate()
+    # dlaev2 on [[x, b], [b, z]]: (c, s) is the unit eigenvector of rt1, the
+    # eigenvalue of larger magnitude, and (-s, c) that of rt2
+    sm, df, tb = x + z, x - z, b + b
+    adf = abs(df)
+    acmx, acmn = (x, z) if abs(x) > abs(z) else (z, x)
+    if adf > tb:
+        rt = adf * math.sqrt(1.0 + (tb / adf) * (tb / adf))
+    elif adf < tb:
+        rt = tb * math.sqrt(1.0 + (adf / tb) * (adf / tb))
+    else:
+        rt = tb * math.sqrt(2.0)
+    if sm > 0.0 or sm < 0.0:
+        sgn1 = 1.0 if sm > 0.0 else -1.0
+        rt1 = 0.5 * (sm + sgn1 * rt)  # |rt1| >= |sm|/2 > 0
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    else:
+        sgn1, rt1, rt2 = 1.0, 0.5 * rt, -0.5 * rt
+    sgn2 = 1.0 if df >= 0.0 else -1.0
+    cs = df + sgn2 * rt
+    if abs(cs) > tb:
+        ct = -tb / cs
+        s = 1.0 / math.sqrt(1.0 + ct * ct)
+        c = ct * s
+    elif tb == 0.0:
+        c, s = 1.0, 0.0
+    else:
+        tn = -cs / tb
+        c = 1.0 / math.sqrt(1.0 + tn * tn)
+        s = tn * c
+    if sgn1 == sgn2:
+        c, s = -s, c
+    l1 = rt1 if rt1 > 0.0 else 0.0
+    l2 = rt2 if rt2 > 0.0 else 0.0
+    d = _log_mean(rt1, rt2)
+    cc, ss, sc = c * c, s * s, c * s
+    out = []
+    for (a00, a01), (a10, a11) in a.tolist():
+        # B = V^T (P^dagger a P) V with V = [[c, -s], [s, c]], weighted entrywise
+        a01, a10 = a01 * t, a10 * tc
+        h, g = sc * (a01 + a10), sc * (a11 - a00)
+        b00 = l1 * (cc * a00 + h + ss * a11)
+        b11 = l2 * (ss * a00 - h + cc * a11)
+        b01 = d * (g + cc * a01 - ss * a10)
+        b10 = d * (g - ss * a01 + cc * a10)
+        # back: P V B V^T P^dagger
+        h, g = sc * (b01 + b10), sc * (b00 - b11)
+        out += (
+            cc * b00 - h + ss * b11,
+            (g + cc * b01 - ss * b10) * tc,
+            (g - ss * b01 + cc * b10) * t,
+            ss * b00 + h + cc * b11,
+        )
+    return np.array(out, dtype=complex).reshape(a.shape)
 
 
 def modified_operator(rho, a) -> np.ndarray:

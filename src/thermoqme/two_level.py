@@ -90,13 +90,13 @@ class TwoLevelParams:
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self) -> None:
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError("omega must be positive")
-        if self.gamma0 < 0.0:
+        if not self.gamma0 >= 0.0:
             raise ValueError("gamma0 must be nonnegative")
-        if self.T_e <= 0.0:
+        if not self.T_e > 0.0:
             raise ValueError("T_e must be positive")
-        if self.q3_weight < 0.0:
+        if not self.q3_weight >= 0.0:
             raise ValueError("q3_weight must be nonnegative")
 
 

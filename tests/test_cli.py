@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoqme import config_to_dict, load_config, parse_config, simulate
+from thermoqme import config_to_dict, integrator, load_config, parse_config, simulate
 from thermoqme.cli import main
 from thermoqme.config import ConfigError, build_run
 
@@ -462,6 +462,32 @@ CONFIG_ERRORS = {
     ),
     "variant": (_two_level_config(variant="both"), "variant", "must be 'nonlinear' or 'linearized', got 'both'"),
     "output_path": (_two_level_config(output={"path": 3}), "output.path", "expected a string, got 3"),
+    # Python's json reads NaN and Infinity; no field takes a non-finite number
+    "nan_temperature": (
+        json.dumps(_two_level_config(environment={"infinite": {"T_e": math.nan}})),
+        "environment.infinite.T_e",
+        "must be finite, got nan",
+    ),
+    "infinite_t_end": (
+        json.dumps(_two_level_config(integrator={"dt": 0.01, "t_end": math.inf})),
+        "integrator.t_end",
+        "must be finite, got inf",
+    ),
+    "infinite_rate": (
+        _generic_config([{"Q": _X2, "friction_rate": math.inf, "diffusion_rate": 0.1}]),
+        "system.generic.channels[0].friction_rate",
+        "must be finite, got inf",
+    ),
+    "nan_matrix_entry": (
+        _generic_config(hamiltonian=[[[0.5, 0.0], [math.nan, 0.0]], [[math.nan, 0.0], [-0.5, 0.0]]]),
+        "system.generic.hamiltonian[0][1]",
+        "must be finite, got [nan, 0.0]",
+    ),
+    "nan_bloch": (
+        _two_level_config(initial_state={"bloch": [0.0, math.nan, 0.5]}),
+        "initial_state.bloch",
+        "must be finite, got [0.0, nan, 0.5]",
+    ),
     "invalid_json": ('{"system": ', "config", "invalid JSON"),
     "top_level_not_an_object": ("[1, 2]", "config", "top-level value must be an object"),
 }
@@ -563,6 +589,17 @@ def test_run_drained_finite_bath_exits_with_violation(tmp_path, capsys):
     header, rows = _read_csv(out)
     assert 1 <= len(rows) < 21
     assert all(r[header.index("H_e")] > 0.0 for r in rows)
+
+
+def test_run_state_gone_non_finite_exits_with_violation(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        integrator, "step", lambda rho, bath, *args, **kwargs: (np.full_like(rho, np.nan), bath)
+    )
+    out = tmp_path / "nan.csv"
+    assert main(["run", "--config", str(_write(tmp_path, _two_level_config())), "--out", str(out)]) == 2
+    assert "non-finite monitor trace_err=nan" in capsys.readouterr().err
+    _, rows = _read_csv(out)
+    assert [row[0] for row in rows] == [0.0, 0.1]  # truncated at the first sampled point after a step
 
 
 def test_run_rejects_unknown_method(tmp_path, capsys):

@@ -52,6 +52,19 @@ def test_bath_validation():
         HeatBath(kind="warm", gamma0=1.0, omega_ref=1.0, T_e=1.0)
     with pytest.raises(ValueError, match="gamma0"):
         HeatBath.infinite(T_e=1.0, gamma0=-0.5, omega_ref=1.0)
+    # NaN compares false with everything, so each check is written to fail on it
+    nan = float("nan")
+    for kwargs, field in [
+        ({"T_e": nan, "gamma0": 1.0, "omega_ref": 1.0}, "T_e"),
+        ({"T_e": 1.0, "gamma0": nan, "omega_ref": 1.0}, "gamma0"),
+        ({"T_e": 1.0, "gamma0": 1.0, "omega_ref": nan}, "omega_ref"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            HeatBath.infinite(**kwargs)
+    with pytest.raises(ValueError, match="C_e"):
+        HeatBath.finite(C_e=nan, H_e=1.0, gamma0=1.0, omega_ref=1.0)
+    with pytest.raises(ValueError, match="H_ref"):
+        HeatBath.finite(C_e=1.0, H_e=1.0, gamma0=1.0, omega_ref=1.0, H_ref=nan)
 
 
 def test_channel_rates():

@@ -17,6 +17,7 @@ from thermoqme import (
     two_level_system,
     von_neumann_entropy,
 )
+from thermoqme import integrator, master_equation
 from thermoqme.environment import _joint_rhs
 from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _observe
 from thermoqme.two_level import SIGMA
@@ -51,6 +52,15 @@ def test_config_validation():
     assert IntegratorConfig(dt=1e-3, t_end=6e-3).n_steps == 6
     with pytest.raises(ValueError, match="positive"):
         MonitorTolerances(trace=0.0)
+    # NaN compares false with everything, so each check is written to fail on it
+    with pytest.raises(ValueError, match="positive"):
+        MonitorTolerances(energy=float("nan"))
+    with pytest.raises(ValueError, match="dt must be positive"):
+        IntegratorConfig(dt=float("nan"), t_end=1.0)
+    with pytest.raises(ValueError, match="t_end must exceed dt"):
+        IntegratorConfig(dt=0.1, t_end=float("nan"))
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        IntegratorConfig(dt=0.1, t_end=float("inf"))
 
 
 def test_commuting_initial_state_is_stationary():
@@ -229,73 +239,99 @@ def test_drained_finite_bath_is_flagged():
     assert all(p.env.H_e > 0.0 for p in traj.points)
 
 
-@pytest.mark.parametrize("nonlinear, expected", [(True, 4), (False, 0)])
-def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
+def _three_level_setup(gamma0=1.0, C_e=10.0, H_e0=10.0):
+    # a spin-1 ladder coupled through J_x and J_y, so n = 3 takes the LAPACK path
+    jp = np.diag([np.sqrt(2.0), np.sqrt(2.0)], 1)
+    system = QuantumSystem(
+        np.diag([1.0, 0.0, -1.0]),
+        (
+            CouplingChannel(0.5 * (jp + jp.T), bath_coupled=True),
+            CouplingChannel(-0.5j * (jp - jp.T), bath_coupled=True),
+        ),
+    )
+    return system, HeatBath.finite(C_e=C_e, H_e=H_e0, gamma0=gamma0, omega_ref=1.0)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that it records the shape of each call's first argument."""
     calls = []
-    eigh = np.linalg.eigh
+    original = getattr(owner, name)
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    system, bath = _finite_bath_setup()
-    # no friction anywhere, so no stage decomposes rho: gamma0 = 0, and
-    # bath-coupled channels of weight 0 at gamma0 > 0
-    weightless = QuantumSystem(
-        system.H, tuple(CouplingChannel(ch.Q, bath_coupled=True, weight=0.0) for ch in system.channels)
-    )
-    cases = [((system, bath), expected), (_finite_bath_setup(gamma0=0.0), 0), ((weightless, bath), 0)]
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    for (sys_, bath_), want in cases:
-        calls.clear()
-        step(random_density(rng, 2), bath_, sys_, 1e-3, nonlinear=nonlinear)
-        assert len(calls) == want
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
-@pytest.mark.parametrize("nonlinear, eigh_calls", [(True, 1), (False, 0)])
-def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, eigh_calls):
+# Each nonlinear decomposition of rho is one call of master_equation._modified_stack.
+# At n = 2 it makes no LAPACK call; at n = 3 it makes one np.linalg.eigh.
+DIMENSIONS = ((2, _finite_bath_setup, 0), (3, _three_level_setup, 1))
+
+
+@pytest.mark.parametrize("nonlinear, expected", [(True, 4), (False, 0)])
+def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
+    stacks = _count_calls(monkeypatch, master_equation, "_modified_stack")
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    for dim, setup, eigh_per_stack in DIMENSIONS:
+        system, bath = setup()
+        # no friction anywhere, so no stage decomposes rho: gamma0 = 0, and
+        # bath-coupled channels of weight 0 at gamma0 > 0
+        weightless = QuantumSystem(
+            system.H, tuple(CouplingChannel(ch.Q, bath_coupled=True, weight=0.0) for ch in system.channels)
+        )
+        cases = [((system, bath), expected), (setup(gamma0=0.0), 0), ((weightless, bath), 0)]
+        for (sys_, bath_), want in cases:
+            stacks.clear()
+            eighs.clear()
+            step(random_density(rng, dim), bath_, sys_, 1e-3, nonlinear=nonlinear)
+            assert stacks == [(dim, dim)] * want
+            assert len(eighs) == eigh_per_stack * want
+
+
+@pytest.mark.parametrize("nonlinear, decompositions", [(True, 1), (False, 0)])
+def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decompositions):
     # min_eig and the entropy share one spectrum; only the flux stage decomposes again
-    calls = {"eigh": 0, "eigvalsh": 0}
-
-    def counting(name):
-        original = getattr(np.linalg, name)
-
-        def wrapper(a, *args, **kwargs):
-            calls[name] += 1
-            return original(a, *args, **kwargs)
-
-        return wrapper
-
-    system, bath = _finite_bath_setup()
-    rho = random_density(rng, 2)
-    w = np.linalg.eigvalsh(rho)
-    entropy = bath.entropy() + von_neumann_entropy(rho)
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
-    point, violation, _ = _observe(0.0, rho, bath, system, nonlinear, None, MonitorTolerances())
-    assert calls == {"eigh": eigh_calls, "eigvalsh": 1}
-    assert violation is None
-    assert point.monitors["min_eig"] == w[0]
-    assert point.monitors["total_entropy"] == entropy
+    for dim, setup, eigh_per_stack in DIMENSIONS:
+        system, bath = setup()
+        rho = random_density(rng, dim)
+        w = np.linalg.eigvalsh(rho)
+        entropy = bath.entropy() + von_neumann_entropy(rho)
+        with monkeypatch.context() as patch:
+            calls = {
+                "_modified_stack": _count_calls(patch, master_equation, "_modified_stack"),
+                "eigh": _count_calls(patch, np.linalg, "eigh"),
+                "eigvalsh": _count_calls(patch, np.linalg, "eigvalsh"),
+            }
+            point, violation, _ = _observe(0.0, rho, bath, system, nonlinear, None, MonitorTolerances())
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_modified_stack": decompositions,
+            "eigh": eigh_per_stack * decompositions,
+            "eigvalsh": 1,
+        }
+        assert violation is None
+        assert point.monitors["min_eig"] == w[0]
+        assert point.monitors["total_entropy"] == entropy
 
 
 @pytest.mark.parametrize("nonlinear, per_step", [(True, 4), (False, 0)])
 def test_sampled_stage_is_the_next_first_stage(monkeypatch, rng, nonlinear, per_step):
     # a point sampled every step evaluates the stage the next step starts
     # from, so N steps cost 4N + 1 decompositions, not 5N + 1
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    system, bath = _finite_bath_setup()
+    stacks = _count_calls(monkeypatch, master_equation, "_modified_stack")
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
     cfg = IntegratorConfig(dt=1e-3, t_end=6e-3, monitor_every=1)
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    traj = simulate(random_density(rng, 2), bath, system, cfg, nonlinear=nonlinear)
-    assert traj.termination == COMPLETED and len(traj.points) == cfg.n_steps + 1
-    assert len(calls) == per_step * cfg.n_steps + (1 if nonlinear else 0)
+    for dim, setup, eigh_per_stack in DIMENSIONS:
+        system, bath = setup()
+        rho0 = random_density(rng, dim)
+        stacks.clear()
+        eighs.clear()
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == COMPLETED and len(traj.points) == cfg.n_steps + 1
+        want = per_step * cfg.n_steps + (1 if nonlinear else 0)
+        assert len(stacks) == want
+        assert len(eighs) == eigh_per_stack * want
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])
@@ -320,3 +356,32 @@ def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
     rho_b, bath_b = step(rho, bath, system, 1e-2, method, nonlinear, first=first)
     assert np.array_equal(rho_a, rho_b)
     assert bath_a == bath_b
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_non_finite_state_is_a_violation(nonlinear):
+    # NaN compares false with every tolerance; the monitor must still fire
+    system, bath = _finite_bath_setup()
+    rho = np.full((2, 2), np.nan, dtype=complex)
+    point, violation, _ = _observe(0.5, rho, bath, system, nonlinear, None, MonitorTolerances())
+    assert violation is not None and violation.startswith("non-finite monitor")
+    for key in ("trace_err", "herm_err", "min_eig"):
+        assert f"{key}=nan" in violation
+    assert "total_energy" in violation and "t=0.5" in violation
+    # a finite state with a non-finite bath energy: only the total is bad
+    infinite = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0, H_e=np.inf)
+    _, violation, _ = _observe(0.5, I2 / 2, infinite, system, nonlinear, None, MonitorTolerances())
+    assert violation == "non-finite monitor total_energy=inf at t=0.5"
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
+    p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
+    monkeypatch.setattr(integrator, "step", lambda rho, bath, *args, **kwargs: (np.full_like(rho, np.nan), bath))
+    cfg = IntegratorConfig(dt=0.01, t_end=1.0, monitor_every=3)
+    traj = simulate(I2 / 2, two_level_bath(p), two_level_system(p), cfg, nonlinear=nonlinear)
+    assert traj.termination == MONITOR_VIOLATION
+    assert "non-finite monitor trace_err=nan" in traj.violation
+    # the first sampled point after the first step is the offending one, and is kept
+    assert [point.t for point in traj.points] == [0.0, 0.03]
+    assert np.isnan(traj.final.rho).all()

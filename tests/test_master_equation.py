@@ -17,6 +17,9 @@ from thermoqme import (
     pauli_decompose,
     two_level_system,
 )
+from thermoqme import master_equation
+from thermoqme.master_equation import _stage_rhs
+from thermoqme.operators import _modified_in_basis
 from thermoqme.two_level import SIGMA
 
 from conftest import random_density, random_hermitian
@@ -130,6 +133,8 @@ def test_equilibrium_state_limits(rng):
 def test_equilibrium_state_rejects_bad_temperature():
     with pytest.raises(ValueError, match="temperature"):
         equilibrium_state(S3, 0.0)
+    with pytest.raises(ValueError, match="temperature"):
+        equilibrium_state(S3, math.nan)
 
 
 def test_check_bath_equilibrium():
@@ -154,7 +159,35 @@ def test_energy_expectation():
 def test_channel_and_system_validation(rng):
     with pytest.raises(ValueError, match="nonnegative"):
         CouplingChannel(S1, friction_rate=-0.1)
+    for kwargs in ({"friction_rate": math.nan}, {"diffusion_rate": math.nan}, {"weight": math.nan}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            CouplingChannel(S1, **kwargs)
     with pytest.raises(ValueError, match="match"):
         QuantumSystem(S3, (CouplingChannel(np.eye(3, dtype=complex)),))
     with pytest.raises(ValueError, match="dimension mismatch"):
         master_rhs(random_density(rng, 3), QuantumSystem(S3))
+
+
+def test_stage_two_by_two_path_matches_lapack(monkeypatch, rng):
+    # bound fixed before measuring: 1e-14 relative to max(1, max|ref|)
+    systems = [
+        two_level_system(TwoLevelParams(omega=1.3, gamma0=0.8, T_e=0.4)),
+        two_level_system(TwoLevelParams(omega=1.0, gamma0=1.0, T_e=0.2, isotropic=True, q3_weight=2.0)),
+        _random_system(rng, 2, temperature=0.7, n_channels=3),
+    ]
+    states = [random_density(rng, 2) for _ in range(4)] + [
+        I2 / 2,
+        pauli_compose(1.0, np.array([0.3, -0.4, 1e-9])),
+        pauli_compose(1.0, np.array([0.6, 0.0, 0.8])),
+    ]
+    cases = [(rho, system) for rho in states for system in systems]
+    fast = [_stage_rhs(rho, system, *system._rates, True) for rho, system in cases]
+
+    def lapack_stack(rho, a):
+        w, u = np.linalg.eigh(rho)
+        return _modified_in_basis(w, u, a)
+
+    monkeypatch.setattr(master_equation, "_modified_stack", lapack_stack)
+    for (rho, system), out in zip(cases, fast):
+        ref = _stage_rhs(rho, system, *system._rates, True)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))

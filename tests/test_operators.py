@@ -19,7 +19,7 @@ from thermoqme import (
     validate_hermitian,
     von_neumann_entropy,
 )
-from thermoqme.operators import _pairwise_log_mean
+from thermoqme.operators import _log_mean, _modified_in_basis, _modified_stack, _pairwise_log_mean
 from thermoqme.two_level import SIGMA, pauli_compose, pauli_function, PauliVector
 
 from conftest import random_density, random_hermitian
@@ -38,6 +38,8 @@ def test_physical_constants_validation():
         PhysicalConstants(hbar=0.0)
     with pytest.raises(ValueError):
         PhysicalConstants(kB=-1.0)
+    with pytest.raises(ValueError):
+        PhysicalConstants(hbar=math.nan)
 
 
 def test_commutator_pauli_pair():
@@ -167,20 +169,90 @@ def test_log_mean_near_degenerate_precision(p, gap):
     d = _pairwise_log_mean(np.array([p, q]))
     assert d[0, 1] == d[1, 0]
     assert abs(d[0, 1] - expected) <= 1e-14 * expected
-    # and through the modified operator of the normalized state
+    # the scalar rule of the 2x2 path
+    assert _log_mean(p, q) == _log_mean(q, p)
+    assert abs(_log_mean(p, q) - expected) <= 1e-14 * expected
+    # and through the modified operator of the normalized state, on both paths
     rho = np.diag(np.array([p, q]) / (p + q)).astype(complex)
-    out = modified_operator(rho, S1)
     expected = _log_mean_reference(p / (p + q), q / (p + q))
-    assert abs(out[0, 1] - expected) <= 1e-14 * expected
+    for out in (modified_operator(rho, S1), _modified_stack(rho, S1[None])[0]):
+        assert abs(out[0, 1] - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1e-310, 1e300), (5e-324, 0.3)])
 def test_log_mean_extreme_ratio(p, q):
     # (q - p)/p overflows here; the mean must still be finite, exact and symmetric
+    expected = _log_mean_reference(p, q)
     d = _pairwise_log_mean(np.array([q, p]))
     assert d[0, 1] == d[1, 0]
-    assert abs(d[0, 1] - _log_mean_reference(p, q)) <= 1e-14 * _log_mean_reference(p, q)
+    assert abs(d[0, 1] - expected) <= 1e-14 * expected
     assert d[0, 0] == q and d[1, 1] == p
+    # the scalar rule, and the 2x2 path on the unnormalized diag(q, p)
+    assert _log_mean(p, q) == _log_mean(q, p)
+    assert abs(_log_mean(p, q) - expected) <= 1e-14 * expected
+    out = _modified_stack(np.diag([q, p]).astype(complex), S1[None])[0]
+    assert abs(out[0, 1] - expected) <= 1e-14 * expected
+
+
+def _state(w, phase=0.0):
+    """rho = u diag(w) u^dagger for a fixed complex unitary u whose
+    off-diagonal carries the phase e^{i phase}."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    u = np.array([[c, -s * np.exp(-1j * phase)], [s * np.exp(1j * phase), c]])
+    rho = (u * np.asarray(w, dtype=float)) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _gap_state(gap):
+    w = np.array([0.4, 0.4 + gap])
+    return _state(w / w.sum(), phase=0.7)
+
+
+TWO_BY_TWO_STATES = {
+    "maximally_mixed": I2 / 2,
+    **{f"gap_{gap:g}": _gap_state(gap) for gap in (1e-4, 1e-8, 1e-12, 1e-16)},
+    "pure_real": np.full((2, 2), 0.5, dtype=complex),
+    "pure_complex": np.array([[0.5, -0.5j], [0.5j, 0.5]]),
+    "negative_eigenvalue": _state([-1e-12, 1.0 + 1e-12], phase=2.0),
+    **{f"phase_{k}": _state([0.8, 0.2], phase=k * np.pi / 4) for k in range(8)},
+    "diagonal": np.diag([0.7, 0.3]).astype(complex),
+    "diagonal_ascending": np.diag([0.3, 0.7]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("rho", TWO_BY_TWO_STATES.values(), ids=TWO_BY_TWO_STATES.keys())
+def test_two_by_two_path_matches_lapack(rng, rho):
+    # bound fixed before measuring: 1e-14 relative to max(1, max|ref|)
+    h = random_hermitian(rng, 2)
+    a = np.array(
+        [
+            0.5 * S1,
+            0.5 * S2,
+            0.5 * S3 @ h - h @ (0.5 * S3),  # an anti-Hermitian [Q, H], as the stage uses
+            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),  # any square matrix
+        ]
+    )
+    ref = _modified_in_basis(*np.linalg.eigh(rho), a)
+    out = _modified_stack(rho, a)
+    assert out.shape == a.shape and out.dtype == complex
+    assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_stack_above_two_levels_is_the_lapack_path(rng):
+    for dim in (3, 4):
+        rho = random_density(rng, dim)
+        a = np.array([random_hermitian(rng, dim) for _ in range(3)])
+        assert np.array_equal(_modified_stack(rho, a), _modified_in_basis(*np.linalg.eigh(rho), a))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_two_by_two_path_lets_non_finite_input_through(bad):
+    # as LAPACK does: no exception, and the monitors see a non-finite result
+    for rho in (np.array([[bad, 0.5], [0.5, 0.5]]), np.array([[0.5, bad * (1 - 1j)], [bad * (1 + 1j), 0.5]])):
+        out = _modified_stack(rho.astype(complex), np.array([S1, S2]))
+        assert not np.isfinite(out).all()
+    # an off-diagonal modulus that overflows, where abs() of a Python complex raises
+    _modified_stack(np.array([[0.5, 1.5e308 * (1 - 1j)], [1.5e308 * (1 + 1j), 0.5]]), np.array([S1]))
 
 
 def test_modified_operator_trace_and_hermiticity(rng):

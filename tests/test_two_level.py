@@ -360,3 +360,5 @@ def test_two_level_params_validation():
         TwoLevelParams(omega=1.0, gamma0=1.0, T_e=-1.0)
     with pytest.raises(ValueError, match="gamma0"):
         TwoLevelParams(omega=1.0, gamma0=-0.1, T_e=1.0)
+    with pytest.raises(ValueError, match="T_e"):
+        TwoLevelParams(omega=1.0, gamma0=1.0, T_e=math.nan)
