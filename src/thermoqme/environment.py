@@ -25,7 +25,7 @@ __all__ = [
 
 
 class _BathDrained(ValueError):
-    """A finite bath's energy reached zero or below."""
+    """A finite bath's energy reached zero or below, or went non-finite."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ class HeatBath:
                 raise ValueError("finite bath requires a positive heat capacity C_e")
             if self.H_ref is None or not self.H_ref > 0.0:
                 raise ValueError("finite bath requires a positive reference energy H_ref")
-            if not self.H_e > 0.0:
-                raise _BathDrained(f"finite bath energy must stay positive, got H_e={self.H_e:.6g}")
+            self._temperature_at(self.H_e)
 
     @classmethod
     def infinite(cls, T_e: float, gamma0: float, omega_ref: float, H_e: float = 0.0) -> "HeatBath":
@@ -100,11 +99,14 @@ class HeatBath:
         return self._temperature_at(self.H_e)
 
     def _temperature_at(self, H_e: float) -> float:
-        """Temperature at bath energy ``H_e``; raises for a drained finite bath."""
+        """Temperature at bath energy ``H_e``; raises for a finite bath whose
+        energy is not positive (drained) or not finite (a state gone non-finite)."""
         if self.kind == "infinite":
             return float(self.T_e)
-        if not H_e > 0.0:
-            raise _BathDrained(f"finite bath energy must stay positive, got H_e={H_e:.6g}")
+        if not 0.0 < H_e < math.inf:
+            if math.isfinite(H_e):
+                raise _BathDrained(f"finite bath energy must stay positive, got H_e={H_e:.6g}")
+            raise _BathDrained(f"state went non-finite: finite bath energy H_e={H_e}")
         return H_e / self.C_e
 
     def entropy(self) -> float:
@@ -154,19 +156,20 @@ def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear
     A bath-coupled channel's friction is ``weight`` times the bath bracket,
     which does not depend on the bath energy, and its diffusion is that
     friction times the temperature at ``H_e``; a fixed channel keeps its
-    rates.  The subsystem and the bath only exchange energy, so the bath's
-    rate is the closure identity dH_e/dt = -Re tr(H drho/dt), taken from
-    this very drho/dt in either variant.  Raises for a finite bath whose
-    energy is not positive.
+    rates.  The k rates reach the stage kernel as Python floats.  The
+    subsystem and the bath only exchange energy, so the bath's rate is the
+    closure identity dH_e/dt = -Re tr(H drho/dt), taken from this very
+    drho/dt in either variant.  Raises for a finite bath whose energy is not
+    positive or not finite.
     """
     T = bath._temperature_at(H_e)
     friction, diffusion = system._fixed_rates
     weight = system._bath_weight
     if weight is not None and bath.gamma0 > 0.0:
-        f = weight * bath._friction_rate(system.constants)
-        f_k = f / system.constants.kB
-        friction = f_k if friction is None else friction + f_k
-        diffusion = diffusion + T * f
+        g, kB = bath._friction_rate(system.constants), system.constants.kB
+        f = [w * g for w in weight]
+        friction = [x / kB for x in f] if friction is None else [a + x / kB for a, x in zip(friction, f)]
+        diffusion = [a + T * x for a, x in zip(diffusion, f)]
     k = _stage_rhs(rho, system, friction, diffusion, nonlinear)
     return k, -float(np.vdot(system.H, k).real)
 

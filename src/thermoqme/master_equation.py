@@ -16,7 +16,8 @@ from .operators import (
     NATURAL,
     PhysicalConstants,
     _as_square_matrix,
-    _modified_stack,
+    _modified_in_basis,
+    _two_level_basis,
     hermitianize,
     validate_hermitian,
 )
@@ -75,26 +76,33 @@ class QuantumSystem:
                 )
         # Compiled once for the stage kernel: the stack S = [H; Q_1..Q_k], whose
         # one product with rho gives [H, rho] and every [Q_j, rho]; the row
-        # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; the stored
-        # rates in the kernel's (k, 1, 1) form; and, for a stage coupled to a
-        # bath, the fixed channels' rates in that form (bath-coupled channels
-        # zeroed) plus the bath-coupled channels' weights as a (k, 1, 1)
-        # array, None when no bath-coupled channel has positive weight.
+        # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; at n = 2 the
+        # entries of H, every Q_j and every C_j as Python tuples; the stored
+        # rates in the kernel's form; and, for a stage coupled to a bath, the
+        # fixed channels' rates in that form (bath-coupled channels zeroed)
+        # plus the bath-coupled channels' weights, None when no bath-coupled
+        # channel has positive weight.
         S = np.array([self.H] + [ch.Q for ch in self.channels], dtype=complex)
         Q = S[1:]
-        coupled = np.array([ch.bath_coupled for ch in self.channels], dtype=bool)
-        friction = np.array([ch.friction_rate for ch in self.channels], dtype=float)
-        diffusion = np.array([ch.diffusion_rate for ch in self.channels], dtype=float)
-        weight = np.where(coupled, [ch.weight for ch in self.channels], 0.0)
+        C = Q @ self.H - self.H @ Q
+        coupled = [ch.bath_coupled for ch in self.channels]
+        friction = [float(ch.friction_rate) for ch in self.channels]
+        diffusion = [float(ch.diffusion_rate) for ch in self.channels]
+        weight = tuple(float(ch.weight) if c else 0.0 for ch, c in zip(self.channels, coupled))
         compiled = {
             "_S": S,
             "_Q_row": Q.transpose(1, 0, 2).reshape(dim, Q.shape[0] * dim),
-            "_C": Q @ self.H - self.H @ Q,
+            "_C": C,
+            "_H2": tuple(S[0].ravel().tolist()) if dim == 2 else None,
+            "_Q2": tuple(map(tuple, Q.reshape(-1, 4).tolist())) if dim == 2 else None,
+            "_C2": tuple(map(tuple, C.reshape(-1, 4).tolist())) if dim == 2 else None,
             "_rates": _kernel_rates(friction, diffusion, self.constants),
             "_fixed_rates": _kernel_rates(
-                np.where(coupled, 0.0, friction), np.where(coupled, 0.0, diffusion), self.constants
+                [0.0 if c else f for c, f in zip(coupled, friction)],
+                [0.0 if c else d for c, d in zip(coupled, diffusion)],
+                self.constants,
             ),
-            "_bath_weight": weight[:, None, None] if weight.any() else None,
+            "_bath_weight": weight if any(weight) else None,
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
@@ -134,40 +142,110 @@ def master_rhs(rho, system: QuantumSystem, nonlinear: bool = True) -> np.ndarray
 def _kernel_rates(friction, diffusion, constants: PhysicalConstants):
     """Per-channel rates in the form :func:`_stage_rhs` takes them.
 
-    Returns (friction/k_B, diffusion) as (k, 1, 1) arrays, with None in
-    place of the friction array when every friction rate is zero.
+    Returns (friction/k_B, diffusion) as tuples of Python floats, with None
+    in place of the friction tuple when every friction rate is zero.
     """
-    f = (friction / constants.kB)[:, None, None] if friction.any() else None
-    return f, diffusion[:, None, None]
+    f = tuple(x / constants.kB for x in friction) if any(friction) else None
+    return f, tuple(diffusion)
 
 
 def _stage_rhs(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool) -> np.ndarray:
-    """:func:`master_rhs` with the rates given as :func:`_kernel_rates` arrays.
+    """:func:`master_rhs` with the rates given in :func:`_kernel_rates` form.
 
     rho must be Hermitian; the products below use that.  For Hermitian A,
-    rho A = (A rho)^dagger, so one stacked product P = S rho gives [H, rho]
-    and every [Q_j, rho] as P - P^dagger.
-    rho is decomposed at most once, by one :func:`_modified_stack` call, and
-    only for the nonlinear variant with some nonzero friction rate.  Channel
-    j enters through the anti-Hermitian
+    rho A = (A rho)^dagger, so P = S rho gives [H, rho] and every
+    [Q_j, rho] as P - P^dagger.  rho is decomposed at most once, and only
+    for the nonlinear variant with some nonzero friction rate.  Channel j
+    enters through the anti-Hermitian
     X_j = friction_j/k_B M_j + diffusion_j [Q_j, rho], where M_j is the
     modified (or, linearized, the symmetrized) product of C_j = [Q_j, H]
     with rho.  Because X_j is anti-Hermitian, the channel sum
-    -sum_j [Q_j, X_j] is -(A + A^dagger) with A = sum_j Q_j X_j, which is one
-    (n, kn) @ (kn, n) product.
+    -sum_j [Q_j, X_j] is -(A + A^dagger) with A = sum_j Q_j X_j.
+
+    The dimension selects how: :func:`_two_level_stage` at n = 2, where
+    numpy's call overhead is many times the arithmetic, and
+    :func:`_lapack_stage` above.
     """
+    if rho.shape[0] == 2:
+        return _two_level_stage(rho, system, friction, diffusion, nonlinear)
+    return _lapack_stage(rho, system, friction, diffusion, nonlinear)
+
+
+def _lapack_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool) -> np.ndarray:
+    """:func:`_stage_rhs` on stacked arrays: one product S rho, at most one
+    ``eigh``, and the channel sum A as one (n, kn) @ (kn, n) product."""
     p = system._S @ rho
     comm = p - p.conj().swapaxes(1, 2)
-    x = diffusion * comm[1:]
+    x = np.array(diffusion)[:, None, None] * comm[1:]
     if friction is not None:
+        friction = np.array(friction)[:, None, None]
         C = system._C
         if nonlinear:
-            x += friction * _modified_stack(rho, C)
+            w, u = np.linalg.eigh(rho)
+            x += friction * _modified_in_basis(w, u, C)
         else:
             c = C @ rho  # rho C = -(C rho)^dagger, as C is anti-Hermitian
             x += friction * (0.5 * (c - c.conj().swapaxes(1, 2)))
     a = system._Q_row @ x.reshape(-1, rho.shape[0])
     return (-1j / system.constants.hbar) * comm[0] - (a + a.conj().T)
+
+
+def _two_level_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool) -> np.ndarray:
+    """:func:`_stage_rhs` at n = 2, entry by entry in Python complex floats.
+
+    Every product is written out, so the only numpy call is the one that
+    builds the result.  The nonlinear M_j comes from the closed-form
+    eigenbasis of :func:`_two_level_basis`, one call per stage; the
+    linearized M_j is (C_j rho - (C_j rho)^dagger)/2.
+    """
+    (r00, r01), (r10, r11) = rho.tolist()
+    h00, h01, h10, h11 = system._H2
+    p00, p01 = h00 * r00 + h01 * r10, h00 * r01 + h01 * r11
+    p10, p11 = h10 * r00 + h11 * r10, h10 * r01 + h11 * r11
+    ih = -1j / system.constants.hbar
+    k00, k01 = ih * (p00 - p00.conjugate()), ih * (p01 - p10.conjugate())
+    k10, k11 = ih * (p10 - p01.conjugate()), ih * (p11 - p11.conjugate())
+    a00 = a01 = a10 = a11 = 0j
+    if friction is None:
+        friction = (None,) * len(diffusion)
+    elif nonlinear:
+        t, c, s, l1, l2, d = _two_level_basis(r00.real, r11.real, r10)
+        tc, cc, ss, sc = t.conjugate(), c * c, s * s, c * s
+    # (m00 .. m11) enter as the entries of C_j and leave as those of M_j
+    for (q00, q01, q10, q11), (m00, m01, m10, m11), f, dj in zip(system._Q2, system._C2, friction, diffusion):
+        p00, p01 = q00 * r00 + q01 * r10, q00 * r01 + q01 * r11
+        p10, p11 = q10 * r00 + q11 * r10, q10 * r01 + q11 * r11
+        x00, x01 = dj * (p00 - p00.conjugate()), dj * (p01 - p10.conjugate())
+        x10, x11 = dj * (p10 - p01.conjugate()), dj * (p11 - p11.conjugate())
+        if f is not None:
+            if nonlinear:
+                # B = V^T (P^dagger C_j P) V weighted entrywise, then P V B V^T P^dagger
+                m01, m10 = m01 * t, m10 * tc
+                h, g = sc * (m01 + m10), sc * (m11 - m00)
+                b00 = l1 * (cc * m00 + h + ss * m11)
+                b11 = l2 * (ss * m00 - h + cc * m11)
+                b01 = d * (g + cc * m01 - ss * m10)
+                b10 = d * (g - ss * m01 + cc * m10)
+                h, g = sc * (b01 + b10), sc * (b00 - b11)
+                m00, m11 = cc * b00 - h + ss * b11, ss * b00 + h + cc * b11
+                m01, m10 = (g + cc * b01 - ss * b10) * tc, (g - ss * b01 + cc * b10) * t
+            else:
+                # C_j rho, then its anti-Hermitian part: rho C_j = -(C_j rho)^dagger
+                p00, p01 = m00 * r00 + m01 * r10, m00 * r01 + m01 * r11
+                p10, p11 = m10 * r00 + m11 * r10, m10 * r01 + m11 * r11
+                m00, m01 = 0.5 * (p00 - p00.conjugate()), 0.5 * (p01 - p10.conjugate())
+                m10, m11 = 0.5 * (p10 - p01.conjugate()), 0.5 * (p11 - p11.conjugate())
+            x00, x01, x10, x11 = x00 + f * m00, x01 + f * m01, x10 + f * m10, x11 + f * m11
+        a00 += q00 * x00 + q01 * x10
+        a01 += q00 * x01 + q01 * x11
+        a10 += q10 * x00 + q11 * x10
+        a11 += q10 * x01 + q11 * x11
+    return np.array(
+        [
+            [k00 - (a00 + a00.conjugate()), k01 - (a01 + a10.conjugate())],
+            [k10 - (a10 + a01.conjugate()), k11 - (a11 + a11.conjugate())],
+        ]
+    )
 
 
 def equilibrium_state(H, T: float, constants: PhysicalConstants = NATURAL) -> np.ndarray:

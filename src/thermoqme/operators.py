@@ -218,27 +218,23 @@ def _log_mean(p: float, q: float) -> float:
     return gap / math.log1p(ratio)
 
 
-def _modified_stack(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """modified_operator(rho, a_j) for every a_j of the stack ``a`` (k, n, n).
+def _two_level_basis(x: float, z: float, beta: complex):
+    """Eigenbasis of the 2x2 Hermitian [[x, beta*], [beta, z]] and the
+    modified operator's weights in it, in Python floats.
 
-    The one decomposition of rho a nonlinear stage makes.  For n > 2 it is
-    LAPACK's eigh and :func:`_modified_in_basis`.  For n = 2 numpy's call
-    overhead is many times the arithmetic, so the eigenbasis is built in
-    Python floats: the phase t of the lower off-diagonal makes
-    rho = P R P^dagger with P = diag(1, t) and R real symmetric, and
-    LAPACK's dlaev2 rotation diagonalizes R.  That rotation is orthonormal
-    to rounding at any eigenvalue gap, zero included, and its smaller
-    eigenvalue keeps full relative precision.  Non-finite input flows
-    through to a non-finite result without raising.
+    Returns (t, c, s, l1, l2, d).  The phase t of beta makes
+    rho = P R P^dagger with P = diag(1, t) and R real symmetric, and LAPACK's
+    dlaev2 rotation V = [[c, -s], [s, c]] diagonalizes R.  That rotation is
+    orthonormal to rounding at any eigenvalue gap, zero included, and its
+    smaller eigenvalue keeps full relative precision.  With the eigenvalues
+    clipped at zero, l1 and l2, and d their :func:`_log_mean`,
+    modified_operator(rho, a) = P V (W * V^T P^dagger a P V) V^T P^dagger
+    with W = [[l1, d], [d, l2]] taken entrywise.  At n = 2 numpy's call
+    overhead is many times this arithmetic.  Non-finite input gives
+    non-finite output without raising.
     """
-    if rho.shape[0] != 2:
-        w, u = np.linalg.eigh(rho)
-        return _modified_in_basis(w, u, a)
-    (x, _), (beta, z) = rho.tolist()
-    x, z = x.real, z.real
     b = math.hypot(beta.real, beta.imag)
     t = beta / b if b > 0.0 else 1.0
-    tc = t.conjugate()
     # dlaev2 on [[x, b], [b, z]]: (c, s) is the unit eigenvector of rt1, the
     # eigenvalue of larger magnitude, and (-s, c) that of rt2
     sm, df, tb = x + z, x - z, b + b
@@ -272,26 +268,7 @@ def _modified_stack(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
         c, s = -s, c
     l1 = rt1 if rt1 > 0.0 else 0.0
     l2 = rt2 if rt2 > 0.0 else 0.0
-    d = _log_mean(rt1, rt2)
-    cc, ss, sc = c * c, s * s, c * s
-    out = []
-    for (a00, a01), (a10, a11) in a.tolist():
-        # B = V^T (P^dagger a P) V with V = [[c, -s], [s, c]], weighted entrywise
-        a01, a10 = a01 * t, a10 * tc
-        h, g = sc * (a01 + a10), sc * (a11 - a00)
-        b00 = l1 * (cc * a00 + h + ss * a11)
-        b11 = l2 * (ss * a00 - h + cc * a11)
-        b01 = d * (g + cc * a01 - ss * a10)
-        b10 = d * (g - ss * a01 + cc * a10)
-        # back: P V B V^T P^dagger
-        h, g = sc * (b01 + b10), sc * (b00 - b11)
-        out += (
-            cc * b00 - h + ss * b11,
-            (g + cc * b01 - ss * b10) * tc,
-            (g - ss * b01 + cc * b10) * t,
-            ss * b00 + h + cc * b11,
-        )
-    return np.array(out, dtype=complex).reshape(a.shape)
+    return t, c, s, l1, l2, _log_mean(rt1, rt2)
 
 
 def modified_operator(rho, a) -> np.ndarray:

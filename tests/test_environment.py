@@ -43,6 +43,12 @@ def test_finite_bath_requires_positive_energy():
         bath.with_energy(0.0)
     with pytest.raises(ValueError, match="positive"):
         HeatBath.finite(C_e=1.0, H_e=-2.0, gamma0=1.0, omega_ref=1.0)
+    # a non-finite energy is a state gone non-finite, not a drained bath
+    for H_e in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^state went non-finite: finite bath energy H_e={H_e}$"):
+            bath.with_energy(H_e)
+        with pytest.raises(ValueError, match="non-finite"):
+            bath._temperature_at(H_e)
 
 
 def test_bath_validation():
@@ -159,7 +165,7 @@ def test_exchange_balance_with_bath_coupled_channels(rng):
 
 
 def _rates_at(monkeypatch, bath, system, H_e):
-    """(friction, diffusion) lists that one stage at bath energy ``H_e`` hands
+    """(friction, diffusion) Python floats that one stage at bath energy ``H_e`` hands
     to the stage kernel (k_B = 1)."""
     seen = []
 
@@ -170,7 +176,8 @@ def _rates_at(monkeypatch, bath, system, H_e):
     monkeypatch.setattr(environment, "_stage_rhs", capture)
     _joint_rhs(I2 / 2, H_e, bath, system, True)
     ((friction, diffusion),) = seen
-    return friction.ravel().tolist(), diffusion.ravel().tolist()
+    assert all(type(rate) is float for rate in (*friction, *diffusion))
+    return list(friction), list(diffusion)
 
 
 def test_bath_rate_rule(monkeypatch):

@@ -258,23 +258,35 @@ def _count_calls(monkeypatch, owner, name):
     original = getattr(owner, name)
 
     def counting(a, *args, **kwargs):
-        calls.append(a.shape)
+        calls.append(np.shape(a))
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls
 
 
-# Each nonlinear decomposition of rho is one call of master_equation._modified_stack.
-# At n = 2 it makes no LAPACK call; at n = 3 it makes one np.linalg.eigh.
-DIMENSIONS = ((2, _finite_bath_setup, 0), (3, _three_level_setup, 1))
+def _count_decompositions(monkeypatch):
+    """Call records of the two ways a stage decomposes rho: the closed-form
+    2x2 eigenbasis master_equation._two_level_basis, and np.linalg.eigh."""
+    return (
+        _count_calls(monkeypatch, master_equation, "_two_level_basis"),
+        _count_calls(monkeypatch, np.linalg, "eigh"),
+    )
+
+
+def _decompositions(dim, want):
+    """The call records of ``want`` decompositions of rho: at n = 2 one
+    closed-form eigenbasis each and no LAPACK call, at n = 3 one eigh each."""
+    return ([()] * want, []) if dim == 2 else ([], [(dim, dim)] * want)
+
+
+DIMENSIONS = ((2, _finite_bath_setup), (3, _three_level_setup))
 
 
 @pytest.mark.parametrize("nonlinear, expected", [(True, 4), (False, 0)])
 def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
-    stacks = _count_calls(monkeypatch, master_equation, "_modified_stack")
-    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
-    for dim, setup, eigh_per_stack in DIMENSIONS:
+    bases, eighs = _count_decompositions(monkeypatch)
+    for dim, setup in DIMENSIONS:
         system, bath = setup()
         # no friction anywhere, so no stage decomposes rho: gamma0 = 0, and
         # bath-coupled channels of weight 0 at gamma0 > 0
@@ -283,33 +295,26 @@ def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
         )
         cases = [((system, bath), expected), (setup(gamma0=0.0), 0), ((weightless, bath), 0)]
         for (sys_, bath_), want in cases:
-            stacks.clear()
+            bases.clear()
             eighs.clear()
             step(random_density(rng, dim), bath_, sys_, 1e-3, nonlinear=nonlinear)
-            assert stacks == [(dim, dim)] * want
-            assert len(eighs) == eigh_per_stack * want
+            assert (bases, eighs) == _decompositions(dim, want)
 
 
 @pytest.mark.parametrize("nonlinear, decompositions", [(True, 1), (False, 0)])
 def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decompositions):
     # min_eig and the entropy share one spectrum; only the flux stage decomposes again
-    for dim, setup, eigh_per_stack in DIMENSIONS:
+    for dim, setup in DIMENSIONS:
         system, bath = setup()
         rho = random_density(rng, dim)
         w = np.linalg.eigvalsh(rho)
         entropy = bath.entropy() + von_neumann_entropy(rho)
         with monkeypatch.context() as patch:
-            calls = {
-                "_modified_stack": _count_calls(patch, master_equation, "_modified_stack"),
-                "eigh": _count_calls(patch, np.linalg, "eigh"),
-                "eigvalsh": _count_calls(patch, np.linalg, "eigvalsh"),
-            }
+            bases, eighs = _count_decompositions(patch)
+            eigvalsh = _count_calls(patch, np.linalg, "eigvalsh")
             point, violation, _ = _observe(0.0, rho, bath, system, nonlinear, None, MonitorTolerances())
-        assert {name: len(c) for name, c in calls.items()} == {
-            "_modified_stack": decompositions,
-            "eigh": eigh_per_stack * decompositions,
-            "eigvalsh": 1,
-        }
+        assert (bases, eighs) == _decompositions(dim, decompositions)
+        assert eigvalsh == [(dim, dim)]
         assert violation is None
         assert point.monitors["min_eig"] == w[0]
         assert point.monitors["total_entropy"] == entropy
@@ -319,19 +324,17 @@ def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decomposition
 def test_sampled_stage_is_the_next_first_stage(monkeypatch, rng, nonlinear, per_step):
     # a point sampled every step evaluates the stage the next step starts
     # from, so N steps cost 4N + 1 decompositions, not 5N + 1
-    stacks = _count_calls(monkeypatch, master_equation, "_modified_stack")
-    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    bases, eighs = _count_decompositions(monkeypatch)
     cfg = IntegratorConfig(dt=1e-3, t_end=6e-3, monitor_every=1)
-    for dim, setup, eigh_per_stack in DIMENSIONS:
+    for dim, setup in DIMENSIONS:
         system, bath = setup()
         rho0 = random_density(rng, dim)
-        stacks.clear()
+        bases.clear()
         eighs.clear()
         traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
         assert traj.termination == COMPLETED and len(traj.points) == cfg.n_steps + 1
         want = per_step * cfg.n_steps + (1 if nonlinear else 0)
-        assert len(stacks) == want
-        assert len(eighs) == eigh_per_stack * want
+        assert (bases, eighs) == _decompositions(dim, want)
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])
@@ -385,3 +388,15 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     # the first sampled point after the first step is the offending one, and is kept
     assert [point.t for point in traj.points] == [0.0, 0.03]
     assert np.isnan(traj.final.rho).all()
+    # with a finite bath the NaN reaches the bath energy inside the step; the
+    # violation names the non-finite state, not a drained bath
+    system, bath = _finite_bath_setup()
+
+    def nan_step(rho, bath, *args, first=None, **kwargs):
+        return step(np.full_like(rho, np.nan), bath, *args, **kwargs)
+
+    monkeypatch.setattr(integrator, "step", nan_step)
+    traj = simulate(I2 / 2, bath, system, cfg, nonlinear=nonlinear)
+    assert traj.termination == MONITOR_VIOLATION
+    assert traj.violation == "state went non-finite: finite bath energy H_e=nan in the step to t=0.01"
+    assert [point.t for point in traj.points] == [0.0]

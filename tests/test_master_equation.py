@@ -17,9 +17,8 @@ from thermoqme import (
     pauli_decompose,
     two_level_system,
 )
-from thermoqme import master_equation
-from thermoqme.master_equation import _stage_rhs
-from thermoqme.operators import _modified_in_basis
+from thermoqme.master_equation import _lapack_stage, _stage_rhs
+from thermoqme.operators import PhysicalConstants
 from thermoqme.two_level import SIGMA
 
 from conftest import random_density, random_hermitian
@@ -168,26 +167,29 @@ def test_channel_and_system_validation(rng):
         master_rhs(random_density(rng, 3), QuantumSystem(S3))
 
 
-def test_stage_two_by_two_path_matches_lapack(monkeypatch, rng):
+def test_stage_two_by_two_path_matches_lapack(rng):
+    # the stage at n = 2 against the LAPACK stage at n = 2, in both variants;
     # bound fixed before measuring: 1e-14 relative to max(1, max|ref|)
+    consts = PhysicalConstants(hbar=0.8, kB=1.3)
     systems = [
         two_level_system(TwoLevelParams(omega=1.3, gamma0=0.8, T_e=0.4)),
         two_level_system(TwoLevelParams(omega=1.0, gamma0=1.0, T_e=0.2, isotropic=True, q3_weight=2.0)),
+        two_level_system(TwoLevelParams(omega=1.1, gamma0=0.6, T_e=0.3, isotropic=True, constants=consts)),
+        # no friction at all, and a weight-0 channel whose rates are exactly 0
+        two_level_system(TwoLevelParams(omega=1.0, gamma0=0.0, T_e=0.5)),
+        two_level_system(TwoLevelParams(omega=0.9, gamma0=1.0, T_e=0.5, isotropic=True, q3_weight=0.0)),
         _random_system(rng, 2, temperature=0.7, n_channels=3),
+        QuantumSystem(random_hermitian(rng, 2), _random_system(rng, 2, 0.7).channels, consts),
     ]
+    assert systems[3]._rates[0] is None and systems[4]._rates[0][2] == 0.0
     states = [random_density(rng, 2) for _ in range(4)] + [
         I2 / 2,
         pauli_compose(1.0, np.array([0.3, -0.4, 1e-9])),
         pauli_compose(1.0, np.array([0.6, 0.0, 0.8])),
     ]
-    cases = [(rho, system) for rho in states for system in systems]
-    fast = [_stage_rhs(rho, system, *system._rates, True) for rho, system in cases]
-
-    def lapack_stack(rho, a):
-        w, u = np.linalg.eigh(rho)
-        return _modified_in_basis(w, u, a)
-
-    monkeypatch.setattr(master_equation, "_modified_stack", lapack_stack)
-    for (rho, system), out in zip(cases, fast):
-        ref = _stage_rhs(rho, system, *system._rates, True)
-        assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    for rho in states:
+        for system in systems:
+            for nonlinear in (True, False):
+                out = _stage_rhs(rho, system, *system._rates, nonlinear)
+                ref = _lapack_stage(rho, system, *system._rates, nonlinear)
+                assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))

@@ -19,7 +19,8 @@ from thermoqme import (
     validate_hermitian,
     von_neumann_entropy,
 )
-from thermoqme.operators import _log_mean, _modified_in_basis, _modified_stack, _pairwise_log_mean
+from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _stage_rhs
+from thermoqme.operators import _log_mean, _pairwise_log_mean, _two_level_basis
 from thermoqme.two_level import SIGMA, pauli_compose, pauli_function, PauliVector
 
 from conftest import random_density, random_hermitian
@@ -175,8 +176,9 @@ def test_log_mean_near_degenerate_precision(p, gap):
     # and through the modified operator of the normalized state, on both paths
     rho = np.diag(np.array([p, q]) / (p + q)).astype(complex)
     expected = _log_mean_reference(p / (p + q), q / (p + q))
-    for out in (modified_operator(rho, S1), _modified_stack(rho, S1[None])[0]):
-        assert abs(out[0, 1] - expected) <= 1e-14 * expected
+    assert abs(modified_operator(rho, S1)[0, 1] - expected) <= 1e-14 * expected
+    # the 2x2 path's off-diagonal weight, which is that entry for a diagonal state
+    assert abs(_two_level_basis(rho[0, 0].real, rho[1, 1].real, 0j)[5] - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1e-310, 1e300), (5e-324, 0.3)])
@@ -190,8 +192,7 @@ def test_log_mean_extreme_ratio(p, q):
     # the scalar rule, and the 2x2 path on the unnormalized diag(q, p)
     assert _log_mean(p, q) == _log_mean(q, p)
     assert abs(_log_mean(p, q) - expected) <= 1e-14 * expected
-    out = _modified_stack(np.diag([q, p]).astype(complex), S1[None])[0]
-    assert abs(out[0, 1] - expected) <= 1e-14 * expected
+    assert abs(_two_level_basis(q, p, 0j)[5] - expected) <= 1e-14 * expected
 
 
 def _state(w, phase=0.0):
@@ -220,39 +221,66 @@ TWO_BY_TWO_STATES = {
 }
 
 
+def _two_level_stage_cases(rng):
+    """(system, friction/k_B, diffusion) triples for the n = 2 stage kernel,
+    in the form the rate rule hands them over, with hbar = 0.8, k_B = 1.3:
+    three fixed channels (one a random Q); no friction at all; and
+    bath-coupled channels of weight 0, whose rates are exactly 0, next to a
+    weighted one (bath bracket 0.9, temperature 0.6)."""
+    consts = PhysicalConstants(hbar=0.8, kB=1.3)
+    h = random_hermitian(rng, 2)
+    qs = (0.5 * S1, 0.5 * S2, random_hermitian(rng, 2))
+    fixed = QuantumSystem(h, tuple(CouplingChannel(q, 0.4, 0.3) for q in qs), consts)
+    weights = (0.0, 0.7, 0.0)
+    coupled = QuantumSystem(
+        h, tuple(CouplingChannel(q, bath_coupled=True, weight=w) for q, w in zip(qs, weights)), consts
+    )
+    g = 0.9
+    return [
+        (fixed, *fixed._rates),
+        (fixed, None, (0.3, 0.2, 0.1)),
+        (coupled, (0.0, 0.7 * g / consts.kB, 0.0), (0.0, 0.6 * 0.7 * g, 0.0)),
+    ]
+
+
 @pytest.mark.parametrize("rho", TWO_BY_TWO_STATES.values(), ids=TWO_BY_TWO_STATES.keys())
 def test_two_by_two_path_matches_lapack(rng, rho):
+    # the whole n = 2 stage against the LAPACK stage at n = 2, in both variants;
     # bound fixed before measuring: 1e-14 relative to max(1, max|ref|)
-    h = random_hermitian(rng, 2)
-    a = np.array(
-        [
-            0.5 * S1,
-            0.5 * S2,
-            0.5 * S3 @ h - h @ (0.5 * S3),  # an anti-Hermitian [Q, H], as the stage uses
-            rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),  # any square matrix
-        ]
-    )
-    ref = _modified_in_basis(*np.linalg.eigh(rho), a)
-    out = _modified_stack(rho, a)
-    assert out.shape == a.shape and out.dtype == complex
-    assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    for system, friction, diffusion in _two_level_stage_cases(rng):
+        for nonlinear in (True, False):
+            ref = _lapack_stage(rho, system, friction, diffusion, nonlinear)
+            out = _stage_rhs(rho, system, friction, diffusion, nonlinear)
+            assert out.shape == (2, 2) and out.dtype == complex
+            assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_stack_above_two_levels_is_the_lapack_path(rng):
     for dim in (3, 4):
+        h = random_hermitian(rng, dim)
+        channels = tuple(CouplingChannel(random_hermitian(rng, dim), 0.4, 0.3) for _ in range(3))
+        system = QuantumSystem(h, channels)
+        assert system._H2 is None and system._Q2 is None and system._C2 is None
         rho = random_density(rng, dim)
-        a = np.array([random_hermitian(rng, dim) for _ in range(3)])
-        assert np.array_equal(_modified_stack(rho, a), _modified_in_basis(*np.linalg.eigh(rho), a))
+        for nonlinear in (True, False):
+            out = _stage_rhs(rho, system, *system._rates, nonlinear)
+            assert np.array_equal(out, _lapack_stage(rho, system, *system._rates, nonlinear))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_two_by_two_path_lets_non_finite_input_through(bad):
+def test_two_by_two_path_lets_non_finite_input_through(rng, bad):
     # as LAPACK does: no exception, and the monitors see a non-finite result
+    cases = _two_level_stage_cases(rng)
     for rho in (np.array([[bad, 0.5], [0.5, 0.5]]), np.array([[0.5, bad * (1 - 1j)], [bad * (1 + 1j), 0.5]])):
-        out = _modified_stack(rho.astype(complex), np.array([S1, S2]))
-        assert not np.isfinite(out).all()
+        for system, friction, diffusion in cases:
+            for nonlinear in (True, False):
+                out = _stage_rhs(rho.astype(complex), system, friction, diffusion, nonlinear)
+                assert not np.isfinite(out).all()
     # an off-diagonal modulus that overflows, where abs() of a Python complex raises
-    _modified_stack(np.array([[0.5, 1.5e308 * (1 - 1j)], [1.5e308 * (1 + 1j), 0.5]]), np.array([S1]))
+    huge = np.array([[0.5, 1.5e308 * (1 - 1j)], [1.5e308 * (1 + 1j), 0.5]])
+    for system, friction, diffusion in cases:
+        for nonlinear in (True, False):
+            _stage_rhs(huge, system, friction, diffusion, nonlinear)
 
 
 def test_modified_operator_trace_and_hermiticity(rng):
