@@ -150,17 +150,15 @@ class EnvironmentObservableReport:
     energy_flux_to_quantum: float
 
 
-def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear: bool):
-    """(drho/dt, dH_e/dt) at one stage of the coupled system, bath energy ``H_e``.
+def _rates_at(H_e: float, bath: HeatBath, system: QuantumSystem):
+    """Every channel's rates at bath energy ``H_e``, in the form the stage
+    kernel takes them: (friction/k_B, diffusion) as Python floats.
 
     A bath-coupled channel's friction is ``weight`` times the bath bracket,
     which does not depend on the bath energy, and its diffusion is that
     friction times the temperature at ``H_e``; a fixed channel keeps its
-    rates.  The k rates reach the stage kernel as Python floats.  The
-    subsystem and the bath only exchange energy, so the bath's rate is the
-    closure identity dH_e/dt = -Re tr(H drho/dt), taken from this very
-    drho/dt in either variant.  Raises for a finite bath whose energy is not
-    positive or not finite.
+    rates.  Raises for a finite bath whose energy is not positive or not
+    finite.
     """
     T = bath._temperature_at(H_e)
     friction, diffusion = system._fixed_rates
@@ -170,7 +168,18 @@ def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear
         f = [w * g for w in weight]
         friction = [x / kB for x in f] if friction is None else [a + x / kB for a, x in zip(friction, f)]
         diffusion = [a + T * x for a, x in zip(diffusion, f)]
-    k = _stage_rhs(rho, system, friction, diffusion, nonlinear)
+    return friction, diffusion
+
+
+def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear: bool):
+    """(drho/dt, dH_e/dt) at one stage of the coupled system, bath energy ``H_e``.
+
+    The channels' rates follow :func:`_rates_at`.  The subsystem and the
+    bath only exchange energy, so the bath's rate is the closure identity
+    dH_e/dt = -Re tr(H drho/dt), taken from this very drho/dt in either
+    variant.
+    """
+    k = _stage_rhs(rho, system, *_rates_at(H_e, bath, system), nonlinear)
     return k, -float(np.vdot(system.H, k).real)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import _spectrum_entropy, validate_density_matrix
-from .master_equation import QuantumSystem, energy_expectation
-from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs
+from .master_equation import QuantumSystem, _two_level_stage, energy_expectation
+from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs, _rates_at
 
 __all__ = [
     "MonitorTolerances",
@@ -133,8 +133,19 @@ def step(
 
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError.
+
+    The dimension selects how: :func:`_two_level_step` at n = 2, where
+    numpy's call overhead is many times the arithmetic, and
+    :func:`_array_step` above.
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape[0] == 2:
+        return _two_level_step(rho, bath, system, dt, method, nonlinear, first)
+    return _array_step(rho, bath, system, dt, method, nonlinear, first)
+
+
+def _array_step(rho, bath, system, dt, method, nonlinear, first):
+    """:func:`step` on arrays, one :func:`_joint_rhs` per stage."""
     h = bath.H_e
     k1, e1 = _joint_rhs(rho, h, bath, system, nonlinear) if first is None else first
     if method == "rk4":
@@ -150,6 +161,58 @@ def step(
         raise ValueError(f"unknown method {method!r}")
     rho_new = 0.5 * (rho_new + rho_new.conj().T)
     return rho_new, bath.with_energy(he_new)
+
+
+def _two_level_step(rho, bath, system, dt, method, nonlinear, first):
+    """:func:`_array_step` at n = 2 on Python complex floats.
+
+    rho, and the given first stage, are unpacked once into the tuples
+    (x00, x01, x10, x11); the stages, the RK combinations, the closure flux
+    and the re-Hermitization then take the same operations in the same
+    order as the array path, and the one numpy call builds the result.
+    """
+    (r00, r01), (r10, r11) = rho.tolist()
+    r = (r00, r01, r10, r11)
+    h = bath.H_e
+    if first is None:
+        k1, e1 = _two_level_rhs(r, h, bath, system, nonlinear)
+    else:
+        (k00, k01), (k10, k11) = first[0].tolist()
+        k1, e1 = (k00, k01, k10, k11), first[1]
+    if method == "rk4":
+        k2, e2 = _two_level_rhs(_axpy(r, 0.5 * dt, k1), h + 0.5 * dt * e1, bath, system, nonlinear)
+        k3, e3 = _two_level_rhs(_axpy(r, 0.5 * dt, k2), h + 0.5 * dt * e2, bath, system, nonlinear)
+        k4, e4 = _two_level_rhs(_axpy(r, dt, k3), h + dt * e3, bath, system, nonlinear)
+        k = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
+        n00, n01, n10, n11 = _axpy(r, dt / 6.0, k)
+        he_new = h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+    elif method == "euler":
+        n00, n01, n10, n11 = _axpy(r, dt, k1)
+        he_new = h + dt * e1
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    rho_new = np.array(
+        [
+            [0.5 * (n00 + n00.conjugate()), 0.5 * (n01 + n10.conjugate())],
+            [0.5 * (n10 + n01.conjugate()), 0.5 * (n11 + n11.conjugate())],
+        ]
+    )
+    return rho_new, bath.with_energy(he_new)
+
+
+def _two_level_rhs(r, H_e, bath, system, nonlinear):
+    """:func:`_joint_rhs` at n = 2 on the entries of rho as a tuple: the
+    entries of drho/dt, and dH_e/dt = -Re sum_ij conj(H_ij) (drho/dt)_ij."""
+    k00, k01, k10, k11 = k = _two_level_stage(r, system, *_rates_at(H_e, bath, system), nonlinear)
+    c00, c01, c10, c11 = system._Hc2
+    return k, -(c00 * k00 + c01 * k01 + c10 * k10 + c11 * k11).real
+
+
+def _axpy(r, a, k):
+    """The entries of rho + a k, for rho and k given as entry tuples."""
+    r00, r01, r10, r11 = r
+    k00, k01, k10, k11 = k
+    return r00 + a * k00, r01 + a * k01, r10 + a * k10, r11 + a * k11
 
 
 def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):

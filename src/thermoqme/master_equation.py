@@ -77,11 +77,11 @@ class QuantumSystem:
         # Compiled once for the stage kernel: the stack S = [H; Q_1..Q_k], whose
         # one product with rho gives [H, rho] and every [Q_j, rho]; the row
         # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; at n = 2 the
-        # entries of H, every Q_j and every C_j as Python tuples; the stored
-        # rates in the kernel's form; and, for a stage coupled to a bath, the
-        # fixed channels' rates in that form (bath-coupled channels zeroed)
-        # plus the bath-coupled channels' weights, None when no bath-coupled
-        # channel has positive weight.
+        # entries of H, of conj(H) (for the closure flux), of every Q_j and of
+        # every C_j as Python tuples; the stored rates in the kernel's form;
+        # and, for a stage coupled to a bath, the fixed channels' rates in that
+        # form (bath-coupled channels zeroed) plus the bath-coupled channels'
+        # weights, None when no bath-coupled channel has positive weight.
         S = np.array([self.H] + [ch.Q for ch in self.channels], dtype=complex)
         Q = S[1:]
         C = Q @ self.H - self.H @ Q
@@ -94,6 +94,7 @@ class QuantumSystem:
             "_Q_row": Q.transpose(1, 0, 2).reshape(dim, Q.shape[0] * dim),
             "_C": C,
             "_H2": tuple(S[0].ravel().tolist()) if dim == 2 else None,
+            "_Hc2": tuple(S[0].conj().ravel().tolist()) if dim == 2 else None,
             "_Q2": tuple(map(tuple, Q.reshape(-1, 4).tolist())) if dim == 2 else None,
             "_C2": tuple(map(tuple, C.reshape(-1, 4).tolist())) if dim == 2 else None,
             "_rates": _kernel_rates(friction, diffusion, self.constants),
@@ -167,7 +168,9 @@ def _stage_rhs(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool)
     :func:`_lapack_stage` above.
     """
     if rho.shape[0] == 2:
-        return _two_level_stage(rho, system, friction, diffusion, nonlinear)
+        (r00, r01), (r10, r11) = rho.tolist()
+        k00, k01, k10, k11 = _two_level_stage((r00, r01, r10, r11), system, friction, diffusion, nonlinear)
+        return np.array([[k00, k01], [k10, k11]])
     return _lapack_stage(rho, system, friction, diffusion, nonlinear)
 
 
@@ -190,15 +193,17 @@ def _lapack_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bo
     return (-1j / system.constants.hbar) * comm[0] - (a + a.conj().T)
 
 
-def _two_level_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool) -> np.ndarray:
+def _two_level_stage(r, system: QuantumSystem, friction, diffusion, nonlinear: bool):
     """:func:`_stage_rhs` at n = 2, entry by entry in Python complex floats.
 
-    Every product is written out, so the only numpy call is the one that
-    builds the result.  The nonlinear M_j comes from the closed-form
-    eigenbasis of :func:`_two_level_basis`, one call per stage; the
-    linearized M_j is (C_j rho - (C_j rho)^dagger)/2.
+    Takes the entries (r00, r01, r10, r11) of rho and returns those of
+    drho/dt, so a caller that keeps its state in Python complex floats (the
+    dim-2 :func:`~thermoqme.integrator.step`) makes no numpy call at all.
+    The nonlinear M_j comes from the closed-form eigenbasis of
+    :func:`_two_level_basis`, one call per stage; the linearized M_j is
+    (C_j rho - (C_j rho)^dagger)/2.
     """
-    (r00, r01), (r10, r11) = rho.tolist()
+    r00, r01, r10, r11 = r
     h00, h01, h10, h11 = system._H2
     p00, p01 = h00 * r00 + h01 * r10, h00 * r01 + h01 * r11
     p10, p11 = h10 * r00 + h11 * r10, h10 * r01 + h11 * r11
@@ -240,11 +245,11 @@ def _two_level_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear:
         a01 += q00 * x01 + q01 * x11
         a10 += q10 * x00 + q11 * x10
         a11 += q10 * x01 + q11 * x11
-    return np.array(
-        [
-            [k00 - (a00 + a00.conjugate()), k01 - (a01 + a10.conjugate())],
-            [k10 - (a10 + a01.conjugate()), k11 - (a11 + a11.conjugate())],
-        ]
+    return (
+        k00 - (a00 + a00.conjugate()),
+        k01 - (a01 + a10.conjugate()),
+        k10 - (a10 + a01.conjugate()),
+        k11 - (a11 + a11.conjugate()),
     )
 
 

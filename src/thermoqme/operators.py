@@ -218,6 +218,11 @@ def _log_mean(p: float, q: float) -> float:
     return gap / math.log1p(ratio)
 
 
+# _two_level_basis scales entries whose |x| + |z| + |beta| exceeds _HUGE by 1/_SCALE
+_HUGE = 2.0**1020
+_SCALE = 2.0**64
+
+
 def _two_level_basis(x: float, z: float, beta: complex):
     """Eigenbasis of the 2x2 Hermitian [[x, beta*], [beta, z]] and the
     modified operator's weights in it, in Python floats.
@@ -234,6 +239,13 @@ def _two_level_basis(x: float, z: float, beta: complex):
     non-finite output without raising.
     """
     b = math.hypot(beta.real, beta.imag)
+    # the rotation's intermediates reach 3 (|x| + |z| + |beta|); as LAPACK's
+    # eigh does, huge entries are scaled by a power of two first (exactly),
+    # and the eigenvalues and their log-mean, homogeneous of degree 1, back
+    huge = abs(x) + abs(z) + b > _HUGE
+    if huge:
+        x, z, beta = x / _SCALE, z / _SCALE, beta / _SCALE
+        b = math.hypot(beta.real, beta.imag)
     t = beta / b if b > 0.0 else 1.0
     # dlaev2 on [[x, b], [b, z]]: (c, s) is the unit eigenvector of rt1, the
     # eigenvalue of larger magnitude, and (-s, c) that of rt2
@@ -266,9 +278,12 @@ def _two_level_basis(x: float, z: float, beta: complex):
         s = tn * c
     if sgn1 == sgn2:
         c, s = -s, c
+    d = _log_mean(rt1, rt2)
+    if huge:
+        rt1, rt2, d = rt1 * _SCALE, rt2 * _SCALE, d * _SCALE
     l1 = rt1 if rt1 > 0.0 else 0.0
     l2 = rt2 if rt2 > 0.0 else 0.0
-    return t, c, s, l1, l2, _log_mean(rt1, rt2)
+    return t, c, s, l1, l2, d
 
 
 def modified_operator(rho, a) -> np.ndarray:

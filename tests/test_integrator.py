@@ -19,10 +19,11 @@ from thermoqme import (
 )
 from thermoqme import integrator, master_equation
 from thermoqme.environment import _joint_rhs
-from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _observe
+from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_step, _observe
+from thermoqme.operators import PhysicalConstants
 from thermoqme.two_level import SIGMA
 
-from conftest import random_density
+from conftest import random_density, random_hermitian
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
@@ -359,6 +360,59 @@ def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
     rho_b, bath_b = step(rho, bath, system, 1e-2, method, nonlinear, first=first)
     assert np.array_equal(rho_a, rho_b)
     assert bath_a == bath_b
+
+
+@pytest.mark.parametrize("dim, setup", DIMENSIONS)
+def test_step_rejects_unknown_method(rng, dim, setup):
+    system, bath = setup()
+    rho = random_density(rng, dim)
+    first = _joint_rhs(rho, bath.H_e, bath, system, True)
+    for given in (None, first):
+        with pytest.raises(ValueError, match="unknown method 'midpoint'"):
+            step(rho, bath, system, 1e-2, method="midpoint", first=given)
+
+
+def _two_level_step_cases(rng):
+    """(system, bath) pairs for the dim-2 step with random Hermitian H and Q,
+    hbar = 0.8 and k_B = 1.3: fixed-rate channels; bath-coupled channels,
+    one of weight 0, next to a fixed one; each with an infinite and a finite
+    bath."""
+    consts = PhysicalConstants(hbar=0.8, kB=1.3)
+    h = random_hermitian(rng, 2)
+    qs = [random_hermitian(rng, 2) for _ in range(3)]
+    fixed = QuantumSystem(h, tuple(CouplingChannel(q, 0.4, 0.3) for q in qs), consts)
+    coupled = QuantumSystem(
+        h,
+        (
+            CouplingChannel(qs[0], bath_coupled=True, weight=0.7),
+            CouplingChannel(qs[1], bath_coupled=True, weight=0.0),
+            CouplingChannel(qs[2], 0.2, 0.5),
+        ),
+        consts,
+    )
+    baths = (
+        HeatBath.infinite(T_e=0.6, gamma0=0.9, omega_ref=1.1, H_e=0.3),
+        HeatBath.finite(C_e=4.0, H_e=2.5, gamma0=0.9, omega_ref=1.1),
+    )
+    return [(system, bath) for system in (fixed, coupled) for bath in baths]
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_two_level_step_matches_array_step(rng, method, nonlinear):
+    # the scalar dim-2 step against the array step at n = 2; they differ only
+    # in how the closure flux is summed (np.vdot against a Python sum);
+    # bound fixed before measuring: 1e-14 relative to max(1, max|ref|)
+    for system, bath in _two_level_step_cases(rng):
+        rho = random_density(rng, 2)
+        first = _joint_rhs(rho, bath.H_e, bath, system, nonlinear)
+        for given in (None, first):
+            ref, ref_bath = _array_step(rho, bath, system, 0.05, method, nonlinear, given)
+            out, out_bath = step(rho, bath, system, 0.05, method, nonlinear, first=given)
+            assert out.shape == (2, 2) and out.dtype == complex
+            assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+            assert abs(out_bath.H_e - ref_bath.H_e) <= 1e-14 * max(1.0, abs(ref_bath.H_e))
+            assert out_bath == ref_bath.with_energy(out_bath.H_e)
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])

@@ -283,6 +283,28 @@ def test_two_by_two_path_lets_non_finite_input_through(rng, bad):
             _stage_rhs(huge, system, friction, diffusion, nonlinear)
 
 
+def test_two_by_two_path_scales_huge_entries(rng):
+    # near the float maximum the closed-form rotation overflows unless it
+    # scales first, as LAPACK's eigh does; the whole n = 2 stage must agree
+    # with the LAPACK stage wherever that is finite (bound as above)
+    consts = PhysicalConstants(hbar=0.8, kB=1.3)
+    qs = (0.5 * S1, 0.5 * S2, random_hermitian(rng, 2, scale=1e-3))
+    rho = np.array([[1.5e308, 0.5], [0.5, 0.5]], dtype=complex)
+    for h in (0.5 * S3, random_hermitian(rng, 2, scale=1e-3)):
+        for rates in ((0.4, 0.3), (1e-3, 1e-3)):
+            system = QuantumSystem(h, tuple(CouplingChannel(q, *rates) for q in qs), consts)
+            for nonlinear in (True, False):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref = _lapack_stage(rho, system, *system._rates, nonlinear)
+                out = _stage_rhs(rho, system, *system._rates, nonlinear)
+                finite = np.isfinite(ref)
+                assert finite.any()
+                gap = np.max(np.abs(out[finite] - ref[finite]))
+                assert gap <= 1e-14 * max(1.0, np.max(np.abs(ref[finite])))
+    _, _, _, l1, l2, _ = _two_level_basis(1.5e308, 0.5, 0.5 + 0j)
+    assert np.allclose((l2, l1), np.linalg.eigvalsh(rho), rtol=1e-15, atol=0.0)
+
+
 def test_modified_operator_trace_and_hermiticity(rng):
     for dim in (2, 3, 5):
         rho = random_density(rng, dim)
