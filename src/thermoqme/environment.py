@@ -15,7 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import NATURAL, PhysicalConstants
-from .master_equation import QuantumSystem, _as_state, _stage_rhs
+from .master_equation import (
+    QuantumSystem,
+    _as_state,
+    _lapack_stage,
+    _two_level_entries,
+    _two_level_rate,
+    _two_level_stage,
+)
 
 __all__ = [
     "HeatBath",
@@ -177,10 +184,23 @@ def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear
     The channels' rates follow :func:`_rates_at`.  The subsystem and the
     bath only exchange energy, so the bath's rate is the closure identity
     dH_e/dt = -Re tr(H drho/dt), taken from this very drho/dt in either
-    variant.
+    variant.  At n = 2 both come from :func:`_two_level_rhs`, as in the
+    dim-2 step.
     """
-    k = _stage_rhs(rho, system, *_rates_at(H_e, bath, system), nonlinear)
+    if rho.shape[0] == 2:
+        g, rate = _two_level_rhs(_two_level_entries(rho), H_e, bath, system, nonlinear)
+        return _two_level_rate(g), rate
+    k = _lapack_stage(rho, system, *_rates_at(H_e, bath, system), nonlinear)
     return k, -float(np.vdot(system.H, k).real)
+
+
+def _two_level_rhs(r, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear: bool):
+    """:func:`_joint_rhs` at n = 2 on the four reals of rho: dm/dt from
+    :func:`~thermoqme.master_equation._two_level_stage`, and
+    dH_e/dt = -Re tr(H drho/dt) = -h . dm/dt."""
+    gx, gy, gz = g = _two_level_stage(r, system, *_rates_at(H_e, bath, system), nonlinear)
+    hx, hy, hz = system._h2
+    return g, -(hx * gx + hy * gy + hz * gz)
 
 
 def environment_rhs(bath: HeatBath, rho, system: QuantumSystem) -> float:

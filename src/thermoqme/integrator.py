@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import _spectrum_entropy, validate_density_matrix
-from .master_equation import QuantumSystem, _two_level_stage, energy_expectation
-from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs, _rates_at
+from .master_equation import QuantumSystem, _two_level_entries, _two_level_matrix, energy_expectation
+from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs, _two_level_rhs
 
 __all__ = [
     "MonitorTolerances",
@@ -123,8 +123,10 @@ def step(
     weights, and sets dH_e/dt = -Re tr(H drho/dt) from the stage's own
     drho/dt.  The total tr(H rho) + H_e of a closed finite-bath
     system is therefore conserved to rounding in both variants.  The returned
-    density matrix is re-Hermitized by conjugate transpose averaging (a
-    correction at the 1e-16 scale per step), which leaves tr(H rho) as it is.
+    density matrix is Hermitian: above n = 2 it is re-Hermitized by conjugate
+    transpose averaging (a correction at the 1e-16 scale per step), which
+    leaves tr(H rho) as it is; at n = 2, where rho is read from its diagonal
+    and its entry (1, 0), it is built exactly Hermitian.
 
     ``first`` is the stage already evaluated at exactly ``(rho, bath.H_e)`` in
     the same variant, the ``(drho/dt, dH_e/dt)`` pair :func:`_observe` returns;
@@ -164,55 +166,44 @@ def _array_step(rho, bath, system, dt, method, nonlinear, first):
 
 
 def _two_level_step(rho, bath, system, dt, method, nonlinear, first):
-    """:func:`_array_step` at n = 2 on Python complex floats.
+    """:func:`_array_step` at n = 2 on the four reals of rho in Python floats.
 
-    rho, and the given first stage, are unpacked once into the tuples
-    (x00, x01, x10, x11); the stages, the RK combinations, the closure flux
-    and the re-Hermitization then take the same operations in the same
-    order as the array path, and the one numpy call builds the result.
+    The state is (rho00, rho11, Re rho10, Im rho10), which keeps the
+    smaller diagonal entry, and with it the smaller eigenvalue, to full
+    relative precision.  Each stage gives dm/dt for the Bloch vector m
+    (:func:`~thermoqme.environment._two_level_rhs`), and rho moves by
+    (dm/dt . sigma)/2, so the trace changes only by rounding.  The one numpy
+    call builds the exactly Hermitian result.
     """
-    (r00, r01), (r10, r11) = rho.tolist()
-    r = (r00, r01, r10, r11)
+    r = _two_level_entries(rho)
     h = bath.H_e
     if first is None:
-        k1, e1 = _two_level_rhs(r, h, bath, system, nonlinear)
+        g1, e1 = _two_level_rhs(r, h, bath, system, nonlinear)
     else:
-        (k00, k01), (k10, k11) = first[0].tolist()
-        k1, e1 = (k00, k01, k10, k11), first[1]
+        k00, _, kx, ky = _two_level_entries(first[0])
+        g1, e1 = (2.0 * kx, 2.0 * ky, 2.0 * k00), first[1]
     if method == "rk4":
-        k2, e2 = _two_level_rhs(_axpy(r, 0.5 * dt, k1), h + 0.5 * dt * e1, bath, system, nonlinear)
-        k3, e3 = _two_level_rhs(_axpy(r, 0.5 * dt, k2), h + 0.5 * dt * e2, bath, system, nonlinear)
-        k4, e4 = _two_level_rhs(_axpy(r, dt, k3), h + dt * e3, bath, system, nonlinear)
-        k = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)]
-        n00, n01, n10, n11 = _axpy(r, dt / 6.0, k)
+        g2, e2 = _two_level_rhs(_moved(r, 0.5 * dt, g1), h + 0.5 * dt * e1, bath, system, nonlinear)
+        g3, e3 = _two_level_rhs(_moved(r, 0.5 * dt, g2), h + 0.5 * dt * e2, bath, system, nonlinear)
+        g4, e4 = _two_level_rhs(_moved(r, dt, g3), h + dt * e3, bath, system, nonlinear)
+        g = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(g1, g2, g3, g4)]
+        rho_new = _moved(r, dt / 6.0, g)
         he_new = h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
     elif method == "euler":
-        n00, n01, n10, n11 = _axpy(r, dt, k1)
+        rho_new = _moved(r, dt, g1)
         he_new = h + dt * e1
     else:
         raise ValueError(f"unknown method {method!r}")
-    rho_new = np.array(
-        [
-            [0.5 * (n00 + n00.conjugate()), 0.5 * (n01 + n10.conjugate())],
-            [0.5 * (n10 + n01.conjugate()), 0.5 * (n11 + n11.conjugate())],
-        ]
-    )
-    return rho_new, bath.with_energy(he_new)
+    return _two_level_matrix(*rho_new), bath.with_energy(he_new)
 
 
-def _two_level_rhs(r, H_e, bath, system, nonlinear):
-    """:func:`_joint_rhs` at n = 2 on the entries of rho as a tuple: the
-    entries of drho/dt, and dH_e/dt = -Re sum_ij conj(H_ij) (drho/dt)_ij."""
-    k00, k01, k10, k11 = k = _two_level_stage(r, system, *_rates_at(H_e, bath, system), nonlinear)
-    c00, c01, c10, c11 = system._Hc2
-    return k, -(c00 * k00 + c01 * k01 + c10 * k10 + c11 * k11).real
-
-
-def _axpy(r, a, k):
-    """The entries of rho + a k, for rho and k given as entry tuples."""
-    r00, r01, r10, r11 = r
-    k00, k01, k10, k11 = k
-    return r00 + a * k00, r01 + a * k01, r10 + a * k10, r11 + a * k11
+def _moved(r, s, g):
+    """The four reals of rho + s drho/dt, for rho given by its four reals and
+    drho/dt = (g . sigma)/2."""
+    r00, r11, x, y = r
+    gx, gy, gz = g
+    s *= 0.5
+    return r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
 
 
 def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):

@@ -8,6 +8,7 @@ bath-equilibrium condition on channel rates, and energy bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .operators import (
     PhysicalConstants,
     _as_square_matrix,
     _modified_in_basis,
-    _two_level_basis,
+    _two_level_weights,
     hermitianize,
     validate_hermitian,
 )
@@ -77,11 +78,12 @@ class QuantumSystem:
         # Compiled once for the stage kernel: the stack S = [H; Q_1..Q_k], whose
         # one product with rho gives [H, rho] and every [Q_j, rho]; the row
         # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; at n = 2 the
-        # entries of H, of conj(H) (for the closure flux), of every Q_j and of
-        # every C_j as Python tuples; the stored rates in the kernel's form;
-        # and, for a stage coupled to a bath, the fixed channels' rates in that
-        # form (bath-coupled channels zeroed) plus the bath-coupled channels'
-        # weights, None when no bath-coupled channel has positive weight.
+        # real Pauli vectors h of H and, per channel, q_j, c_j = 2 q_j x h (so
+        # C_j = i c_j . sigma), q_j x c_j and |q_j|^2 as Python floats; the
+        # stored rates in the kernel's form; and, for a stage coupled to a
+        # bath, the fixed channels' rates in that form (bath-coupled channels
+        # zeroed) plus the bath-coupled channels' weights, None when no
+        # bath-coupled channel has positive weight.
         S = np.array([self.H] + [ch.Q for ch in self.channels], dtype=complex)
         Q = S[1:]
         C = Q @ self.H - self.H @ Q
@@ -89,14 +91,22 @@ class QuantumSystem:
         friction = [float(ch.friction_rate) for ch in self.channels]
         diffusion = [float(ch.diffusion_rate) for ch in self.channels]
         weight = tuple(float(ch.weight) if c else 0.0 for ch, c in zip(self.channels, coupled))
+        h2 = q2 = None
+        if dim == 2:
+            # a_k = Re tr(sigma_k A)/2, so A = a0 I + a . sigma for Hermitian A,
+            # and [a . sigma, b . sigma] = 2i (a x b) . sigma
+            s01, s10 = S[:, 0, 1], S[:, 1, 0]
+            p = 0.5 * np.stack([s01 + s10, 1j * (s01 - s10), S[:, 0, 0] - S[:, 1, 1]], axis=1).real
+            h, q = p[0], p[1:]
+            c = 2.0 * np.cross(q, h)
+            vectors = (map(tuple, a.tolist()) for a in (q, c, np.cross(q, c)))
+            h2, q2 = tuple(h.tolist()), tuple(zip(*vectors, (q * q).sum(axis=1).tolist()))
         compiled = {
             "_S": S,
             "_Q_row": Q.transpose(1, 0, 2).reshape(dim, Q.shape[0] * dim),
             "_C": C,
-            "_H2": tuple(S[0].ravel().tolist()) if dim == 2 else None,
-            "_Hc2": tuple(S[0].conj().ravel().tolist()) if dim == 2 else None,
-            "_Q2": tuple(map(tuple, Q.reshape(-1, 4).tolist())) if dim == 2 else None,
-            "_C2": tuple(map(tuple, C.reshape(-1, 4).tolist())) if dim == 2 else None,
+            "_h2": h2,
+            "_q2": q2,
             "_rates": _kernel_rates(friction, diffusion, self.constants),
             "_fixed_rates": _kernel_rates(
                 [0.0 if c else f for c, f in zip(coupled, friction)],
@@ -168,9 +178,7 @@ def _stage_rhs(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool)
     :func:`_lapack_stage` above.
     """
     if rho.shape[0] == 2:
-        (r00, r01), (r10, r11) = rho.tolist()
-        k00, k01, k10, k11 = _two_level_stage((r00, r01, r10, r11), system, friction, diffusion, nonlinear)
-        return np.array([[k00, k01], [k10, k11]])
+        return _two_level_rate(_two_level_stage(_two_level_entries(rho), system, friction, diffusion, nonlinear))
     return _lapack_stage(rho, system, friction, diffusion, nonlinear)
 
 
@@ -193,64 +201,69 @@ def _lapack_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bo
     return (-1j / system.constants.hbar) * comm[0] - (a + a.conj().T)
 
 
-def _two_level_stage(r, system: QuantumSystem, friction, diffusion, nonlinear: bool):
-    """:func:`_stage_rhs` at n = 2, entry by entry in Python complex floats.
+def _two_level_entries(a: np.ndarray):
+    """The four reals (a00, a11, Re a10, Im a10) that fix a Hermitian 2x2 ``a``."""
+    (a00, _), (a10, a11) = a.tolist()
+    return a00.real, a11.real, a10.real, a10.imag
 
-    Takes the entries (r00, r01, r10, r11) of rho and returns those of
-    drho/dt, so a caller that keeps its state in Python complex floats (the
-    dim-2 :func:`~thermoqme.integrator.step`) makes no numpy call at all.
-    The nonlinear M_j comes from the closed-form eigenbasis of
-    :func:`_two_level_basis`, one call per stage; the linearized M_j is
-    (C_j rho - (C_j rho)^dagger)/2.
+
+def _two_level_matrix(a00: float, a11: float, re: float, im: float) -> np.ndarray:
+    """The exactly Hermitian 2x2 ndarray with the four reals of :func:`_two_level_entries`."""
+    return np.array([[a00, complex(re, -im)], [complex(re, im), a11]])
+
+
+def _two_level_rate(g) -> np.ndarray:
+    """drho/dt = (dm/dt . sigma)/2 as an ndarray, for dm/dt = g."""
+    gx, gy, gz = g
+    return _two_level_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy)
+
+
+def _two_level_stage(r, system: QuantumSystem, friction, diffusion, nonlinear: bool):
+    """:func:`_stage_rhs` at n = 2, in real Pauli coordinates and Python floats.
+
+    Takes rho as the four reals r = (rho00, rho11, Re rho10, Im rho10) and
+    returns dm/dt for its Bloch vector m = (2 Re rho10, 2 Im rho10,
+    rho00 - rho11), so rho = (tr rho I + m . sigma)/2.  With the compiled
+    vectors h, q_j, c_j = 2 q_j x h and q_j x c_j,
+
+    dm/dt = (2/hbar) h x m + sum_j 4 diffusion_j q_j x (q_j x m)
+            + sum_j 4 friction_j/k_B q_j x v_j,
+
+    where v_j . sigma is the traceless part of the modified product of
+    c_j . sigma with rho.  Nonlinear, v_j = d c_j + (l - d)(c_j . n) n with
+    n = m/|m|, l the mean of the clipped eigenvalues and d their log-mean
+    (:func:`_two_level_weights`, one call per stage); linearized,
+    v_j = (tr rho/2) c_j.  A caller that keeps its state as the four reals
+    (the dim-2 :func:`~thermoqme.integrator.step`) makes no numpy call.
     """
-    r00, r01, r10, r11 = r
-    h00, h01, h10, h11 = system._H2
-    p00, p01 = h00 * r00 + h01 * r10, h00 * r01 + h01 * r11
-    p10, p11 = h10 * r00 + h11 * r10, h10 * r01 + h11 * r11
-    ih = -1j / system.constants.hbar
-    k00, k01 = ih * (p00 - p00.conjugate()), ih * (p01 - p10.conjugate())
-    k10, k11 = ih * (p10 - p01.conjugate()), ih * (p11 - p11.conjugate())
-    a00 = a01 = a10 = a11 = 0j
+    r00, r11, x, y = r
+    mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
+    hx, hy, hz = system._h2
+    w = 2.0 / system.constants.hbar
+    gx, gy, gz = w * (hy * mz - hz * my), w * (hz * mx - hx * mz), w * (hx * my - hy * mx)
+    # p = sum_j 4 friction_j/k_B (l - d)(c_j . n) q_j; p x n adds the nonlinear part of every q_j x v_j
+    px = py = pz = nx = ny = nz = 0.0
     if friction is None:
-        friction = (None,) * len(diffusion)
+        friction = (0.0,) * len(diffusion)
     elif nonlinear:
-        t, c, s, l1, l2, d = _two_level_basis(r00.real, r11.real, r10)
-        tc, cc, ss, sc = t.conjugate(), c * c, s * s, c * s
-    # (m00 .. m11) enter as the entries of C_j and leave as those of M_j
-    for (q00, q01, q10, q11), (m00, m01, m10, m11), f, dj in zip(system._Q2, system._C2, friction, diffusion):
-        p00, p01 = q00 * r00 + q01 * r10, q00 * r01 + q01 * r11
-        p10, p11 = q10 * r00 + q11 * r10, q10 * r01 + q11 * r11
-        x00, x01 = dj * (p00 - p00.conjugate()), dj * (p01 - p10.conjugate())
-        x10, x11 = dj * (p10 - p01.conjugate()), dj * (p11 - p11.conjugate())
-        if f is not None:
+        l1, l2, d = _two_level_weights(r00, r11, x, y)
+        e = 0.5 * (l1 + l2) - d
+        m = math.hypot(mx, my, mz)
+        if m > 0.0:
+            nx, ny, nz = mx / m, my / m, mz / m
+    else:
+        d = 0.5 * (r00 + r11)  # v_j = d c_j
+    for ((qx, qy, qz), (cx, cy, cz), (ux, uy, uz), qq), f, dj in zip(system._q2, friction, diffusion):
+        # q x (q x m) = q (q . m) - |q|^2 m
+        t, s = 4.0 * dj * (qx * mx + qy * my + qz * mz), 4.0 * dj * qq
+        gx, gy, gz = gx + t * qx - s * mx, gy + t * qy - s * my, gz + t * qz - s * mz
+        if f:
+            s = 4.0 * f * d
+            gx, gy, gz = gx + s * ux, gy + s * uy, gz + s * uz
             if nonlinear:
-                # B = V^T (P^dagger C_j P) V weighted entrywise, then P V B V^T P^dagger
-                m01, m10 = m01 * t, m10 * tc
-                h, g = sc * (m01 + m10), sc * (m11 - m00)
-                b00 = l1 * (cc * m00 + h + ss * m11)
-                b11 = l2 * (ss * m00 - h + cc * m11)
-                b01 = d * (g + cc * m01 - ss * m10)
-                b10 = d * (g - ss * m01 + cc * m10)
-                h, g = sc * (b01 + b10), sc * (b00 - b11)
-                m00, m11 = cc * b00 - h + ss * b11, ss * b00 + h + cc * b11
-                m01, m10 = (g + cc * b01 - ss * b10) * tc, (g - ss * b01 + cc * b10) * t
-            else:
-                # C_j rho, then its anti-Hermitian part: rho C_j = -(C_j rho)^dagger
-                p00, p01 = m00 * r00 + m01 * r10, m00 * r01 + m01 * r11
-                p10, p11 = m10 * r00 + m11 * r10, m10 * r01 + m11 * r11
-                m00, m01 = 0.5 * (p00 - p00.conjugate()), 0.5 * (p01 - p10.conjugate())
-                m10, m11 = 0.5 * (p10 - p01.conjugate()), 0.5 * (p11 - p11.conjugate())
-            x00, x01, x10, x11 = x00 + f * m00, x01 + f * m01, x10 + f * m10, x11 + f * m11
-        a00 += q00 * x00 + q01 * x10
-        a01 += q00 * x01 + q01 * x11
-        a10 += q10 * x00 + q11 * x10
-        a11 += q10 * x01 + q11 * x11
-    return (
-        k00 - (a00 + a00.conjugate()),
-        k01 - (a01 + a10.conjugate()),
-        k10 - (a10 + a01.conjugate()),
-        k11 - (a11 + a11.conjugate()),
-    )
+                t = 4.0 * f * e * (cx * nx + cy * ny + cz * nz)
+                px, py, pz = px + t * qx, py + t * qy, pz + t * qz
+    return gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
 
 
 def equilibrium_state(H, T: float, constants: PhysicalConstants = NATURAL) -> np.ndarray:

@@ -218,40 +218,36 @@ def _log_mean(p: float, q: float) -> float:
     return gap / math.log1p(ratio)
 
 
-# _two_level_basis scales entries whose |x| + |z| + |beta| exceeds _HUGE by 1/_SCALE
+# _two_level_weights scales entries whose |x| + |z| + |rho10| exceeds _HUGE by 1/_SCALE
 _HUGE = 2.0**1020
 _SCALE = 2.0**64
 
 
-def _two_level_basis(x: float, z: float, beta: complex):
-    """Eigenbasis of the 2x2 Hermitian [[x, beta*], [beta, z]] and the
-    modified operator's weights in it, in Python floats.
+def _two_level_weights(x: float, z: float, re: float, im: float):
+    """The modified operator's weights for the 2x2 Hermitian
+    rho = [[x, re - i im], [re + i im, z]], in Python floats.
 
-    Returns (t, c, s, l1, l2, d).  The phase t of beta makes
-    rho = P R P^dagger with P = diag(1, t) and R real symmetric, and LAPACK's
-    dlaev2 rotation V = [[c, -s], [s, c]] diagonalizes R.  That rotation is
-    orthonormal to rounding at any eigenvalue gap, zero included, and its
-    smaller eigenvalue keeps full relative precision.  With the eigenvalues
-    clipped at zero, l1 and l2, and d their :func:`_log_mean`,
-    modified_operator(rho, a) = P V (W * V^T P^dagger a P V) V^T P^dagger
-    with W = [[l1, d], [d, l2]] taken entrywise.  At n = 2 numpy's call
-    overhead is many times this arithmetic.  Non-finite input gives
-    non-finite output without raising.
+    Returns (l1, l2, d): the eigenvalues of rho clipped at zero, and d, the
+    :func:`_log_mean` of the eigenvalues.  In the eigenbasis of rho,
+    modified_operator(rho, a) is a weighted entrywise by [[l1, d], [d, l2]].
+    The eigenvalues come from the entries by LAPACK's dlaev2 formulas: the
+    one of smaller magnitude is det(rho)/rt1, which keeps full relative
+    precision where (tr rho -/+ |m|)/2 loses it to cancellation (near a pure
+    state, where d depends on the logarithm of that eigenvalue).  At n = 2
+    numpy's call overhead is many times this arithmetic.  Non-finite input
+    gives non-finite output without raising.
     """
-    b = math.hypot(beta.real, beta.imag)
-    # the rotation's intermediates reach 3 (|x| + |z| + |beta|); as LAPACK's
-    # eigh does, huge entries are scaled by a power of two first (exactly),
-    # and the eigenvalues and their log-mean, homogeneous of degree 1, back
+    b = math.hypot(re, im)
+    # the intermediates reach 2 (|x| + |z| + b); as LAPACK's eigh does, huge
+    # entries are scaled by a power of two first (exactly), and the
+    # eigenvalues and their log-mean, homogeneous of degree 1, back
     huge = abs(x) + abs(z) + b > _HUGE
     if huge:
-        x, z, beta = x / _SCALE, z / _SCALE, beta / _SCALE
-        b = math.hypot(beta.real, beta.imag)
-    t = beta / b if b > 0.0 else 1.0
-    # dlaev2 on [[x, b], [b, z]]: (c, s) is the unit eigenvector of rt1, the
-    # eigenvalue of larger magnitude, and (-s, c) that of rt2
+        x, z = x / _SCALE, z / _SCALE
+        b = math.hypot(re / _SCALE, im / _SCALE)
+    # dlaev2 on [[x, b], [b, z]]: rt1 is the eigenvalue of larger magnitude
     sm, df, tb = x + z, x - z, b + b
     adf = abs(df)
-    acmx, acmn = (x, z) if abs(x) > abs(z) else (z, x)
     if adf > tb:
         rt = adf * math.sqrt(1.0 + (tb / adf) * (tb / adf))
     elif adf < tb:
@@ -259,31 +255,15 @@ def _two_level_basis(x: float, z: float, beta: complex):
     else:
         rt = tb * math.sqrt(2.0)
     if sm > 0.0 or sm < 0.0:
-        sgn1 = 1.0 if sm > 0.0 else -1.0
-        rt1 = 0.5 * (sm + sgn1 * rt)  # |rt1| >= |sm|/2 > 0
+        acmx, acmn = (x, z) if abs(x) > abs(z) else (z, x)
+        rt1 = 0.5 * (sm + (rt if sm > 0.0 else -rt))  # |rt1| >= |sm|/2 > 0
         rt2 = (acmx / rt1) * acmn - (b / rt1) * b
     else:
-        sgn1, rt1, rt2 = 1.0, 0.5 * rt, -0.5 * rt
-    sgn2 = 1.0 if df >= 0.0 else -1.0
-    cs = df + sgn2 * rt
-    if abs(cs) > tb:
-        ct = -tb / cs
-        s = 1.0 / math.sqrt(1.0 + ct * ct)
-        c = ct * s
-    elif tb == 0.0:
-        c, s = 1.0, 0.0
-    else:
-        tn = -cs / tb
-        c = 1.0 / math.sqrt(1.0 + tn * tn)
-        s = tn * c
-    if sgn1 == sgn2:
-        c, s = -s, c
+        rt1, rt2 = 0.5 * rt, -0.5 * rt
     d = _log_mean(rt1, rt2)
     if huge:
         rt1, rt2, d = rt1 * _SCALE, rt2 * _SCALE, d * _SCALE
-    l1 = rt1 if rt1 > 0.0 else 0.0
-    l2 = rt2 if rt2 > 0.0 else 0.0
-    return t, c, s, l1, l2, d
+    return (rt1 if rt1 > 0.0 else 0.0), (rt2 if rt2 > 0.0 else 0.0), d
 
 
 def modified_operator(rho, a) -> np.ndarray:

@@ -22,7 +22,7 @@ from thermoqme import (
 )
 from thermoqme import environment
 from thermoqme.environment import _joint_rhs
-from thermoqme.master_equation import _stage_rhs
+from thermoqme.master_equation import _two_level_stage
 from thermoqme.two_level import SIGMA
 
 from conftest import random_density, random_hermitian
@@ -169,11 +169,11 @@ def _rates_at(monkeypatch, bath, system, H_e):
     to the stage kernel (k_B = 1)."""
     seen = []
 
-    def capture(rho, system, friction, diffusion, nonlinear):
+    def capture(r, system, friction, diffusion, nonlinear):
         seen.append((friction, diffusion))
-        return _stage_rhs(rho, system, friction, diffusion, nonlinear)
+        return _two_level_stage(r, system, friction, diffusion, nonlinear)
 
-    monkeypatch.setattr(environment, "_stage_rhs", capture)
+    monkeypatch.setattr(environment, "_two_level_stage", capture)
     _joint_rhs(I2 / 2, H_e, bath, system, True)
     ((friction, diffusion),) = seen
     assert all(type(rate) is float for rate in (*friction, *diffusion))

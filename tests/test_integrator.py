@@ -9,6 +9,7 @@ from thermoqme import (
     QuantumSystem,
     TwoLevelParams,
     bloch_equilibrium,
+    energy_expectation,
     pauli_compose,
     pauli_decompose,
     simulate,
@@ -268,16 +269,16 @@ def _count_calls(monkeypatch, owner, name):
 
 def _count_decompositions(monkeypatch):
     """Call records of the two ways a stage decomposes rho: the closed-form
-    2x2 eigenbasis master_equation._two_level_basis, and np.linalg.eigh."""
+    2x2 eigenvalues master_equation._two_level_weights, and np.linalg.eigh."""
     return (
-        _count_calls(monkeypatch, master_equation, "_two_level_basis"),
+        _count_calls(monkeypatch, master_equation, "_two_level_weights"),
         _count_calls(monkeypatch, np.linalg, "eigh"),
     )
 
 
 def _decompositions(dim, want):
     """The call records of ``want`` decompositions of rho: at n = 2 one
-    closed-form eigenbasis each and no LAPACK call, at n = 3 one eigh each."""
+    closed-form spectrum each and no LAPACK call, at n = 3 one eigh each."""
     return ([()] * want, []) if dim == 2 else ([], [(dim, dim)] * want)
 
 
@@ -413,6 +414,32 @@ def test_two_level_step_matches_array_step(rng, method, nonlinear):
             assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
             assert abs(out_bath.H_e - ref_bath.H_e) <= 1e-14 * max(1.0, abs(ref_bath.H_e))
             assert out_bath == ref_bath.with_energy(out_bath.H_e)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_two_level_step_invariants(rng, method, nonlinear):
+    # a random non-diagonal H and a finite bath, step after step: the returned
+    # rho is exactly Hermitian, its trace drifts by at most 4 ulp of 1 per
+    # step, and tr(H rho) + H_e moves by at most 1e-15 relative to
+    # |tr(H rho)| + H_e per step (bounds fixed before measuring)
+    consts = PhysicalConstants(hbar=0.8, kB=1.3)
+    h = random_hermitian(rng, 2)
+    channels = (
+        CouplingChannel(random_hermitian(rng, 2), bath_coupled=True),
+        CouplingChannel(random_hermitian(rng, 2), 0.2, 0.5),
+    )
+    system = QuantumSystem(h, channels, consts)
+    rho, bath = random_density(rng, 2), HeatBath.finite(C_e=4.0, H_e=2.5, gamma0=0.9, omega_ref=1.1)
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        energy = energy_expectation(rho, h)
+        rho_new, bath_new = step(rho, bath, system, 0.01, method, nonlinear)
+        assert np.array_equal(rho_new, rho_new.conj().T)
+        assert abs(np.trace(rho_new) - np.trace(rho)) <= 4.0 * eps
+        drift = energy_expectation(rho_new, h) + bath_new.H_e - (energy + bath.H_e)
+        assert abs(drift) <= 1e-15 * (abs(energy) + bath.H_e)
+        rho, bath = rho_new, bath_new
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])

@@ -20,7 +20,7 @@ from thermoqme import (
     von_neumann_entropy,
 )
 from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _stage_rhs
-from thermoqme.operators import _log_mean, _pairwise_log_mean, _two_level_basis
+from thermoqme.operators import _log_mean, _pairwise_log_mean, _two_level_weights
 from thermoqme.two_level import SIGMA, pauli_compose, pauli_function, PauliVector
 
 from conftest import random_density, random_hermitian
@@ -178,7 +178,7 @@ def test_log_mean_near_degenerate_precision(p, gap):
     expected = _log_mean_reference(p / (p + q), q / (p + q))
     assert abs(modified_operator(rho, S1)[0, 1] - expected) <= 1e-14 * expected
     # the 2x2 path's off-diagonal weight, which is that entry for a diagonal state
-    assert abs(_two_level_basis(rho[0, 0].real, rho[1, 1].real, 0j)[5] - expected) <= 1e-14 * expected
+    assert abs(_two_level_weights(rho[0, 0].real, rho[1, 1].real, 0.0, 0.0)[2] - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1e-310, 1e300), (5e-324, 0.3)])
@@ -192,13 +192,13 @@ def test_log_mean_extreme_ratio(p, q):
     # the scalar rule, and the 2x2 path on the unnormalized diag(q, p)
     assert _log_mean(p, q) == _log_mean(q, p)
     assert abs(_log_mean(p, q) - expected) <= 1e-14 * expected
-    assert abs(_two_level_basis(q, p, 0j)[5] - expected) <= 1e-14 * expected
+    assert abs(_two_level_weights(q, p, 0.0, 0.0)[2] - expected) <= 1e-14 * expected
 
 
-def _state(w, phase=0.0):
-    """rho = u diag(w) u^dagger for a fixed complex unitary u whose
-    off-diagonal carries the phase e^{i phase}."""
-    c, s = np.cos(0.3), np.sin(0.3)
+def _state(w, phase=0.0, angle=0.3):
+    """rho = u diag(w) u^dagger for a complex unitary u, a rotation by
+    ``angle`` whose off-diagonal carries the phase e^{i phase}."""
+    c, s = np.cos(angle), np.sin(angle)
     u = np.array([[c, -s * np.exp(-1j * phase)], [s * np.exp(1j * phase), c]])
     rho = (u * np.asarray(w, dtype=float)) @ u.conj().T
     return 0.5 * (rho + rho.conj().T)
@@ -218,6 +218,9 @@ TWO_BY_TWO_STATES = {
     **{f"phase_{k}": _state([0.8, 0.2], phase=k * np.pi / 4) for k in range(8)},
     "diagonal": np.diag([0.7, 0.3]).astype(complex),
     "diagonal_ascending": np.diag([0.3, 0.7]).astype(complex),
+    # near-pure: the smaller eigenvalue must come from the entries, not (tr -/+ |m|)/2
+    **{f"near_pure_{p:g}": np.diag([1.0 - p, p]).astype(complex) for p in (4.5e-5, 2e-9, 1e-13)},
+    **{f"near_pure_{p:g}_rotated": _state([1.0 - p, p], phase=1.1, angle=1e-3) for p in (4.5e-5, 2e-9, 1e-13)},
 }
 
 
@@ -260,7 +263,7 @@ def test_stack_above_two_levels_is_the_lapack_path(rng):
         h = random_hermitian(rng, dim)
         channels = tuple(CouplingChannel(random_hermitian(rng, dim), 0.4, 0.3) for _ in range(3))
         system = QuantumSystem(h, channels)
-        assert system._H2 is None and system._Q2 is None and system._C2 is None
+        assert system._h2 is None and system._q2 is None
         rho = random_density(rng, dim)
         for nonlinear in (True, False):
             out = _stage_rhs(rho, system, *system._rates, nonlinear)
@@ -284,8 +287,8 @@ def test_two_by_two_path_lets_non_finite_input_through(rng, bad):
 
 
 def test_two_by_two_path_scales_huge_entries(rng):
-    # near the float maximum the closed-form rotation overflows unless it
-    # scales first, as LAPACK's eigh does; the whole n = 2 stage must agree
+    # near the float maximum the closed-form eigenvalues overflow unless they
+    # are scaled first, as LAPACK's eigh does; the whole n = 2 stage must agree
     # with the LAPACK stage wherever that is finite (bound as above)
     consts = PhysicalConstants(hbar=0.8, kB=1.3)
     qs = (0.5 * S1, 0.5 * S2, random_hermitian(rng, 2, scale=1e-3))
@@ -301,7 +304,7 @@ def test_two_by_two_path_scales_huge_entries(rng):
                 assert finite.any()
                 gap = np.max(np.abs(out[finite] - ref[finite]))
                 assert gap <= 1e-14 * max(1.0, np.max(np.abs(ref[finite])))
-    _, _, _, l1, l2, _ = _two_level_basis(1.5e308, 0.5, 0.5 + 0j)
+    l1, l2, _ = _two_level_weights(1.5e308, 0.5, 0.5, 0.0)
     assert np.allclose((l2, l1), np.linalg.eigvalsh(rho), rtol=1e-15, atol=0.0)
 
 
