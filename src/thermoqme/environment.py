@@ -20,6 +20,7 @@ from .master_equation import (
     _as_state,
     _lapack_stage,
     _two_level_entries,
+    _two_level_map,
     _two_level_rate,
     _two_level_stage,
 )
@@ -157,50 +158,63 @@ class EnvironmentObservableReport:
     energy_flux_to_quantum: float
 
 
-def _rates_at(H_e: float, bath: HeatBath, system: QuantumSystem):
-    """Every channel's rates at bath energy ``H_e``, in the form the stage
-    kernel takes them: (friction/k_B, diffusion) as Python floats.
+def _bind(bath: HeatBath, system: QuantumSystem, nonlinear: bool):
+    """The coupled stage of one run, with what the run cannot change
+    compiled once: a function (state, H_e) -> (rate, dH_e/dt).
 
     A bath-coupled channel's friction is ``weight`` times the bath bracket,
     which does not depend on the bath energy, and its diffusion is that
-    friction times the temperature at ``H_e``; a fixed channel keeps its
-    rates.  Raises for a finite bath whose energy is not positive or not
-    finite.
-    """
-    T = bath._temperature_at(H_e)
+    friction times the temperature; a fixed channel keeps its rates.  So
+    the diffusion is a fixed part plus T(H_e) times a bath part, folded
+    once for an infinite bath; a finite bath reads T at each stage's own
+    H_e and raises :class:`_BathDrained` there when it is not positive or
+    not finite.  The subsystem and the bath only exchange energy, so
+    dH_e/dt = -Re tr(H drho/dt) from the stage's own drho/dt.  At n = 2 the
+    state is the four reals of rho and the rate dm/dt, from the Bloch map
+    with A = A_fixed + T A_bath (:func:`~thermoqme.master_equation._two_level_stage`),
+    so dH_e/dt = -h . dm/dt; above, rho and drho/dt are numpy arrays."""
     friction, diffusion = system._fixed_rates
-    weight = system._bath_weight
-    if weight is not None and bath.gamma0 > 0.0:
+    per_T = None  # the bath part of the diffusion rates
+    if system._bath_weight is not None and bath.gamma0 > 0.0:
         g, kB = bath._friction_rate(system.constants), system.constants.kB
-        f = [w * g for w in weight]
-        friction = [x / kB for x in f] if friction is None else [a + x / kB for a, x in zip(friction, f)]
-        diffusion = [a + T * x for a, x in zip(diffusion, f)]
-    return friction, diffusion
+        per_T = [w * g for w in system._bath_weight]
+        friction = [x / kB for x in per_T] if friction is None else [a + x / kB for a, x in zip(friction, per_T)]
+        if bath.kind == "infinite":
+            T = bath.temperature()
+            diffusion, per_T = [a + T * x for a, x in zip(diffusion, per_T)], None
+    finite = bath.kind == "finite"
+    temperature = bath._temperature_at
+    if system.dim > 2:
+
+        def stage(rho, H_e):
+            T = temperature(H_e)
+            rates = diffusion if per_T is None else [a + T * x for a, x in zip(diffusion, per_T)]
+            k = _lapack_stage(rho, system, friction, rates, nonlinear)
+            return k, -float(np.vdot(system.H, k).real)
+
+        return stage
+    hx, hy, hz = system._h2
+    a, u, p = _two_level_map(system, friction, diffusion)
+    b = None if per_T is None else tuple(np.dot(per_T, system._q2[1]).tolist())  # A_bath
+
+    def stage(r, H_e):
+        if finite:
+            gx, gy, gz = g = _two_level_stage(r, a, u, p, nonlinear, b, temperature(H_e))
+        else:
+            gx, gy, gz = g = _two_level_stage(r, a, u, p, nonlinear)
+        return g, -(hx * gx + hy * gy + hz * gz)
+
+    return stage
 
 
 def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear: bool):
-    """(drho/dt, dH_e/dt) at one stage of the coupled system, bath energy ``H_e``.
-
-    The channels' rates follow :func:`_rates_at`.  The subsystem and the
-    bath only exchange energy, so the bath's rate is the closure identity
-    dH_e/dt = -Re tr(H drho/dt), taken from this very drho/dt in either
-    variant.  At n = 2 both come from :func:`_two_level_rhs`, as in the
-    dim-2 step.
-    """
+    """(drho/dt, dH_e/dt) of the stage of :func:`_bind` at bath energy
+    ``H_e``, as numpy arrays at every n."""
+    stage = _bind(bath, system, nonlinear)
     if rho.shape[0] == 2:
-        g, rate = _two_level_rhs(_two_level_entries(rho), H_e, bath, system, nonlinear)
+        g, rate = stage(_two_level_entries(rho), H_e)
         return _two_level_rate(g), rate
-    k = _lapack_stage(rho, system, *_rates_at(H_e, bath, system), nonlinear)
-    return k, -float(np.vdot(system.H, k).real)
-
-
-def _two_level_rhs(r, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear: bool):
-    """:func:`_joint_rhs` at n = 2 on the four reals of rho: dm/dt from
-    :func:`~thermoqme.master_equation._two_level_stage`, and
-    dH_e/dt = -Re tr(H drho/dt) = -h . dm/dt."""
-    gx, gy, gz = g = _two_level_stage(r, system, *_rates_at(H_e, bath, system), nonlinear)
-    hx, hy, hz = system._h2
-    return g, -(hx * gx + hy * gy + hz * gz)
+    return stage(rho, H_e)
 
 
 def environment_rhs(bath: HeatBath, rho, system: QuantumSystem) -> float:

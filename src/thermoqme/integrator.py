@@ -19,7 +19,7 @@ import numpy as np
 
 from .operators import _spectrum_entropy, validate_density_matrix
 from .master_equation import QuantumSystem, _two_level_entries, _two_level_matrix, energy_expectation
-from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _joint_rhs, _two_level_rhs
+from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _bind
 
 __all__ = [
     "MonitorTolerances",
@@ -118,42 +118,47 @@ def step(
 ) -> tuple[np.ndarray, HeatBath]:
     """One explicit step of the joint (rho, H_e) system.
 
-    Every internal stage builds the bath-coupled channels' rates at that
-    stage's bath energy from the system's compiled fixed rates and bath
-    weights, and sets dH_e/dt = -Re tr(H drho/dt) from the stage's own
-    drho/dt.  The total tr(H rho) + H_e of a closed finite-bath
-    system is therefore conserved to rounding in both variants.  The returned
-    density matrix is Hermitian: above n = 2 it is re-Hermitized by conjugate
-    transpose averaging (a correction at the 1e-16 scale per step), which
-    leaves tr(H rho) as it is; at n = 2, where rho is read from its diagonal
-    and its entry (1, 0), it is built exactly Hermitian.
+    The run's rates are bound once (:func:`~thermoqme.environment._bind`);
+    every internal stage takes the bath-coupled diffusion at that stage's
+    bath energy and dH_e/dt = -Re tr(H drho/dt) from the stage's own
+    drho/dt, so the total tr(H rho) + H_e of a closed finite-bath system is
+    conserved to rounding in both variants.  The returned density matrix is
+    Hermitian: above n = 2 it is re-Hermitized by conjugate transpose
+    averaging (a correction at the 1e-16 scale per step), which leaves
+    tr(H rho) as it is; at n = 2, where rho is read from its diagonal and
+    its entry (1, 0), it is built exactly Hermitian.
 
     ``first`` is the stage already evaluated at exactly ``(rho, bath.H_e)`` in
-    the same variant, the ``(drho/dt, dH_e/dt)`` pair :func:`_observe` returns;
-    the step then uses it as its first stage instead of evaluating it again,
-    with the same result.
+    the same variant, the ``(drho/dt, dH_e/dt)`` pair
+    :func:`~thermoqme.environment._joint_rhs` returns; the step then uses it
+    as its first stage instead of evaluating it again, with the same result.
 
     A finite bath whose energy is not positive at any stage or at the end of
-    the step raises ValueError.
-
-    The dimension selects how: :func:`_two_level_step` at n = 2, where
-    numpy's call overhead is many times the arithmetic, and
-    :func:`_array_step` above.
+    the step raises ValueError.  The dimension selects how:
+    :func:`_two_level_advance` at n = 2, where numpy's call overhead is many
+    times the arithmetic, and :func:`_array_advance` above.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[0] == 2:
-        return _two_level_step(rho, bath, system, dt, method, nonlinear, first)
-    return _array_step(rho, bath, system, dt, method, nonlinear, first)
+    stage = _bind(bath, system, nonlinear)
+    if rho.shape[0] > 2:
+        rho, h = _array_advance(rho, bath.H_e, stage, dt, method, first)
+        return rho, bath.with_energy(h)
+    if first is not None:
+        k00, _, kx, ky = _two_level_entries(first[0])
+        first = (2.0 * kx, 2.0 * ky, 2.0 * k00), first[1]
+    r, h = _two_level_advance(_two_level_entries(rho), bath.H_e, stage, dt, method, first)
+    return _two_level_matrix(*r), bath.with_energy(h)
 
 
-def _array_step(rho, bath, system, dt, method, nonlinear, first):
-    """:func:`step` on arrays, one :func:`_joint_rhs` per stage."""
-    h = bath.H_e
-    k1, e1 = _joint_rhs(rho, h, bath, system, nonlinear) if first is None else first
+def _array_advance(rho, h, stage, dt, method, first):
+    """One RK4 or Euler step of (rho, H_e) on numpy arrays, with the bound
+    ``stage`` (rho, H_e) -> (drho/dt, dH_e/dt) and ``first`` its value at
+    (rho, h) or None; returns (rho, H_e) with rho re-Hermitized."""
+    k1, e1 = stage(rho, h) if first is None else first
     if method == "rk4":
-        k2, e2 = _joint_rhs(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1, bath, system, nonlinear)
-        k3, e3 = _joint_rhs(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2, bath, system, nonlinear)
-        k4, e4 = _joint_rhs(rho + dt * k3, h + dt * e3, bath, system, nonlinear)
+        k2, e2 = stage(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1)
+        k3, e3 = stage(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2)
+        k4, e4 = stage(rho + dt * k3, h + dt * e3)
         rho_new = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         he_new = h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
     elif method == "euler":
@@ -161,40 +166,25 @@ def _array_step(rho, bath, system, dt, method, nonlinear, first):
         he_new = h + dt * e1
     else:
         raise ValueError(f"unknown method {method!r}")
-    rho_new = 0.5 * (rho_new + rho_new.conj().T)
-    return rho_new, bath.with_energy(he_new)
+    return 0.5 * (rho_new + rho_new.conj().T), he_new
 
 
-def _two_level_step(rho, bath, system, dt, method, nonlinear, first):
-    """:func:`_array_step` at n = 2 on the four reals of rho in Python floats.
-
-    The state is (rho00, rho11, Re rho10, Im rho10), which keeps the
-    smaller diagonal entry, and with it the smaller eigenvalue, to full
-    relative precision.  Each stage gives dm/dt for the Bloch vector m
-    (:func:`~thermoqme.environment._two_level_rhs`), and rho moves by
-    (dm/dt . sigma)/2, so the trace changes only by rounding.  The one numpy
-    call builds the exactly Hermitian result.
-    """
-    r = _two_level_entries(rho)
-    h = bath.H_e
-    if first is None:
-        g1, e1 = _two_level_rhs(r, h, bath, system, nonlinear)
-    else:
-        k00, _, kx, ky = _two_level_entries(first[0])
-        g1, e1 = (2.0 * kx, 2.0 * ky, 2.0 * k00), first[1]
+def _two_level_advance(r, h, stage, dt, method, first):
+    """:func:`_array_advance` at n = 2 on Python floats: H_e and the four
+    reals (rho00, rho11, Re rho10, Im rho10), which keep the smaller
+    diagonal entry, and with it the smaller eigenvalue, to full relative
+    precision.  ``stage`` gives dm/dt for the Bloch vector m, and rho moves
+    by (dm/dt . sigma)/2, so the trace changes only by rounding."""
+    g1, e1 = stage(r, h) if first is None else first
     if method == "rk4":
-        g2, e2 = _two_level_rhs(_moved(r, 0.5 * dt, g1), h + 0.5 * dt * e1, bath, system, nonlinear)
-        g3, e3 = _two_level_rhs(_moved(r, 0.5 * dt, g2), h + 0.5 * dt * e2, bath, system, nonlinear)
-        g4, e4 = _two_level_rhs(_moved(r, dt, g3), h + dt * e3, bath, system, nonlinear)
+        g2, e2 = stage(_moved(r, 0.5 * dt, g1), h + 0.5 * dt * e1)
+        g3, e3 = stage(_moved(r, 0.5 * dt, g2), h + 0.5 * dt * e2)
+        g4, e4 = stage(_moved(r, dt, g3), h + dt * e3)
         g = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(g1, g2, g3, g4)]
-        rho_new = _moved(r, dt / 6.0, g)
-        he_new = h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-    elif method == "euler":
-        rho_new = _moved(r, dt, g1)
-        he_new = h + dt * e1
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _two_level_matrix(*rho_new), bath.with_energy(he_new)
+        return _moved(r, dt / 6.0, g), h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+    if method == "euler":
+        return _moved(r, dt, g1), h + dt * e1
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _moved(r, s, g):
@@ -206,20 +196,20 @@ def _moved(r, s, g):
     return r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
 
 
-def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):
+def _observe(t, rho, bath, system, energy_ref, tolerances, stage):
     """Build a trajectory point and return (point, violation detail or None,
-    stage), where stage is the (drho/dt, dH_e/dt) pair at (rho, bath.H_e)
-    that gives the point's energy flux and the next step's first stage."""
+    rates), where rates is the pair the run's bound ``stage`` returns at
+    (rho, bath.H_e): the point's energy flux and the next step's first stage."""
     trace_err = abs(complex(np.trace(rho)) - 1.0)
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     spectrum = np.linalg.eigvalsh(rho)
     min_eig = float(spectrum[0])
-    stage = _joint_rhs(rho, bath.H_e, bath, system, nonlinear)
+    rates = stage(_two_level_entries(rho) if rho.shape[0] == 2 else rho, bath.H_e)
     env = EnvironmentObservableReport(
         H_e=bath.H_e,
         T_e=bath.temperature(),
         S_e=bath.entropy(),
-        energy_flux_to_quantum=-stage[1],
+        energy_flux_to_quantum=-rates[1],
     )
     # tr(H rho) + H_e: the exact total for a finite bath, and the
     # exchange-consistent bookkeeping total for an infinite one.
@@ -256,7 +246,7 @@ def _observe(t, rho, bath, system, nonlinear, energy_ref, tolerances):
                 f"total energy drift {drift:.3e} exceeds tolerance at t={t:.6g} "
                 f"(reference {energy_ref:.6g})"
             )
-    return point, violation, stage
+    return point, violation, rates
 
 
 def simulate(
@@ -274,29 +264,44 @@ def simulate(
     (except at the final point).  Each recorded point's monitors are logged
     at DEBUG level.
 
+    The rates are bound once per run, and between recorded points the state
+    is carried as :func:`step` advances it (at n = 2 as Python floats), so
+    the density matrix and the bath snapshot are built only at recorded
+    points; the results are a loop of :func:`step`'s.
+
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
     output.  A finite bath drained of its energy within a step also ends the
     run as a violation, with the points recorded before that step.
     """
     rho = validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10)
-    bath = bath0
+    stage = _bind(bath0, system, nonlinear)
+    two_level = rho.shape[0] == 2
+    advance = _two_level_advance if two_level else _array_advance
+    state, h = (_two_level_entries(rho) if two_level else rho), bath0.H_e
+    # a finite bath drained at the end of a step fails where step's snapshot would
+    drained = bath0._temperature_at if bath0.kind == "finite" else None
     points: list[TrajectoryPoint] = []
     energy_ref = None
-    stage = None
+    rates = None
     debug = log.isEnabledFor(logging.DEBUG)
-    n = config.n_steps
+    dt, method, every, n = config.dt, config.method, config.monitor_every, config.n_steps
     for k in range(n + 1):
-        t = k * config.dt
+        t = k * dt
         if k:
             try:
-                rho, bath = step(rho, bath, system, config.dt, config.method, nonlinear, first=stage)
+                state, h = advance(state, h, stage, dt, method, rates)
+                if drained is not None:
+                    drained(h)
             except _BathDrained as exc:
                 violation = f"{exc} in the step to t={t:.6g}"
                 return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
-            stage = None
-        if k % config.monitor_every == 0 or k == n:
-            point, violation, stage = _observe(t, rho, bath, system, nonlinear, energy_ref, config.tolerances)
+            rates = None
+        if k % every == 0 or k == n:
+            rho = _two_level_matrix(*state) if two_level else state
+            point, violation, rates = _observe(
+                t, rho, bath0.with_energy(h), system, energy_ref, config.tolerances, stage
+            )
             points.append(point)
             if debug:
                 log.debug(

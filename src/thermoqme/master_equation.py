@@ -78,12 +78,12 @@ class QuantumSystem:
         # Compiled once for the stage kernel: the stack S = [H; Q_1..Q_k], whose
         # one product with rho gives [H, rho] and every [Q_j, rho]; the row
         # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; at n = 2 the
-        # real Pauli vectors h of H and, per channel, q_j, c_j = 2 q_j x h (so
-        # C_j = i c_j . sigma), q_j x c_j and |q_j|^2 as Python floats; the
-        # stored rates in the kernel's form; and, for a stage coupled to a
-        # bath, the fixed channels' rates in that form (bath-coupled channels
-        # zeroed) plus the bath-coupled channels' weights, None when no
-        # bath-coupled channel has positive weight.
+        # real Pauli vector h of H as Python floats and the per-channel pieces
+        # of the Bloch map (see _two_level_map); the stored rates in the
+        # kernel's form; and, for a stage coupled to a bath, the fixed
+        # channels' rates in that form (bath-coupled channels zeroed) plus the
+        # bath-coupled channels' weights, None when no bath-coupled channel
+        # has positive weight.
         S = np.array([self.H] + [ch.Q for ch in self.channels], dtype=complex)
         Q = S[1:]
         C = Q @ self.H - self.H @ Q
@@ -99,8 +99,12 @@ class QuantumSystem:
             p = 0.5 * np.stack([s01 + s10, 1j * (s01 - s10), S[:, 0, 0] - S[:, 1, 1]], axis=1).real
             h, q = p[0], p[1:]
             c = 2.0 * np.cross(q, h)
-            vectors = (map(tuple, a.tolist()) for a in (q, c, np.cross(q, c)))
-            h2, q2 = tuple(h.tolist()), tuple(zip(*vectors, (q * q).sum(axis=1).tolist()))
+            # (2/hbar) [h]x, and per channel 4 (q q^T - |q|^2 I), 4 q x c and 4 q c^T
+            (hx, hy, hz), qq = h, (q * q).sum(axis=1)[:, None, None]
+            cross = (2.0 / self.constants.hbar) * np.array([0.0, -hz, hy, hz, 0.0, -hx, -hy, hx, 0.0])
+            k = 4.0 * (q[:, :, None] * q[:, None, :] - qq * np.eye(3)).reshape(-1, 9)
+            h2 = tuple(h.tolist())
+            q2 = (cross, k, 4.0 * np.cross(q, c), 4.0 * (q[:, :, None] * c[:, None, :]).reshape(-1, 9))
         compiled = {
             "_S": S,
             "_Q_row": Q.transpose(1, 0, 2).reshape(dim, Q.shape[0] * dim),
@@ -178,7 +182,8 @@ def _stage_rhs(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool)
     :func:`_lapack_stage` above.
     """
     if rho.shape[0] == 2:
-        return _two_level_rate(_two_level_stage(_two_level_entries(rho), system, friction, diffusion, nonlinear))
+        bloch = _two_level_map(system, friction, diffusion)
+        return _two_level_rate(_two_level_stage(_two_level_entries(rho), *bloch, nonlinear))
     return _lapack_stage(rho, system, friction, diffusion, nonlinear)
 
 
@@ -218,51 +223,59 @@ def _two_level_rate(g) -> np.ndarray:
     return _two_level_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy)
 
 
-def _two_level_stage(r, system: QuantumSystem, friction, diffusion, nonlinear: bool):
+def _two_level_map(system: QuantumSystem, friction, diffusion):
+    """The Bloch map (A, U, P) of the n = 2 stage for rates in
+    :func:`_kernel_rates` form, as flat tuples of Python floats (A and P
+    row-major 3x3): A = (2/hbar) [h]x + sum_j 4 diffusion_j (q_j q_j^T -
+    |q_j|^2 I), U = sum_j 4 friction_j/k_B q_j x c_j and
+    P = sum_j 4 friction_j/k_B q_j c_j^T, both None when ``friction`` is None."""
+    cross, k, u, p = system._q2
+    a = cross + np.dot(diffusion, k)
+    if friction is None:
+        return tuple(a.tolist()), None, None
+    return tuple(a.tolist()), tuple(np.dot(friction, u).tolist()), tuple(np.dot(friction, p).tolist())
+
+
+def _two_level_stage(r, a, u, p, nonlinear: bool, b=None, T: float = 0.0):
     """:func:`_stage_rhs` at n = 2, in real Pauli coordinates and Python floats.
 
     Takes rho as the four reals r = (rho00, rho11, Re rho10, Im rho10) and
     returns dm/dt for its Bloch vector m = (2 Re rho10, 2 Im rho10,
-    rho00 - rho11), so rho = (tr rho I + m . sigma)/2.  With the compiled
-    vectors h, q_j, c_j = 2 q_j x h and q_j x c_j,
-
-    dm/dt = (2/hbar) h x m + sum_j 4 diffusion_j q_j x (q_j x m)
-            + sum_j 4 friction_j/k_B q_j x v_j,
-
-    where v_j . sigma is the traceless part of the modified product of
-    c_j . sigma with rho.  Nonlinear, v_j = d c_j + (l - d)(c_j . n) n with
-    n = m/|m|, l the mean of the clipped eigenvalues and d their log-mean
-    (:func:`_two_level_weights`, one call per stage); linearized,
-    v_j = (tr rho/2) c_j.  A caller that keeps its state as the four reals
-    (the dim-2 :func:`~thermoqme.integrator.step`) makes no numpy call.
-    """
+    rho00 - rho11), so rho = (tr rho I + m . sigma)/2.  With the Bloch map
+    (A, U, P) = (a + T b, u, p) of :func:`_two_level_map` (b, if given, is
+    a finite bath's A_bath), dm/dt = A m + d U + (e P n) x n.  This sums,
+    over the channels, (2/hbar) h x m, 4 diffusion_j q_j x (q_j x m) and
+    4 friction_j/k_B q_j x v_j, where v_j . sigma is the traceless part of
+    the modified product of c_j . sigma = [Q_j, H]/i with rho.  Nonlinear,
+    v_j = d c_j + e (c_j . n) n with n = m/|m| (0 at m = 0), d the log-mean
+    of the clipped eigenvalues and e their mean minus d (one
+    :func:`_two_level_weights` call per stage with friction); linearized,
+    d = tr rho/2 and there is no P term.  No numpy call is made."""
     r00, r11, x, y = r
     mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
-    hx, hy, hz = system._h2
-    w = 2.0 / system.constants.hbar
-    gx, gy, gz = w * (hy * mz - hz * my), w * (hz * mx - hx * mz), w * (hx * my - hy * mx)
-    # p = sum_j 4 friction_j/k_B (l - d)(c_j . n) q_j; p x n adds the nonlinear part of every q_j x v_j
-    px = py = pz = nx = ny = nz = 0.0
-    if friction is None:
-        friction = (0.0,) * len(diffusion)
-    elif nonlinear:
-        l1, l2, d = _two_level_weights(r00, r11, x, y)
-        e = 0.5 * (l1 + l2) - d
-        m = math.hypot(mx, my, mz)
-        if m > 0.0:
-            nx, ny, nz = mx / m, my / m, mz / m
-    else:
-        d = 0.5 * (r00 + r11)  # v_j = d c_j
-    for ((qx, qy, qz), (cx, cy, cz), (ux, uy, uz), qq), f, dj in zip(system._q2, friction, diffusion):
-        # q x (q x m) = q (q . m) - |q|^2 m
-        t, s = 4.0 * dj * (qx * mx + qy * my + qz * mz), 4.0 * dj * qq
-        gx, gy, gz = gx + t * qx - s * mx, gy + t * qy - s * my, gz + t * qz - s * mz
-        if f:
-            s = 4.0 * f * d
-            gx, gy, gz = gx + s * ux, gy + s * uy, gz + s * uz
-            if nonlinear:
-                t = 4.0 * f * e * (cx * nx + cy * ny + cz * nz)
-                px, py, pz = px + t * qx, py + t * qy, pz + t * qz
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    gx, gy, gz = a0 * mx + a1 * my + a2 * mz, a3 * mx + a4 * my + a5 * mz, a6 * mx + a7 * my + a8 * mz
+    if b is not None:
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        gx += T * (b0 * mx + b1 * my + b2 * mz)
+        gy += T * (b3 * mx + b4 * my + b5 * mz)
+        gz += T * (b6 * mx + b7 * my + b8 * mz)
+    if u is None:
+        return gx, gy, gz
+    ux, uy, uz = u
+    if not nonlinear:
+        d = 0.5 * (r00 + r11)
+        return gx + d * ux, gy + d * uy, gz + d * uz
+    l1, l2, d = _two_level_weights(r00, r11, x, y)
+    gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
+    m = math.hypot(mx, my, mz)
+    if not m > 0.0:
+        return gx, gy, gz
+    nx, ny, nz = mx / m, my / m, mz / m
+    e = 0.5 * (l1 + l2) - d
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
+    px, py, pz = p0 * nx + p1 * ny + p2 * nz, p3 * nx + p4 * ny + p5 * nz, p6 * nx + p7 * ny + p8 * nz
+    px, py, pz = e * px, e * py, e * pz
     return gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
 
 

@@ -592,9 +592,8 @@ def test_run_drained_finite_bath_exits_with_violation(tmp_path, capsys):
 
 
 def test_run_state_gone_non_finite_exits_with_violation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(
-        integrator, "step", lambda rho, bath, *args, **kwargs: (np.full_like(rho, np.nan), bath)
-    )
+    # a dim-2 run steps its state through the float-carried step simulate binds
+    monkeypatch.setattr(integrator, "_two_level_advance", lambda r, h, *args: ((np.nan,) * 4, h))
     out = tmp_path / "nan.csv"
     assert main(["run", "--config", str(_write(tmp_path, _two_level_config())), "--out", str(out)]) == 2
     assert "non-finite monitor trace_err=nan" in capsys.readouterr().err

@@ -165,17 +165,34 @@ def test_exchange_balance_with_bath_coupled_channels(rng):
 
 
 def _rates_at(monkeypatch, bath, system, H_e):
-    """(friction, diffusion) Python floats that one stage at bath energy ``H_e`` hands
-    to the stage kernel (k_B = 1)."""
-    seen = []
+    """(friction, diffusion) Python floats that the per-run binding gives one
+    stage at bath energy ``H_e`` (k_B = 1): the rates it folds into the
+    stage's Bloch map, read off its products with the system's per-channel
+    pieces (friction with 4 q_j x c_j; diffusion with 4 (q_j q_j^T - |q_j|^2 I),
+    first the fixed part, then a finite bath's per-temperature part, which
+    is taken at the temperature the stage reads)."""
+    _, k, u, _ = system._q2
+    folded, temperatures = {id(k): [], id(u): []}, []
+    dot = np.dot
 
-    def capture(r, system, friction, diffusion, nonlinear):
-        seen.append((friction, diffusion))
-        return _two_level_stage(r, system, friction, diffusion, nonlinear)
+    def capture_dot(rates, pieces):
+        folded.get(id(pieces), []).append(rates)
+        return dot(rates, pieces)
 
-    monkeypatch.setattr(environment, "_two_level_stage", capture)
-    _joint_rhs(I2 / 2, H_e, bath, system, True)
-    ((friction, diffusion),) = seen
+    def capture_stage(r, a, u, p, nonlinear, b=None, T=0.0):
+        temperatures.append(T)
+        return _two_level_stage(r, a, u, p, nonlinear, b, T)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "dot", capture_dot)
+        patch.setattr(environment, "_two_level_stage", capture_stage)
+        _joint_rhs(I2 / 2, H_e, bath, system, True)
+    (friction,) = folded[id(u)]
+    diffusion, *bath_part = folded[id(k)]
+    if bath_part:
+        ((per_T,), (T,)) = bath_part, temperatures
+        assert all(type(rate) is float for rate in per_T)
+        diffusion = [a + T * x for a, x in zip(diffusion, per_T)]
     assert all(type(rate) is float for rate in (*friction, *diffusion))
     return list(friction), list(diffusion)
 
@@ -188,6 +205,9 @@ def test_bath_rate_rule(monkeypatch):
     friction, diffusion = _rates_at(monkeypatch, bath, sys_, bath.H_e)
     assert list(friction) == [0.11, 0.5 * 1.0]
     assert list(diffusion) == [0.22, 0.5 * 2.0]
+    # a bath-coupled channel of weight 0 has rates exactly 0
+    weightless = QuantumSystem(0.5 * S3, (fixed, coupled, CouplingChannel(S3, bath_coupled=True, weight=0.0)))
+    assert _rates_at(monkeypatch, bath, weightless, bath.H_e) == ([0.11, 0.5, 0.0], [0.22, 1.0, 0.0])
     # a finite bath's rates follow the energy passed in, not the snapshot's
     finite = HeatBath.finite(C_e=4.0, H_e=4.0, gamma0=1.0, omega_ref=1.0)
     friction, diffusion = _rates_at(monkeypatch, finite, sys_, 6.0)

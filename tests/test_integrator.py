@@ -19,8 +19,8 @@ from thermoqme import (
     von_neumann_entropy,
 )
 from thermoqme import integrator, master_equation
-from thermoqme.environment import _joint_rhs
-from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_step, _observe
+from thermoqme.environment import _bind, _joint_rhs
+from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe
 from thermoqme.operators import PhysicalConstants
 from thermoqme.two_level import SIGMA
 
@@ -311,10 +311,11 @@ def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decomposition
         rho = random_density(rng, dim)
         w = np.linalg.eigvalsh(rho)
         entropy = bath.entropy() + von_neumann_entropy(rho)
+        stage = _bind(bath, system, nonlinear)
         with monkeypatch.context() as patch:
             bases, eighs = _count_decompositions(patch)
             eigvalsh = _count_calls(patch, np.linalg, "eigvalsh")
-            point, violation, _ = _observe(0.0, rho, bath, system, nonlinear, None, MonitorTolerances())
+            point, violation, _ = _observe(0.0, rho, bath, system, None, MonitorTolerances(), stage)
         assert (bases, eighs) == _decompositions(dim, decompositions)
         assert eigvalsh == [(dim, dim)]
         assert violation is None
@@ -371,6 +372,17 @@ def test_step_rejects_unknown_method(rng, dim, setup):
     for given in (None, first):
         with pytest.raises(ValueError, match="unknown method 'midpoint'"):
             step(rho, bath, system, 1e-2, method="midpoint", first=given)
+
+
+def _array_step(rho, bath, system, dt, method, nonlinear, first):
+    """The step on numpy arrays at any n, every stage bound anew by
+    _joint_rhs: the reference for the float-carried dim-2 step."""
+
+    def stage(rho, H_e):
+        return _joint_rhs(rho, H_e, bath, system, nonlinear)
+
+    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, first)
+    return rho, bath.with_energy(h)
 
 
 def _two_level_step_cases(rng):
@@ -447,21 +459,26 @@ def test_non_finite_state_is_a_violation(nonlinear):
     # NaN compares false with every tolerance; the monitor must still fire
     system, bath = _finite_bath_setup()
     rho = np.full((2, 2), np.nan, dtype=complex)
-    point, violation, _ = _observe(0.5, rho, bath, system, nonlinear, None, MonitorTolerances())
+    point, violation, _ = _observe(0.5, rho, bath, system, None, MonitorTolerances(), _bind(bath, system, nonlinear))
     assert violation is not None and violation.startswith("non-finite monitor")
     for key in ("trace_err", "herm_err", "min_eig"):
         assert f"{key}=nan" in violation
     assert "total_energy" in violation and "t=0.5" in violation
     # a finite state with a non-finite bath energy: only the total is bad
     infinite = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0, H_e=np.inf)
-    _, violation, _ = _observe(0.5, I2 / 2, infinite, system, nonlinear, None, MonitorTolerances())
+    stage = _bind(infinite, system, nonlinear)
+    _, violation, _ = _observe(0.5, I2 / 2, infinite, system, None, MonitorTolerances(), stage)
     assert violation == "non-finite monitor total_energy=inf at t=0.5"
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
+    # simulate steps a dim-2 state through the float-carried step it binds
+    # at the start of the run, so that is where the NaN goes in
     p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
-    monkeypatch.setattr(integrator, "step", lambda rho, bath, *args, **kwargs: (np.full_like(rho, np.nan), bath))
+    nan = (np.nan,) * 4
+    advance = integrator._two_level_advance
+    monkeypatch.setattr(integrator, "_two_level_advance", lambda r, h, *args: (nan, h))
     cfg = IntegratorConfig(dt=0.01, t_end=1.0, monitor_every=3)
     traj = simulate(I2 / 2, two_level_bath(p), two_level_system(p), cfg, nonlinear=nonlinear)
     assert traj.termination == MONITOR_VIOLATION
@@ -473,11 +490,116 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     # violation names the non-finite state, not a drained bath
     system, bath = _finite_bath_setup()
 
-    def nan_step(rho, bath, *args, first=None, **kwargs):
-        return step(np.full_like(rho, np.nan), bath, *args, **kwargs)
+    def nan_step(r, h, stage, dt, method, first):
+        return advance(nan, h, stage, dt, method, None)
 
-    monkeypatch.setattr(integrator, "step", nan_step)
+    monkeypatch.setattr(integrator, "_two_level_advance", nan_step)
     traj = simulate(I2 / 2, bath, system, cfg, nonlinear=nonlinear)
     assert traj.termination == MONITOR_VIOLATION
     assert traj.violation == "state went non-finite: finite bath energy H_e=nan in the step to t=0.01"
     assert [point.t for point in traj.points] == [0.0]
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_simulate_matches_array_step_loop(rng, method, nonlinear):
+    # simulate carries the dim-2 state as floats between sampled points, with
+    # the rates bound once; a loop of the array step, which binds at every
+    # stage and builds every step's matrix and bath snapshot, and _observe,
+    # bound afresh at every point, must give the same points and the same
+    # termination over 240 steps: random non-diagonal H and Q, hbar = 0.8,
+    # k_B = 1.3, a weight-0 bath-coupled channel next to a weighted one and
+    # two fixed ones, with an infinite and with a finite bath (temperature 2,
+    # and a start away from the Bloch sphere, so that the linearized variant
+    # stays inside it); bound fixed before measuring: 1e-13 in rho and in H_e
+    # and the flux (relative to max(1, |value|))
+    consts = PhysicalConstants(hbar=0.8, kB=1.3)
+    qs = [random_hermitian(rng, 2) for _ in range(4)]
+    system = QuantumSystem(
+        random_hermitian(rng, 2),
+        (
+            CouplingChannel(qs[0], 0.2, 0.5),
+            CouplingChannel(qs[1], bath_coupled=True, weight=0.0),
+            CouplingChannel(qs[2], bath_coupled=True, weight=0.7),
+            CouplingChannel(qs[3], 0.3, 0.9),
+        ),
+        consts,
+    )
+    baths = (
+        HeatBath.infinite(T_e=2.0, gamma0=0.9, omega_ref=1.1, H_e=0.3),
+        HeatBath.finite(C_e=4.0, H_e=8.0, gamma0=0.9, omega_ref=1.1),
+    )
+    cfg = IntegratorConfig(dt=0.01, t_end=2.4, method=method, monitor_every=7)
+    for bath in baths:
+        rho0 = 0.5 * (random_density(rng, 2) + I2 / 2)
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == COMPLETED
+        rho, ref_bath, energy_ref, reference = rho0, bath, None, []
+        for k in range(cfg.n_steps + 1):
+            if k:
+                rho, ref_bath = _array_step(rho, ref_bath, system, cfg.dt, method, nonlinear, None)
+            if k % cfg.monitor_every == 0 or k == cfg.n_steps:
+                stage = _bind(ref_bath, system, nonlinear)
+                point, violation, _ = _observe(k * cfg.dt, rho, ref_bath, system, energy_ref, cfg.tolerances, stage)
+                assert violation is None
+                reference.append(point)
+                energy_ref = reference[0].monitors["total_energy"]
+        assert len(traj.points) == len(reference) == 36
+        for out, ref in zip(traj.points, reference):
+            assert out.t == ref.t
+            assert np.max(np.abs(out.rho - ref.rho)) <= 1e-13
+            for key in ("H_e", "energy_flux_to_quantum"):
+                a, b = getattr(out.env, key), getattr(ref.env, key)
+                assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+
+def test_simulate_builds_bath_snapshots_only_at_sampled_points(monkeypatch):
+    # 1,000 dim-2 steps sampled every 100: the HeatBath snapshot is built for
+    # the 11 recorded points, not for every step
+    system, bath = _finite_bath_setup()
+    built = _count_calls(monkeypatch, HeatBath, "__post_init__")
+    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, monitor_every=100)
+    traj = simulate(I2 / 2, bath, system, cfg)
+    assert traj.termination == COMPLETED and len(traj.points) == 11
+    assert len(built) <= len(traj.points) + 2
+
+
+def _heated(system, bath):
+    """The system with its channels replaced by one fixed channel on the first
+    coupling operator (friction 0.1, diffusion 1.0, so temperature 10): it
+    heats the subsystem at any bath temperature, and the closure draws the
+    heat from the bath until a small finite bath is drained."""
+    return QuantumSystem(system.H, (CouplingChannel(system.channels[0].Q, 0.1, 1.0),)), bath
+
+
+# (dim, nonlinear, method) -> (violation, number of points, last recorded H_e),
+# as the loop over step gave them, with monitor_every=4, dt=0.05
+DRAINED = {
+    (2, True, "rk4"): ("H_e=-0.0015102 in the step to t=0.55", 3, 0.042551615563457434),
+    (2, True, "euler"): ("H_e=-0.00557756 in the step to t=0.55", 3, 0.03905075104058656),
+    (2, False, "rk4"): ("H_e=-0.00561274 in the step to t=0.6", 3, 0.04505042847972897),
+    (2, False, "euler"): ("H_e=-0.00266396 in the step to t=0.55", 3, 0.041807602705859384),
+    (3, True, "rk4"): ("H_e=-0.0113941 in the step to t=0.25", 2, 0.02627019677251277),
+    (3, True, "euler"): ("H_e=-0.0169433 in the step to t=0.25", 2, 0.021441214229442285),
+    (3, False, "rk4"): ("H_e=-0.00749331 in the step to t=0.25", 2, 0.02971915892339689),
+    (3, False, "euler"): ("H_e=-0.012383 in the step to t=0.25", 2, 0.02554406520578123),
+}
+
+
+@pytest.mark.parametrize("dim, nonlinear, method", DRAINED)
+def test_drained_bath_between_sampled_points(dim, nonlinear, method):
+    # the bath drains in a step between recorded points (with euler, only at
+    # the end of the step): the run ends where stepping bath snapshots did,
+    # with the same text, the same points and the same last bath energy
+    violation, n_points, last_H_e = DRAINED[dim, nonlinear, method]
+    setup, rho0 = {
+        2: (_finite_bath_setup, pauli_compose(1.0, np.array([0.0, 0.0, -0.99]))),
+        3: (_three_level_setup, np.diag([0.001, 0.001, 0.998]).astype(complex)),
+    }[dim]
+    system, bath = _heated(*setup(C_e=1.0, H_e0=0.2))
+    cfg = IntegratorConfig(dt=0.05, t_end=10.0, method=method, monitor_every=4)
+    traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+    assert traj.termination == MONITOR_VIOLATION
+    assert traj.violation == f"finite bath energy must stay positive, got {violation}"
+    assert len(traj.points) == n_points
+    assert traj.final.env.H_e == last_H_e
