@@ -12,18 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .operators import NATURAL, PhysicalConstants
-from .master_equation import (
-    QuantumSystem,
-    _as_state,
-    _lapack_stage,
-    _two_level_entries,
-    _two_level_map,
-    _two_level_rate,
-    _two_level_stage,
-)
+from .master_equation import QuantumSystem, _as_state, _bind_rates, _matrix_rates, _rates
 
 __all__ = [
     "HeatBath",
@@ -159,62 +149,22 @@ class EnvironmentObservableReport:
 
 
 def _bind(bath: HeatBath, system: QuantumSystem, nonlinear: bool):
-    """The coupled stage of one run, with what the run cannot change
-    compiled once: a function (state, H_e) -> (rate, dH_e/dt).
+    """The coupled stage of one run, (state, H_e) -> (rate, dH_e/dt): the
+    stage of :func:`~thermoqme.master_equation._bind_rates` for the rates
+    of the bath bracket (:func:`~thermoqme.master_equation._rates`).
 
-    A bath-coupled channel's friction is ``weight`` times the bath bracket,
-    which does not depend on the bath energy, and its diffusion is that
-    friction times the temperature; a fixed channel keeps its rates.  So
-    the diffusion is a fixed part plus T(H_e) times a bath part, folded
-    once for an infinite bath; a finite bath reads T at each stage's own
-    H_e and raises :class:`_BathDrained` there when it is not positive or
-    not finite.  The subsystem and the bath only exchange energy, so
-    dH_e/dt = -Re tr(H drho/dt) from the stage's own drho/dt.  At n = 2 the
-    state is the four reals of rho and the rate dm/dt, from the Bloch map
-    with A = A_fixed + T A_bath (:func:`~thermoqme.master_equation._two_level_stage`),
-    so dH_e/dt = -h . dm/dt; above, rho and drho/dt are numpy arrays."""
-    friction, diffusion = system._fixed_rates
-    per_T = None  # the bath part of the diffusion rates
-    if system._bath_weight is not None and bath.gamma0 > 0.0:
-        g, kB = bath._friction_rate(system.constants), system.constants.kB
-        per_T = [w * g for w in system._bath_weight]
-        friction = [x / kB for x in per_T] if friction is None else [a + x / kB for a, x in zip(friction, per_T)]
-        if bath.kind == "infinite":
-            T = bath.temperature()
-            diffusion, per_T = [a + T * x for a, x in zip(diffusion, per_T)], None
-    finite = bath.kind == "finite"
-    temperature = bath._temperature_at
-    if system.dim > 2:
-
-        def stage(rho, H_e):
-            T = temperature(H_e)
-            rates = diffusion if per_T is None else [a + T * x for a, x in zip(diffusion, per_T)]
-            k = _lapack_stage(rho, system, friction, rates, nonlinear)
-            return k, -float(np.vdot(system.H, k).real)
-
-        return stage
-    hx, hy, hz = system._h2
-    a, u, p = _two_level_map(system, friction, diffusion)
-    b = None if per_T is None else tuple(np.dot(per_T, system._q2[1]).tolist())  # A_bath
-
-    def stage(r, H_e):
-        if finite:
-            gx, gy, gz = g = _two_level_stage(r, a, u, p, nonlinear, b, temperature(H_e))
-        else:
-            gx, gy, gz = g = _two_level_stage(r, a, u, p, nonlinear)
-        return g, -(hx * gx + hy * gy + hz * gz)
-
-    return stage
-
-
-def _joint_rhs(rho, H_e: float, bath: HeatBath, system: QuantumSystem, nonlinear: bool):
-    """(drho/dt, dH_e/dt) of the stage of :func:`_bind` at bath energy
-    ``H_e``, as numpy arrays at every n."""
-    stage = _bind(bath, system, nonlinear)
-    if rho.shape[0] == 2:
-        g, rate = stage(_two_level_entries(rho), H_e)
-        return _two_level_rate(g), rate
-    return stage(rho, H_e)
+    Every friction rate is constant, and the diffusion rates are a fixed
+    part plus T(H_e) times a bath part.  For an infinite bath the two are
+    folded together here, once; a finite bath reads T at each stage's own
+    H_e and raises :class:`_BathDrained` there when the energy is not
+    positive or not finite."""
+    friction, diffusion, per_T = _rates(system, bath._friction_rate(system.constants))
+    if bath.kind == "finite":
+        return _bind_rates(system, nonlinear, friction, diffusion, per_T, bath._temperature_at)
+    if per_T is not None:
+        T = bath.temperature()
+        diffusion = [a + T * x for a, x in zip(diffusion, per_T)]
+    return _bind_rates(system, nonlinear, friction, diffusion)
 
 
 def environment_rhs(bath: HeatBath, rho, system: QuantumSystem) -> float:
@@ -230,4 +180,4 @@ def environment_rhs(bath: HeatBath, rho, system: QuantumSystem) -> float:
 
     with the canonical correlation and the plain average.
     """
-    return _joint_rhs(_as_state(rho, system), bath.H_e, bath, system, True)[1]
+    return _matrix_rates(_bind(bath, system, True), _as_state(rho, system), bath.H_e)[1]

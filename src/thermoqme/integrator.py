@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import _spectrum_entropy, validate_density_matrix
-from .master_equation import QuantumSystem, _two_level_entries, _two_level_matrix, energy_expectation
+from .master_equation import QuantumSystem, _as_state, _two_level_entries, _two_level_matrix, energy_expectation
 from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _bind
 
 __all__ = [
@@ -129,18 +129,19 @@ def step(
     its entry (1, 0), it is built exactly Hermitian.
 
     ``first`` is the stage already evaluated at exactly ``(rho, bath.H_e)`` in
-    the same variant, the ``(drho/dt, dH_e/dt)`` pair
-    :func:`~thermoqme.environment._joint_rhs` returns; the step then uses it
-    as its first stage instead of evaluating it again, with the same result.
+    the same variant, as the ``(drho/dt, dH_e/dt)`` pair of numpy arrays
+    that :func:`~thermoqme.master_equation._matrix_rates` gives for the
+    run's stage; the step then uses it as its first stage instead of
+    evaluating it again, with the same result.
 
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError.  The dimension selects how:
     :func:`_two_level_advance` at n = 2, where numpy's call overhead is many
     times the arithmetic, and :func:`_array_advance` above.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _as_state(rho, system)
     stage = _bind(bath, system, nonlinear)
-    if rho.shape[0] > 2:
+    if system.dim > 2:
         rho, h = _array_advance(rho, bath.H_e, stage, dt, method, first)
         return rho, bath.with_energy(h)
     if first is not None:
@@ -204,7 +205,7 @@ def _observe(t, rho, bath, system, energy_ref, tolerances, stage):
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     spectrum = np.linalg.eigvalsh(rho)
     min_eig = float(spectrum[0])
-    rates = stage(_two_level_entries(rho) if rho.shape[0] == 2 else rho, bath.H_e)
+    rates = stage(_two_level_entries(rho) if system.dim == 2 else rho, bath.H_e)
     env = EnvironmentObservableReport(
         H_e=bath.H_e,
         T_e=bath.temperature(),
@@ -272,11 +273,13 @@ def simulate(
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
     output.  A finite bath drained of its energy within a step also ends the
-    run as a violation, with the points recorded before that step.
+    run as a violation, with the points recorded before that step, and so
+    does a state gone non-finite where LAPACK (above n = 2) fails on it
+    before a monitor sees it.
     """
-    rho = validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10)
+    rho = _as_state(validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10), system)
     stage = _bind(bath0, system, nonlinear)
-    two_level = rho.shape[0] == 2
+    two_level = system.dim == 2
     advance = _two_level_advance if two_level else _array_advance
     state, h = (_two_level_entries(rho) if two_level else rho), bath0.H_e
     # a finite bath drained at the end of a step fails where step's snapshot would
@@ -288,20 +291,25 @@ def simulate(
     dt, method, every, n = config.dt, config.method, config.monitor_every, config.n_steps
     for k in range(n + 1):
         t = k * dt
-        if k:
-            try:
+        sampled = k % every == 0 or k == n
+        try:
+            if k:
                 state, h = advance(state, h, stage, dt, method, rates)
                 if drained is not None:
                     drained(h)
-            except _BathDrained as exc:
-                violation = f"{exc} in the step to t={t:.6g}"
-                return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
-            rates = None
-        if k % every == 0 or k == n:
-            rho = _two_level_matrix(*state) if two_level else state
-            point, violation, rates = _observe(
-                t, rho, bath0.with_energy(h), system, energy_ref, config.tolerances, stage
-            )
+                rates = None
+            if sampled:
+                rho = _two_level_matrix(*state) if two_level else state
+                point, violation, rates = _observe(
+                    t, rho, bath0.with_energy(h), system, energy_ref, config.tolerances, stage
+                )
+        except _BathDrained as exc:
+            return Trajectory(tuple(points), config, MONITOR_VIOLATION, f"{exc} in the step to t={t:.6g}")
+        except np.linalg.LinAlgError as exc:
+            # LAPACK fails on a non-finite state before any monitor can see it
+            violation = f"state went non-finite: eigendecomposition failed ({exc}) by t={t:.6g}"
+            return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
+        if sampled:
             points.append(point)
             if debug:
                 log.debug(

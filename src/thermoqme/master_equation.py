@@ -38,10 +38,14 @@ class CouplingChannel:
     """One dissipative coupling: an observable Q plus its two bracket rates.
 
     ``friction_rate`` weights the modified-operator (entropy-driven) term and
-    ``diffusion_rate`` the plain double-commutator term.  Channels marked
-    ``bath_coupled`` have their rates re-evaluated from the bath state at
-    every stage of a coupled run; ``weight`` scales those bath rates, which
-    covers e.g. an enhanced longitudinal channel.
+    ``diffusion_rate`` the plain double-commutator term.  In a run coupled
+    to a bath, a channel marked ``bath_coupled`` takes its rates from the
+    bath bracket instead, scaled by ``weight`` (which covers e.g. an
+    enhanced longitudinal channel): its friction is fixed for the run, and
+    its diffusion is that friction times the bath temperature, which for a
+    finite bath is read at every stage's own bath energy.  Such a channel's
+    stored ``friction_rate`` and ``diffusion_rate`` are read only by
+    :func:`master_rhs`.
     """
 
     Q: np.ndarray
@@ -77,20 +81,12 @@ class QuantumSystem:
                 )
         # Compiled once for the stage kernel: the stack S = [H; Q_1..Q_k], whose
         # one product with rho gives [H, rho] and every [Q_j, rho]; the row
-        # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; at n = 2 the
-        # real Pauli vector h of H as Python floats and the per-channel pieces
-        # of the Bloch map (see _two_level_map); the stored rates in the
-        # kernel's form; and, for a stage coupled to a bath, the fixed
-        # channels' rates in that form (bath-coupled channels zeroed) plus the
-        # bath-coupled channels' weights, None when no bath-coupled channel
-        # has positive weight.
+        # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; and at n = 2
+        # the real Pauli vector h of H as Python floats and the per-channel
+        # pieces of the Bloch map (see _bind_rates).
         S = np.array([self.H] + [ch.Q for ch in self.channels], dtype=complex)
         Q = S[1:]
         C = Q @ self.H - self.H @ Q
-        coupled = [ch.bath_coupled for ch in self.channels]
-        friction = [float(ch.friction_rate) for ch in self.channels]
-        diffusion = [float(ch.diffusion_rate) for ch in self.channels]
-        weight = tuple(float(ch.weight) if c else 0.0 for ch, c in zip(self.channels, coupled))
         h2 = q2 = None
         if dim == 2:
             # a_k = Re tr(sigma_k A)/2, so A = a0 I + a . sigma for Hermitian A,
@@ -111,13 +107,6 @@ class QuantumSystem:
             "_C": C,
             "_h2": h2,
             "_q2": q2,
-            "_rates": _kernel_rates(friction, diffusion, self.constants),
-            "_fixed_rates": _kernel_rates(
-                [0.0 if c else f for c, f in zip(coupled, friction)],
-                [0.0 if c else d for c, d in zip(coupled, diffusion)],
-                self.constants,
-            ),
-            "_bath_weight": weight if any(weight) else None,
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
@@ -151,45 +140,85 @@ def master_rhs(rho, system: QuantumSystem, nonlinear: bool = True) -> np.ndarray
     positivity is not enforced here so that pathological trajectories can be
     monitored rather than interrupted.
     """
-    return _stage_rhs(_as_state(rho, system), system, *system._rates, nonlinear)
+    stage = _bind_rates(system, nonlinear, *_rates(system))
+    return _matrix_rates(stage, _as_state(rho, system), 0.0)[0]
 
 
-def _kernel_rates(friction, diffusion, constants: PhysicalConstants):
-    """Per-channel rates in the form :func:`_stage_rhs` takes them.
+def _rates(system: QuantumSystem, g: float | None = None):
+    """Each channel's friction/k_B, diffusion and diffusion per unit T, as
+    lists of Python floats: the stored rates when ``g`` is None; otherwise,
+    for a bath-coupled channel, ``weight`` times the bath bracket ``g`` as
+    friction and as diffusion per unit T.  Lists that would be all zero are
+    None (the diffusion list excepted)."""
+    friction, diffusion, per_T = [], [], []
+    for ch in system.channels:
+        coupled = g is not None and ch.bath_coupled
+        w = float(ch.weight) * g if coupled else 0.0
+        friction.append(w if coupled else float(ch.friction_rate))
+        diffusion.append(0.0 if coupled else float(ch.diffusion_rate))
+        per_T.append(w)
+    kB = system.constants.kB
+    friction = [x / kB for x in friction] if any(friction) else None
+    return friction, diffusion, per_T if any(per_T) else None
 
-    Returns (friction/k_B, diffusion) as tuples of Python floats, with None
-    in place of the friction tuple when every friction rate is zero.
+
+def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per_T=None, temperature=None):
+    """The stage (state, H_e) -> (rate, dH_e/dt) of rates in :func:`_rates`
+    form, with what they fix compiled once; dH_e/dt = -Re tr(H drho/dt) by
+    energy closure.  ``temperature``, if given, maps a bath energy to T
+    (raising for a drained bath) and is read at every stage's own H_e; the
+    diffusion rates are then ``diffusion`` + T ``per_T``.
+
+    The dimension selects the kernel: at n = 2 the state is the four reals
+    of rho, the rate is dm/dt and the Bloch map of :func:`_two_level_stage`
+    is compiled here; above, numpy arrays and :func:`_lapack_stage`.
     """
-    f = tuple(x / constants.kB for x in friction) if any(friction) else None
-    return f, tuple(diffusion)
+    finite = temperature is not None
+    if system.dim > 2:
+
+        def stage(rho, H_e):
+            T = temperature(H_e) if finite else 0.0
+            rates = diffusion if per_T is None else [a + T * x for a, x in zip(diffusion, per_T)]
+            k = _lapack_stage(rho, system, friction, rates, nonlinear)
+            return k, -float(np.vdot(system.H, k).real)
+
+        return stage
+    hx, hy, hz = system._h2
+    cross, k, u, p = system._q2
+    a = tuple((cross + np.dot(diffusion, k)).tolist())
+    if friction is None:
+        u = p = None
+    else:
+        u, p = tuple(np.dot(friction, u).tolist()), tuple(np.dot(friction, p).tolist())
+    b = None if per_T is None else tuple(np.dot(per_T, k).tolist())  # A_bath
+
+    def stage(r, H_e):
+        if finite:
+            gx, gy, gz = g = _two_level_stage(r, a, u, p, nonlinear, b, temperature(H_e))
+        else:
+            gx, gy, gz = g = _two_level_stage(r, a, u, p, nonlinear)
+        return g, -(hx * gx + hy * gy + hz * gz)
+
+    return stage
 
 
-def _stage_rhs(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool) -> np.ndarray:
-    """:func:`master_rhs` with the rates given in :func:`_kernel_rates` form.
-
-    rho must be Hermitian; the products below use that.  For Hermitian A,
-    rho A = (A rho)^dagger, so P = S rho gives [H, rho] and every
-    [Q_j, rho] as P - P^dagger.  rho is decomposed at most once, and only
-    for the nonlinear variant with some nonzero friction rate.  Channel j
-    enters through the anti-Hermitian
-    X_j = friction_j/k_B M_j + diffusion_j [Q_j, rho], where M_j is the
-    modified (or, linearized, the symmetrized) product of C_j = [Q_j, H]
-    with rho.  Because X_j is anti-Hermitian, the channel sum
-    -sum_j [Q_j, X_j] is -(A + A^dagger) with A = sum_j Q_j X_j.
-
-    The dimension selects how: :func:`_two_level_stage` at n = 2, where
-    numpy's call overhead is many times the arithmetic, and
-    :func:`_lapack_stage` above.
-    """
-    if rho.shape[0] == 2:
-        bloch = _two_level_map(system, friction, diffusion)
-        return _two_level_rate(_two_level_stage(_two_level_entries(rho), *bloch, nonlinear))
-    return _lapack_stage(rho, system, friction, diffusion, nonlinear)
+def _matrix_rates(stage, rho, H_e: float):
+    """(drho/dt, dH_e/dt) of a stage of :func:`_bind_rates` at (rho, H_e),
+    with rho and drho/dt numpy arrays at every n."""
+    if rho.shape[0] == 2:  # drho/dt = (dm/dt . sigma)/2
+        (gx, gy, gz), rate = stage(_two_level_entries(rho), H_e)
+        return _two_level_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy), rate
+    return stage(rho, H_e)
 
 
 def _lapack_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool) -> np.ndarray:
-    """:func:`_stage_rhs` on stacked arrays: one product S rho, at most one
-    ``eigh``, and the channel sum A as one (n, kn) @ (kn, n) product."""
+    """The stage kernel on stacked arrays, the one above n = 2.
+
+    For Hermitian rho and A, rho A = (A rho)^dagger, so one product P = S rho
+    gives [H, rho] and every [Q_j, rho] as P - P^dagger.  Channel j enters
+    through the anti-Hermitian X_j = friction_j/k_B M_j + diffusion_j [Q_j, rho],
+    M_j the modified (linearized: symmetrized) product of C_j = [Q_j, H] with
+    rho, so -sum_j [Q_j, X_j] = -(A + A^dagger) with A = sum_j Q_j X_j."""
     p = system._S @ rho
     comm = p - p.conj().swapaxes(1, 2)
     x = np.array(diffusion)[:, None, None] * comm[1:]
@@ -217,32 +246,13 @@ def _two_level_matrix(a00: float, a11: float, re: float, im: float) -> np.ndarra
     return np.array([[a00, complex(re, -im)], [complex(re, im), a11]])
 
 
-def _two_level_rate(g) -> np.ndarray:
-    """drho/dt = (dm/dt . sigma)/2 as an ndarray, for dm/dt = g."""
-    gx, gy, gz = g
-    return _two_level_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy)
-
-
-def _two_level_map(system: QuantumSystem, friction, diffusion):
-    """The Bloch map (A, U, P) of the n = 2 stage for rates in
-    :func:`_kernel_rates` form, as flat tuples of Python floats (A and P
-    row-major 3x3): A = (2/hbar) [h]x + sum_j 4 diffusion_j (q_j q_j^T -
-    |q_j|^2 I), U = sum_j 4 friction_j/k_B q_j x c_j and
-    P = sum_j 4 friction_j/k_B q_j c_j^T, both None when ``friction`` is None."""
-    cross, k, u, p = system._q2
-    a = cross + np.dot(diffusion, k)
-    if friction is None:
-        return tuple(a.tolist()), None, None
-    return tuple(a.tolist()), tuple(np.dot(friction, u).tolist()), tuple(np.dot(friction, p).tolist())
-
-
 def _two_level_stage(r, a, u, p, nonlinear: bool, b=None, T: float = 0.0):
-    """:func:`_stage_rhs` at n = 2, in real Pauli coordinates and Python floats.
+    """The stage kernel at n = 2, in real Pauli coordinates and Python floats.
 
     Takes rho as the four reals r = (rho00, rho11, Re rho10, Im rho10) and
     returns dm/dt for its Bloch vector m = (2 Re rho10, 2 Im rho10,
     rho00 - rho11), so rho = (tr rho I + m . sigma)/2.  With the Bloch map
-    (A, U, P) = (a + T b, u, p) of :func:`_two_level_map` (b, if given, is
+    (A, U, P) = (a + T b, u, p) of :func:`_bind_rates` (b, if given, is
     a finite bath's A_bath), dm/dt = A m + d U + (e P n) x n.  This sums,
     over the channels, (2/hbar) h x m, 4 diffusion_j q_j x (q_j x m) and
     4 friction_j/k_B q_j x v_j, where v_j . sigma is the traceless part of

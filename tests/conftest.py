@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from thermoqme.environment import _bind
+from thermoqme.master_equation import _bind_rates, _matrix_rates
+
 
 def random_hermitian(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -24,3 +27,14 @@ def random_density(rng, dim, min_eig=1e-3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def stage_rhs(rho, system, friction, diffusion, nonlinear):
+    """drho/dt of the stage kernel bound to the given friction/k_B and
+    diffusion rates (the form master_equation._rates gives them in)."""
+    return _matrix_rates(_bind_rates(system, nonlinear, friction, diffusion), rho, 0.0)[0]
+
+
+def joint_rhs(rho, H_e, bath, system, nonlinear):
+    """(drho/dt, dH_e/dt) of a run's coupled stage at bath energy H_e."""
+    return _matrix_rates(_bind(bath, system, nonlinear), rho, H_e)

@@ -601,6 +601,33 @@ def test_run_state_gone_non_finite_exits_with_violation(tmp_path, monkeypatch, c
     assert [row[0] for row in rows] == [0.0, 0.1]  # truncated at the first sampled point after a step
 
 
+@pytest.mark.parametrize("variant", ["nonlinear", "linearized"])
+def test_run_state_gone_non_finite_above_two_levels_exits_with_violation(tmp_path, capsys, variant):
+    # n = 3, one fixed channel with friction = diffusion = 5 and dt = 1: the
+    # state overflows before the first sampled point after t = 0, and LAPACK
+    # fails on it inside a step (nonlinear) or at the point (linearized)
+    def real(a):
+        return [[[float(x), 0.0] for x in row] for row in a]
+
+    cfg = {
+        "system": {
+            "generic": {
+                "hamiltonian": real(np.diag([1.0, 0.0, -1.0])),
+                "channels": [{"Q": real(2.0 * np.ones((3, 3))), "friction_rate": 5.0, "diffusion_rate": 5.0}],
+            }
+        },
+        "environment": {"infinite": {"T_e": 1.0}},
+        "integrator": {"dt": 1.0, "t_end": 200.0, "monitor_every": 50},
+        "variant": variant,
+    }
+    out = tmp_path / "blow_up.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert "monitor violation: state went non-finite: eigendecomposition failed" in capsys.readouterr().err
+    _, rows = _read_csv(out)
+    assert [row[0] for row in rows] == [0.0]
+
+
 def test_run_rejects_unknown_method(tmp_path, capsys):
     cfg = _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "method": "rk5"})
     out = tmp_path / "never.csv"

@@ -20,12 +20,11 @@ from thermoqme import (
     two_level_bath,
     two_level_system,
 )
-from thermoqme import environment
-from thermoqme.environment import _joint_rhs
-from thermoqme.master_equation import _two_level_stage
+from thermoqme.environment import _bind
+from thermoqme.master_equation import _bind_rates, _matrix_rates, _rates
 from thermoqme.two_level import SIGMA
 
-from conftest import random_density, random_hermitian
+from conftest import joint_rhs, random_density, random_hermitian
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
@@ -164,64 +163,50 @@ def test_exchange_balance_with_bath_coupled_channels(rng):
     assert abs(flux + d_energy) < 1e-12
 
 
-def _rates_at(monkeypatch, bath, system, H_e):
-    """(friction, diffusion) Python floats that the per-run binding gives one
-    stage at bath energy ``H_e`` (k_B = 1): the rates it folds into the
-    stage's Bloch map, read off its products with the system's per-channel
-    pieces (friction with 4 q_j x c_j; diffusion with 4 (q_j q_j^T - |q_j|^2 I),
-    first the fixed part, then a finite bath's per-temperature part, which
-    is taken at the temperature the stage reads)."""
-    _, k, u, _ = system._q2
-    folded, temperatures = {id(k): [], id(u): []}, []
-    dot = np.dot
-
-    def capture_dot(rates, pieces):
-        folded.get(id(pieces), []).append(rates)
-        return dot(rates, pieces)
-
-    def capture_stage(r, a, u, p, nonlinear, b=None, T=0.0):
-        temperatures.append(T)
-        return _two_level_stage(r, a, u, p, nonlinear, b, T)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "dot", capture_dot)
-        patch.setattr(environment, "_two_level_stage", capture_stage)
-        _joint_rhs(I2 / 2, H_e, bath, system, True)
-    (friction,) = folded[id(u)]
-    diffusion, *bath_part = folded[id(k)]
-    if bath_part:
-        ((per_T,), (T,)) = bath_part, temperatures
-        assert all(type(rate) is float for rate in per_T)
-        diffusion = [a + T * x for a, x in zip(diffusion, per_T)]
-    assert all(type(rate) is float for rate in (*friction, *diffusion))
-    return list(friction), list(diffusion)
-
-
-def test_bath_rate_rule(monkeypatch):
+def test_bath_rate_rule(rng):
     fixed = CouplingChannel(S1, friction_rate=0.11, diffusion_rate=0.22)
     coupled = CouplingChannel(S2, bath_coupled=True, weight=0.5)
     sys_ = QuantumSystem(0.5 * S3, (fixed, coupled))
     bath = HeatBath.infinite(T_e=2.0, gamma0=1.0, omega_ref=1.0)
-    friction, diffusion = _rates_at(monkeypatch, bath, sys_, bath.H_e)
-    assert list(friction) == [0.11, 0.5 * 1.0]
-    assert list(diffusion) == [0.22, 0.5 * 2.0]
+    g = bath._friction_rate(sys_.constants)
+    assert g == 1.0
+    # (friction/k_B, diffusion, diffusion per unit T), k_B = 1, as Python floats
+    friction, diffusion, per_T = _rates(sys_, g)
+    assert all(type(rate) is float for rate in (*friction, *diffusion, *per_T))
+    assert (friction, diffusion, per_T) == ([0.11, 0.5 * 1.0], [0.22, 0.0], [0.0, 0.5])
+    assert [a + 2.0 * x for a, x in zip(diffusion, per_T)] == [0.22, 0.5 * 2.0]
+    # the infinite bath's bound stage is the stage of those rates, folded at T_e
+    rho = random_density(rng, 2)
+    for nonlinear in (True, False):
+        k, e = _matrix_rates(_bind(bath, sys_, nonlinear), rho, bath.H_e)
+        k_ref, e_ref = _matrix_rates(_bind_rates(sys_, nonlinear, [0.11, 0.5], [0.22, 1.0]), rho, 0.0)
+        assert np.array_equal(k, k_ref) and e == e_ref
     # a bath-coupled channel of weight 0 has rates exactly 0
     weightless = QuantumSystem(0.5 * S3, (fixed, coupled, CouplingChannel(S3, bath_coupled=True, weight=0.0)))
-    assert _rates_at(monkeypatch, bath, weightless, bath.H_e) == ([0.11, 0.5, 0.0], [0.22, 1.0, 0.0])
-    # a finite bath's rates follow the energy passed in, not the snapshot's
+    friction, diffusion, per_T = _rates(weightless, g)
+    assert (friction, [a + 2.0 * x for a, x in zip(diffusion, per_T)]) == ([0.11, 0.5, 0.0], [0.22, 1.0, 0.0])
+    # a finite bath's rates follow the energy passed in, not the snapshot's:
+    # the stage at H_e = 6.0 reads T = 6.0/C_e = 1.5, not the snapshot's 1.0
     finite = HeatBath.finite(C_e=4.0, H_e=4.0, gamma0=1.0, omega_ref=1.0)
-    friction, diffusion = _rates_at(monkeypatch, finite, sys_, 6.0)
+    friction, diffusion, per_T = _rates(sys_, finite._friction_rate(sys_.constants))
     assert list(friction) == [0.11, 0.5]
-    assert list(diffusion) == [0.22, 0.5 * 1.5]
-    with pytest.raises(ValueError, match="positive"):
-        _rates_at(monkeypatch, finite, sys_, 0.0)
+    assert [a + 1.5 * x for a, x in zip(diffusion, per_T)] == [0.22, 0.5 * 1.5]
+    for nonlinear in (True, False):
+        stage = _bind(finite, sys_, nonlinear)
+        k, e = _matrix_rates(stage, rho, 6.0)
+        at_1p5 = _bind_rates(sys_, nonlinear, friction, diffusion, per_T, lambda H_e: 1.5)
+        k_ref, e_ref = _matrix_rates(at_1p5, rho, 6.0)
+        assert np.array_equal(k, k_ref) and e == e_ref
+        assert not np.array_equal(k, _matrix_rates(stage, rho, finite.H_e)[0])
+        with pytest.raises(ValueError, match="positive"):
+            _matrix_rates(stage, rho, 0.0)
     # no bath-coupled channels: the stored rates are used as they are
     sys_fixed = QuantumSystem(0.5 * S3, (fixed,))
-    assert _rates_at(monkeypatch, bath, sys_fixed, bath.H_e) == ([0.11], [0.22])
+    assert _rates(sys_fixed, g) == _rates(sys_fixed) == ([0.11], [0.22], None)
     # ... and a drained finite bath still raises, in either variant
     for nonlinear in (True, False):
         with pytest.raises(ValueError, match="positive"):
-            _joint_rhs(I2 / 2, 0.0, finite, sys_fixed, nonlinear)
+            joint_rhs(I2 / 2, 0.0, finite, sys_fixed, nonlinear)
 
 
 def _materialized(system, bath, H_e):
@@ -252,7 +237,7 @@ def test_stage_bath_rate_closes_energy(rng, dim, nonlinear):
     bath = HeatBath.finite(C_e=2.0, H_e=3.0, gamma0=0.7, omega_ref=1.2)
     for H_e in (3.0, 1.1, 7.5):
         rho = random_density(rng, dim)
-        k, e = _joint_rhs(rho, H_e, bath, sys_, nonlinear)
+        k, e = joint_rhs(rho, H_e, bath, sys_, nonlinear)
         reference = master_rhs(rho, _materialized(sys_, bath, H_e), nonlinear)
         assert np.max(np.abs(k - reference)) < 1e-13
         assert abs(e + np.real(np.trace(h @ reference))) < 1e-12
@@ -307,6 +292,6 @@ def test_stage_kernel_matches_channel_loop(rng, dim, nonlinear):
             for ch in channels
         ]
         reference = _channel_loop_rhs(rho, sys_, rates, nonlinear)
-        k, e = _joint_rhs(rho, H_e, bath, sys_, nonlinear)
+        k, e = joint_rhs(rho, H_e, bath, sys_, nonlinear)
         assert np.max(np.abs(k - reference)) < 1e-13
         assert abs(e + np.real(np.trace(sys_.H @ reference))) < 1e-13

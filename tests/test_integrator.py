@@ -19,12 +19,12 @@ from thermoqme import (
     von_neumann_entropy,
 )
 from thermoqme import integrator, master_equation
-from thermoqme.environment import _bind, _joint_rhs
+from thermoqme.environment import _bind
 from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe
 from thermoqme.operators import PhysicalConstants
 from thermoqme.two_level import SIGMA
 
-from conftest import random_density, random_hermitian
+from conftest import joint_rhs, random_density, random_hermitian
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
@@ -348,7 +348,7 @@ def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
     assert traj.termination == COMPLETED
     for point in traj.points:
         bath = bath0.with_energy(point.env.H_e)
-        _, rate = _joint_rhs(point.rho, bath.H_e, bath, system, nonlinear)
+        _, rate = joint_rhs(point.rho, bath.H_e, bath, system, nonlinear)
         assert point.env.energy_flux_to_quantum == -rate
 
 
@@ -357,7 +357,7 @@ def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
 def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
     system, bath = _finite_bath_setup()
     rho = random_density(rng, 2)
-    first = _joint_rhs(rho, bath.H_e, bath, system, nonlinear)
+    first = joint_rhs(rho, bath.H_e, bath, system, nonlinear)
     rho_a, bath_a = step(rho, bath, system, 1e-2, method, nonlinear)
     rho_b, bath_b = step(rho, bath, system, 1e-2, method, nonlinear, first=first)
     assert np.array_equal(rho_a, rho_b)
@@ -368,7 +368,7 @@ def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
 def test_step_rejects_unknown_method(rng, dim, setup):
     system, bath = setup()
     rho = random_density(rng, dim)
-    first = _joint_rhs(rho, bath.H_e, bath, system, True)
+    first = joint_rhs(rho, bath.H_e, bath, system, True)
     for given in (None, first):
         with pytest.raises(ValueError, match="unknown method 'midpoint'"):
             step(rho, bath, system, 1e-2, method="midpoint", first=given)
@@ -376,10 +376,10 @@ def test_step_rejects_unknown_method(rng, dim, setup):
 
 def _array_step(rho, bath, system, dt, method, nonlinear, first):
     """The step on numpy arrays at any n, every stage bound anew by
-    _joint_rhs: the reference for the float-carried dim-2 step."""
+    joint_rhs: the reference for the float-carried dim-2 step."""
 
     def stage(rho, H_e):
-        return _joint_rhs(rho, H_e, bath, system, nonlinear)
+        return joint_rhs(rho, H_e, bath, system, nonlinear)
 
     rho, h = _array_advance(rho, bath.H_e, stage, dt, method, first)
     return rho, bath.with_energy(h)
@@ -418,7 +418,7 @@ def test_two_level_step_matches_array_step(rng, method, nonlinear):
     # bound fixed before measuring: 1e-14 relative to max(1, max|ref|)
     for system, bath in _two_level_step_cases(rng):
         rho = random_density(rng, 2)
-        first = _joint_rhs(rho, bath.H_e, bath, system, nonlinear)
+        first = joint_rhs(rho, bath.H_e, bath, system, nonlinear)
         for given in (None, first):
             ref, ref_bath = _array_step(rho, bath, system, 0.05, method, nonlinear, given)
             out, out_bath = step(rho, bath, system, 0.05, method, nonlinear, first=given)
@@ -551,6 +551,41 @@ def test_simulate_matches_array_step_loop(rng, method, nonlinear):
             for key in ("H_e", "energy_flux_to_quantum"):
                 a, b = getattr(out.env, key), getattr(ref.env, key)
                 assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+
+def _blow_up_setup():
+    """An n = 3 system that RK4 at dt = 1 cannot follow: one fixed channel with
+    friction = diffusion = 5 and an infinite bath; its state overflows between
+    the points sampled every 50 steps, where LAPACK cannot decompose it."""
+    system = QuantumSystem(np.diag([1.0, 0.0, -1.0]), (CouplingChannel(2.0 * np.ones((3, 3)), 5.0, 5.0),))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    return np.eye(3, dtype=complex) / 3, bath, system, IntegratorConfig(dt=1.0, t_end=200.0, monitor_every=50)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_state_gone_non_finite_above_two_levels_is_a_violation(nonlinear):
+    # nonlinear, a stage's eigh fails inside a step; linearized, the stages
+    # decompose nothing and the sampled point's eigvalsh fails; either way the
+    # run ends as a violation with the points recorded before, not a traceback
+    rho0, bath, system, cfg = _blow_up_setup()
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+    assert traj.termination == MONITOR_VIOLATION
+    prefix = "state went non-finite: eigendecomposition failed (Eigenvalues did not converge) by t="
+    assert traj.violation.startswith(prefix)
+    assert 0 < float(traj.violation[len(prefix):]) <= 50
+    assert [point.t for point in traj.points] == [0.0]
+
+
+@pytest.mark.parametrize("dim, wrong", [(2, 3), (3, 2)])
+def test_rho_of_the_wrong_dimension_is_rejected(rng, dim, wrong):
+    system, bath = dict(DIMENSIONS)[dim]()
+    rho = random_density(rng, wrong)
+    message = rf"dimension mismatch: rho \({wrong}, {wrong}\) vs H \({dim}, {dim}\)"
+    with pytest.raises(ValueError, match=message):
+        simulate(rho, bath, system, IntegratorConfig(dt=0.01, t_end=0.1))
+    with pytest.raises(ValueError, match=message):
+        step(rho, bath, system, 0.01)
 
 
 def test_simulate_builds_bath_snapshots_only_at_sampled_points(monkeypatch):

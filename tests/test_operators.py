@@ -19,11 +19,11 @@ from thermoqme import (
     validate_hermitian,
     von_neumann_entropy,
 )
-from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _stage_rhs
+from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _rates
 from thermoqme.operators import _log_mean, _pairwise_log_mean, _two_level_weights
 from thermoqme.two_level import SIGMA, pauli_compose, pauli_function, PauliVector
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, stage_rhs
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
@@ -240,7 +240,7 @@ def _two_level_stage_cases(rng):
     )
     g = 0.9
     return [
-        (fixed, *fixed._rates),
+        (fixed, *_rates(fixed)[:2]),
         (fixed, None, (0.3, 0.2, 0.1)),
         (coupled, (0.0, 0.7 * g / consts.kB, 0.0), (0.0, 0.6 * 0.7 * g, 0.0)),
     ]
@@ -253,7 +253,7 @@ def test_two_by_two_path_matches_lapack(rng, rho):
     for system, friction, diffusion in _two_level_stage_cases(rng):
         for nonlinear in (True, False):
             ref = _lapack_stage(rho, system, friction, diffusion, nonlinear)
-            out = _stage_rhs(rho, system, friction, diffusion, nonlinear)
+            out = stage_rhs(rho, system, friction, diffusion, nonlinear)
             assert out.shape == (2, 2) and out.dtype == complex
             assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
@@ -266,8 +266,8 @@ def test_stack_above_two_levels_is_the_lapack_path(rng):
         assert system._h2 is None and system._q2 is None
         rho = random_density(rng, dim)
         for nonlinear in (True, False):
-            out = _stage_rhs(rho, system, *system._rates, nonlinear)
-            assert np.array_equal(out, _lapack_stage(rho, system, *system._rates, nonlinear))
+            out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
+            assert np.array_equal(out, _lapack_stage(rho, system, *_rates(system)[:2], nonlinear))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -277,13 +277,13 @@ def test_two_by_two_path_lets_non_finite_input_through(rng, bad):
     for rho in (np.array([[bad, 0.5], [0.5, 0.5]]), np.array([[0.5, bad * (1 - 1j)], [bad * (1 + 1j), 0.5]])):
         for system, friction, diffusion in cases:
             for nonlinear in (True, False):
-                out = _stage_rhs(rho.astype(complex), system, friction, diffusion, nonlinear)
+                out = stage_rhs(rho.astype(complex), system, friction, diffusion, nonlinear)
                 assert not np.isfinite(out).all()
     # an off-diagonal modulus that overflows, where abs() of a Python complex raises
     huge = np.array([[0.5, 1.5e308 * (1 - 1j)], [1.5e308 * (1 + 1j), 0.5]])
     for system, friction, diffusion in cases:
         for nonlinear in (True, False):
-            _stage_rhs(huge, system, friction, diffusion, nonlinear)
+            stage_rhs(huge, system, friction, diffusion, nonlinear)
 
 
 def test_two_by_two_path_scales_huge_entries(rng):
@@ -298,8 +298,8 @@ def test_two_by_two_path_scales_huge_entries(rng):
             system = QuantumSystem(h, tuple(CouplingChannel(q, *rates) for q in qs), consts)
             for nonlinear in (True, False):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    ref = _lapack_stage(rho, system, *system._rates, nonlinear)
-                out = _stage_rhs(rho, system, *system._rates, nonlinear)
+                    ref = _lapack_stage(rho, system, *_rates(system)[:2], nonlinear)
+                out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
                 finite = np.isfinite(ref)
                 assert finite.any()
                 gap = np.max(np.abs(out[finite] - ref[finite]))
