@@ -87,8 +87,11 @@ def _run_one(setup: RunSetup, nonlinear: bool) -> Trajectory:
     log.info("%s run: %d steps of dt=%g", variant, setup.integrator.n_steps, setup.integrator.dt)
     start = perf_counter()
     traj = simulate(setup.rho0, setup.bath, setup.system, setup.integrator, nonlinear=nonlinear)
+    wall = perf_counter() - start
+    steps = round(traj.final.t / setup.integrator.dt)  # to the last recorded point, where a truncated run ends
     log.info(
-        "%s run: %s at t=%g after %.3f s", variant, traj.termination, traj.final.t, perf_counter() - start
+        "%s run: %s at t=%g after %.3f s (%d of %d steps, %.2g steps/s)",
+        variant, traj.termination, traj.final.t, wall, steps, setup.integrator.n_steps, steps / wall,
     )
     if traj.violation is not None:
         log.info("%s run: monitor violation: %s", variant, traj.violation)

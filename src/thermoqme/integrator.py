@@ -136,8 +136,9 @@ def step(
 
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError.  The dimension selects how:
-    :func:`_two_level_advance` at n = 2, where numpy's call overhead is many
-    times the arithmetic, and :func:`_array_advance` above.
+    :func:`_array_advance` above n = 2; at n = 2, where numpy's call
+    overhead is many times the arithmetic, :func:`_two_level_advance` on
+    the four reals of rho and the closure stage, packed into an array once.
     """
     rho = _as_state(rho, system)
     stage = _bind(bath, system, nonlinear)
@@ -172,29 +173,30 @@ def _array_advance(rho, h, stage, dt, method, first):
 
 def _two_level_advance(r, h, stage, dt, method, first):
     """:func:`_array_advance` at n = 2 on Python floats: H_e and the four
-    reals (rho00, rho11, Re rho10, Im rho10), which keep the smaller
+    reals r = (rho00, rho11, Re rho10, Im rho10), which keep the smaller
     diagonal entry, and with it the smaller eigenvalue, to full relative
-    precision.  ``stage`` gives dm/dt for the Bloch vector m, and rho moves
-    by (dm/dt . sigma)/2, so the trace changes only by rounding."""
-    g1, e1 = stage(r, h) if first is None else first
-    if method == "rk4":
-        g2, e2 = stage(_moved(r, 0.5 * dt, g1), h + 0.5 * dt * e1)
-        g3, e3 = stage(_moved(r, 0.5 * dt, g2), h + 0.5 * dt * e2)
-        g4, e4 = stage(_moved(r, dt, g3), h + dt * e3)
-        g = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(g1, g2, g3, g4)]
-        return _moved(r, dt / 6.0, g), h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-    if method == "euler":
-        return _moved(r, dt, g1), h + dt * e1
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _moved(r, s, g):
-    """The four reals of rho + s drho/dt, for rho given by its four reals and
-    drho/dt = (g . sigma)/2."""
+    precision.  ``stage`` gives dm/dt = g for the Bloch vector m, and the
+    state rho + s drho/dt has the four reals r + (s/2) (gz, -gz, gx, gy),
+    so the trace changes only by rounding."""
     r00, r11, x, y = r
-    gx, gy, gz = g
-    s *= 0.5
-    return r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
+    (g1x, g1y, g1z), e1 = stage(r, h) if first is None else first
+    if method == "rk4":
+        half = 0.5 * dt
+        s = 0.5 * half
+        (g2x, g2y, g2z), e2 = stage((r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y), h + half * e1)
+        (g3x, g3y, g3z), e3 = stage((r00 + s * g2z, r11 - s * g2z, x + s * g2x, y + s * g2y), h + half * e2)
+        s = dt * 0.5
+        (g4x, g4y, g4z), e4 = stage((r00 + s * g3z, r11 - s * g3z, x + s * g3x, y + s * g3y), h + dt * e3)
+        sixth = dt / 6.0
+        s = sixth * 0.5
+        gx = g1x + 2.0 * g2x + 2.0 * g3x + g4x
+        gy = g1y + 2.0 * g2y + 2.0 * g3y + g4y
+        gz = g1z + 2.0 * g2z + 2.0 * g3z + g4z
+        return (r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy), h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+    if method == "euler":
+        s = dt * 0.5
+        return (r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y), h + dt * e1
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _observe(t, rho, bath, system, energy_ref, tolerances, stage):

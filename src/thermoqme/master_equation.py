@@ -169,9 +169,21 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     (raising for a drained bath) and is read at every stage's own H_e; the
     diffusion rates are then ``diffusion`` + T ``per_T``.
 
-    The dimension selects the kernel: at n = 2 the state is the four reals
-    of rho, the rate is dm/dt and the Bloch map of :func:`_two_level_stage`
-    is compiled here; above, numpy arrays and :func:`_lapack_stage`.
+    The dimension selects the kernel: above n = 2, :func:`_lapack_stage`
+    on numpy arrays; at n = 2, this closure, in real Pauli coordinates and
+    Python floats with no numpy call.  There the state is the four reals
+    r = (rho00, rho11, Re rho10, Im rho10) and the rate is dm/dt for the
+    Bloch vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
+    rho = (tr rho I + m . sigma)/2.  With the Bloch map (A, U, P) and a
+    finite bath's A_bath, unpacked once into closure locals,
+    dm/dt = (A + T A_bath) m + d U + (e P n) x n.  This sums, over the
+    channels, (2/hbar) h x m, 4 diffusion_j q_j x (q_j x m) and
+    4 friction_j/k_B q_j x v_j, where v_j . sigma is the traceless part of
+    the modified product of c_j . sigma = [Q_j, H]/i with rho.  Nonlinear,
+    v_j = d c_j + e (c_j . n) n with n = m/|m| (0 at m = 0), d the log-mean
+    of the clipped eigenvalues and e their mean minus d (one
+    :func:`_two_level_weights` call per stage with friction); linearized,
+    d = tr rho/2 and there is no P term.
     """
     finite = temperature is not None
     if system.dim > 2:
@@ -185,19 +197,40 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
         return stage
     hx, hy, hz = system._h2
     cross, k, u, p = system._q2
-    a = tuple((cross + np.dot(diffusion, k)).tolist())
-    if friction is None:
-        u = p = None
-    else:
-        u, p = tuple(np.dot(friction, u).tolist()), tuple(np.dot(friction, p).tolist())
-    b = None if per_T is None else tuple(np.dot(per_T, k).tolist())  # A_bath
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = (cross + np.dot(diffusion, k)).tolist()
+    bath = finite and per_T is not None
+    if bath:
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = np.dot(per_T, k).tolist()  # A_bath
+    if friction is not None:
+        ux, uy, uz = np.dot(friction, u).tolist()
+        p0, p1, p2, p3, p4, p5, p6, p7, p8 = np.dot(friction, p).tolist()
 
     def stage(r, H_e):
+        r00, r11, x, y = r
+        mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
+        gx, gy, gz = a0 * mx + a1 * my + a2 * mz, a3 * mx + a4 * my + a5 * mz, a6 * mx + a7 * my + a8 * mz
         if finite:
-            gx, gy, gz = g = _two_level_stage(r, a, u, p, nonlinear, b, temperature(H_e))
+            T = temperature(H_e)
+            if bath:
+                gx += T * (b0 * mx + b1 * my + b2 * mz)
+                gy += T * (b3 * mx + b4 * my + b5 * mz)
+                gz += T * (b6 * mx + b7 * my + b8 * mz)
+        if friction is None:
+            pass
+        elif not nonlinear:
+            d = 0.5 * (r00 + r11)
+            gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
         else:
-            gx, gy, gz = g = _two_level_stage(r, a, u, p, nonlinear)
-        return g, -(hx * gx + hy * gy + hz * gz)
+            l1, l2, d = _two_level_weights(r00, r11, x, y)
+            gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
+            m = math.hypot(mx, my, mz)
+            if m > 0.0:
+                nx, ny, nz = mx / m, my / m, mz / m
+                e = 0.5 * (l1 + l2) - d
+                px, py, pz = p0 * nx + p1 * ny + p2 * nz, p3 * nx + p4 * ny + p5 * nz, p6 * nx + p7 * ny + p8 * nz
+                px, py, pz = e * px, e * py, e * pz
+                gx, gy, gz = gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
+        return (gx, gy, gz), -(hx * gx + hy * gy + hz * gz)
 
     return stage
 
@@ -244,49 +277,6 @@ def _two_level_entries(a: np.ndarray):
 def _two_level_matrix(a00: float, a11: float, re: float, im: float) -> np.ndarray:
     """The exactly Hermitian 2x2 ndarray with the four reals of :func:`_two_level_entries`."""
     return np.array([[a00, complex(re, -im)], [complex(re, im), a11]])
-
-
-def _two_level_stage(r, a, u, p, nonlinear: bool, b=None, T: float = 0.0):
-    """The stage kernel at n = 2, in real Pauli coordinates and Python floats.
-
-    Takes rho as the four reals r = (rho00, rho11, Re rho10, Im rho10) and
-    returns dm/dt for its Bloch vector m = (2 Re rho10, 2 Im rho10,
-    rho00 - rho11), so rho = (tr rho I + m . sigma)/2.  With the Bloch map
-    (A, U, P) = (a + T b, u, p) of :func:`_bind_rates` (b, if given, is
-    a finite bath's A_bath), dm/dt = A m + d U + (e P n) x n.  This sums,
-    over the channels, (2/hbar) h x m, 4 diffusion_j q_j x (q_j x m) and
-    4 friction_j/k_B q_j x v_j, where v_j . sigma is the traceless part of
-    the modified product of c_j . sigma = [Q_j, H]/i with rho.  Nonlinear,
-    v_j = d c_j + e (c_j . n) n with n = m/|m| (0 at m = 0), d the log-mean
-    of the clipped eigenvalues and e their mean minus d (one
-    :func:`_two_level_weights` call per stage with friction); linearized,
-    d = tr rho/2 and there is no P term.  No numpy call is made."""
-    r00, r11, x, y = r
-    mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    gx, gy, gz = a0 * mx + a1 * my + a2 * mz, a3 * mx + a4 * my + a5 * mz, a6 * mx + a7 * my + a8 * mz
-    if b is not None:
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-        gx += T * (b0 * mx + b1 * my + b2 * mz)
-        gy += T * (b3 * mx + b4 * my + b5 * mz)
-        gz += T * (b6 * mx + b7 * my + b8 * mz)
-    if u is None:
-        return gx, gy, gz
-    ux, uy, uz = u
-    if not nonlinear:
-        d = 0.5 * (r00 + r11)
-        return gx + d * ux, gy + d * uy, gz + d * uz
-    l1, l2, d = _two_level_weights(r00, r11, x, y)
-    gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
-    m = math.hypot(mx, my, mz)
-    if not m > 0.0:
-        return gx, gy, gz
-    nx, ny, nz = mx / m, my / m, mz / m
-    e = 0.5 * (l1 + l2) - d
-    p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
-    px, py, pz = p0 * nx + p1 * ny + p2 * nz, p3 * nx + p4 * ny + p5 * nz, p6 * nx + p7 * ny + p8 * nz
-    px, py, pz = e * px, e * py, e * pz
-    return gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
 
 
 def equilibrium_state(H, T: float, constants: PhysicalConstants = NATURAL) -> np.ndarray:

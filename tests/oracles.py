@@ -1,0 +1,104 @@
+"""Reference implementations that tests compare the program against.
+
+The dimension-2 kernel below is the stage and RK step written as separate
+functions over tuples, the form the fused closure of
+``master_equation._bind_rates`` and ``integrator._two_level_advance``
+reproduce operation for operation.  The tests compare them bitwise, so a
+reordering of the arithmetic fails a test instead of changing output bytes.
+"""
+
+import math
+
+import numpy as np
+
+from thermoqme.operators import _two_level_weights
+
+
+def two_level_map(system, friction, diffusion, per_T=None):
+    """The Bloch map (a, u, p, b) of rates in ``master_equation._rates`` form,
+    as tuples of Python floats: A = (2/hbar)[h]x + sum_j diffusion_j K_j,
+    U = sum_j friction_j 4 q_j x c_j, P = sum_j friction_j 4 q_j c_j^T and,
+    for a finite bath's bath-coupled channels, A_bath = sum_j per_T_j K_j.
+    u and p are None without friction, b is None without ``per_T``."""
+    cross, k, u, p = system._q2
+    a = tuple((cross + np.dot(diffusion, k)).tolist())
+    if friction is None:
+        u = p = None
+    else:
+        u, p = tuple(np.dot(friction, u).tolist()), tuple(np.dot(friction, p).tolist())
+    b = None if per_T is None else tuple(np.dot(per_T, k).tolist())
+    return a, u, p, b
+
+
+def two_level_stage(r, a, u, p, nonlinear, b=None, T=0.0):
+    """dm/dt at rho given by its four reals r = (rho00, rho11, Re rho10,
+    Im rho10): A m + d U + (e P n) x n with (A, U, P) = (a + T b, u, p),
+    n = m/|m| (0 at m = 0), d the log-mean of the clipped eigenvalues and
+    e their mean minus d; linearized, d = tr rho/2 and there is no P term."""
+    r00, r11, x, y = r
+    mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    gx, gy, gz = a0 * mx + a1 * my + a2 * mz, a3 * mx + a4 * my + a5 * mz, a6 * mx + a7 * my + a8 * mz
+    if b is not None:
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        gx += T * (b0 * mx + b1 * my + b2 * mz)
+        gy += T * (b3 * mx + b4 * my + b5 * mz)
+        gz += T * (b6 * mx + b7 * my + b8 * mz)
+    if u is None:
+        return gx, gy, gz
+    ux, uy, uz = u
+    if not nonlinear:
+        d = 0.5 * (r00 + r11)
+        return gx + d * ux, gy + d * uy, gz + d * uz
+    l1, l2, d = _two_level_weights(r00, r11, x, y)
+    gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
+    m = math.hypot(mx, my, mz)
+    if not m > 0.0:
+        return gx, gy, gz
+    nx, ny, nz = mx / m, my / m, mz / m
+    e = 0.5 * (l1 + l2) - d
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = p
+    px, py, pz = p0 * nx + p1 * ny + p2 * nz, p3 * nx + p4 * ny + p5 * nz, p6 * nx + p7 * ny + p8 * nz
+    px, py, pz = e * px, e * py, e * pz
+    return gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
+
+
+def two_level_bound_stage(system, nonlinear, friction, diffusion, per_T=None, temperature=None):
+    """The stage (r, H_e) -> (dm/dt, dH_e/dt) of ``master_equation._bind_rates``
+    at n = 2, with the same arguments, built on :func:`two_level_stage`."""
+    hx, hy, hz = system._h2
+    a, u, p, b = two_level_map(system, friction, diffusion, per_T)
+
+    def stage(r, H_e):
+        if temperature is not None:
+            g = two_level_stage(r, a, u, p, nonlinear, b, temperature(H_e))
+        else:
+            g = two_level_stage(r, a, u, p, nonlinear)
+        gx, gy, gz = g
+        return g, -(hx * gx + hy * gy + hz * gz)
+
+    return stage
+
+
+def moved(r, s, g):
+    """The four reals of rho + s drho/dt, for rho given by its four reals and
+    drho/dt = (g . sigma)/2."""
+    r00, r11, x, y = r
+    gx, gy, gz = g
+    s *= 0.5
+    return r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
+
+
+def two_level_advance(r, h, stage, dt, method, first=None):
+    """One RK4 or Euler step of (r, H_e) with ``stage`` (r, H_e) -> (dm/dt,
+    dH_e/dt) and ``first`` its value at (r, h) or None."""
+    g1, e1 = stage(r, h) if first is None else first
+    if method == "rk4":
+        g2, e2 = stage(moved(r, 0.5 * dt, g1), h + 0.5 * dt * e1)
+        g3, e3 = stage(moved(r, 0.5 * dt, g2), h + 0.5 * dt * e2)
+        g4, e4 = stage(moved(r, dt, g3), h + dt * e3)
+        g = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(g1, g2, g3, g4)]
+        return moved(r, dt / 6.0, g), h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+    if method == "euler":
+        return moved(r, dt, g1), h + dt * e1
+    raise ValueError(f"unknown method {method!r}")

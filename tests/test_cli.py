@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -643,7 +644,25 @@ def test_log_level_from_environment(tmp_path, monkeypatch, caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "thermoqme"]
     assert any("50 steps" in m for m in messages)
     assert any("completed at t=0.5" in m for m in messages)
+    assert any(re.search(r"completed at t=0.5 after \S+ s \(50 of 50 steps, \S+ steps/s\)$", m) for m in messages)
     assert all(r.levelname == "INFO" for r in caplog.records if r.name == "thermoqme")
+
+    # a run truncated by a monitor violation reports the steps up to its last point
+    caplog.clear()
+    truncated = _two_level_config(
+        environment={"infinite": {"T_e": 0.05}},
+        integrator={"dt": 0.01, "t_end": 1.0, "monitor_every": 5},
+        variant="linearized",
+        initial_state={"bloch": [0.0, 0.0, -0.9]},
+    )
+    cfg_trunc = _write(tmp_path, truncated, "trunc.json")
+    assert main(["run", "--config", str(cfg_trunc), "--out", str(tmp_path / "t.csv")]) == 2
+    messages = [r.getMessage() for r in caplog.records if r.name == "thermoqme"]
+    line = [m for m in messages if "monitor_violation at t=" in m]
+    assert len(line) == 1
+    match = re.search(r"at t=(\S+) after \S+ s \((\d+) of 100 steps, (\S+) steps/s\)$", line[0])
+    assert match and 0 < int(match[2]) < 100
+    assert int(match[2]) == round(float(match[1]) / 0.01) and float(match[3]) > 0.0
 
     caplog.clear()
     monkeypatch.setenv("THERMOQME_LOG", "warning")

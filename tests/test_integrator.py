@@ -18,13 +18,14 @@ from thermoqme import (
     two_level_system,
     von_neumann_entropy,
 )
-from thermoqme import integrator, master_equation
+from thermoqme import environment, integrator, master_equation
 from thermoqme.environment import _bind
 from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe
 from thermoqme.operators import PhysicalConstants
 from thermoqme.two_level import SIGMA
 
-from conftest import joint_rhs, random_density, random_hermitian
+import oracles
+from conftest import joint_rhs, random_density, random_hermitian, random_unitary
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
@@ -426,6 +427,55 @@ def test_two_level_step_matches_array_step(rng, method, nonlinear):
             assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
             assert abs(out_bath.H_e - ref_bath.H_e) <= 1e-14 * max(1.0, abs(ref_bath.H_e))
             assert out_bath == ref_bath.with_energy(out_bath.H_e)
+
+
+def _bits(pair):
+    """The floats of a (3- or 4-tuple, float) pair as hex, which tells -0.0 from 0.0."""
+    return [float.hex(v) for v in (*pair[0], pair[1])]
+
+
+def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
+    # the fused dim-2 stage and RK step against the stage and step written as
+    # separate functions (tests/oracles.py), bit for bit: infinite and finite
+    # baths, with and without bath-coupled channels, and without friction
+    # (gamma0 = 0, and bath-coupled channels of weight 0 only)
+    consts = PhysicalConstants(hbar=0.8, kB=1.3)
+    h = random_hermitian(rng, 2)
+    qs = [random_hermitian(rng, 2) for _ in range(3)]
+    fixed = QuantumSystem(h, tuple(CouplingChannel(q, 0.4, 0.3) for q in qs), consts)
+    coupled = QuantumSystem(
+        h,
+        (
+            CouplingChannel(qs[0], bath_coupled=True, weight=0.7),
+            CouplingChannel(qs[1], bath_coupled=True, weight=0.0),
+            CouplingChannel(qs[2], 0.2, 0.5),
+        ),
+        consts,
+    )
+    weightless = QuantumSystem(h, tuple(CouplingChannel(q, bath_coupled=True, weight=0.0) for q in qs), consts)
+    infinite = HeatBath.infinite(T_e=0.6, gamma0=0.9, omega_ref=1.1, H_e=0.3)
+    finite = HeatBath.finite(C_e=4.0, H_e=2.5, gamma0=0.9, omega_ref=1.1)
+    cases = [(system, bath) for system in (fixed, coupled, weightless) for bath in (infinite, finite)]
+    cases += [(coupled, HeatBath.infinite(T_e=0.6, gamma0=0.0, omega_ref=1.1))]
+    cases += [(coupled, HeatBath.finite(C_e=4.0, H_e=2.5, gamma0=0.0, omega_ref=1.1))]
+    u = random_unitary(rng, 2)
+    near_pure = (u * [1.0 - 1e-13, 1e-13]) @ u.conj().T
+    states = [(0.5, 0.5, 0.0, 0.0), (1.0 - 1e-13, 1e-13, 0.0, 0.0), master_equation._two_level_entries(near_pure)]
+    states += [master_equation._two_level_entries(random_density(rng, 2)) for _ in range(3)]
+    for system, bath in cases:
+        for nonlinear in (True, False):
+            stage = _bind(bath, system, nonlinear)
+            with monkeypatch.context() as patch:
+                patch.setattr(environment, "_bind_rates", oracles.two_level_bound_stage)
+                oracle = _bind(bath, system, nonlinear)
+            for r in states:
+                first = stage(r, bath.H_e)
+                assert _bits(first) == _bits(oracle(r, bath.H_e))
+                for method in ("rk4", "euler"):
+                    for given in (None, first):
+                        out = integrator._two_level_advance(r, bath.H_e, stage, 0.05, method, given)
+                        ref = oracles.two_level_advance(r, bath.H_e, oracle, 0.05, method, given)
+                        assert _bits(out) == _bits(ref)
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
