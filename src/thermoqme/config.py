@@ -324,9 +324,10 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
 
 
 def load_config(path) -> SimulationConfig:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

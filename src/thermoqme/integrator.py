@@ -132,7 +132,7 @@ def step(
     the same variant, as the ``(drho/dt, dH_e/dt)`` pair of numpy arrays
     that :func:`~thermoqme.master_equation._matrix_rates` gives for the
     run's stage; the step then uses it as its first stage instead of
-    evaluating it again, with the same result.
+    evaluating that stage itself, with the same result.
 
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError.  The dimension selects how:
@@ -142,21 +142,22 @@ def step(
     """
     rho = _as_state(rho, system)
     stage = _bind(bath, system, nonlinear)
-    if system.dim > 2:
-        rho, h = _array_advance(rho, bath.H_e, stage, dt, method, first)
-        return rho, bath.with_energy(h)
-    if first is not None:
+    two_level = system.dim == 2
+    state = _two_level_entries(rho) if two_level else rho
+    if first is None:
+        first = stage(state, bath.H_e)
+    elif two_level:
         k00, _, kx, ky = _two_level_entries(first[0])
         first = (2.0 * kx, 2.0 * ky, 2.0 * k00), first[1]
-    r, h = _two_level_advance(_two_level_entries(rho), bath.H_e, stage, dt, method, first)
-    return _two_level_matrix(*r), bath.with_energy(h)
+    state, h = (_two_level_advance if two_level else _array_advance)(state, bath.H_e, stage, dt, method, first)
+    return (_two_level_matrix(*state) if two_level else state), bath.with_energy(h)
 
 
 def _array_advance(rho, h, stage, dt, method, first):
     """One RK4 or Euler step of (rho, H_e) on numpy arrays, with the bound
     ``stage`` (rho, H_e) -> (drho/dt, dH_e/dt) and ``first`` its value at
-    (rho, h) or None; returns (rho, H_e) with rho re-Hermitized."""
-    k1, e1 = stage(rho, h) if first is None else first
+    (rho, h); returns (rho, H_e) with rho re-Hermitized."""
+    k1, e1 = first
     if method == "rk4":
         k2, e2 = stage(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1)
         k3, e3 = stage(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2)
@@ -179,7 +180,7 @@ def _two_level_advance(r, h, stage, dt, method, first):
     state rho + s drho/dt has the four reals r + (s/2) (gz, -gz, gx, gy),
     so the trace changes only by rounding."""
     r00, r11, x, y = r
-    (g1x, g1y, g1z), e1 = stage(r, h) if first is None else first
+    (g1x, g1y, g1z), e1 = first
     if method == "rk4":
         half = 0.5 * dt
         s = 0.5 * half
@@ -199,20 +200,19 @@ def _two_level_advance(r, h, stage, dt, method, first):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _observe(t, rho, bath, system, energy_ref, tolerances, stage):
-    """Build a trajectory point and return (point, violation detail or None,
-    rates), where rates is the pair the run's bound ``stage`` returns at
-    (rho, bath.H_e): the point's energy flux and the next step's first stage."""
+def _observe(t, rho, bath, system, energy_ref, tolerances, flux):
+    """Build a trajectory point and return (point, violation detail or None);
+    ``flux`` is dH_e/dt of the run's stage at (rho, bath.H_e), the negative
+    of the point's energy flux into the quantum system."""
     trace_err = abs(complex(np.trace(rho)) - 1.0)
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
     spectrum = np.linalg.eigvalsh(rho)
     min_eig = float(spectrum[0])
-    rates = stage(_two_level_entries(rho) if system.dim == 2 else rho, bath.H_e)
     env = EnvironmentObservableReport(
         H_e=bath.H_e,
         T_e=bath.temperature(),
         S_e=bath.entropy(),
-        energy_flux_to_quantum=-rates[1],
+        energy_flux_to_quantum=-flux,
     )
     # tr(H rho) + H_e: the exact total for a finite bath, and the
     # exchange-consistent bookkeeping total for an infinite one.
@@ -249,7 +249,7 @@ def _observe(t, rho, bath, system, energy_ref, tolerances, stage):
                 f"total energy drift {drift:.3e} exceeds tolerance at t={t:.6g} "
                 f"(reference {energy_ref:.6g})"
             )
-    return point, violation, rates
+    return point, violation
 
 
 def simulate(
@@ -262,10 +262,10 @@ def simulate(
     """Integrate from t=0 to t_end, recording monitors every
     ``monitor_every`` steps (plus the initial and final states).
 
-    The stage a recorded point evaluates for its energy flux is the first
-    stage of the next step, so observing costs no extra stage evaluation
-    (except at the final point).  Each recorded point's monitors are logged
-    at DEBUG level.
+    The stage at each step's end state is evaluated once: it is the next
+    step's first stage and a recorded point's energy flux, so N steps cost
+    4N + 1 stages with RK4 and N + 1 with Euler at any cadence.  Each
+    recorded point's monitors are logged at DEBUG level.
 
     The rates are bound once per run, and between recorded points the state
     is carried as :func:`step` advances it (at n = 2 as Python floats), so
@@ -284,27 +284,21 @@ def simulate(
     two_level = system.dim == 2
     advance = _two_level_advance if two_level else _array_advance
     state, h = (_two_level_entries(rho) if two_level else rho), bath0.H_e
-    # a finite bath drained at the end of a step fails where step's snapshot would
-    drained = bath0._temperature_at if bath0.kind == "finite" else None
     points: list[TrajectoryPoint] = []
     energy_ref = None
-    rates = None
     debug = log.isEnabledFor(logging.DEBUG)
-    dt, method, every, n = config.dt, config.method, config.monitor_every, config.n_steps
+    dt, method, every, n, tol = config.dt, config.method, config.monitor_every, config.n_steps, config.tolerances
     for k in range(n + 1):
         t = k * dt
         sampled = k % every == 0 or k == n
         try:
             if k:
                 state, h = advance(state, h, stage, dt, method, rates)
-                if drained is not None:
-                    drained(h)
-                rates = None
+            # a finite bath drained by the step raises here, where T(H_e) is read
+            rates = stage(state, h)
             if sampled:
                 rho = _two_level_matrix(*state) if two_level else state
-                point, violation, rates = _observe(
-                    t, rho, bath0.with_energy(h), system, energy_ref, config.tolerances, stage
-                )
+                point, violation = _observe(t, rho, bath0.with_energy(h), system, energy_ref, tol, rates[1])
         except _BathDrained as exc:
             return Trajectory(tuple(points), config, MONITOR_VIOLATION, f"{exc} in the step to t={t:.6g}")
         except np.linalg.LinAlgError as exc:

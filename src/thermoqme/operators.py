@@ -235,7 +235,9 @@ def _two_level_weights(x: float, z: float, re: float, im: float):
     precision where (tr rho -/+ |m|)/2 loses it to cancellation (near a pure
     state, where d depends on the logarithm of that eigenvalue).  At n = 2
     numpy's call overhead is many times this arithmetic.  Non-finite input
-    gives non-finite output without raising.
+    never raises, but the weights need not be non-finite (x = nan can give
+    finite ones); the stage built on them is non-finite all the same, as
+    the Bloch vector m it also reads is.
     """
     b = math.hypot(re, im)
     # the intermediates reach 2 (|x| + |z| + b); as LAPACK's eigh does, huge

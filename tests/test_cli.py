@@ -508,6 +508,21 @@ def test_config_error_paths(tmp_path, data, path, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_unreadable_config_is_a_configuration_error(tmp_path, capsys, command):
+    # a missing file and a file that is not UTF-8 (it starts with a UTF-16
+    # byte-order mark) end as configuration errors, not tracebacks
+    garbled = tmp_path / "utf16.json"
+    garbled.write_bytes(b"\xff\xfe{\x00}\x00")
+    out = ["--out", str(tmp_path / "a.csv")] if command == "run" else ["--out-dir", str(tmp_path / "cmp")]
+    for cfg_path, reason in ((tmp_path / "missing.json", "No such file"), (garbled, "can't decode byte 0xff")):
+        assert main([command, "--config", str(cfg_path), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config: cannot read {cfg_path}: ")
+        assert reason in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["utf16.json"]
+
+
 def test_mu_table(tmp_path):
     out = tmp_path / "mu.csv"
     assert main(["mu-table", "--min", "0", "--max", "0.999", "--steps", "1000", "--out", str(out)]) == 0

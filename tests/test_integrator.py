@@ -306,18 +306,22 @@ def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
 
 @pytest.mark.parametrize("nonlinear, decompositions", [(True, 1), (False, 0)])
 def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decompositions):
-    # min_eig and the entropy share one spectrum; only the flux stage decomposes again
+    # min_eig and the entropy share one spectrum; the flux stage, which
+    # decomposes rho again, is evaluated by the caller, not inside _observe
     for dim, setup in DIMENSIONS:
         system, bath = setup()
         rho = random_density(rng, dim)
         w = np.linalg.eigvalsh(rho)
         entropy = bath.entropy() + von_neumann_entropy(rho)
-        stage = _bind(bath, system, nonlinear)
+        with monkeypatch.context() as patch:
+            bases, eighs = _count_decompositions(patch)
+            flux = joint_rhs(rho, bath.H_e, bath, system, nonlinear)[1]
+        assert (bases, eighs) == _decompositions(dim, decompositions)
         with monkeypatch.context() as patch:
             bases, eighs = _count_decompositions(patch)
             eigvalsh = _count_calls(patch, np.linalg, "eigvalsh")
-            point, violation, _ = _observe(0.0, rho, bath, system, None, MonitorTolerances(), stage)
-        assert (bases, eighs) == _decompositions(dim, decompositions)
+            point, violation = _observe(0.0, rho, bath, system, None, MonitorTolerances(), flux)
+        assert (bases, eighs) == _decompositions(dim, 0)
         assert eigvalsh == [(dim, dim)]
         assert violation is None
         assert point.monitors["min_eig"] == w[0]
@@ -326,19 +330,24 @@ def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decomposition
 
 @pytest.mark.parametrize("nonlinear, per_step", [(True, 4), (False, 0)])
 def test_sampled_stage_is_the_next_first_stage(monkeypatch, rng, nonlinear, per_step):
-    # a point sampled every step evaluates the stage the next step starts
-    # from, so N steps cost 4N + 1 decompositions, not 5N + 1
+    # every step hands the stage at its end state to the next step, and a
+    # sampled point reads its flux from that stage, so N RK4 steps cost
+    # 4N + 1 decompositions (N + 1 with Euler), not 5N + 1, whether every
+    # step is sampled or, with monitor_every = 4 over 6 steps, steps 1-3
+    # and 5 are not
     bases, eighs = _count_decompositions(monkeypatch)
-    cfg = IntegratorConfig(dt=1e-3, t_end=6e-3, monitor_every=1)
-    for dim, setup in DIMENSIONS:
-        system, bath = setup()
-        rho0 = random_density(rng, dim)
-        bases.clear()
-        eighs.clear()
-        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
-        assert traj.termination == COMPLETED and len(traj.points) == cfg.n_steps + 1
-        want = per_step * cfg.n_steps + (1 if nonlinear else 0)
-        assert (bases, eighs) == _decompositions(dim, want)
+    for method, stages in (("rk4", per_step), ("euler", per_step // 4)):
+        for every, n_points in ((1, 7), (4, 3)):
+            cfg = IntegratorConfig(dt=1e-3, t_end=6e-3, method=method, monitor_every=every)
+            for dim, setup in DIMENSIONS:
+                system, bath = setup()
+                rho0 = random_density(rng, dim)
+                bases.clear()
+                eighs.clear()
+                traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+                assert traj.termination == COMPLETED and len(traj.points) == n_points
+                want = stages * cfg.n_steps + (1 if nonlinear else 0)
+                assert (bases, eighs) == _decompositions(dim, want)
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])
@@ -377,11 +386,14 @@ def test_step_rejects_unknown_method(rng, dim, setup):
 
 def _array_step(rho, bath, system, dt, method, nonlinear, first):
     """The step on numpy arrays at any n, every stage bound anew by
-    joint_rhs: the reference for the float-carried dim-2 step."""
+    joint_rhs, and the first one evaluated here when ``first`` is None: the
+    reference for the float-carried dim-2 step."""
 
     def stage(rho, H_e):
         return joint_rhs(rho, H_e, bath, system, nonlinear)
 
+    if first is None:
+        first = stage(rho, bath.H_e)
     rho, h = _array_advance(rho, bath.H_e, stage, dt, method, first)
     return rho, bath.with_energy(h)
 
@@ -472,8 +484,9 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
                 first = stage(r, bath.H_e)
                 assert _bits(first) == _bits(oracle(r, bath.H_e))
                 for method in ("rk4", "euler"):
+                    # the oracle step evaluates its own first stage, or is given the fused one
                     for given in (None, first):
-                        out = integrator._two_level_advance(r, bath.H_e, stage, 0.05, method, given)
+                        out = integrator._two_level_advance(r, bath.H_e, stage, 0.05, method, first)
                         ref = oracles.two_level_advance(r, bath.H_e, oracle, 0.05, method, given)
                         assert _bits(out) == _bits(ref)
 
@@ -509,15 +522,16 @@ def test_non_finite_state_is_a_violation(nonlinear):
     # NaN compares false with every tolerance; the monitor must still fire
     system, bath = _finite_bath_setup()
     rho = np.full((2, 2), np.nan, dtype=complex)
-    point, violation, _ = _observe(0.5, rho, bath, system, None, MonitorTolerances(), _bind(bath, system, nonlinear))
+    flux = joint_rhs(rho, bath.H_e, bath, system, nonlinear)[1]
+    point, violation = _observe(0.5, rho, bath, system, None, MonitorTolerances(), flux)
     assert violation is not None and violation.startswith("non-finite monitor")
     for key in ("trace_err", "herm_err", "min_eig"):
         assert f"{key}=nan" in violation
     assert "total_energy" in violation and "t=0.5" in violation
     # a finite state with a non-finite bath energy: only the total is bad
     infinite = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0, H_e=np.inf)
-    stage = _bind(infinite, system, nonlinear)
-    _, violation, _ = _observe(0.5, I2 / 2, infinite, system, None, MonitorTolerances(), stage)
+    flux = joint_rhs(I2 / 2, infinite.H_e, infinite, system, nonlinear)[1]
+    _, violation = _observe(0.5, I2 / 2, infinite, system, None, MonitorTolerances(), flux)
     assert violation == "non-finite monitor total_energy=inf at t=0.5"
 
 
@@ -541,7 +555,7 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     system, bath = _finite_bath_setup()
 
     def nan_step(r, h, stage, dt, method, first):
-        return advance(nan, h, stage, dt, method, None)
+        return advance(nan, h, stage, dt, method, stage(nan, h))
 
     monkeypatch.setattr(integrator, "_two_level_advance", nan_step)
     traj = simulate(I2 / 2, bath, system, cfg, nonlinear=nonlinear)
@@ -555,11 +569,12 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
 def test_simulate_matches_array_step_loop(rng, method, nonlinear):
     # simulate carries the dim-2 state as floats between sampled points, with
     # the rates bound once; a loop of the array step, which binds at every
-    # stage and builds every step's matrix and bath snapshot, and _observe,
-    # bound afresh at every point, must give the same points and the same
-    # termination over 240 steps: random non-diagonal H and Q, hbar = 0.8,
-    # k_B = 1.3, a weight-0 bath-coupled channel next to a weighted one and
-    # two fixed ones, with an infinite and with a finite bath (temperature 2,
+    # stage and builds every step's matrix and bath snapshot, and _observe
+    # with the flux of a stage bound afresh at every point, must give the
+    # same points and the same termination over 240 steps: random
+    # non-diagonal H and Q, hbar = 0.8, k_B = 1.3, a weight-0 bath-coupled
+    # channel next to a weighted one and two fixed ones, with an infinite
+    # and with a finite bath (temperature 2,
     # and a start away from the Bloch sphere, so that the linearized variant
     # stays inside it); bound fixed before measuring: 1e-13 in rho and in H_e
     # and the flux (relative to max(1, |value|))
@@ -589,8 +604,8 @@ def test_simulate_matches_array_step_loop(rng, method, nonlinear):
             if k:
                 rho, ref_bath = _array_step(rho, ref_bath, system, cfg.dt, method, nonlinear, None)
             if k % cfg.monitor_every == 0 or k == cfg.n_steps:
-                stage = _bind(ref_bath, system, nonlinear)
-                point, violation, _ = _observe(k * cfg.dt, rho, ref_bath, system, energy_ref, cfg.tolerances, stage)
+                flux = joint_rhs(rho, ref_bath.H_e, ref_bath, system, nonlinear)[1]
+                point, violation = _observe(k * cfg.dt, rho, ref_bath, system, energy_ref, cfg.tolerances, flux)
                 assert violation is None
                 reference.append(point)
                 energy_ref = reference[0].monitors["total_energy"]
@@ -675,16 +690,18 @@ DRAINED = {
 def test_drained_bath_between_sampled_points(dim, nonlinear, method):
     # the bath drains in a step between recorded points (with euler, only at
     # the end of the step): the run ends where stepping bath snapshots did,
-    # with the same text, the same points and the same last bath energy
+    # with the same text, the same points and the same last bath energy;
+    # so does a run whose last step is the draining one
     violation, n_points, last_H_e = DRAINED[dim, nonlinear, method]
     setup, rho0 = {
         2: (_finite_bath_setup, pauli_compose(1.0, np.array([0.0, 0.0, -0.99]))),
         3: (_three_level_setup, np.diag([0.001, 0.001, 0.998]).astype(complex)),
     }[dim]
     system, bath = _heated(*setup(C_e=1.0, H_e0=0.2))
-    cfg = IntegratorConfig(dt=0.05, t_end=10.0, method=method, monitor_every=4)
-    traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
-    assert traj.termination == MONITOR_VIOLATION
-    assert traj.violation == f"finite bath energy must stay positive, got {violation}"
-    assert len(traj.points) == n_points
-    assert traj.final.env.H_e == last_H_e
+    for t_end in (10.0, float(violation.rsplit("t=", 1)[1])):
+        cfg = IntegratorConfig(dt=0.05, t_end=t_end, method=method, monitor_every=4)
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == MONITOR_VIOLATION
+        assert traj.violation == f"finite bath energy must stay positive, got {violation}"
+        assert len(traj.points) == n_points
+        assert traj.final.env.H_e == last_H_e
