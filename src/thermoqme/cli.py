@@ -4,7 +4,8 @@ Trajectories are written as UTF-8 CSV with a header row and
 17-significant-digit scientific notation, so identical configurations
 produce byte-identical files.  Exit codes: 0 for a completed run, 2 when a
 structure monitor fired (the file still holds the trajectory up to the
-violation), 1 for configuration errors.
+violation), 1 for configuration errors, an output location that cannot be
+created or written included.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -72,11 +74,28 @@ def _trajectory_rows(traj: Trajectory, setup: RunSetup):
     return header, rows
 
 
-def _write_csv(path, header, rows) -> None:
+def _output_dir(path) -> Path:
+    """Create the directory ``path`` and its parents; ConfigError if they cannot be."""
     path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output", f"cannot create directory {path}: {exc}") from exc
+    return path
+
+
+@contextmanager
+def _output(path):
+    """The text file ``path`` opened for writing; ConfigError if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError("output", f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv(path, header, rows) -> None:
+    with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
@@ -99,14 +118,11 @@ def _run_one(setup: RunSetup, nonlinear: bool) -> Trajectory:
 
 
 def cmd_run(args) -> int:
-    try:
-        setup = build_run(load_config(args.config))
-        out_path = args.out or setup.output_path
-        if out_path is None:
-            raise ConfigError("output.path", "required unless --out is given")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    setup = build_run(load_config(args.config))
+    out_path = args.out or setup.output_path
+    if out_path is None:
+        raise ConfigError("output.path", "required unless --out is given")
+    _output_dir(Path(out_path).parent)
 
     log.info("run: config %s, output %s", args.config, out_path)
     traj = _run_one(setup, setup.nonlinear)
@@ -131,6 +147,7 @@ def cmd_mu_table(args) -> int:
     if args.steps < 2:
         print("configuration error: steps must be >= 2", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    _output_dir(Path(args.out).parent)
     grid = np.linspace(args.min, args.max, args.steps)
     rows = [[_fmt(m), _fmt(mu(float(m)))] for m in grid]
     _write_csv(args.out, ["m", "mu"], rows)
@@ -139,14 +156,8 @@ def cmd_mu_table(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        setup = build_run(load_config(args.config))
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    setup = build_run(load_config(args.config))
+    out_dir = _output_dir(args.out_dir)
     log.info("compare: config %s, output directory %s", args.config, out_dir)
 
     results = {}
@@ -192,7 +203,7 @@ def cmd_compare(args) -> int:
             "linearized_left_bloch_ball": bool(np.linalg.norm(m_lin) > 1.0 + 1e-9)
             or lin.termination != COMPLETED,
         }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+    with _output(out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -247,7 +258,11 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 def entry_point() -> None:

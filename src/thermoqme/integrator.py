@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import _spectrum_entropy, validate_density_matrix
-from .master_equation import QuantumSystem, _as_state, _two_level_entries, _two_level_matrix, energy_expectation
+from .operators import _spectrum_entropy, _two_level_entries, _two_level_matrix, validate_density_matrix
+from .master_equation import QuantumSystem, _as_state, energy_expectation
 from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _bind
 
 __all__ = [

@@ -18,6 +18,8 @@ from .operators import (
     PhysicalConstants,
     _as_square_matrix,
     _modified_in_basis,
+    _two_level_entries,
+    _two_level_matrix,
     _two_level_weights,
     hermitianize,
     validate_hermitian,
@@ -89,10 +91,9 @@ class QuantumSystem:
         C = Q @ self.H - self.H @ Q
         h2 = q2 = None
         if dim == 2:
-            # a_k = Re tr(sigma_k A)/2, so A = a0 I + a . sigma for Hermitian A,
-            # and [a . sigma, b . sigma] = 2i (a x b) . sigma
-            s01, s10 = S[:, 0, 1], S[:, 1, 0]
-            p = 0.5 * np.stack([s01 + s10, 1j * (s01 - s10), S[:, 0, 0] - S[:, 1, 1]], axis=1).real
+            # Hermitian A = tr(A)/2 I + a . sigma (see _two_level_entries), and
+            # [a . sigma, b . sigma] = 2i (a x b) . sigma
+            p = np.array([(re, im, 0.5 * (a00 - a11)) for a00, a11, re, im in map(_two_level_entries, S)])
             h, q = p[0], p[1:]
             c = 2.0 * np.cross(q, h)
             # (2/hbar) [h]x, and per channel 4 (q q^T - |q|^2 I), 4 q x c and 4 q c^T
@@ -266,17 +267,6 @@ def _lapack_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bo
             x += friction * (0.5 * (c - c.conj().swapaxes(1, 2)))
     a = system._Q_row @ x.reshape(-1, rho.shape[0])
     return (-1j / system.constants.hbar) * comm[0] - (a + a.conj().T)
-
-
-def _two_level_entries(a: np.ndarray):
-    """The four reals (a00, a11, Re a10, Im a10) that fix a Hermitian 2x2 ``a``."""
-    (a00, _), (a10, a11) = a.tolist()
-    return a00.real, a11.real, a10.real, a10.imag
-
-
-def _two_level_matrix(a00: float, a11: float, re: float, im: float) -> np.ndarray:
-    """The exactly Hermitian 2x2 ndarray with the four reals of :func:`_two_level_entries`."""
-    return np.array([[a00, complex(re, -im)], [complex(re, im), a11]])
 
 
 def equilibrium_state(H, T: float, constants: PhysicalConstants = NATURAL) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Dense Hermitian operator algebra.
 
-Spectral decompositions, functions of self-adjoint operators, commutators,
-the state-weighted "modified" operator that generates the friction terms of
-the master equation, and canonical (Kubo-type) correlations.
+Commutators, validation, the state-weighted "modified" operator that
+generates the friction terms of the master equation, canonical (Kubo-type)
+correlations, the von Neumann entropy, and the map between a 2x2 Hermitian
+matrix and its four real coordinates that every dimension-2 path shares.
 
 All operations are pure functions of dense complex matrices.  Inputs are
 never mutated.  Natural units (hbar = k_B = 1) are the default through
@@ -14,26 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PhysicalConstants",
     "NATURAL",
-    "SpectralDecomposition",
     "commutator",
-    "anticommutator",
     "hermitianize",
     "validate_hermitian",
     "validate_density_matrix",
-    "spectral_decompose",
-    "operator_function",
     "modified_operator",
-    "modified_operator_quadrature",
     "nonlinear_part",
     "canonical_correlation",
-    "log_density",
     "von_neumann_entropy",
 ]
 
@@ -112,61 +106,6 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a, b) -> np.ndarray:
-    """{a, b} = ab + ba."""
-    a = _as_square_matrix(a)
-    b = _as_square_matrix(b)
-    _require_same_dim(a, b)
-    return a @ b + b @ a
-
-
-class SpectralDecomposition(NamedTuple):
-    """Eigendecomposition of a self-adjoint operator.
-
-    ``eigenvalues`` are real and sorted in descending order;
-    ``eigenvectors`` holds the matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
-
-def spectral_decompose(a, tol: float = 1e-12) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix, eigenvalues descending."""
-    arr = validate_hermitian(a, tol)
-    try:
-        w, u = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"eigensolver failed to converge on a {arr.shape[0]}x{arr.shape[0]} matrix: {exc}"
-        ) from exc
-    order = np.argsort(w, kind="stable")[::-1]
-    return SpectralDecomposition(w[order], u[:, order])
-
-
-def operator_function(a, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Returns U f(diag) U^dagger; the result commutes with ``a``.  Raises
-    ValueError if ``f`` is undefined (non-finite) at any eigenvalue.
-    """
-    arr = validate_hermitian(a)
-    w, u = np.linalg.eigh(arr)
-    with np.errstate(all="ignore"):
-        try:
-            fw = np.array([float(f(x)) for x in w])
-        except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
-            raise ValueError(f"function not defined on the spectrum: {exc}") from exc
-    if not np.all(np.isfinite(fw)):
-        bad = w[~np.isfinite(fw)]
-        raise ValueError(f"function not defined on the spectrum (eigenvalues {bad})")
-    return (u * fw) @ u.conj().T
-
-
 def _pairwise_log_mean(p: np.ndarray) -> np.ndarray:
     """Matrix of divided differences d(p_i, p_j) of the exponential in log space.
 
@@ -195,6 +134,19 @@ def _pairwise_log_mean(p: np.ndarray) -> np.ndarray:
         d[over] = gap[over] / (np.log(np.maximum(a, b)[over]) - np.log(lo[over]))
         d[~(lo > 0.0)] = 0.0
     return d
+
+
+def _two_level_entries(a: np.ndarray):
+    """The four reals (a00, a11, Re a10, Im a10) that fix a Hermitian 2x2 ndarray
+    ``a``, as Python floats: a = (a00 + a11)/2 I + (Re a10, Im a10, (a00 - a11)/2) . sigma.
+    Entry (0, 1) is not read."""
+    (a00, _), (a10, a11) = a.tolist()
+    return a00.real, a11.real, a10.real, a10.imag
+
+
+def _two_level_matrix(a00: float, a11: float, re: float, im: float) -> np.ndarray:
+    """The exactly Hermitian 2x2 ndarray with the four reals of :func:`_two_level_entries`."""
+    return np.array([[a00, complex(re, -im)], [complex(re, im), a11]])
 
 
 def _modified_in_basis(w: np.ndarray, u: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -288,32 +240,6 @@ def modified_operator(rho, a) -> np.ndarray:
     return _modified_in_basis(w, u, a)
 
 
-def modified_operator_quadrature(rho, a, nodes: int = 64) -> np.ndarray:
-    """Direct Gauss-Legendre quadrature of the lambda average defining
-    :func:`modified_operator`; retained as an independent numerical oracle.
-
-    Matrix powers rho^lambda use the spectral decomposition with nonpositive
-    eigenvalues clamped to zero (0^lambda = 0 for lambda > 0).
-    """
-    if int(nodes) != nodes or nodes < 2:
-        raise ValueError(f"nodes must be an integer >= 2, got {nodes}")
-    rho = _as_square_matrix(rho, "density matrix")
-    a = _as_square_matrix(a)
-    _require_same_dim(rho, a)
-    w, u = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    x, gw = np.polynomial.legendre.leggauss(int(nodes))
-    lam = 0.5 * (x + 1.0)
-    weight = 0.5 * gw
-    uh = u.conj().T
-    out = np.zeros_like(a)
-    for lk, wk in zip(lam, weight):
-        left = (u * w**lk) @ uh
-        right = (u * w ** (1.0 - lk)) @ uh
-        out = out + wk * (left @ a @ right)
-    return out
-
-
 def nonlinear_part(rho, a) -> np.ndarray:
     """Nonlinear remainder of the modified operator,
     2 * modified_operator(rho, a) - (a rho + rho a).
@@ -337,18 +263,6 @@ def canonical_correlation(rho, a, b) -> float:
     """
     value = np.trace(modified_operator(rho, a) @ _as_square_matrix(b))
     return float(np.real(value))
-
-
-def log_density(rho, floor: float = 1e-14) -> np.ndarray:
-    """Matrix logarithm of a density matrix with an eigenvalue floor.
-
-    Rank-deficient states are handled by flooring populations at ``floor``
-    before taking the logarithm; identities involving ln(rho) should only be
-    relied on for full-rank states.
-    """
-    if not 0.0 < floor < 1.0:
-        raise ValueError(f"floor must lie in (0, 1), got {floor}")
-    return operator_function(rho, lambda p: np.log(max(p, floor)))
 
 
 def von_neumann_entropy(rho, constants: PhysicalConstants = NATURAL) -> float:

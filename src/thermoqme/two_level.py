@@ -1,22 +1,21 @@
-"""Closed-form two-level algebra in the Pauli basis.
+"""Closed-form two-level dynamics in the Pauli basis.
 
 Every self-adjoint 2x2 matrix is a scalar plus a real three-vector against
 the Pauli matrices; density matrices correspond to magnetization vectors in
-the unit ball.  This module carries the exact commutator and operator
-function formulas in that representation, the nonlinear magnetization
-dynamics they induce, and its equilibrium and linearization.  It serves as
-the analytic oracle for the generic matrix engine.
+the unit ball.  This module carries that representation, the paper's
+nonlinearity strength mu, the nonlinear magnetization dynamics, and its
+equilibrium and linearization.  It serves as the analytic oracle for the
+generic matrix engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .operators import NATURAL, PhysicalConstants
+from .operators import NATURAL, PhysicalConstants, _two_level_entries, _two_level_matrix
 from .master_equation import CouplingChannel, QuantumSystem
 from .environment import HeatBath
 
@@ -26,13 +25,9 @@ __all__ = [
     "TwoLevelParams",
     "pauli_compose",
     "pauli_decompose",
-    "pauli_commutator",
-    "pauli_anticommutator",
-    "pauli_function",
     "mu",
     "mu_derivative",
     "bloch_nonlinear_part",
-    "bloch_nonlinear_part_uniform_form",
     "bloch_rhs",
     "bloch_equilibrium",
     "bloch_linearized_matrix",
@@ -105,13 +100,8 @@ def pauli_compose(alpha: float, a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"coefficient vector must have shape (3,), got {a.shape}")
-    return 0.5 * np.array(
-        [
-            [alpha + a[2], a[0] - 1j * a[1]],
-            [a[0] + 1j * a[1], alpha - a[2]],
-        ],
-        dtype=complex,
-    )
+    a1, a2, a3 = a.tolist()
+    return _two_level_matrix(0.5 * (alpha + a3), 0.5 * (alpha - a3), 0.5 * a1, 0.5 * a2)
 
 
 def pauli_decompose(matrix, tol: float = 1e-12) -> PauliVector:
@@ -125,48 +115,8 @@ def pauli_decompose(matrix, tol: float = 1e-12) -> PauliVector:
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
     if float(np.max(np.abs(m - m.conj().T))) > tol:
         raise ValueError("matrix is not Hermitian; the real representation does not apply")
-    alpha = float(np.real(m[0, 0] + m[1, 1]))
-    a = np.array(
-        [
-            2.0 * float(np.real(m[1, 0])),
-            2.0 * float(np.imag(m[1, 0])),
-            float(np.real(m[0, 0] - m[1, 1])),
-        ]
-    )
-    return PauliVector(alpha, a)
-
-
-def pauli_commutator(x: PauliVector, y: PauliVector) -> PauliVector:
-    """Coefficients c with [X, Y] = i * compose(0, c), i.e. c = a cross b."""
-    return PauliVector(0.0, np.cross(x.a, y.a))
-
-
-def pauli_anticommutator(x: PauliVector, y: PauliVector) -> PauliVector:
-    """{X, Y} = compose(alpha beta + a.b, beta a + alpha b)."""
-    return PauliVector(
-        x.alpha * y.alpha + float(np.dot(x.a, y.a)),
-        y.alpha * x.a + x.alpha * y.a,
-    )
-
-
-def pauli_function(x: PauliVector, f: Callable[[float], float]) -> PauliVector:
-    """Scalar function of an observable through its two eigenvalues
-    (alpha +- |a|)/2, without diagonalizing."""
-    def evaluate(eigenvalue: float) -> float:
-        try:
-            val = float(f(eigenvalue))
-        except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
-            raise ValueError(f"function not defined at eigenvalue {eigenvalue}: {exc}") from exc
-        if not math.isfinite(val):
-            raise ValueError(f"function not defined at eigenvalue {eigenvalue}")
-        return val
-
-    anorm = float(np.linalg.norm(x.a))
-    if anorm == 0.0:
-        return PauliVector(2.0 * evaluate(0.5 * x.alpha), np.zeros(3))
-    f_plus = evaluate(0.5 * (x.alpha + anorm))
-    f_minus = evaluate(0.5 * (x.alpha - anorm))
-    return PauliVector(f_plus + f_minus, (f_plus - f_minus) * x.a / anorm)
+    a00, a11, re, im = _two_level_entries(m)
+    return PauliVector(a00 + a11, np.array([2.0 * re, 2.0 * im, a00 - a11]))
 
 
 def _artanh(m: float) -> float:
@@ -220,27 +170,6 @@ def bloch_nonlinear_part(m, a) -> PauliVector:
         raise ValueError(f"magnetization must lie strictly inside the unit ball, got |m| = {norm}")
     vec = mu(norm) * (norm * norm * a - m * float(np.dot(m, a)))
     return PauliVector(0.0, -vec)
-
-
-def bloch_nonlinear_part_uniform_form(m, a) -> PauliVector:
-    """Equivalent form built on the deviation from the uniform state.
-
-    With D = rho - I/2 and A0 the traceless part of the observable,
-    2 mu(|m|) [D tr(A0 D) - A0 tr(D^2)]; equals :func:`bloch_nonlinear_part`
-    and makes explicit that the nonlinearity pulls toward the uniform state.
-    """
-    m = np.asarray(m, dtype=float)
-    a = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(m))
-    if norm >= 1.0:
-        raise ValueError(f"magnetization must lie strictly inside the unit ball, got |m| = {norm}")
-    dev = pauli_compose(0.0, m)
-    a0 = pauli_compose(0.0, a)
-    prefactor = 2.0 * mu(norm)
-    mat = prefactor * (
-        dev * float(np.real(np.trace(a0 @ dev))) - a0 * float(np.real(np.trace(dev @ dev)))
-    )
-    return pauli_decompose(mat)
 
 
 def _diffusion_matrix(p: TwoLevelParams) -> np.ndarray:

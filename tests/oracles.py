@@ -1,5 +1,10 @@
 """Reference implementations that tests compare the program against.
 
+The general-purpose algebra first: commutator and operator-function
+formulas, spectral decomposition, a quadrature of the modified operator and
+the closed-form Pauli identities.  The package needs none of them to run;
+the tests check its kernels against them.
+
 The dimension-2 kernel below is the stage and RK step written as separate
 functions over tuples, the form the fused closure of
 ``master_equation._bind_rates`` and ``integrator._two_level_advance``
@@ -8,10 +13,159 @@ reordering of the arithmetic fails a test instead of changing output bytes.
 """
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from thermoqme.operators import _two_level_weights
+from thermoqme.operators import _as_square_matrix, _require_same_dim, _two_level_weights, validate_hermitian
+from thermoqme.two_level import PauliVector, mu, pauli_compose, pauli_decompose
+
+
+def anticommutator(a, b) -> np.ndarray:
+    """{a, b} = ab + ba."""
+    a = _as_square_matrix(a)
+    b = _as_square_matrix(b)
+    _require_same_dim(a, b)
+    return a @ b + b @ a
+
+
+class SpectralDecomposition(NamedTuple):
+    """Eigendecomposition of a self-adjoint operator.
+
+    ``eigenvalues`` are real and sorted in descending order;
+    ``eigenvectors`` holds the matching orthonormal eigenvectors as columns.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        u = self.eigenvectors
+        return (u * self.eigenvalues) @ u.conj().T
+
+
+def spectral_decompose(a, tol: float = 1e-12) -> SpectralDecomposition:
+    """Diagonalize a Hermitian matrix, eigenvalues descending."""
+    arr = validate_hermitian(a, tol)
+    try:
+        w, u = np.linalg.eigh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"eigensolver failed to converge on a {arr.shape[0]}x{arr.shape[0]} matrix: {exc}"
+        ) from exc
+    order = np.argsort(w, kind="stable")[::-1]
+    return SpectralDecomposition(w[order], u[:, order])
+
+
+def operator_function(a, f: Callable[[float], float]) -> np.ndarray:
+    """Apply a scalar function to a Hermitian matrix through its spectrum.
+
+    Returns U f(diag) U^dagger; the result commutes with ``a``.  Raises
+    ValueError if ``f`` is undefined (non-finite) at any eigenvalue.
+    """
+    arr = validate_hermitian(a)
+    w, u = np.linalg.eigh(arr)
+    with np.errstate(all="ignore"):
+        try:
+            fw = np.array([float(f(x)) for x in w])
+        except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
+            raise ValueError(f"function not defined on the spectrum: {exc}") from exc
+    if not np.all(np.isfinite(fw)):
+        bad = w[~np.isfinite(fw)]
+        raise ValueError(f"function not defined on the spectrum (eigenvalues {bad})")
+    return (u * fw) @ u.conj().T
+
+
+def modified_operator_quadrature(rho, a, nodes: int = 64) -> np.ndarray:
+    """Direct Gauss-Legendre quadrature of the lambda average defining
+    :func:`modified_operator`; retained as an independent numerical oracle.
+
+    Matrix powers rho^lambda use the spectral decomposition with nonpositive
+    eigenvalues clamped to zero (0^lambda = 0 for lambda > 0).
+    """
+    if int(nodes) != nodes or nodes < 2:
+        raise ValueError(f"nodes must be an integer >= 2, got {nodes}")
+    rho = _as_square_matrix(rho, "density matrix")
+    a = _as_square_matrix(a)
+    _require_same_dim(rho, a)
+    w, u = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    x, gw = np.polynomial.legendre.leggauss(int(nodes))
+    lam = 0.5 * (x + 1.0)
+    weight = 0.5 * gw
+    uh = u.conj().T
+    out = np.zeros_like(a)
+    for lk, wk in zip(lam, weight):
+        left = (u * w**lk) @ uh
+        right = (u * w ** (1.0 - lk)) @ uh
+        out = out + wk * (left @ a @ right)
+    return out
+
+
+def log_density(rho, floor: float = 1e-14) -> np.ndarray:
+    """Matrix logarithm of a density matrix with an eigenvalue floor.
+
+    Rank-deficient states are handled by flooring populations at ``floor``
+    before taking the logarithm; identities involving ln(rho) should only be
+    relied on for full-rank states.
+    """
+    if not 0.0 < floor < 1.0:
+        raise ValueError(f"floor must lie in (0, 1), got {floor}")
+    return operator_function(rho, lambda p: np.log(max(p, floor)))
+
+
+def pauli_commutator(x: PauliVector, y: PauliVector) -> PauliVector:
+    """Coefficients c with [X, Y] = i * compose(0, c), i.e. c = a cross b."""
+    return PauliVector(0.0, np.cross(x.a, y.a))
+
+
+def pauli_anticommutator(x: PauliVector, y: PauliVector) -> PauliVector:
+    """{X, Y} = compose(alpha beta + a.b, beta a + alpha b)."""
+    return PauliVector(
+        x.alpha * y.alpha + float(np.dot(x.a, y.a)),
+        y.alpha * x.a + x.alpha * y.a,
+    )
+
+
+def pauli_function(x: PauliVector, f: Callable[[float], float]) -> PauliVector:
+    """Scalar function of an observable through its two eigenvalues
+    (alpha +- |a|)/2, without diagonalizing."""
+    def evaluate(eigenvalue: float) -> float:
+        try:
+            val = float(f(eigenvalue))
+        except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
+            raise ValueError(f"function not defined at eigenvalue {eigenvalue}: {exc}") from exc
+        if not math.isfinite(val):
+            raise ValueError(f"function not defined at eigenvalue {eigenvalue}")
+        return val
+
+    anorm = float(np.linalg.norm(x.a))
+    if anorm == 0.0:
+        return PauliVector(2.0 * evaluate(0.5 * x.alpha), np.zeros(3))
+    f_plus = evaluate(0.5 * (x.alpha + anorm))
+    f_minus = evaluate(0.5 * (x.alpha - anorm))
+    return PauliVector(f_plus + f_minus, (f_plus - f_minus) * x.a / anorm)
+
+
+def bloch_nonlinear_part_uniform_form(m, a) -> PauliVector:
+    """Equivalent form built on the deviation from the uniform state.
+
+    With D = rho - I/2 and A0 the traceless part of the observable,
+    2 mu(|m|) [D tr(A0 D) - A0 tr(D^2)]; equals :func:`bloch_nonlinear_part`
+    and makes explicit that the nonlinearity pulls toward the uniform state.
+    """
+    m = np.asarray(m, dtype=float)
+    a = np.asarray(a, dtype=float)
+    norm = float(np.linalg.norm(m))
+    if norm >= 1.0:
+        raise ValueError(f"magnetization must lie strictly inside the unit ball, got |m| = {norm}")
+    dev = pauli_compose(0.0, m)
+    a0 = pauli_compose(0.0, a)
+    prefactor = 2.0 * mu(norm)
+    mat = prefactor * (
+        dev * float(np.real(np.trace(a0 @ dev))) - a0 * float(np.real(np.trace(dev @ dev)))
+    )
+    return pauli_decompose(mat)
 
 
 def two_level_map(system, friction, diffusion, per_T=None):

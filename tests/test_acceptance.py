@@ -22,10 +22,8 @@ from thermoqme import (
     commutator,
     equilibrium_state,
     load_config,
-    log_density,
     master_rhs,
     modified_operator,
-    modified_operator_quadrature,
     mu,
     pauli_decompose,
     simulate,
@@ -38,6 +36,7 @@ from thermoqme.config import build_run
 from thermoqme.integrator import COMPLETED
 
 from conftest import random_density, random_hermitian
+from oracles import log_density, modified_operator_quadrature
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 RELAXATION_CONFIGS = {

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoqme import config_to_dict, integrator, load_config, parse_config, simulate
+from thermoqme import cli, config_to_dict, integrator, load_config, parse_config, simulate
 from thermoqme.cli import main
 from thermoqme.config import ConfigError, build_run
 
@@ -521,6 +521,38 @@ def test_unreadable_config_is_a_configuration_error(tmp_path, capsys, command):
         assert err.startswith(f"configuration error: config: cannot read {cfg_path}: ")
         assert reason in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["utf16.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "mu-table"])
+def test_unwritable_output_is_a_configuration_error(tmp_path, monkeypatch, capsys, command):
+    # a regular file where the output directory should be is found before
+    # anything is simulated, and a directory where an output file should be
+    # is found at the write; both end as configuration errors, not tracebacks
+    cfg = str(_write(tmp_path, _two_level_config(integrator={"dt": 0.01, "t_end": 0.1})))
+    argv = {
+        "run": lambda out: ["run", "--config", cfg, "--out", str(out / "a.csv")],
+        "compare": lambda out: ["compare", "--config", cfg, "--out-dir", str(out)],
+        "mu-table": lambda out: ["mu-table", "--min", "0", "--max", "0.5", "--steps", "3", "--out", str(out / "a.csv")],
+    }[command]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the output location was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "simulate", no_simulation)
+        assert main(argv(blocker)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: output: cannot create directory {blocker}: ")
+    assert "File exists" in err
+
+    taken = tmp_path / "taken"
+    (taken / ("nonlinear.csv" if command == "compare" else "a.csv")).mkdir(parents=True)
+    assert main(argv(taken)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: output: cannot write {taken}")
+    assert "Is a directory" in err
 
 
 def test_mu_table(tmp_path):

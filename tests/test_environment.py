@@ -9,7 +9,6 @@ from thermoqme import (
     PhysicalConstants,
     QuantumSystem,
     TwoLevelParams,
-    anticommutator,
     check_bath_equilibrium,
     commutator,
     energy_expectation,
@@ -25,6 +24,7 @@ from thermoqme.master_equation import _bind_rates, _matrix_rates, _rates
 from thermoqme.two_level import SIGMA
 
 from conftest import joint_rhs, random_density, random_hermitian
+from oracles import anticommutator
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)

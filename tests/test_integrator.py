@@ -10,6 +10,7 @@ from thermoqme import (
     TwoLevelParams,
     bloch_equilibrium,
     energy_expectation,
+    equilibrium_state,
     pauli_compose,
     pauli_decompose,
     simulate,
@@ -183,6 +184,28 @@ def test_energy_exchanged_with_infinite_bath_is_booked():
     # subsystem energy change is mirrored in the bath ledger
     assert np.max(np.abs(energy - energy[0])) < 1e-11
     assert traj.final.env.H_e > 0.1  # bath absorbed the polarization energy
+
+
+def test_spin_three_halves_relaxes_to_the_gibbs_state():
+    # the generic engine above two levels against the Gibbs oracle: a spin-3/2
+    # ladder, H = J_z with bath-coupled channels J_x and J_y at T_e = 1, from a
+    # seeded full-rank state; the nonlinear variant reaches exp(-H/T_e)/Z, the
+    # linearized one settles measurably elsewhere
+    m = np.array([1.5, 0.5, -0.5, -1.5])
+    jp = np.diag(np.sqrt(3.75 - m[1:] * (m[1:] + 1.0)), 1).astype(complex)  # J_+
+    jx, jy, jz = 0.5 * (jp + jp.T), -0.5j * (jp - jp.T), np.diag(m).astype(complex)
+    system = QuantumSystem(jz, (CouplingChannel(jx, bath_coupled=True), CouplingChannel(jy, bath_coupled=True)))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    rho0 = random_density(np.random.default_rng(20260810), 4)
+    cfg = IntegratorConfig(dt=0.01, t_end=15.0, method="rk4", monitor_every=1500)
+    gibbs = equilibrium_state(jz, 1.0)
+    gaps = {}
+    for nonlinear in (True, False):
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == COMPLETED
+        gaps[nonlinear] = float(np.max(np.abs(traj.final.rho - gibbs)))
+    assert gaps[True] <= 1e-8
+    assert gaps[False] >= 1e-3
 
 
 def test_linearized_run_leaves_state_space_and_is_flagged():

@@ -9,21 +9,24 @@ from thermoqme import (
     PhysicalConstants,
     canonical_correlation,
     commutator,
-    log_density,
     modified_operator,
-    modified_operator_quadrature,
     nonlinear_part,
-    operator_function,
-    spectral_decompose,
     validate_density_matrix,
     validate_hermitian,
     von_neumann_entropy,
 )
 from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _rates
 from thermoqme.operators import _log_mean, _pairwise_log_mean, _two_level_weights
-from thermoqme.two_level import SIGMA, pauli_compose, pauli_function, PauliVector
+from thermoqme.two_level import SIGMA, pauli_compose, PauliVector
 
 from conftest import random_density, random_hermitian, stage_rhs
+from oracles import (
+    log_density,
+    modified_operator_quadrature,
+    operator_function,
+    pauli_function,
+    spectral_decompose,
+)
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
@@ -473,3 +476,24 @@ def test_validate_density_matrix(rng):
         validate_density_matrix(np.diag([0.5, 0.3]).astype(complex))
     with pytest.raises(ValueError, match="eigenvalue"):
         validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_package_exports_exactly_the_modules_public_names():
+    import thermoqme
+    from thermoqme import config, environment, integrator, master_equation, operators, two_level
+
+    modules = (operators, master_equation, environment, two_level, integrator, config)
+    union = [name for module in modules for name in module.__all__]
+    assert sorted(thermoqme.__all__) == sorted(union) and len(set(union)) == len(union)
+    # every listed name resolves, and nothing public lies beyond the lists
+    # (submodules aside), so no stale import survives
+    public = {n for n, v in vars(thermoqme).items() if not n.startswith("_") and not isinstance(v, type(math))}
+    assert public == set(union)
+    # the helpers only tests use live in tests/oracles.py, nowhere in the package
+    oracle_only = (
+        "anticommutator", "SpectralDecomposition", "spectral_decompose", "operator_function",
+        "log_density", "modified_operator_quadrature", "pauli_commutator",
+        "pauli_anticommutator", "pauli_function", "bloch_nonlinear_part_uniform_form",
+    )
+    for module in (thermoqme, *modules):
+        assert not [name for name in oracle_only if hasattr(module, name)]

@@ -9,20 +9,23 @@ from thermoqme import (
     bloch_equilibrium,
     bloch_linearized_matrix,
     bloch_nonlinear_part,
-    bloch_nonlinear_part_uniform_form,
     bloch_rhs,
     commutator,
     mu,
     mu_derivative,
     nonlinear_part,
-    pauli_anticommutator,
-    pauli_commutator,
     pauli_compose,
     pauli_decompose,
-    pauli_function,
     validate_density_matrix,
 )
 from thermoqme.two_level import SIGMA, _MU_SERIES, _MU_SERIES_SWITCH
+
+from oracles import (
+    bloch_nonlinear_part_uniform_form,
+    pauli_anticommutator,
+    pauli_commutator,
+    pauli_function,
+)
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
