@@ -113,8 +113,6 @@ def step(
     dt: float,
     method: str = "rk4",
     nonlinear: bool = True,
-    *,
-    first: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, HeatBath]:
     """One explicit step of the joint (rho, H_e) system.
 
@@ -128,27 +126,19 @@ def step(
     tr(H rho) as it is; at n = 2, where rho is read from its diagonal and
     its entry (1, 0), it is built exactly Hermitian.
 
-    ``first`` is the stage already evaluated at exactly ``(rho, bath.H_e)`` in
-    the same variant, as the ``(drho/dt, dH_e/dt)`` pair of numpy arrays
-    that :func:`~thermoqme.master_equation._matrix_rates` gives for the
-    run's stage; the step then uses it as its first stage instead of
-    evaluating that stage itself, with the same result.
-
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError.  The dimension selects how:
     :func:`_array_advance` above n = 2; at n = 2, where numpy's call
     overhead is many times the arithmetic, :func:`_two_level_advance` on
     the four reals of rho and the closure stage, packed into an array once.
+    Both take the first stage as an argument, which :func:`simulate` hands
+    over from the step before; here it is evaluated at (rho, bath.H_e).
     """
     rho = _as_state(rho, system)
     stage = _bind(bath, system, nonlinear)
     two_level = system.dim == 2
     state = _two_level_entries(rho) if two_level else rho
-    if first is None:
-        first = stage(state, bath.H_e)
-    elif two_level:
-        k00, _, kx, ky = _two_level_entries(first[0])
-        first = (2.0 * kx, 2.0 * ky, 2.0 * k00), first[1]
+    first = stage(state, bath.H_e)
     state, h = (_two_level_advance if two_level else _array_advance)(state, bath.H_e, stage, dt, method, first)
     return (_two_level_matrix(*state) if two_level else state), bath.with_energy(h)
 

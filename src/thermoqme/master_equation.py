@@ -35,9 +35,21 @@ __all__ = [
 ]
 
 
+def _stored_hermitian(a, name: str) -> np.ndarray:
+    """``a`` checked Hermitian to 1e-12: as given when exactly Hermitian
+    (bit for bit, even with entries past half the float maximum, where
+    averaging would overflow), and otherwise as its Hermitian part."""
+    a = validate_hermitian(a, name=name)
+    return a if np.array_equal(a, a.conj().T) else hermitianize(a)
+
+
 @dataclass(frozen=True)
 class CouplingChannel:
     """One dissipative coupling: an observable Q plus its two bracket rates.
+
+    Q is accepted when Hermitian to 1e-12 and stored exactly Hermitian (see
+    :func:`_stored_hermitian`), so the n = 2 and LAPACK kernels, which read
+    different entries of it, see the same operator.
 
     ``friction_rate`` weights the modified-operator (entropy-driven) term and
     ``diffusion_rate`` the plain double-commutator term.  In a run coupled
@@ -57,7 +69,7 @@ class CouplingChannel:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "Q", validate_hermitian(self.Q, name="coupling operator"))
+        object.__setattr__(self, "Q", _stored_hermitian(self.Q, "coupling operator"))
         if not (self.friction_rate >= 0.0 and self.diffusion_rate >= 0.0):
             raise ValueError("channel rates must be nonnegative")
         if not self.weight >= 0.0:
@@ -66,14 +78,17 @@ class CouplingChannel:
 
 @dataclass(frozen=True)
 class QuantumSystem:
-    """Hamiltonian plus an ordered list of coupling channels."""
+    """Hamiltonian plus an ordered list of coupling channels.
+
+    H, like each channel's Q, is stored exactly Hermitian.
+    """
 
     H: np.ndarray
     channels: tuple[CouplingChannel, ...] = ()
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "H", validate_hermitian(self.H, name="hamiltonian"))
+        object.__setattr__(self, "H", _stored_hermitian(self.H, "hamiltonian"))
         object.__setattr__(self, "channels", tuple(self.channels))
         dim = self.H.shape[0]
         for k, ch in enumerate(self.channels):
@@ -182,9 +197,10 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     4 friction_j/k_B q_j x v_j, where v_j . sigma is the traceless part of
     the modified product of c_j . sigma = [Q_j, H]/i with rho.  Nonlinear,
     v_j = d c_j + e (c_j . n) n with n = m/|m| (0 at m = 0), d the log-mean
-    of the clipped eigenvalues and e their mean minus d (one
-    :func:`_two_level_weights` call per stage with friction); linearized,
-    d = tr rho/2 and there is no P term.
+    of the clipped eigenvalues and e their mean minus d.  |m| is computed
+    once per stage: it normalizes n and is the eigenvalues' gap, from which
+    one :func:`_two_level_weights` call per stage with friction gives the
+    spectrum in closed form; linearized, d = tr rho/2 and there is no P term.
     """
     finite = temperature is not None
     if system.dim > 2:
@@ -222,9 +238,9 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
             d = 0.5 * (r00 + r11)
             gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
         else:
-            l1, l2, d = _two_level_weights(r00, r11, x, y)
-            gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
             m = math.hypot(mx, my, mz)
+            l1, l2, d = _two_level_weights(r00, r11, x, y, m)
+            gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
             if m > 0.0:
                 nx, ny, nz = mx / m, my / m, mz / m
                 e = 0.5 * (l1 + l2) - d

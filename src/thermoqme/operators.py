@@ -155,69 +155,38 @@ def _modified_in_basis(w: np.ndarray, u: np.ndarray, a: np.ndarray) -> np.ndarra
     return u @ ((uh @ a @ u) * _pairwise_log_mean(w)) @ uh
 
 
-def _log_mean(p: float, q: float) -> float:
-    """One entry of :func:`_pairwise_log_mean`, by the same rule, in Python floats."""
-    if not (p > 0.0 and q > 0.0):
-        return 0.0
-    lo, hi = (p, q) if p <= q else (q, p)
-    gap = hi - lo
-    if not gap > 0.0:
-        return lo
-    ratio = gap / lo
-    if ratio == math.inf:
-        return gap / (math.log(hi) - math.log(lo))
-    # hi and lo are distinct floats, so ratio >= 2**-53 and log1p(ratio) > 0
-    return gap / math.log1p(ratio)
-
-
-# _two_level_weights scales entries whose |x| + |z| + |rho10| exceeds _HUGE by 1/_SCALE
-_HUGE = 2.0**1020
-_SCALE = 2.0**64
-
-
-def _two_level_weights(x: float, z: float, re: float, im: float):
+def _two_level_weights(x: float, z: float, re: float, im: float, m: float):
     """The modified operator's weights for the 2x2 Hermitian
-    rho = [[x, re - i im], [re + i im, z]], in Python floats.
+    rho = [[x, re - i im], [re + i im, z]], in Python floats, given its
+    Bloch length m = hypot(2 re, 2 im, x - z), the gap of its eigenvalues.
 
     Returns (l1, l2, d): the eigenvalues of rho clipped at zero, and d, the
-    :func:`_log_mean` of the eigenvalues.  In the eigenbasis of rho,
-    modified_operator(rho, a) is a weighted entrywise by [[l1, d], [d, l2]].
-    The eigenvalues come from the entries by LAPACK's dlaev2 formulas: the
-    one of smaller magnitude is det(rho)/rt1, which keeps full relative
-    precision where (tr rho -/+ |m|)/2 loses it to cancellation (near a pure
-    state, where d depends on the logarithm of that eigenvalue).  At n = 2
-    numpy's call overhead is many times this arithmetic.  Non-finite input
-    never raises, but the weights need not be non-finite (x = nan can give
-    finite ones); the stage built on them is non-finite all the same, as
-    the Bloch vector m it also reads is.
+    logarithmic mean of the eigenvalues (0 if either is nonpositive).  In
+    the eigenbasis of rho, modified_operator(rho, a) is a weighted entrywise
+    by [[l1, d], [d, l2]].  The larger eigenvalue is (tr rho + m)/2, halved
+    term by term so that it is finite wherever m and the eigenvalue are; the
+    smaller is det(rho)/l1, which keeps full relative precision where
+    (tr rho - m)/2 loses it to cancellation (near a pure state, where d
+    depends on the logarithm of that eigenvalue), down to subnormal values.
+    d is m/log1p(m/l2), with m itself as the gap, so no l1 - l2 is formed.
+    At n = 2 numpy's call overhead is many times this arithmetic.
+    Non-finite input never raises, but the weights need not be non-finite
+    (x = nan gives zeros); the stage built on them is non-finite all the
+    same, as the Bloch vector it also reads is.
     """
-    b = math.hypot(re, im)
-    # the intermediates reach 2 (|x| + |z| + b); as LAPACK's eigh does, huge
-    # entries are scaled by a power of two first (exactly), and the
-    # eigenvalues and their log-mean, homogeneous of degree 1, back
-    huge = abs(x) + abs(z) + b > _HUGE
-    if huge:
-        x, z = x / _SCALE, z / _SCALE
-        b = math.hypot(re / _SCALE, im / _SCALE)
-    # dlaev2 on [[x, b], [b, z]]: rt1 is the eigenvalue of larger magnitude
-    sm, df, tb = x + z, x - z, b + b
-    adf = abs(df)
-    if adf > tb:
-        rt = adf * math.sqrt(1.0 + (tb / adf) * (tb / adf))
-    elif adf < tb:
-        rt = tb * math.sqrt(1.0 + (adf / tb) * (adf / tb))
-    else:
-        rt = tb * math.sqrt(2.0)
-    if sm > 0.0 or sm < 0.0:
-        acmx, acmn = (x, z) if abs(x) > abs(z) else (z, x)
-        rt1 = 0.5 * (sm + (rt if sm > 0.0 else -rt))  # |rt1| >= |sm|/2 > 0
-        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
-    else:
-        rt1, rt2 = 0.5 * rt, -0.5 * rt
-    d = _log_mean(rt1, rt2)
-    if huge:
-        rt1, rt2, d = rt1 * _SCALE, rt2 * _SCALE, d * _SCALE
-    return (rt1 if rt1 > 0.0 else 0.0), (rt2 if rt2 > 0.0 else 0.0), d
+    l1 = 0.5 * x + 0.5 * z + 0.5 * m
+    if not l1 > 0.0:  # l2 <= l1 <= 0
+        return 0.0, 0.0, 0.0
+    acmx, acmn = (x, z) if abs(x) > abs(z) else (z, x)
+    l2 = (acmx / l1) * acmn - ((re / l1) * re + (im / l1) * im)
+    if not l2 > 0.0:
+        return l1, 0.0, 0.0
+    ratio = m / l2
+    if ratio < 2.0**-1022:  # d = l2 (1 + ratio/2 + ...): m = 0, or too small to resolve
+        return l1, l2, l2
+    if ratio == math.inf:  # a subnormal l2 far below l1
+        return l1, l2, m / (math.log(l1) - math.log(l2))
+    return l1, l2, m / math.log1p(ratio)
 
 
 def modified_operator(rho, a) -> np.ndarray:

@@ -168,6 +168,21 @@ def bloch_nonlinear_part_uniform_form(m, a) -> PauliVector:
     return pauli_decompose(mat)
 
 
+def _log_mean(p: float, q: float) -> float:
+    """One entry of :func:`_pairwise_log_mean`, by the same rule, in Python floats."""
+    if not (p > 0.0 and q > 0.0):
+        return 0.0
+    lo, hi = (p, q) if p <= q else (q, p)
+    gap = hi - lo
+    if not gap > 0.0:
+        return lo
+    ratio = gap / lo
+    if ratio == math.inf:
+        return gap / (math.log(hi) - math.log(lo))
+    # hi and lo are distinct floats, so ratio >= 2**-53 and log1p(ratio) > 0
+    return gap / math.log1p(ratio)
+
+
 def two_level_map(system, friction, diffusion, per_T=None):
     """The Bloch map (a, u, p, b) of rates in ``master_equation._rates`` form,
     as tuples of Python floats: A = (2/hbar)[h]x + sum_j diffusion_j K_j,
@@ -204,9 +219,9 @@ def two_level_stage(r, a, u, p, nonlinear, b=None, T=0.0):
     if not nonlinear:
         d = 0.5 * (r00 + r11)
         return gx + d * ux, gy + d * uy, gz + d * uz
-    l1, l2, d = _two_level_weights(r00, r11, x, y)
-    gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
     m = math.hypot(mx, my, mz)
+    l1, l2, d = _two_level_weights(r00, r11, x, y, m)
+    gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
     if not m > 0.0:
         return gx, gy, gz
     nx, ny, nz = mx / m, my / m, mz / m

@@ -21,8 +21,8 @@ from thermoqme import (
 )
 from thermoqme import environment, integrator, master_equation
 from thermoqme.environment import _bind
-from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe
-from thermoqme.operators import PhysicalConstants
+from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe, _two_level_advance
+from thermoqme.operators import PhysicalConstants, _two_level_entries, _two_level_matrix
 from thermoqme.two_level import SIGMA
 
 import oracles
@@ -385,26 +385,41 @@ def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
         assert point.env.energy_flux_to_quantum == -rate
 
 
+def _given_first_step(rho, bath, system, dt, method, nonlinear):
+    """The step as simulate takes it: the advance of the run's dimension with
+    its first stage evaluated beforehand and handed over."""
+    stage = _bind(bath, system, nonlinear)
+    if system.dim == 2:
+        r = _two_level_entries(rho)
+        r, h = _two_level_advance(r, bath.H_e, stage, dt, method, stage(r, bath.H_e))
+        return _two_level_matrix(*r), bath.with_energy(h)
+    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, stage(rho, bath.H_e))
+    return rho, bath.with_energy(h)
+
+
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
+    # two steps, each handed the stage at the previous end state as its first
+    # stage (as simulate hands it over), against two steps that evaluate it
     system, bath = _finite_bath_setup()
     rho = random_density(rng, 2)
-    first = joint_rhs(rho, bath.H_e, bath, system, nonlinear)
-    rho_a, bath_a = step(rho, bath, system, 1e-2, method, nonlinear)
-    rho_b, bath_b = step(rho, bath, system, 1e-2, method, nonlinear, first=first)
-    assert np.array_equal(rho_a, rho_b)
-    assert bath_a == bath_b
+    rho_a, bath_a = step(*step(rho, bath, system, 1e-2, method, nonlinear), system, 1e-2, method, nonlinear)
+    stage = _bind(bath, system, nonlinear)
+    r, h = _two_level_entries(rho), bath.H_e
+    for _ in range(2):
+        r, h = _two_level_advance(r, h, stage, 1e-2, method, stage(r, h))
+    assert np.array_equal(rho_a, _two_level_matrix(*r))
+    assert bath_a == bath.with_energy(h)
 
 
 @pytest.mark.parametrize("dim, setup", DIMENSIONS)
 def test_step_rejects_unknown_method(rng, dim, setup):
     system, bath = setup()
     rho = random_density(rng, dim)
-    first = joint_rhs(rho, bath.H_e, bath, system, True)
-    for given in (None, first):
+    for advance in (step, _given_first_step):
         with pytest.raises(ValueError, match="unknown method 'midpoint'"):
-            step(rho, bath, system, 1e-2, method="midpoint", first=given)
+            advance(rho, bath, system, 1e-2, "midpoint", True)
 
 
 def _array_step(rho, bath, system, dt, method, nonlinear, first):
@@ -455,9 +470,9 @@ def test_two_level_step_matches_array_step(rng, method, nonlinear):
     for system, bath in _two_level_step_cases(rng):
         rho = random_density(rng, 2)
         first = joint_rhs(rho, bath.H_e, bath, system, nonlinear)
-        for given in (None, first):
+        for given, advance in ((None, step), (first, _given_first_step)):
             ref, ref_bath = _array_step(rho, bath, system, 0.05, method, nonlinear, given)
-            out, out_bath = step(rho, bath, system, 0.05, method, nonlinear, first=given)
+            out, out_bath = advance(rho, bath, system, 0.05, method, nonlinear)
             assert out.shape == (2, 2) and out.dtype == complex
             assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
             assert abs(out_bath.H_e - ref_bath.H_e) <= 1e-14 * max(1.0, abs(ref_bath.H_e))

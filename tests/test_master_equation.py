@@ -193,3 +193,35 @@ def test_stage_two_by_two_path_matches_lapack(rng):
                 out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
                 ref = _lapack_stage(rho, system, *_rates(system)[:2], nonlinear)
                 assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_nearly_hermitian_operators_are_stored_hermitian(rng):
+    # H and Q off by 5e-13 pass validation; stored as given, the n = 2 stage
+    # (which reads entry (1, 0)) and the LAPACK stage (which reads both
+    # triangles) would see different operators and differ by about 2e-13.
+    # Stored as their Hermitian parts they agree to rounding; bounds fixed
+    # before measuring, relative to max(1, max|ref|): 1e-15 with half-Pauli
+    # Q, and with random Q the 1e-14 of the exactly Hermitian tests (the two
+    # kernels' rounding alone reaches 1.7e-15 there over 30 seeds)
+    off = np.array([[0.0, 5e-13], [0.0, 0.0]])
+    h = random_hermitian(rng, 2) + off
+    pauli = QuantumSystem(
+        h, (CouplingChannel(0.5 * S1 - 1j * off, 0.4, 0.3), CouplingChannel(0.5 * S3 + off, 0.2, 0.5))
+    )
+    rand = QuantumSystem(h, tuple(CouplingChannel(random_hermitian(rng, 2) - 1j * off, 0.4, 0.3) for _ in range(2)))
+    for system, bound in ((pauli, 1e-15), (rand, 1e-14)):
+        for a in (system.H, *(ch.Q for ch in system.channels)):
+            assert np.array_equal(a, a.conj().T)
+        states = [random_density(rng, 2) for _ in range(4)] + [pauli_compose(1.0, np.array([0.6, 0.0, 0.8 - 1e-9]))]
+        for rho in states:
+            for nonlinear in (True, False):
+                out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
+                ref = _lapack_stage(rho, system, *_rates(system)[:2], nonlinear)
+                assert np.max(np.abs(out - ref)) <= bound * max(1.0, np.max(np.abs(ref)))
+    # exactly Hermitian input is stored bit for bit, entries past half the
+    # float maximum (where (A + A^dagger)/2 overflows) included
+    exact = random_hermitian(rng, 2)
+    assert np.array_equal(QuantumSystem(exact, (CouplingChannel(exact),)).channels[0].Q, exact)
+    huge = np.array([[1.5e308, 1e308 - 1e308j, 0.0], [1e308 + 1e308j, 0.0, 0.5], [0.0, 0.5, -1.5e308]])
+    assert np.array_equal(QuantumSystem(huge).H, huge)
+    assert np.array_equal(CouplingChannel(huge).Q, huge)

@@ -16,11 +16,12 @@ from thermoqme import (
     von_neumann_entropy,
 )
 from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _rates
-from thermoqme.operators import _log_mean, _pairwise_log_mean, _two_level_weights
+from thermoqme.operators import _pairwise_log_mean, _two_level_weights
 from thermoqme.two_level import SIGMA, pauli_compose, PauliVector
 
 from conftest import random_density, random_hermitian, stage_rhs
 from oracles import (
+    _log_mean,
     log_density,
     modified_operator_quadrature,
     operator_function,
@@ -173,7 +174,7 @@ def test_log_mean_near_degenerate_precision(p, gap):
     d = _pairwise_log_mean(np.array([p, q]))
     assert d[0, 1] == d[1, 0]
     assert abs(d[0, 1] - expected) <= 1e-14 * expected
-    # the scalar rule of the 2x2 path
+    # the same rule on Python floats (the oracle)
     assert _log_mean(p, q) == _log_mean(q, p)
     assert abs(_log_mean(p, q) - expected) <= 1e-14 * expected
     # and through the modified operator of the normalized state, on both paths
@@ -181,7 +182,8 @@ def test_log_mean_near_degenerate_precision(p, gap):
     expected = _log_mean_reference(p / (p + q), q / (p + q))
     assert abs(modified_operator(rho, S1)[0, 1] - expected) <= 1e-14 * expected
     # the 2x2 path's off-diagonal weight, which is that entry for a diagonal state
-    assert abs(_two_level_weights(rho[0, 0].real, rho[1, 1].real, 0.0, 0.0)[2] - expected) <= 1e-14 * expected
+    x, z = rho[0, 0].real, rho[1, 1].real
+    assert abs(_two_level_weights(x, z, 0.0, 0.0, abs(x - z))[2] - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1e-310, 1e300), (5e-324, 0.3)])
@@ -192,10 +194,117 @@ def test_log_mean_extreme_ratio(p, q):
     assert d[0, 1] == d[1, 0]
     assert abs(d[0, 1] - expected) <= 1e-14 * expected
     assert d[0, 0] == q and d[1, 1] == p
-    # the scalar rule, and the 2x2 path on the unnormalized diag(q, p)
+    # the same rule on Python floats, and the 2x2 path on the unnormalized diag(q, p)
     assert _log_mean(p, q) == _log_mean(q, p)
     assert abs(_log_mean(p, q) - expected) <= 1e-14 * expected
-    assert abs(_two_level_weights(q, p, 0.0, 0.0)[2] - expected) <= 1e-14 * expected
+    assert abs(_two_level_weights(q, p, 0.0, 0.0, q - p)[2] - expected) <= 1e-14 * expected
+
+
+def _bloch_entries(length, theta, phi):
+    """The four reals (rho00, rho11, Re rho10, Im rho10) of (I + m . sigma)/2,
+    m of the given length along polar angle theta and azimuth phi."""
+    mx = length * math.sin(theta) * math.cos(phi)
+    my = length * math.sin(theta) * math.sin(phi)
+    mz = length * math.cos(theta)
+    return 0.5 + 0.5 * mz, 0.5 - 0.5 * mz, 0.5 * mx, 0.5 * my
+
+
+ANGLES = ((0.0, 0.0), (0.7, 2.3), (1.9, -0.4))  # the pole, and off it
+
+TWO_LEVEL_SPECTRA = {
+    **{f"near_pure_pole_{p:g}": (1.0 - p, p, 0.0, 0.0) for p in (1e-3, 1e-8, 1e-12, 1e-16, 1e-20, 1e-100)},
+    **{
+        f"near_pure_{p:g}_{k}": _bloch_entries(1.0 - 2.0 * p, *angles)
+        for p in (1e-3, 1e-6, 1e-9, 1e-12)
+        for k, angles in enumerate(ANGLES[1:])
+    },
+    **{
+        f"gap_{gap:g}_{k}": _bloch_entries(gap, *angles)
+        for gap in (1e-15, 1e-14, 1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1e-1)
+        for k, angles in enumerate(ANGLES)
+    },
+    "degenerate": (0.5, 0.5, 0.0, 0.0),
+    "degenerate_unnormalized": (0.3, 0.3, 0.0, 0.0),
+    # m/l2 subnormal, and m/l2 underflowing to 0
+    "subnormal_gap": (0.7, 0.7, 1e-315, 0.0),
+    "underflowing_gap": (4.0, 4.0, 5e-324, 0.0),
+    "subnormal_min": (1.0, 5e-324, 0.0, 0.0),
+    "subnormal": (0.5, 1e-310, 0.0, 0.0),
+    "subnormal_huge_ratio": (1e300, 1e-310, 0.0, 0.0),
+    # re^2 underflows: the absolute term of the l2 bound
+    "subnormal_off_pole": (1.0, 1e-310, 2.0**-600, 2.0**-610),
+    "huge_entry": (1.5e308, 0.5, 0.5, 0.0),
+    **{f"negative_eigenvalue_{k}": _bloch_entries(1.5, *angles) for k, angles in enumerate(ANGLES)},
+    "negative_trace": (-1.0, -2.0, 0.1, 0.3),
+}
+
+
+def _two_level_spectrum_reference(x, z, re, im):
+    """(l1, l2, d) of [[x, re - i im], [re + i im, z]] in 60-digit decimal
+    arithmetic from the exact float entries: l1 = (tr + gap)/2 with
+    gap = sqrt((x - z)^2 + 4 |rho10|^2), l2 = det/l1, and d their
+    logarithmic mean (0 unless both are positive); l1 and l2 unclipped."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x, z, re, im = map(Decimal, (x, z, re, im))
+        gap = ((x - z) ** 2 + 4 * (re * re + im * im)).sqrt()
+        l1 = (x + z + gap) / 2
+        if not l1 > 0:
+            return l1, (x + z - gap) / 2, Decimal(0)
+        l2 = (x * z - re * re - im * im) / l1
+        r = gap / l2 if l2 > 0 else None
+        if r is None:
+            d = Decimal(0)
+        elif r < Decimal("1e-20"):  # l2 r/ln(1 + r), where ln l1 - ln l2 would cancel
+            d = l2 * (1 + r / 2 - r * r / 12)
+        else:
+            d = gap / (l1.ln() - l2.ln())
+        return l1, l2, d
+
+
+EPS = 2.0**-52
+
+
+@pytest.mark.parametrize("entries", TWO_LEVEL_SPECTRA.values(), ids=TWO_LEVEL_SPECTRA.keys())
+def test_two_level_weights_lose_no_digits(entries):
+    # bounds fixed before measuring, against the decimal reference of the
+    # exact float entries (clipped at zero as the weights are):
+    # - l1 within 1e-14 relative;
+    # - l2 within 4 eps (|x z| + re^2 + im^2)/l1, its conditioning as
+    #   det(rho)/l1, plus 4 * 2**-1074 for rounding among subnormals;
+    # - d within 1e-14 relative plus what l2's bound moves it by at fixed
+    #   gap m, d^2/(l1 l2) times that bound (1/2 near degeneracy; near a pure
+    #   state off the pole, det(rho) itself cancels and d follows)
+    x, z, re, im = entries
+    l1, l2, d = _two_level_weights(x, z, re, im, math.hypot(2.0 * re, 2.0 * im, x - z))
+    r1, r2, rd = _two_level_spectrum_reference(x, z, re, im)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r1, r2 = max(r1, Decimal(0)), max(r2, Decimal(0))
+        assert abs(Decimal(l1) - r1) <= Decimal(1e-14) * r1
+        if r1 == 0:
+            assert (l1, l2, d) == (0.0, 0.0, 0.0)
+            return
+        b2 = Decimal(4 * EPS) * (abs(Decimal(x) * Decimal(z)) + Decimal(re) ** 2 + Decimal(im) ** 2) / r1
+        b2 += 4 * Decimal(2.0**-1074)
+        assert abs(Decimal(l2) - r2) <= b2
+        if r2 == 0:
+            assert d == 0.0
+            return
+        bd = Decimal(1e-14) * rd + rd * rd / (r1 * r2) * b2
+        assert abs(Decimal(d) - rd) <= bd
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_two_level_weights_take_non_finite_input(bad):
+    # no exception on any entry or on m; what comes back is not checked
+    # (the stage reads the non-finite Bloch vector as well)
+    for k in range(5):
+        args = [0.7, 0.3, 0.1, -0.2, 0.5]
+        args[k] = bad
+        out = _two_level_weights(*args)
+        assert len(out) == 3 and all(isinstance(v, float) for v in out)
+    assert len(_two_level_weights(bad, bad, bad, bad, bad)) == 3
 
 
 def _state(w, phase=0.0, angle=0.3):
@@ -290,8 +399,8 @@ def test_two_by_two_path_lets_non_finite_input_through(rng, bad):
 
 
 def test_two_by_two_path_scales_huge_entries(rng):
-    # near the float maximum the closed-form eigenvalues overflow unless they
-    # are scaled first, as LAPACK's eigh does; the whole n = 2 stage must agree
+    # near the float maximum (tr rho + |m|)/2 overflows unless it is halved
+    # term by term, and |m|/l2 overflows too; the whole n = 2 stage must agree
     # with the LAPACK stage wherever that is finite (bound as above)
     consts = PhysicalConstants(hbar=0.8, kB=1.3)
     qs = (0.5 * S1, 0.5 * S2, random_hermitian(rng, 2, scale=1e-3))
@@ -307,7 +416,7 @@ def test_two_by_two_path_scales_huge_entries(rng):
                 assert finite.any()
                 gap = np.max(np.abs(out[finite] - ref[finite]))
                 assert gap <= 1e-14 * max(1.0, np.max(np.abs(ref[finite])))
-    l1, l2, _ = _two_level_weights(1.5e308, 0.5, 0.5, 0.0)
+    l1, l2, _ = _two_level_weights(1.5e308, 0.5, 0.5, 0.0, math.hypot(1.0, 0.0, 1.5e308 - 0.5))
     assert np.allclose((l2, l1), np.linalg.eigvalsh(rho), rtol=1e-15, atol=0.0)
 
 
