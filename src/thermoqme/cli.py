@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import ConfigError, RunSetup, build_run, load_config
 from .integrator import COMPLETED, Trajectory, simulate
+from .operators import _two_level_entries
 from .two_level import mu, pauli_decompose
 
 log = logging.getLogger("thermoqme")
@@ -59,7 +60,9 @@ def _trajectory_rows(traj: Trajectory, setup: RunSetup):
     for point in traj.points[:: setup.stride]:
         row = [_fmt(point.t)]
         if setup.two_level:
-            row += [_fmt(v) for v in pauli_decompose(point.rho, tol=1e-6).a]
+            # the Bloch vector (2 Re rho10, 2 Im rho10, rho00 - rho11), as pauli_decompose gives it
+            a00, a11, re, im = _two_level_entries(point.rho)
+            row += [_fmt(2.0 * re), _fmt(2.0 * im), _fmt(a00 - a11)]
         else:
             row.append(upper_fmt % tuple(point.rho[upper].view(float).tolist()))
         if finite:

@@ -149,9 +149,10 @@ class EnvironmentObservableReport:
 
 
 def _bind(bath: HeatBath, system: QuantumSystem, nonlinear: bool):
-    """The coupled stage of one run, (state, H_e) -> (rate, dH_e/dt): the
-    stage of :func:`~thermoqme.master_equation._bind_rates` for the rates
-    of the bath bracket (:func:`~thermoqme.master_equation._rates`).
+    """The coupled stage of one run, which gives the state's rate and
+    dH_e/dt: the stage of :func:`~thermoqme.master_equation._bind_rates`
+    (flat floats at n = 2) for the rates of the bath bracket
+    (:func:`~thermoqme.master_equation._rates`).
 
     Every friction rate is constant, and the diffusion rates are a fixed
     part plus T(H_e) times a bath part.  For an infinite bath the two are

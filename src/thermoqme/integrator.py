@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import _spectrum_entropy, _two_level_entries, _two_level_matrix, validate_density_matrix
+from .operators import (
+    _spectrum_entropy,
+    _two_level_entries,
+    _two_level_matrix,
+    _two_level_spectrum,
+    validate_density_matrix,
+)
 from .master_equation import QuantumSystem, _as_state, energy_expectation
 from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _bind
 
@@ -130,17 +136,19 @@ def step(
     the step raises ValueError.  The dimension selects how:
     :func:`_array_advance` above n = 2; at n = 2, where numpy's call
     overhead is many times the arithmetic, :func:`_two_level_advance` on
-    the four reals of rho and the closure stage, packed into an array once.
+    the four reals of rho and H_e as floats, packed into an array once.
     Both take the first stage as an argument, which :func:`simulate` hands
     over from the step before; here it is evaluated at (rho, bath.H_e).
     """
     rho = _as_state(rho, system)
     stage = _bind(bath, system, nonlinear)
-    two_level = system.dim == 2
-    state = _two_level_entries(rho) if two_level else rho
-    first = stage(state, bath.H_e)
-    state, h = (_two_level_advance if two_level else _array_advance)(state, bath.H_e, stage, dt, method, first)
-    return (_two_level_matrix(*state) if two_level else state), bath.with_energy(h)
+    if system.dim == 2:
+        r00, r11, x, y = _two_level_entries(rho)
+        first = stage(r00, r11, x, y, bath.H_e)
+        *r, h = _two_level_advance(r00, r11, x, y, bath.H_e, stage, dt, method, first)
+        return _two_level_matrix(*r), bath.with_energy(h)
+    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, stage(rho, bath.H_e))
+    return rho, bath.with_energy(h)
 
 
 def _array_advance(rho, h, stage, dt, method, first):
@@ -162,42 +170,63 @@ def _array_advance(rho, h, stage, dt, method, first):
     return 0.5 * (rho_new + rho_new.conj().T), he_new
 
 
-def _two_level_advance(r, h, stage, dt, method, first):
-    """:func:`_array_advance` at n = 2 on Python floats: H_e and the four
-    reals r = (rho00, rho11, Re rho10, Im rho10), which keep the smaller
-    diagonal entry, and with it the smaller eigenvalue, to full relative
-    precision.  ``stage`` gives dm/dt = g for the Bloch vector m, and the
-    state rho + s drho/dt has the four reals r + (s/2) (gz, -gz, gx, gy),
-    so the trace changes only by rounding."""
-    r00, r11, x, y = r
-    (g1x, g1y, g1z), e1 = first
+def _two_level_advance(r00, r11, x, y, h, stage, dt, method, first):
+    """:func:`_array_advance` at n = 2 on Python floats, flat in and out:
+    the four reals (rho00, rho11, Re rho10, Im rho10), which keep the
+    smaller diagonal entry, and with it the smaller eigenvalue, to full
+    relative precision, and H_e; returns the same five floats a step on.
+    ``stage`` is the flat n = 2 stage (r00, r11, x, y, H_e) ->
+    (gx, gy, gz, dH_e/dt), g = dm/dt for the Bloch vector m, and ``first``
+    its value at the start.  The state rho + s drho/dt has the four reals
+    (r00, r11, x, y) + (s/2) (gz, -gz, gx, gy), so the trace changes only
+    by rounding."""
+    g1x, g1y, g1z, e1 = first
     if method == "rk4":
         half = 0.5 * dt
         s = 0.5 * half
-        (g2x, g2y, g2z), e2 = stage((r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y), h + half * e1)
-        (g3x, g3y, g3z), e3 = stage((r00 + s * g2z, r11 - s * g2z, x + s * g2x, y + s * g2y), h + half * e2)
+        g2x, g2y, g2z, e2 = stage(r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y, h + half * e1)
+        g3x, g3y, g3z, e3 = stage(r00 + s * g2z, r11 - s * g2z, x + s * g2x, y + s * g2y, h + half * e2)
         s = dt * 0.5
-        (g4x, g4y, g4z), e4 = stage((r00 + s * g3z, r11 - s * g3z, x + s * g3x, y + s * g3y), h + dt * e3)
+        g4x, g4y, g4z, e4 = stage(r00 + s * g3z, r11 - s * g3z, x + s * g3x, y + s * g3y, h + dt * e3)
         sixth = dt / 6.0
         s = sixth * 0.5
         gx = g1x + 2.0 * g2x + 2.0 * g3x + g4x
         gy = g1y + 2.0 * g2y + 2.0 * g3y + g4y
         gz = g1z + 2.0 * g2z + 2.0 * g3z + g4z
-        return (r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy), h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        return r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy, h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
     if method == "euler":
         s = dt * 0.5
-        return (r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y), h + dt * e1
+        return r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y, h + dt * e1
     raise ValueError(f"unknown method {method!r}")
 
 
 def _observe(t, rho, bath, system, energy_ref, tolerances, flux):
     """Build a trajectory point and return (point, violation detail or None);
     ``flux`` is dH_e/dt of the run's stage at (rho, bath.H_e), the negative
-    of the point's energy flux into the quantum system."""
-    trace_err = abs(complex(np.trace(rho)) - 1.0)
-    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
-    spectrum = np.linalg.eigvalsh(rho)
-    min_eig = float(spectrum[0])
+    of the point's energy flux into the quantum system.
+
+    The dimension selects how the monitors are computed.  Above n = 2, with
+    numpy: one eigvalsh gives min_eig and the entropy.  At n = 2, in Python
+    floats from the four reals of rho, which is read as exactly Hermitian
+    (as :func:`simulate` builds it): herm_err is 0.0, or NaN if an entry is
+    not finite; min_eig is the unclipped smaller eigenvalue det(rho)/l1 of
+    :func:`~thermoqme.operators._two_level_spectrum`, which keeps its
+    relative precision near a pure state; the entropy is that spectrum's;
+    and tr(H rho) comes from H's four reals."""
+    if rho.shape[0] == 2:
+        r00, r11, x, y = _two_level_entries(rho)
+        trace_err = abs(r00 + r11 - 1.0)
+        herm_err = 0.0 if all(map(math.isfinite, (r00, r11, x, y))) else math.nan
+        l1, min_eig = _two_level_spectrum(r00, r11, x, y, math.hypot(2.0 * x, 2.0 * y, r00 - r11))
+        spectrum = (min_eig, l1)
+        h00, h11, hr, hi = system._h4
+        energy = h00 * r00 + h11 * r11 + 2.0 * (hr * x + hi * y)
+    else:
+        trace_err = abs(complex(np.trace(rho)) - 1.0)
+        herm_err = float(np.max(np.abs(rho - rho.conj().T)))
+        spectrum = np.linalg.eigvalsh(rho).tolist()
+        min_eig = spectrum[0]
+        energy = energy_expectation(rho, system.H)
     env = EnvironmentObservableReport(
         H_e=bath.H_e,
         T_e=bath.temperature(),
@@ -206,10 +235,10 @@ def _observe(t, rho, bath, system, energy_ref, tolerances, flux):
     )
     # tr(H rho) + H_e: the exact total for a finite bath, and the
     # exchange-consistent bookkeeping total for an infinite one.
-    total_energy = energy_expectation(rho, system.H) + bath.H_e
+    total_energy = energy + bath.H_e
     total_entropy = env.S_e + _spectrum_entropy(spectrum, system.constants)
     monitors = {
-        "trace_err": float(trace_err),
+        "trace_err": trace_err,
         "herm_err": herm_err,
         "min_eig": min_eig,
         "total_energy": total_energy,
@@ -273,7 +302,9 @@ def simulate(
     stage = _bind(bath0, system, nonlinear)
     two_level = system.dim == 2
     advance = _two_level_advance if two_level else _array_advance
-    state, h = (_two_level_entries(rho) if two_level else rho), bath0.H_e
+    # (r00, r11, x, y, H_e) as floats at n = 2, (rho, H_e) above: the
+    # arguments of the dimension's stage and advance
+    state = (*_two_level_entries(rho), bath0.H_e) if two_level else (rho, bath0.H_e)
     points: list[TrajectoryPoint] = []
     energy_ref = None
     debug = log.isEnabledFor(logging.DEBUG)
@@ -283,12 +314,12 @@ def simulate(
         sampled = k % every == 0 or k == n
         try:
             if k:
-                state, h = advance(state, h, stage, dt, method, rates)
+                state = advance(*state, stage, dt, method, rates)
             # a finite bath drained by the step raises here, where T(H_e) is read
-            rates = stage(state, h)
+            rates = stage(*state)
             if sampled:
-                rho = _two_level_matrix(*state) if two_level else state
-                point, violation = _observe(t, rho, bath0.with_energy(h), system, energy_ref, tol, rates[1])
+                rho = _two_level_matrix(*state[:4]) if two_level else state[0]
+                point, violation = _observe(t, rho, bath0.with_energy(state[-1]), system, energy_ref, tol, rates[-1])
         except _BathDrained as exc:
             return Trajectory(tuple(points), config, MONITOR_VIOLATION, f"{exc} in the step to t={t:.6g}")
         except np.linalg.LinAlgError as exc:

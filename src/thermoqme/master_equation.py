@@ -99,13 +99,15 @@ class QuantumSystem:
         # Compiled once for the stage kernel: the stack S = [H; Q_1..Q_k], whose
         # one product with rho gives [H, rho] and every [Q_j, rho]; the row
         # [Q_1 .. Q_k]; the constant commutators C_j = [Q_j, H]; and at n = 2
-        # the real Pauli vector h of H as Python floats and the per-channel
-        # pieces of the Bloch map (see _bind_rates).
+        # the real Pauli vector h of H and its four reals (for tr(H rho) at a
+        # sampled point) as Python floats, and the per-channel pieces of the
+        # Bloch map (see _bind_rates).
         S = np.array([self.H] + [ch.Q for ch in self.channels], dtype=complex)
         Q = S[1:]
         C = Q @ self.H - self.H @ Q
-        h2 = q2 = None
+        h2 = h4 = q2 = None
         if dim == 2:
+            h4 = _two_level_entries(self.H)
             # Hermitian A = tr(A)/2 I + a . sigma (see _two_level_entries), and
             # [a . sigma, b . sigma] = 2i (a x b) . sigma
             p = np.array([(re, im, 0.5 * (a00 - a11)) for a00, a11, re, im in map(_two_level_entries, S)])
@@ -122,6 +124,7 @@ class QuantumSystem:
             "_Q_row": Q.transpose(1, 0, 2).reshape(dim, Q.shape[0] * dim),
             "_C": C,
             "_h2": h2,
+            "_h4": h4,
             "_q2": q2,
         }
         for name, value in compiled.items():
@@ -179,19 +182,22 @@ def _rates(system: QuantumSystem, g: float | None = None):
 
 
 def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per_T=None, temperature=None):
-    """The stage (state, H_e) -> (rate, dH_e/dt) of rates in :func:`_rates`
-    form, with what they fix compiled once; dH_e/dt = -Re tr(H drho/dt) by
-    energy closure.  ``temperature``, if given, maps a bath energy to T
+    """The stage of rates in :func:`_rates` form, with what they fix
+    compiled once; it gives the state's rate and dH_e/dt = -Re tr(H drho/dt)
+    by energy closure.  ``temperature``, if given, maps a bath energy to T
     (raising for a drained bath) and is read at every stage's own H_e; the
     diffusion rates are then ``diffusion`` + T ``per_T``.
 
-    The dimension selects the kernel: above n = 2, :func:`_lapack_stage`
-    on numpy arrays; at n = 2, this closure, in real Pauli coordinates and
-    Python floats with no numpy call.  There the state is the four reals
-    r = (rho00, rho11, Re rho10, Im rho10) and the rate is dm/dt for the
+    The dimension selects the kernel and its calling convention: above
+    n = 2, (rho, H_e) -> (drho/dt, dH_e/dt) by :func:`_lapack_stage` on
+    numpy arrays; at n = 2, this closure, in real Pauli coordinates and
+    Python floats with no numpy call, flat in and out:
+    (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt).  There the state is the
+    four reals (rho00, rho11, Re rho10, Im rho10) and g = dm/dt for the
     Bloch vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
     rho = (tr rho I + m . sigma)/2.  With the Bloch map (A, U, P) and a
-    finite bath's A_bath, unpacked once into closure locals,
+    finite bath's A_bath, unpacked once into closure locals (as are
+    ``math.hypot`` and the weights function),
     dm/dt = (A + T A_bath) m + d U + (e P n) x n.  This sums, over the
     channels, (2/hbar) h x m, 4 diffusion_j q_j x (q_j x m) and
     4 friction_j/k_B q_j x v_j, where v_j . sigma is the traceless part of
@@ -222,8 +228,9 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
         ux, uy, uz = np.dot(friction, u).tolist()
         p0, p1, p2, p3, p4, p5, p6, p7, p8 = np.dot(friction, p).tolist()
 
-    def stage(r, H_e):
-        r00, r11, x, y = r
+    hypot, weights = math.hypot, _two_level_weights
+
+    def stage(r00, r11, x, y, H_e):
         mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
         gx, gy, gz = a0 * mx + a1 * my + a2 * mz, a3 * mx + a4 * my + a5 * mz, a6 * mx + a7 * my + a8 * mz
         if finite:
@@ -238,8 +245,8 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
             d = 0.5 * (r00 + r11)
             gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
         else:
-            m = math.hypot(mx, my, mz)
-            l1, l2, d = _two_level_weights(r00, r11, x, y, m)
+            m = hypot(mx, my, mz)
+            l1, l2, d = weights(r00, r11, x, y, m)
             gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
             if m > 0.0:
                 nx, ny, nz = mx / m, my / m, mz / m
@@ -247,7 +254,7 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
                 px, py, pz = p0 * nx + p1 * ny + p2 * nz, p3 * nx + p4 * ny + p5 * nz, p6 * nx + p7 * ny + p8 * nz
                 px, py, pz = e * px, e * py, e * pz
                 gx, gy, gz = gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
-        return (gx, gy, gz), -(hx * gx + hy * gy + hz * gz)
+        return gx, gy, gz, -(hx * gx + hy * gy + hz * gz)
 
     return stage
 
@@ -256,7 +263,7 @@ def _matrix_rates(stage, rho, H_e: float):
     """(drho/dt, dH_e/dt) of a stage of :func:`_bind_rates` at (rho, H_e),
     with rho and drho/dt numpy arrays at every n."""
     if rho.shape[0] == 2:  # drho/dt = (dm/dt . sigma)/2
-        (gx, gy, gz), rate = stage(_two_level_entries(rho), H_e)
+        gx, gy, gz, rate = stage(*_two_level_entries(rho), H_e)
         return _two_level_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy), rate
     return stage(rho, H_e)
 

@@ -87,12 +87,17 @@ def validate_density_matrix(
     trace_tol: float = 1e-12,
     eig_floor: float = -1e-10,
 ) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, no eigenvalue below ``eig_floor``."""
+    """Validate a density matrix: Hermitian, unit trace, no eigenvalue below
+    ``eig_floor``; at n = 2 the smallest eigenvalue is the closed form's."""
     arr = validate_hermitian(rho, herm_tol, name="density matrix")
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"density matrix: trace {tr} deviates from 1 by more than {trace_tol:.1e}")
-    w_min = float(np.linalg.eigvalsh(arr)[0])
+    if arr.shape[0] == 2:
+        x, z, re, im = _two_level_entries(arr)
+        w_min = _two_level_spectrum(x, z, re, im, math.hypot(2.0 * re, 2.0 * im, x - z))[1]
+    else:
+        w_min = float(np.linalg.eigvalsh(arr)[0])
     if w_min < eig_floor:
         raise ValueError(f"density matrix: smallest eigenvalue {w_min:.3e} below {eig_floor:.1e}")
     return arr
@@ -155,30 +160,45 @@ def _modified_in_basis(w: np.ndarray, u: np.ndarray, a: np.ndarray) -> np.ndarra
     return u @ ((uh @ a @ u) * _pairwise_log_mean(w)) @ uh
 
 
+def _two_level_spectrum(x: float, z: float, re: float, im: float, m: float):
+    """The eigenvalues (l1, l2), larger first and unclipped, of the 2x2
+    Hermitian rho = [[x, re - i im], [re + i im, z]], in Python floats, given
+    its Bloch length m = hypot(2 re, 2 im, x - z), the gap between them.
+
+    l1 is (tr rho + m)/2, halved term by term so that it is finite wherever
+    m and the eigenvalue are.  Where l1 > 0, l2 is det(rho)/l1, which keeps
+    full relative precision where (tr rho - m)/2 loses it to cancellation
+    (near a pure state), down to subnormal values; otherwise both
+    eigenvalues are nonpositive and l2 is (tr rho - m)/2, which does not
+    cancel.  Non-finite input never raises, and a non-finite entry, with m
+    computed from the entries, gives a non-finite l2.
+    """
+    l1 = 0.5 * x + 0.5 * z + 0.5 * m
+    if not l1 > 0.0:
+        return l1, 0.5 * x + 0.5 * z - 0.5 * m
+    acmx, acmn = (x, z) if abs(x) > abs(z) else (z, x)
+    return l1, (acmx / l1) * acmn - ((re / l1) * re + (im / l1) * im)
+
+
 def _two_level_weights(x: float, z: float, re: float, im: float, m: float):
     """The modified operator's weights for the 2x2 Hermitian
     rho = [[x, re - i im], [re + i im, z]], in Python floats, given its
     Bloch length m = hypot(2 re, 2 im, x - z), the gap of its eigenvalues.
 
-    Returns (l1, l2, d): the eigenvalues of rho clipped at zero, and d, the
-    logarithmic mean of the eigenvalues (0 if either is nonpositive).  In
-    the eigenbasis of rho, modified_operator(rho, a) is a weighted entrywise
-    by [[l1, d], [d, l2]].  The larger eigenvalue is (tr rho + m)/2, halved
-    term by term so that it is finite wherever m and the eigenvalue are; the
-    smaller is det(rho)/l1, which keeps full relative precision where
-    (tr rho - m)/2 loses it to cancellation (near a pure state, where d
-    depends on the logarithm of that eigenvalue), down to subnormal values.
-    d is m/log1p(m/l2), with m itself as the gap, so no l1 - l2 is formed.
-    At n = 2 numpy's call overhead is many times this arithmetic.
+    Returns (l1, l2, d): the eigenvalues of :func:`_two_level_spectrum`
+    clipped at zero, and d, their logarithmic mean (0 if either is
+    nonpositive).  In the eigenbasis of rho, modified_operator(rho, a) is a
+    weighted entrywise by [[l1, d], [d, l2]].  d depends on the logarithm
+    of l2, which is why l2 must keep its relative precision near a pure
+    state.  d is m/log1p(m/l2), with m itself as the gap, so no l1 - l2 is
+    formed.  At n = 2 numpy's call overhead is many times this arithmetic.
     Non-finite input never raises, but the weights need not be non-finite
     (x = nan gives zeros); the stage built on them is non-finite all the
     same, as the Bloch vector it also reads is.
     """
-    l1 = 0.5 * x + 0.5 * z + 0.5 * m
+    l1, l2 = _two_level_spectrum(x, z, re, im, m)
     if not l1 > 0.0:  # l2 <= l1 <= 0
         return 0.0, 0.0, 0.0
-    acmx, acmn = (x, z) if abs(x) > abs(z) else (z, x)
-    l2 = (acmx / l1) * acmn - ((re / l1) * re + (im / l1) * im)
     if not l2 > 0.0:
         return l1, 0.0, 0.0
     ratio = m / l2
@@ -242,12 +262,18 @@ def von_neumann_entropy(rho, constants: PhysicalConstants = NATURAL) -> float:
     noise contribute nothing rather than NaN.
     """
     arr = _as_square_matrix(rho, "density matrix")
-    return _spectrum_entropy(np.linalg.eigvalsh(arr), constants)
+    return _spectrum_entropy(np.linalg.eigvalsh(arr).tolist(), constants)
 
 
-def _spectrum_entropy(w: np.ndarray, constants: PhysicalConstants) -> float:
-    """-k_B sum_i w_i ln w_i over the spectrum ``w`` of a density matrix,
-    with each eigenvalue clipped to [0, 1] and 0 ln 0 = 0."""
-    w = np.clip(w, 0.0, 1.0)
-    nz = w[w > 0.0]
-    return float(-constants.kB * np.sum(nz * np.log(nz)))
+def _spectrum_entropy(w, constants: PhysicalConstants) -> float:
+    """-k_B sum_i w_i ln w_i over the spectrum ``w`` of a density matrix, an
+    iterable of Python floats summed in its order, with each eigenvalue
+    clipped to [0, 1] and 0 ln 0 = 0 (a NaN eigenvalue counts as 0 too).
+    One rule at every n: at n = 2 the spectrum is the closed form's, and
+    above it a few numpy calls on a short array cost more than this loop."""
+    s = 0.0
+    for p in w:
+        if p > 0.0:
+            p = min(p, 1.0)
+            s += p * math.log(p)
+    return -constants.kB * s

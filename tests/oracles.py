@@ -17,7 +17,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from thermoqme.operators import _as_square_matrix, _require_same_dim, _two_level_weights, validate_hermitian
+from thermoqme.operators import (
+    _as_square_matrix,
+    _require_same_dim,
+    _two_level_spectrum,
+    _two_level_weights,
+    validate_hermitian,
+)
 from thermoqme.two_level import PauliVector, mu, pauli_compose, pauli_decompose
 
 
@@ -183,6 +189,23 @@ def _log_mean(p: float, q: float) -> float:
     return gap / math.log1p(ratio)
 
 
+def two_level_monitors(rho, H, kB=1.0):
+    """(min_eig, entropy, tr(H rho)) of a Hermitian 2x2 ``rho`` in closed form,
+    each written out on its own: the unclipped eigenvalues of
+    ``operators._two_level_spectrum`` from the Bloch length; the entropy
+    -k_B sum p ln p over them, smaller first, each clipped to [0, 1], with
+    0 ln 0 = 0; and tr(H rho) = H00 rho00 + H11 rho11 + 2 Re(H01 rho10),
+    read from the lower triangles of H and rho."""
+    x, z = rho[0, 0].real, rho[1, 1].real
+    re, im = rho[1, 0].real, rho[1, 0].imag
+    l1, l2 = _two_level_spectrum(x, z, re, im, math.hypot(2.0 * re, 2.0 * im, x - z))
+    clipped = [min(max(p, 0.0), 1.0) for p in (l2, l1)]
+    entropy = -kB * sum(p * math.log(p) for p in clipped if p > 0.0)
+    h00, h11, h10 = H[0, 0].real, H[1, 1].real, complex(H[1, 0])
+    energy = h00 * x + h11 * z + 2.0 * (h10.conjugate() * complex(rho[1, 0])).real
+    return l2, entropy, energy
+
+
 def two_level_map(system, friction, diffusion, per_T=None):
     """The Bloch map (a, u, p, b) of rates in ``master_equation._rates`` form,
     as tuples of Python floats: A = (2/hbar)[h]x + sum_j diffusion_j K_j,
@@ -233,18 +256,20 @@ def two_level_stage(r, a, u, p, nonlinear, b=None, T=0.0):
 
 
 def two_level_bound_stage(system, nonlinear, friction, diffusion, per_T=None, temperature=None):
-    """The stage (r, H_e) -> (dm/dt, dH_e/dt) of ``master_equation._bind_rates``
-    at n = 2, with the same arguments, built on :func:`two_level_stage`."""
+    """The flat stage (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt), g = dm/dt,
+    of ``master_equation._bind_rates`` at n = 2, with the same arguments,
+    built on :func:`two_level_stage`."""
     hx, hy, hz = system._h2
     a, u, p, b = two_level_map(system, friction, diffusion, per_T)
 
-    def stage(r, H_e):
+    def stage(r00, r11, x, y, H_e):
+        r = (r00, r11, x, y)
         if temperature is not None:
             g = two_level_stage(r, a, u, p, nonlinear, b, temperature(H_e))
         else:
             g = two_level_stage(r, a, u, p, nonlinear)
         gx, gy, gz = g
-        return g, -(hx * gx + hy * gy + hz * gz)
+        return gx, gy, gz, -(hx * gx + hy * gy + hz * gz)
 
     return stage
 
@@ -258,16 +283,26 @@ def moved(r, s, g):
     return r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
 
 
-def two_level_advance(r, h, stage, dt, method, first=None):
-    """One RK4 or Euler step of (r, H_e) with ``stage`` (r, H_e) -> (dm/dt,
-    dH_e/dt) and ``first`` its value at (r, h) or None."""
-    g1, e1 = stage(r, h) if first is None else first
+def two_level_advance(r00, r11, x, y, h, stage, dt, method, first=None):
+    """One RK4 or Euler step of the four reals and H_e, flat in and out, with
+    the flat ``stage`` (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt) and
+    ``first`` its value at the start or None."""
+
+    def at(r, h):
+        *g, e = stage(*r, h)
+        return g, e
+
+    r = (r00, r11, x, y)
+    if first is None:
+        g1, e1 = at(r, h)
+    else:
+        *g1, e1 = first
     if method == "rk4":
-        g2, e2 = stage(moved(r, 0.5 * dt, g1), h + 0.5 * dt * e1)
-        g3, e3 = stage(moved(r, 0.5 * dt, g2), h + 0.5 * dt * e2)
-        g4, e4 = stage(moved(r, dt, g3), h + dt * e3)
+        g2, e2 = at(moved(r, 0.5 * dt, g1), h + 0.5 * dt * e1)
+        g3, e3 = at(moved(r, 0.5 * dt, g2), h + 0.5 * dt * e2)
+        g4, e4 = at(moved(r, dt, g3), h + dt * e3)
         g = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(g1, g2, g3, g4)]
-        return moved(r, dt / 6.0, g), h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        return (*moved(r, dt / 6.0, g), h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4))
     if method == "euler":
-        return moved(r, dt, g1), h + dt * e1
+        return (*moved(r, dt, g1), h + dt * e1)
     raise ValueError(f"unknown method {method!r}")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoqme import cli, config_to_dict, integrator, load_config, parse_config, simulate
+from thermoqme import cli, config_to_dict, integrator, load_config, parse_config, pauli_decompose, simulate
 from thermoqme.cli import main
 from thermoqme.config import ConfigError, build_run
 
@@ -51,6 +51,17 @@ def test_run_two_level(tmp_path):
     assert abs(rows[-1][0] - 20.0) < 1e-12
     # relaxation to -tanh(hbar*omega/(2 kB T)) = -tanh(1)
     assert abs(rows[-1][3] + math.tanh(1.0)) < 1e-6
+
+
+def test_two_level_rows_are_the_pauli_vector(tmp_path):
+    # the m columns, read from the four reals of each point's rho, format
+    # exactly what pauli_decompose gives, -0.0 included
+    cfg = _two_level_config(initial_state={"bloch": [0.3, -0.4, 0.5]})
+    setup = build_run(load_config(_write(tmp_path, cfg)))
+    traj = simulate(setup.rho0, setup.bath, setup.system, setup.integrator)
+    _, rows = cli._trajectory_rows(traj, setup)
+    for point, row in zip(traj.points, rows):
+        assert row[1:4] == [cli._fmt(v) for v in pauli_decompose(point.rho).a]
 
 
 def test_run_requires_output_path(tmp_path):
@@ -641,7 +652,7 @@ def test_run_drained_finite_bath_exits_with_violation(tmp_path, capsys):
 
 def test_run_state_gone_non_finite_exits_with_violation(tmp_path, monkeypatch, capsys):
     # a dim-2 run steps its state through the float-carried step simulate binds
-    monkeypatch.setattr(integrator, "_two_level_advance", lambda r, h, *args: ((np.nan,) * 4, h))
+    monkeypatch.setattr(integrator, "_two_level_advance", lambda r00, r11, x, y, h, *args: (np.nan,) * 4 + (h,))
     out = tmp_path / "nan.csv"
     assert main(["run", "--config", str(_write(tmp_path, _two_level_config())), "--out", str(out)]) == 2
     assert "non-finite monitor trace_err=nan" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -329,13 +331,19 @@ def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
 
 @pytest.mark.parametrize("nonlinear, decompositions", [(True, 1), (False, 0)])
 def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decompositions):
-    # min_eig and the entropy share one spectrum; the flux stage, which
-    # decomposes rho again, is evaluated by the caller, not inside _observe
+    # above n = 2, min_eig and the entropy share one spectrum; at n = 2 they
+    # come from the closed form, with no LAPACK call, and equal the
+    # closed-form reference exactly; the flux stage, which decomposes rho
+    # again, is evaluated by the caller, not inside _observe
     for dim, setup in DIMENSIONS:
         system, bath = setup()
         rho = random_density(rng, dim)
-        w = np.linalg.eigvalsh(rho)
-        entropy = bath.entropy() + von_neumann_entropy(rho)
+        if dim == 2:
+            min_eig, entropy, energy = oracles.two_level_monitors(rho, system.H)
+            calls = []
+        else:
+            min_eig, entropy, energy = np.linalg.eigvalsh(rho)[0], von_neumann_entropy(rho), None
+            calls = [(dim, dim)]
         with monkeypatch.context() as patch:
             bases, eighs = _count_decompositions(patch)
             flux = joint_rhs(rho, bath.H_e, bath, system, nonlinear)[1]
@@ -345,10 +353,88 @@ def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decomposition
             eigvalsh = _count_calls(patch, np.linalg, "eigvalsh")
             point, violation = _observe(0.0, rho, bath, system, None, MonitorTolerances(), flux)
         assert (bases, eighs) == _decompositions(dim, 0)
-        assert eigvalsh == [(dim, dim)]
+        assert eigvalsh == calls
         assert violation is None
-        assert point.monitors["min_eig"] == w[0]
-        assert point.monitors["total_entropy"] == entropy
+        assert point.monitors["min_eig"] == min_eig
+        assert point.monitors["total_entropy"] == bath.entropy() + entropy
+        if energy is not None:
+            assert point.monitors["total_energy"] == energy + bath.H_e
+
+
+LAPACK_DECOMPOSITIONS = ("eig", "eigh", "eigvals", "eigvalsh", "svd")
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_two_level_simulate_makes_no_lapack_decomposition(monkeypatch, rng, method, nonlinear):
+    # a whole n = 2 run, every step sampled, with a finite and an infinite
+    # bath: the start state's validation, the stages and the monitors are
+    # closed forms, so np.linalg is not asked for one decomposition
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.2, method=method, monitor_every=1)
+    p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
+    for system, bath in (_finite_bath_setup(), (two_level_system(p), two_level_bath(p))):
+        rho0 = random_density(rng, 2)
+        with monkeypatch.context() as patch:
+            calls = {name: _count_calls(patch, np.linalg, name) for name in LAPACK_DECOMPOSITIONS}
+            traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == COMPLETED and len(traj.points) == 21
+        assert calls == {name: [] for name in LAPACK_DECOMPOSITIONS}
+
+
+def _stored_state(rng, w):
+    """u diag(w) u^dagger for a random unitary u, as simulate builds an n = 2
+    state: exactly Hermitian from its four reals."""
+    u = random_unitary(rng, 2)
+    return _two_level_matrix(*_two_level_entries((u * np.asarray(w, dtype=float)) @ u.conj().T))
+
+
+def test_two_level_monitors_match_lapack(rng):
+    # the closed-form n = 2 monitors against the numpy ones (eigvalsh, the
+    # clip/mask/log/sum entropy and np.trace(H @ rho)) on random, near-pure,
+    # diagonal pure and negative-eigenvalue states, with a random H; bounds
+    # fixed before measuring:
+    # - min_eig within 4 eps max(1, l1) of eigvalsh's, l1 the larger eigenvalue;
+    # - the entropy within 1e-13 absolute: an eigenvalue moved by
+    #   delta <= 4 eps moves p ln p by at most about delta |ln delta| = 3.1e-14;
+    # - tr(H rho) within 4 eps (|H00 rho00| + |H11 rho11| + 2 |H10| |rho10|)
+    eps = np.finfo(float).eps
+    system = QuantumSystem(random_hermitian(rng, 2))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0, H_e=0.0)
+    states = [_two_level_matrix(*_two_level_entries(random_density(rng, 2, min_eig=0.0))) for _ in range(2000)]
+    states += [_stored_state(rng, [1.0 - p, p]) for p in (1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 1e-16)]
+    states += [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    negative = [_stored_state(rng, [1.0 + p, -p]) for p in (1e-12, 1e-9, 1e-6, 0.1)]
+    for rho in states + negative:
+        point, _ = _observe(0.0, rho, bath, system, None, MonitorTolerances(), 0.0)
+        w = np.linalg.eigvalsh(rho)
+        assert abs(point.monitors["min_eig"] - w[0]) <= 4.0 * eps * max(1.0, w[1])
+        nz = np.clip(w, 0.0, 1.0)
+        nz = nz[nz > 0.0]
+        assert abs(point.monitors["total_entropy"] - float(-np.sum(nz * np.log(nz)))) <= 1e-13
+        H = system.H
+        scale = abs(H[0, 0] * rho[0, 0]) + abs(H[1, 1] * rho[1, 1]) + 2.0 * abs(H[1, 0]) * abs(rho[1, 0])
+        assert abs(point.monitors["total_energy"] - np.trace(H @ rho).real) <= 4.0 * eps * scale
+        assert point.monitors["herm_err"] == 0.0
+    for rho in negative:  # reported unclipped
+        assert _observe(0.0, rho, bath, system, None, MonitorTolerances(), 0.0)[0].monitors["min_eig"] < 0.0
+    # near-pure diagonal states, whose eigenvalues eigvalsh returns exactly:
+    # min_eig keeps its relative precision, 4 eps, where (tr - |m|)/2 would not
+    for p in (1e-6, 1e-10, 1e-13, 1e-300):
+        rho = np.diag([1.0 - p, p]).astype(complex)
+        point, _ = _observe(0.0, rho, bath, system, None, MonitorTolerances(), 0.0)
+        assert abs(point.monitors["min_eig"] - p) <= 4.0 * eps * p
+    # a NaN state: the violation text the numpy monitors give
+    nan = math.nan
+    p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
+    texts = {
+        (nan, nan, nan, nan): "trace_err=nan, herm_err=nan, min_eig=nan, total_energy=nan",
+        (0.5, 0.5, nan, 0.0): "herm_err=nan, min_eig=nan, total_energy=nan",
+        (0.5, 0.5, 0.0, nan): "herm_err=nan, min_eig=nan, total_energy=nan",
+    }
+    for entries, text in texts.items():
+        rho = _two_level_matrix(*entries)
+        _, violation = _observe(0.5, rho, two_level_bath(p), two_level_system(p), None, MonitorTolerances(), 0.0)
+        assert violation == f"non-finite monitor {text} at t=0.5"
 
 
 @pytest.mark.parametrize("nonlinear, per_step", [(True, 4), (False, 0)])
@@ -391,7 +477,7 @@ def _given_first_step(rho, bath, system, dt, method, nonlinear):
     stage = _bind(bath, system, nonlinear)
     if system.dim == 2:
         r = _two_level_entries(rho)
-        r, h = _two_level_advance(r, bath.H_e, stage, dt, method, stage(r, bath.H_e))
+        *r, h = _two_level_advance(*r, bath.H_e, stage, dt, method, stage(*r, bath.H_e))
         return _two_level_matrix(*r), bath.with_energy(h)
     rho, h = _array_advance(rho, bath.H_e, stage, dt, method, stage(rho, bath.H_e))
     return rho, bath.with_energy(h)
@@ -406,11 +492,11 @@ def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
     rho = random_density(rng, 2)
     rho_a, bath_a = step(*step(rho, bath, system, 1e-2, method, nonlinear), system, 1e-2, method, nonlinear)
     stage = _bind(bath, system, nonlinear)
-    r, h = _two_level_entries(rho), bath.H_e
+    state = (*_two_level_entries(rho), bath.H_e)
     for _ in range(2):
-        r, h = _two_level_advance(r, h, stage, 1e-2, method, stage(r, h))
-    assert np.array_equal(rho_a, _two_level_matrix(*r))
-    assert bath_a == bath.with_energy(h)
+        state = _two_level_advance(*state, stage, 1e-2, method, stage(*state))
+    assert np.array_equal(rho_a, _two_level_matrix(*state[:4]))
+    assert bath_a == bath.with_energy(state[4])
 
 
 @pytest.mark.parametrize("dim, setup", DIMENSIONS)
@@ -479,9 +565,9 @@ def test_two_level_step_matches_array_step(rng, method, nonlinear):
             assert out_bath == ref_bath.with_energy(out_bath.H_e)
 
 
-def _bits(pair):
-    """The floats of a (3- or 4-tuple, float) pair as hex, which tells -0.0 from 0.0."""
-    return [float.hex(v) for v in (*pair[0], pair[1])]
+def _bits(values):
+    """A flat tuple of floats as hex, which tells -0.0 from 0.0."""
+    return [float.hex(v) for v in values]
 
 
 def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
@@ -519,13 +605,13 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
                 patch.setattr(environment, "_bind_rates", oracles.two_level_bound_stage)
                 oracle = _bind(bath, system, nonlinear)
             for r in states:
-                first = stage(r, bath.H_e)
-                assert _bits(first) == _bits(oracle(r, bath.H_e))
+                first = stage(*r, bath.H_e)
+                assert _bits(first) == _bits(oracle(*r, bath.H_e))
                 for method in ("rk4", "euler"):
                     # the oracle step evaluates its own first stage, or is given the fused one
                     for given in (None, first):
-                        out = integrator._two_level_advance(r, bath.H_e, stage, 0.05, method, first)
-                        ref = oracles.two_level_advance(r, bath.H_e, oracle, 0.05, method, given)
+                        out = integrator._two_level_advance(*r, bath.H_e, stage, 0.05, method, first)
+                        ref = oracles.two_level_advance(*r, bath.H_e, oracle, 0.05, method, given)
                         assert _bits(out) == _bits(ref)
 
 
@@ -580,7 +666,7 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
     nan = (np.nan,) * 4
     advance = integrator._two_level_advance
-    monkeypatch.setattr(integrator, "_two_level_advance", lambda r, h, *args: (nan, h))
+    monkeypatch.setattr(integrator, "_two_level_advance", lambda r00, r11, x, y, h, *args: (*nan, h))
     cfg = IntegratorConfig(dt=0.01, t_end=1.0, monitor_every=3)
     traj = simulate(I2 / 2, two_level_bath(p), two_level_system(p), cfg, nonlinear=nonlinear)
     assert traj.termination == MONITOR_VIOLATION
@@ -592,8 +678,8 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     # violation names the non-finite state, not a drained bath
     system, bath = _finite_bath_setup()
 
-    def nan_step(r, h, stage, dt, method, first):
-        return advance(nan, h, stage, dt, method, stage(nan, h))
+    def nan_step(r00, r11, x, y, h, stage, dt, method, first):
+        return advance(*nan, h, stage, dt, method, stage(*nan, h))
 
     monkeypatch.setattr(integrator, "_two_level_advance", nan_step)
     traj = simulate(I2 / 2, bath, system, cfg, nonlinear=nonlinear)

@@ -16,7 +16,7 @@ from thermoqme import (
     von_neumann_entropy,
 )
 from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _rates
-from thermoqme.operators import _pairwise_log_mean, _two_level_weights
+from thermoqme.operators import _pairwise_log_mean, _two_level_spectrum, _two_level_weights
 from thermoqme.two_level import SIGMA, pauli_compose, PauliVector
 
 from conftest import random_density, random_hermitian, stage_rhs
@@ -235,6 +235,8 @@ TWO_LEVEL_SPECTRA = {
     "subnormal_off_pole": (1.0, 1e-310, 2.0**-600, 2.0**-610),
     "huge_entry": (1.5e308, 0.5, 0.5, 0.0),
     **{f"negative_eigenvalue_{k}": _bloch_entries(1.5, *angles) for k, angles in enumerate(ANGLES)},
+    # l2 = -1e-12 off the pole, where det(rho) cancels: unclipped, it is min_eig
+    "negative_eigenvalue_tiny": _bloch_entries(1.0 + 2e-12, *ANGLES[1]),
     "negative_trace": (-1.0, -2.0, 0.1, 0.3),
 }
 
@@ -274,12 +276,25 @@ def test_two_level_weights_lose_no_digits(entries):
     #   det(rho)/l1, plus 4 * 2**-1074 for rounding among subnormals;
     # - d within 1e-14 relative plus what l2's bound moves it by at fixed
     #   gap m, d^2/(l1 l2) times that bound (1/2 near degeneracy; near a pure
-    #   state off the pole, det(rho) itself cancels and d follows)
+    #   state off the pole, det(rho) itself cancels and d follows);
+    # - the unclipped _two_level_spectrum, which the weights clip: where
+    #   l1 > 0, l2 (negative too) within the same bound as above; where
+    #   l1 <= 0, both within 4 eps (|x| + |z| + m), the rounding of
+    #   (tr rho +- m)/2
     x, z, re, im = entries
-    l1, l2, d = _two_level_weights(x, z, re, im, math.hypot(2.0 * re, 2.0 * im, x - z))
+    m = math.hypot(2.0 * re, 2.0 * im, x - z)
+    l1, l2, d = _two_level_weights(x, z, re, im, m)
+    s1, s2 = _two_level_spectrum(x, z, re, im, m)
+    assert (l1, l2) == ((s1, max(s2, 0.0)) if s1 > 0.0 else (0.0, 0.0))
     r1, r2, rd = _two_level_spectrum_reference(x, z, re, im)
     with localcontext() as ctx:
         ctx.prec = 60
+        if r1 > 0:
+            b2 = Decimal(4 * EPS) * (abs(Decimal(x) * Decimal(z)) + Decimal(re) ** 2 + Decimal(im) ** 2) / r1
+            assert abs(Decimal(s2) - r2) <= b2 + 4 * Decimal(2.0**-1074)
+        else:
+            b = Decimal(4 * EPS) * (abs(Decimal(x)) + abs(Decimal(z)) + Decimal(m))
+            assert abs(Decimal(s1) - r1) <= b and abs(Decimal(s2) - r2) <= b
         r1, r2 = max(r1, Decimal(0)), max(r2, Decimal(0))
         assert abs(Decimal(l1) - r1) <= Decimal(1e-14) * r1
         if r1 == 0:
@@ -304,6 +319,13 @@ def test_two_level_weights_take_non_finite_input(bad):
         args[k] = bad
         out = _two_level_weights(*args)
         assert len(out) == 3 and all(isinstance(v, float) for v in out)
+    # the unclipped spectrum, which min_eig reports, is not finite for a
+    # non-finite entry and the Bloch length that follows from the entries
+    for k in range(4):
+        args = [0.7, 0.3, 0.1, -0.2]
+        args[k] = bad
+        x, z, re, im = args
+        assert not math.isfinite(_two_level_spectrum(x, z, re, im, math.hypot(2.0 * re, 2.0 * im, x - z))[1])
     assert len(_two_level_weights(bad, bad, bad, bad, bad)) == 3
 
 
