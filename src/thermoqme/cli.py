@@ -38,7 +38,8 @@ def _fmt(x: float) -> str:
 
 
 def _trajectory_rows(traj: Trajectory, setup: RunSetup):
-    """Header and formatted rows for one trajectory."""
+    """Header and formatted rows for one trajectory: every ``stride``-th
+    recorded point and always the last, where a truncated run ended."""
     dim = setup.system.dim
     finite = setup.bath.kind == "finite"
     header = ["t"]
@@ -57,7 +58,7 @@ def _trajectory_rows(traj: Trajectory, setup: RunSetup):
     upper = np.triu_indices(dim)
     upper_fmt = ",".join(["%.16e"] * (dim * (dim + 1)))
     rows = []
-    for point in traj.points[:: setup.stride]:
+    for point in traj.points[: -1 : setup.stride] + traj.points[-1:]:
         row = [_fmt(point.t)]
         if setup.two_level:
             # the Bloch vector (2 Re rho10, 2 Im rho10, rho00 - rho11), as pauli_decompose gives it
@@ -104,7 +105,10 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _run_one(setup: RunSetup, nonlinear: bool) -> Trajectory:
+def _run_one(setup: RunSetup, nonlinear: bool, path) -> tuple[Trajectory, int]:
+    """Integrate one variant, logging its wall time, steps and any monitor
+    violation, and write its trajectory CSV to ``path``; returns
+    (trajectory, rows written)."""
     variant = "nonlinear" if nonlinear else "linearized"
     log.info("%s run: %d steps of dt=%g", variant, setup.integrator.n_steps, setup.integrator.dt)
     start = perf_counter()
@@ -117,7 +121,9 @@ def _run_one(setup: RunSetup, nonlinear: bool) -> Trajectory:
     )
     if traj.violation is not None:
         log.info("%s run: monitor violation: %s", variant, traj.violation)
-    return traj
+    header, rows = _trajectory_rows(traj, setup)
+    _write_csv(path, header, rows)
+    return traj, len(rows)
 
 
 def cmd_run(args) -> int:
@@ -128,28 +134,20 @@ def cmd_run(args) -> int:
     _output_dir(Path(out_path).parent)
 
     log.info("run: config %s, output %s", args.config, out_path)
-    traj = _run_one(setup, setup.nonlinear)
-    header, rows = _trajectory_rows(traj, setup)
-    _write_csv(out_path, header, rows)
+    traj, n_rows = _run_one(setup, setup.nonlinear, out_path)
     if traj.termination != COMPLETED:
         print(f"monitor violation: {traj.violation}", file=sys.stderr)
         print(f"wrote {out_path} (truncated at violation)")
         return EXIT_MONITOR_VIOLATION
-    print(f"wrote {out_path} ({len(rows)} rows)")
+    print(f"wrote {out_path} ({n_rows} rows)")
     return EXIT_OK
 
 
 def cmd_mu_table(args) -> int:
     if not (0.0 <= args.min < args.max < 1.0):
-        print(
-            f"configuration error: mu-table range must satisfy 0 <= min < max < 1, "
-            f"got [{args.min}, {args.max}]",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("mu-table", f"range must satisfy 0 <= min < max < 1, got [{args.min}, {args.max}]")
     if args.steps < 2:
-        print("configuration error: steps must be >= 2", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("mu-table", "steps must be >= 2")
     _output_dir(Path(args.out).parent)
     grid = np.linspace(args.min, args.max, args.steps)
     rows = [[_fmt(m), _fmt(mu(float(m)))] for m in grid]
@@ -163,34 +161,20 @@ def cmd_compare(args) -> int:
     out_dir = _output_dir(args.out_dir)
     log.info("compare: config %s, output directory %s", args.config, out_dir)
 
-    results = {}
-    for name, nonlinear in (("nonlinear", True), ("linearized", False)):
-        traj = _run_one(setup, nonlinear)
-        header, rows = _trajectory_rows(traj, setup)
-        _write_csv(out_dir / f"{name}.csv", header, rows)
-        results[name] = traj
+    results = {
+        name: _run_one(setup, name == "nonlinear", out_dir / f"{name}.csv")[0] for name in ("nonlinear", "linearized")
+    }
 
     nl, lin = results["nonlinear"], results["linearized"]
-    n_common = min(len(nl.points), len(lin.points))
-    deltas = [
-        (p_nl.t, float(np.max(np.abs(p_nl.rho - p_lin.rho))))
-        for p_nl, p_lin in zip(nl.points[:n_common], lin.points[:n_common])
-    ]
+    # zip stops at the shorter trajectory: a truncated variant is compared up to where it ended
+    deltas = [(p.t, float(np.max(np.abs(p.rho - q.rho)))) for p, q in zip(nl.points, lin.points)]
     _write_csv(out_dir / "delta.csv", ["t", "max_abs_delta_rho"], [[_fmt(t), _fmt(d)] for t, d in deltas])
 
     summary = {
-        "nonlinear": {
-            "termination": nl.termination,
-            "violation": nl.violation,
-            "t_final": nl.final.t,
-        },
-        "linearized": {
-            "termination": lin.termination,
-            "violation": lin.violation,
-            "t_final": lin.final.t,
-        },
-        "max_abs_delta_rho_final": deltas[-1][1] if deltas else None,
+        name: {"termination": traj.termination, "violation": traj.violation, "t_final": traj.final.t}
+        for name, traj in results.items()
     }
+    summary["max_abs_delta_rho_final"] = deltas[-1][1] if deltas else None
     if setup.two_level:
         consts = setup.system.constants
         x = consts.hbar * setup.bath.omega_ref / (2.0 * consts.kB * setup.bath.temperature())
@@ -210,8 +194,8 @@ def cmd_compare(args) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    print(f"nonlinear:  {nl.termination}" + (f" ({nl.violation})" if nl.violation else ""))
-    print(f"linearized: {lin.termination}" + (f" ({lin.violation})" if lin.violation else ""))
+    for name, traj in results.items():
+        print(f"{name}:".ljust(12) + traj.termination + (f" ({traj.violation})" if traj.violation else ""))
     if setup.two_level:
         tl = summary["two_level"]
         print(
@@ -221,22 +205,12 @@ def cmd_compare(args) -> int:
         if tl["linearized_left_bloch_ball"]:
             print("linearized trajectory left the Bloch ball")
     print(f"wrote {out_dir}/nonlinear.csv, linearized.csv, delta.csv, summary.json")
-    if nl.termination != COMPLETED or lin.termination != COMPLETED:
+    if any(traj.termination != COMPLETED for traj in results.values()):
         return EXIT_MONITOR_VIOLATION
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("THERMOQME_LOG", "WARNING").upper()
-    if not isinstance(logging.getLevelName(level), int):
-        print(
-            f"configuration error: THERMOQME_LOG: unknown logging level {level!r} "
-            "(use DEBUG, INFO, WARNING, ERROR or CRITICAL)",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG_ERROR
-    logging.basicConfig(level=level)
-    log.setLevel(level)
     parser = argparse.ArgumentParser(
         prog="thermoqme",
         description="Simulate the nonlinear thermodynamic quantum master equation",
@@ -260,10 +234,18 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--out-dir", required=True)
     p_cmp.set_defaults(func=cmd_compare)
 
-    args = parser.parse_args(argv)
     try:
+        # the log level is checked before the arguments are parsed
+        level = os.environ.get("THERMOQME_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError(
+                "THERMOQME_LOG", f"unknown logging level {level!r} (use DEBUG, INFO, WARNING, ERROR or CRITICAL)"
+            )
+        logging.basicConfig(level=level)
+        log.setLevel(level)
+        args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except ConfigError as exc:  # the one place a configuration error is reported
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -113,9 +113,13 @@ class HeatBath:
         Finite bath: C_e ln(H_e/H_ref).  Infinite bath: H_e/T_e, the heat
         received divided by the fixed temperature.
         """
+        return self._entropy_at(self.H_e)
+
+    def _entropy_at(self, H_e: float) -> float:
+        """Entropy at bath energy ``H_e``, as :meth:`entropy` defines it."""
         if self.kind == "infinite":
-            return self.H_e / self.T_e
-        return self.C_e * math.log(self.H_e / self.H_ref)
+            return H_e / self.T_e
+        return self.C_e * math.log(H_e / self.H_ref)
 
     def with_energy(self, H_e: float) -> "HeatBath":
         """New snapshot with updated energy (validates positivity for finite baths)."""

@@ -200,10 +200,12 @@ def _two_level_advance(r00, r11, x, y, h, stage, dt, method, first):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _observe(t, rho, bath, system, energy_ref, tolerances, flux):
-    """Build a trajectory point and return (point, violation detail or None);
-    ``flux`` is dH_e/dt of the run's stage at (rho, bath.H_e), the negative
-    of the point's energy flux into the quantum system.
+def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux):
+    """Build a trajectory point and return (point, violation detail or None)
+    for the state ``rho`` and bath energy ``h``; ``bath`` is the run's bath,
+    read at ``h`` for the temperature and entropy, and ``flux`` is dH_e/dt
+    of the run's stage at (rho, h), the negative of the point's energy flux
+    into the quantum system.
 
     The dimension selects how the monitors are computed.  Above n = 2, with
     numpy: one eigvalsh gives min_eig and the entropy.  At n = 2, in Python
@@ -228,14 +230,14 @@ def _observe(t, rho, bath, system, energy_ref, tolerances, flux):
         min_eig = spectrum[0]
         energy = energy_expectation(rho, system.H)
     env = EnvironmentObservableReport(
-        H_e=bath.H_e,
-        T_e=bath.temperature(),
-        S_e=bath.entropy(),
+        H_e=h,
+        T_e=bath._temperature_at(h),
+        S_e=bath._entropy_at(h),
         energy_flux_to_quantum=-flux,
     )
     # tr(H rho) + H_e: the exact total for a finite bath, and the
     # exchange-consistent bookkeeping total for an infinite one.
-    total_energy = energy + bath.H_e
+    total_energy = energy + h
     total_entropy = env.S_e + _spectrum_entropy(spectrum, system.constants)
     monitors = {
         "trace_err": trace_err,
@@ -288,8 +290,9 @@ def simulate(
 
     The rates are bound once per run, and between recorded points the state
     is carried as :func:`step` advances it (at n = 2 as Python floats), so
-    the density matrix and the bath snapshot are built only at recorded
-    points; the results are a loop of :func:`step`'s.
+    the density matrix is built only at recorded points, where the run's
+    bath is read at the carried energy; the results are a loop of
+    :func:`step`'s.
 
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
@@ -319,7 +322,7 @@ def simulate(
             rates = stage(*state)
             if sampled:
                 rho = _two_level_matrix(*state[:4]) if two_level else state[0]
-                point, violation = _observe(t, rho, bath0.with_energy(state[-1]), system, energy_ref, tol, rates[-1])
+                point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1])
         except _BathDrained as exc:
             return Trajectory(tuple(points), config, MONITOR_VIOLATION, f"{exc} in the step to t={t:.6g}")
         except np.linalg.LinAlgError as exc:

@@ -581,12 +581,14 @@ def test_mu_table(tmp_path):
     assert abs(mid[1] - 0.359043) < 1e-3
 
 
-def test_mu_table_domain_errors(tmp_path):
+def test_mu_table_domain_errors(tmp_path, capsys):
+    # each is reported as one configuration-error line, and nothing is written
     out = tmp_path / "mu.csv"
-    assert main(["mu-table", "--min", "0", "--max", "1.0", "--steps", "10", "--out", str(out)]) == 1
-    assert main(["mu-table", "--min", "-0.1", "--max", "0.5", "--steps", "10", "--out", str(out)]) == 1
-    assert main(["mu-table", "--min", "0", "--max", "0.5", "--steps", "1", "--out", str(out)]) == 1
-    assert not out.exists()
+    for lo, hi, steps in (("0", "1.0", "10"), ("-0.1", "0.5", "10"), ("0", "0.5", "1")):
+        assert main(["mu-table", "--min", lo, "--max", hi, "--steps", steps, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: mu-table: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_high_temperature(tmp_path):
@@ -614,6 +616,15 @@ def test_compare_low_temperature_flags_sphere_exit(tmp_path):
     assert summary["nonlinear"]["termination"] == "completed"
     assert summary["two_level"]["linearized_left_bloch_ball"]
     assert abs(summary["two_level"]["linearized_steady_m3"] + 10.0) < 1e-12
+    # one record per variant, as simulate reports it on the same setup
+    assert set(summary) == {"nonlinear", "linearized", "max_abs_delta_rho_final", "two_level"}
+    setup = build_run(load_config(CONFIG_DIR / "compare_low_temperature.json"))
+    for name in ("nonlinear", "linearized"):
+        traj = simulate(setup.rho0, setup.bath, setup.system, setup.integrator, nonlinear=name == "nonlinear")
+        assert summary[name] == {"termination": traj.termination, "violation": traj.violation, "t_final": traj.final.t}
+    assert summary["linearized"]["violation"].startswith("positivity violated")
+    _, delta_rows = _read_csv(out_dir / "delta.csv")
+    assert summary["max_abs_delta_rho_final"] == delta_rows[-1][1]
 
 
 def test_compare_decoupled_variants_identical(tmp_path):
@@ -635,6 +646,18 @@ def test_output_stride(tmp_path):
     _, rows = _read_csv(out)
     # 5.0/0.01 = 500 steps at monitor_every 10 -> 51 points -> every 5th
     assert len(rows) == 11
+    # a stride that does not divide 50 still writes the last point
+    cfg_path = _write(tmp_path, _two_level_config(output={"path": None, "stride": 7}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 9 and [rows[-2][0], rows[-1][0]] == [4.9, 5.0]
+    # a truncated run ends at the point that fired: 423 points -> 0, 7, ..., 420 and 422
+    cfg = json.loads((CONFIG_DIR / "sphere_linearized_x10.json").read_text())
+    cfg["output"] = {"path": None, "stride": 7}
+    assert main(["run", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    header, rows = _read_csv(out)
+    assert len(rows) == 62
+    assert abs(rows[-1][0] - 1.055) < 1e-12 and rows[-1][header.index("min_eig")] < 0.0
 
 
 def test_run_drained_finite_bath_exits_with_violation(tmp_path, capsys):
@@ -739,7 +762,10 @@ def test_unknown_log_level_is_a_configuration_error(tmp_path, monkeypatch, capsy
     monkeypatch.setenv("THERMOQME_LOG", "verbose")
     out = tmp_path / "mu.csv"
     assert main(["mu-table", "--min", "0", "--max", "0.5", "--steps", "3", "--out", str(out)]) == 1
-    assert "THERMOQME_LOG" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "configuration error: THERMOQME_LOG: unknown logging level 'VERBOSE' "
+        "(use DEBUG, INFO, WARNING, ERROR or CRITICAL)\n"
+    )
     assert not out.exists()
 
 

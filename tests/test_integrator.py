@@ -351,7 +351,7 @@ def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decomposition
         with monkeypatch.context() as patch:
             bases, eighs = _count_decompositions(patch)
             eigvalsh = _count_calls(patch, np.linalg, "eigvalsh")
-            point, violation = _observe(0.0, rho, bath, system, None, MonitorTolerances(), flux)
+            point, violation = _observe(0.0, rho, bath.H_e, bath, system, None, MonitorTolerances(), flux)
         assert (bases, eighs) == _decompositions(dim, 0)
         assert eigvalsh == calls
         assert violation is None
@@ -405,7 +405,7 @@ def test_two_level_monitors_match_lapack(rng):
     states += [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
     negative = [_stored_state(rng, [1.0 + p, -p]) for p in (1e-12, 1e-9, 1e-6, 0.1)]
     for rho in states + negative:
-        point, _ = _observe(0.0, rho, bath, system, None, MonitorTolerances(), 0.0)
+        point, _ = _observe(0.0, rho, bath.H_e, bath, system, None, MonitorTolerances(), 0.0)
         w = np.linalg.eigvalsh(rho)
         assert abs(point.monitors["min_eig"] - w[0]) <= 4.0 * eps * max(1.0, w[1])
         nz = np.clip(w, 0.0, 1.0)
@@ -416,16 +416,17 @@ def test_two_level_monitors_match_lapack(rng):
         assert abs(point.monitors["total_energy"] - np.trace(H @ rho).real) <= 4.0 * eps * scale
         assert point.monitors["herm_err"] == 0.0
     for rho in negative:  # reported unclipped
-        assert _observe(0.0, rho, bath, system, None, MonitorTolerances(), 0.0)[0].monitors["min_eig"] < 0.0
+        assert _observe(0.0, rho, bath.H_e, bath, system, None, MonitorTolerances(), 0.0)[0].monitors["min_eig"] < 0.0
     # near-pure diagonal states, whose eigenvalues eigvalsh returns exactly:
     # min_eig keeps its relative precision, 4 eps, where (tr - |m|)/2 would not
     for p in (1e-6, 1e-10, 1e-13, 1e-300):
         rho = np.diag([1.0 - p, p]).astype(complex)
-        point, _ = _observe(0.0, rho, bath, system, None, MonitorTolerances(), 0.0)
+        point, _ = _observe(0.0, rho, bath.H_e, bath, system, None, MonitorTolerances(), 0.0)
         assert abs(point.monitors["min_eig"] - p) <= 4.0 * eps * p
     # a NaN state: the violation text the numpy monitors give
     nan = math.nan
     p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
+    bath, system = two_level_bath(p), two_level_system(p)
     texts = {
         (nan, nan, nan, nan): "trace_err=nan, herm_err=nan, min_eig=nan, total_energy=nan",
         (0.5, 0.5, nan, 0.0): "herm_err=nan, min_eig=nan, total_energy=nan",
@@ -433,7 +434,7 @@ def test_two_level_monitors_match_lapack(rng):
     }
     for entries, text in texts.items():
         rho = _two_level_matrix(*entries)
-        _, violation = _observe(0.5, rho, two_level_bath(p), two_level_system(p), None, MonitorTolerances(), 0.0)
+        _, violation = _observe(0.5, rho, bath.H_e, bath, system, None, MonitorTolerances(), 0.0)
         assert violation == f"non-finite monitor {text} at t=0.5"
 
 
@@ -647,7 +648,7 @@ def test_non_finite_state_is_a_violation(nonlinear):
     system, bath = _finite_bath_setup()
     rho = np.full((2, 2), np.nan, dtype=complex)
     flux = joint_rhs(rho, bath.H_e, bath, system, nonlinear)[1]
-    point, violation = _observe(0.5, rho, bath, system, None, MonitorTolerances(), flux)
+    point, violation = _observe(0.5, rho, bath.H_e, bath, system, None, MonitorTolerances(), flux)
     assert violation is not None and violation.startswith("non-finite monitor")
     for key in ("trace_err", "herm_err", "min_eig"):
         assert f"{key}=nan" in violation
@@ -655,7 +656,7 @@ def test_non_finite_state_is_a_violation(nonlinear):
     # a finite state with a non-finite bath energy: only the total is bad
     infinite = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0, H_e=np.inf)
     flux = joint_rhs(I2 / 2, infinite.H_e, infinite, system, nonlinear)[1]
-    _, violation = _observe(0.5, I2 / 2, infinite, system, None, MonitorTolerances(), flux)
+    _, violation = _observe(0.5, I2 / 2, infinite.H_e, infinite, system, None, MonitorTolerances(), flux)
     assert violation == "non-finite monitor total_energy=inf at t=0.5"
 
 
@@ -729,7 +730,9 @@ def test_simulate_matches_array_step_loop(rng, method, nonlinear):
                 rho, ref_bath = _array_step(rho, ref_bath, system, cfg.dt, method, nonlinear, None)
             if k % cfg.monitor_every == 0 or k == cfg.n_steps:
                 flux = joint_rhs(rho, ref_bath.H_e, ref_bath, system, nonlinear)[1]
-                point, violation = _observe(k * cfg.dt, rho, ref_bath, system, energy_ref, cfg.tolerances, flux)
+                point, violation = _observe(
+                    k * cfg.dt, rho, ref_bath.H_e, ref_bath, system, energy_ref, cfg.tolerances, flux
+                )
                 assert violation is None
                 reference.append(point)
                 energy_ref = reference[0].monitors["total_energy"]
