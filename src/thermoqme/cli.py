@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -35,6 +36,12 @@ EXIT_MONITOR_VIOLATION = 2
 
 def _fmt(x: float) -> str:
     return format(float(x), ".16e")
+
+
+def _finite_or_none(x: float) -> float | None:
+    """``x``, or None (JSON null) where it is not finite: NaN and Infinity
+    are not JSON (RFC 8259)."""
+    return x if math.isfinite(x) else None
 
 
 def _trajectory_rows(traj: Trajectory, setup: RunSetup):
@@ -174,7 +181,7 @@ def cmd_compare(args) -> int:
         name: {"termination": traj.termination, "violation": traj.violation, "t_final": traj.final.t}
         for name, traj in results.items()
     }
-    summary["max_abs_delta_rho_final"] = deltas[-1][1] if deltas else None
+    summary["max_abs_delta_rho_final"] = _finite_or_none(deltas[-1][1]) if deltas else None
     if setup.two_level:
         consts = setup.system.constants
         x = consts.hbar * setup.bath.omega_ref / (2.0 * consts.kB * setup.bath.temperature())
@@ -182,8 +189,8 @@ def cmd_compare(args) -> int:
         m_lin = pauli_decompose(lin.final.rho, tol=1e-6).a
         summary["two_level"] = {
             "x": x,
-            "nonlinear_final_m3": float(m_nl[2]),
-            "linearized_final_m3": float(m_lin[2]),
+            "nonlinear_final_m3": _finite_or_none(float(m_nl[2])),
+            "linearized_final_m3": _finite_or_none(float(m_lin[2])),
             "equilibrium_m3": -float(np.tanh(x)),
             "linearized_steady_m3": -x,
             "steady_state_gap": abs(float(np.tanh(x)) - x),
@@ -191,7 +198,7 @@ def cmd_compare(args) -> int:
             or lin.termination != COMPLETED,
         }
     with _output(out_dir / "summary.json") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     for name, traj in results.items():
@@ -199,7 +206,7 @@ def cmd_compare(args) -> int:
     if setup.two_level:
         tl = summary["two_level"]
         print(
-            f"steady states: nonlinear m3 -> {tl['nonlinear_final_m3']:.6f} "
+            f"steady states: nonlinear m3 -> {m_nl[2]:.6f} "
             f"(equilibrium {tl['equilibrium_m3']:.6f}), linearized prediction {tl['linearized_steady_m3']:.6f}"
         )
         if tl["linearized_left_bloch_ball"]:

@@ -137,67 +137,104 @@ def step(
     :func:`_array_advance` above n = 2; at n = 2, where numpy's call
     overhead is many times the arithmetic, :func:`_two_level_advance` on
     the four reals of rho and H_e as floats, packed into an array once.
-    Both take the first stage as an argument, which :func:`simulate` hands
-    over from the step before; here it is evaluated at (rho, bath.H_e).
+    Each is the advance :func:`simulate` makes once per sampled interval,
+    here over one step, with its first stage evaluated at (rho, bath.H_e):
+    4 stages with RK4, 1 with Euler.
     """
     rho = _as_state(rho, system)
     stage = _bind(bath, system, nonlinear)
     if system.dim == 2:
         r00, r11, x, y = _two_level_entries(rho)
         first = stage(r00, r11, x, y, bath.H_e)
-        *r, h = _two_level_advance(r00, r11, x, y, bath.H_e, stage, dt, method, first)
+        *r, h = _two_level_advance(r00, r11, x, y, bath.H_e, stage, dt, method, first, 1)
         return _two_level_matrix(*r), bath.with_energy(h)
-    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, stage(rho, bath.H_e))
+    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, stage(rho, bath.H_e), 1)
     return rho, bath.with_energy(h)
 
 
-def _array_advance(rho, h, stage, dt, method, first):
-    """One RK4 or Euler step of (rho, H_e) on numpy arrays, with the bound
-    ``stage`` (rho, H_e) -> (drho/dt, dH_e/dt) and ``first`` its value at
-    (rho, h); returns (rho, H_e) with rho re-Hermitized."""
+def _array_advance(rho, h, stage, dt, method, first, steps):
+    """``steps`` RK4 or Euler steps of (rho, H_e) on numpy arrays, with the
+    bound ``stage`` (rho, H_e) -> (drho/dt, dH_e/dt) and ``first`` its value
+    at (rho, h); returns (rho, H_e) with rho re-Hermitized after every step.
+
+    The stage at each step's end state is the next step's first stage; the
+    last step's is left to the caller, so the call costs 4 steps - 1 stages
+    with RK4 and steps - 1 with Euler.  An exception raised by a stage
+    (a drained bath, a failed eigendecomposition) leaves with the number of
+    steps finished before the failing one as its ``steps_done``."""
     k1, e1 = first
-    if method == "rk4":
-        k2, e2 = stage(rho + (0.5 * dt) * k1, h + 0.5 * dt * e1)
-        k3, e3 = stage(rho + (0.5 * dt) * k2, h + 0.5 * dt * e2)
-        k4, e4 = stage(rho + dt * k3, h + dt * e3)
-        rho_new = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        he_new = h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-    elif method == "euler":
-        rho_new = rho + dt * k1
-        he_new = h + dt * e1
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return 0.5 * (rho_new + rho_new.conj().T), he_new
+    half, sixth, last = 0.5 * dt, dt / 6.0, steps - 1
+    try:
+        if method == "rk4":
+            for done in range(steps):
+                k2, e2 = stage(rho + half * k1, h + half * e1)
+                k3, e3 = stage(rho + half * k2, h + half * e2)
+                k4, e4 = stage(rho + dt * k3, h + dt * e3)
+                rho_new = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+                rho = 0.5 * (rho_new + rho_new.conj().T)
+                if done != last:
+                    k1, e1 = stage(rho, h)
+        elif method == "euler":
+            for done in range(steps):
+                rho_new = rho + dt * k1
+                h = h + dt * e1
+                rho = 0.5 * (rho_new + rho_new.conj().T)
+                if done != last:
+                    k1, e1 = stage(rho, h)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    except (_BathDrained, np.linalg.LinAlgError) as exc:
+        exc.steps_done = done
+        raise
+    return rho, h
 
 
-def _two_level_advance(r00, r11, x, y, h, stage, dt, method, first):
+def _two_level_advance(r00, r11, x, y, h, stage, dt, method, first, steps):
     """:func:`_array_advance` at n = 2 on Python floats, flat in and out:
     the four reals (rho00, rho11, Re rho10, Im rho10), which keep the
     smaller diagonal entry, and with it the smaller eigenvalue, to full
-    relative precision, and H_e; returns the same five floats a step on.
-    ``stage`` is the flat n = 2 stage (r00, r11, x, y, H_e) ->
+    relative precision, and H_e; returns the same five floats ``steps``
+    steps on, with the same stage count and the same ``steps_done`` on an
+    exception.  ``stage`` is the flat n = 2 stage (r00, r11, x, y, H_e) ->
     (gx, gy, gz, dH_e/dt), g = dm/dt for the Bloch vector m, and ``first``
-    its value at the start.  The state rho + s drho/dt has the four reals
-    (r00, r11, x, y) + (s/2) (gz, -gz, gx, gy), so the trace changes only
-    by rounding."""
+    its value at the start.  The state, the first stage and the
+    dt-derived constants stay in locals for the whole call.  The state
+    rho + s drho/dt has the four reals (r00, r11, x, y) + (s/2) (gz, -gz,
+    gx, gy), so the trace changes only by rounding."""
     g1x, g1y, g1z, e1 = first
-    if method == "rk4":
-        half = 0.5 * dt
-        s = 0.5 * half
-        g2x, g2y, g2z, e2 = stage(r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y, h + half * e1)
-        g3x, g3y, g3z, e3 = stage(r00 + s * g2z, r11 - s * g2z, x + s * g2x, y + s * g2y, h + half * e2)
-        s = dt * 0.5
-        g4x, g4y, g4z, e4 = stage(r00 + s * g3z, r11 - s * g3z, x + s * g3x, y + s * g3y, h + dt * e3)
-        sixth = dt / 6.0
-        s = sixth * 0.5
-        gx = g1x + 2.0 * g2x + 2.0 * g3x + g4x
-        gy = g1y + 2.0 * g2y + 2.0 * g3y + g4y
-        gz = g1z + 2.0 * g2z + 2.0 * g3z + g4z
-        return r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy, h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-    if method == "euler":
-        s = dt * 0.5
-        return r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y, h + dt * e1
-    raise ValueError(f"unknown method {method!r}")
+    half = 0.5 * dt
+    quarter = 0.5 * half
+    sixth = dt / 6.0
+    twelfth = sixth * 0.5
+    last = steps - 1
+    try:
+        if method == "rk4":
+            for done in range(steps):
+                s = quarter
+                g2x, g2y, g2z, e2 = stage(r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y, h + half * e1)
+                g3x, g3y, g3z, e3 = stage(r00 + s * g2z, r11 - s * g2z, x + s * g2x, y + s * g2y, h + half * e2)
+                s = half
+                g4x, g4y, g4z, e4 = stage(r00 + s * g3z, r11 - s * g3z, x + s * g3x, y + s * g3y, h + dt * e3)
+                s = twelfth
+                gx = g1x + 2.0 * g2x + 2.0 * g3x + g4x
+                gy = g1y + 2.0 * g2y + 2.0 * g3y + g4y
+                gz = g1z + 2.0 * g2z + 2.0 * g3z + g4z
+                r00, r11, x, y = r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
+                h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+                if done != last:
+                    g1x, g1y, g1z, e1 = stage(r00, r11, x, y, h)
+        elif method == "euler":
+            for done in range(steps):
+                r00, r11, x, y, h = r00 + half * g1z, r11 - half * g1z, x + half * g1x, y + half * g1y, h + dt * e1
+                if done != last:
+                    g1x, g1y, g1z, e1 = stage(r00, r11, x, y, h)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    except (_BathDrained, np.linalg.LinAlgError) as exc:
+        exc.steps_done = done
+        raise
+    return r00, r11, x, y, h
 
 
 def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux):
@@ -212,14 +249,14 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux):
     floats from the four reals of rho, which is read as exactly Hermitian
     (as :func:`simulate` builds it): herm_err is 0.0, or NaN if an entry is
     not finite; min_eig is the unclipped smaller eigenvalue det(rho)/l1 of
-    :func:`~thermoqme.operators._two_level_spectrum`, which keeps its
-    relative precision near a pure state; the entropy is that spectrum's;
+    one :func:`~thermoqme.operators._two_level_spectrum` call, which keeps
+    its relative precision near a pure state; the entropy is that spectrum's;
     and tr(H rho) comes from H's four reals."""
     if rho.shape[0] == 2:
         r00, r11, x, y = _two_level_entries(rho)
         trace_err = abs(r00 + r11 - 1.0)
         herm_err = 0.0 if all(map(math.isfinite, (r00, r11, x, y))) else math.nan
-        l1, min_eig = _two_level_spectrum(r00, r11, x, y, math.hypot(2.0 * x, 2.0 * y, r00 - r11))
+        l1, min_eig, _ = _two_level_spectrum(r00, r11, x, y, math.hypot(2.0 * x, 2.0 * y, r00 - r11))
         spectrum = (min_eig, l1)
         h00, h11, hr, hi = system._h4
         energy = h00 * r00 + h11 * r11 + 2.0 * (hr * x + hi * y)
@@ -283,23 +320,27 @@ def simulate(
     """Integrate from t=0 to t_end, recording monitors every
     ``monitor_every`` steps (plus the initial and final states).
 
-    The stage at each step's end state is evaluated once: it is the next
-    step's first stage and a recorded point's energy flux, so N steps cost
-    4N + 1 stages with RK4 and N + 1 with Euler at any cadence.  Each
-    recorded point's monitors are logged at DEBUG level.
+    The rates are bound once per run, and the state is carried as
+    :func:`step` advances it (at n = 2 as Python floats): one call of the
+    dimension's advance covers a whole sampled interval,
+    min(monitor_every, n_steps - k) steps from step k.  The density matrix
+    is built only at recorded points, where the run's bath is read at the
+    carried energy.  The results are a loop of :func:`step`'s, and every
+    point is the same, bit for bit, at any cadence.
 
-    The rates are bound once per run, and between recorded points the state
-    is carried as :func:`step` advances it (at n = 2 as Python floats), so
-    the density matrix is built only at recorded points, where the run's
-    bath is read at the carried energy; the results are a loop of
-    :func:`step`'s.
+    The stage at each step's end state is evaluated once: it is the next
+    step's first stage, and at an interval's end, evaluated here after the
+    advance, a recorded point's energy flux.  So N steps cost 4N + 1 stages
+    with RK4 and N + 1 with Euler at any cadence.  Each recorded point's
+    monitors are logged at DEBUG level.
 
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
     output.  A finite bath drained of its energy within a step also ends the
     run as a violation, with the points recorded before that step, and so
     does a state gone non-finite where LAPACK (above n = 2) fails on it
-    before a monitor sees it.
+    before a monitor sees it; either note names the time at the end of the
+    step that failed.
     """
     rho = _as_state(validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10), system)
     stage = _bind(bath0, system, nonlinear)
@@ -312,34 +353,39 @@ def simulate(
     energy_ref = None
     debug = log.isEnabledFor(logging.DEBUG)
     dt, method, every, n, tol = config.dt, config.method, config.monitor_every, config.n_steps, config.tolerances
-    for k in range(n + 1):
+    k = steps = 0  # the step of the next recorded point, and the length of the interval that ends there
+    while True:
         t = k * dt
-        sampled = k % every == 0 or k == n
         try:
-            if k:
-                state = advance(*state, stage, dt, method, rates)
-            # a finite bath drained by the step raises here, where T(H_e) is read
+            if steps:
+                state = advance(*state, stage, dt, method, rates, steps)
+            # a finite bath drained by the interval's last step raises here, where T(H_e) is read
             rates = stage(*state)
-            if sampled:
-                rho = _two_level_matrix(*state[:4]) if two_level else state[0]
-                point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1])
-        except _BathDrained as exc:
-            return Trajectory(tuple(points), config, MONITOR_VIOLATION, f"{exc} in the step to t={t:.6g}")
-        except np.linalg.LinAlgError as exc:
-            # LAPACK fails on a non-finite state before any monitor can see it
-            violation = f"state went non-finite: eigendecomposition failed ({exc}) by t={t:.6g}"
+            rho = _two_level_matrix(*state[:4]) if two_level else state[0]
+            point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1])
+        except (_BathDrained, np.linalg.LinAlgError) as exc:
+            # the step that failed: the advance counts the steps before it;
+            # past the advance, it is the interval's last
+            t = (k - steps + getattr(exc, "steps_done", steps - 1) + 1) * dt
+            if isinstance(exc, _BathDrained):
+                violation = f"{exc} in the step to t={t:.6g}"
+            else:
+                # LAPACK fails on a non-finite state before any monitor can see it
+                violation = f"state went non-finite: eigendecomposition failed ({exc}) by t={t:.6g}"
             return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
-        if sampled:
-            points.append(point)
-            if debug:
-                log.debug(
-                    "%s t=%.6g %s",
-                    "nonlinear" if nonlinear else "linearized",
-                    t,
-                    " ".join(f"{key}={value:.6e}" for key, value in point.monitors.items()),
-                )
-            if violation is not None:
-                return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
-            if energy_ref is None:
-                energy_ref = point.monitors["total_energy"]
-    return Trajectory(tuple(points), config, COMPLETED)
+        points.append(point)
+        if debug:
+            log.debug(
+                "%s t=%.6g %s",
+                "nonlinear" if nonlinear else "linearized",
+                t,
+                " ".join(f"{key}={value:.6e}" for key, value in point.monitors.items()),
+            )
+        if violation is not None:
+            return Trajectory(tuple(points), config, MONITOR_VIOLATION, violation)
+        if k == n:
+            return Trajectory(tuple(points), config, COMPLETED)
+        if energy_ref is None:
+            energy_ref = point.monitors["total_energy"]
+        steps = min(every, n - k)
+        k += steps

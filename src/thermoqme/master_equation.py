@@ -20,7 +20,7 @@ from .operators import (
     _modified_in_basis,
     _two_level_entries,
     _two_level_matrix,
-    _two_level_weights,
+    _two_level_spectrum,
     hermitianize,
     validate_hermitian,
 )
@@ -197,7 +197,7 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     Bloch vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
     rho = (tr rho I + m . sigma)/2.  With the Bloch map (A, U, P) and a
     finite bath's A_bath, unpacked once into closure locals (as are
-    ``math.hypot`` and the weights function),
+    ``math.hypot`` and the spectrum function),
     dm/dt = (A + T A_bath) m + d U + (e P n) x n.  This sums, over the
     channels, (2/hbar) h x m, 4 diffusion_j q_j x (q_j x m) and
     4 friction_j/k_B q_j x v_j, where v_j . sigma is the traceless part of
@@ -205,8 +205,10 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     v_j = d c_j + e (c_j . n) n with n = m/|m| (0 at m = 0), d the log-mean
     of the clipped eigenvalues and e their mean minus d.  |m| is computed
     once per stage: it normalizes n and is the eigenvalues' gap, from which
-    one :func:`_two_level_weights` call per stage with friction gives the
-    spectrum in closed form; linearized, d = tr rho/2 and there is no P term.
+    one :func:`~thermoqme.operators._two_level_spectrum` call per stage with
+    friction gives the unclipped eigenvalues and d in closed form, and the
+    stage clips the eigenvalues for e itself; linearized, d = tr rho/2 and
+    there is no P term.
     """
     finite = temperature is not None
     if system.dim > 2:
@@ -228,7 +230,7 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
         ux, uy, uz = np.dot(friction, u).tolist()
         p0, p1, p2, p3, p4, p5, p6, p7, p8 = np.dot(friction, p).tolist()
 
-    hypot, weights = math.hypot, _two_level_weights
+    hypot, spectrum = math.hypot, _two_level_spectrum
 
     def stage(r00, r11, x, y, H_e):
         mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
@@ -246,11 +248,12 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
             gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
         else:
             m = hypot(mx, my, mz)
-            l1, l2, d = weights(r00, r11, x, y, m)
+            l1, l2, d = spectrum(r00, r11, x, y, m)
             gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
             if m > 0.0:
                 nx, ny, nz = mx / m, my / m, mz / m
-                e = 0.5 * (l1 + l2) - d
+                # with m > 0, l2 > 0 only where l1 > 0 too
+                e = 0.5 * (l1 + l2) - d if l2 > 0.0 else 0.5 * l1 if l1 > 0.0 else 0.0
                 px, py, pz = p0 * nx + p1 * ny + p2 * nz, p3 * nx + p4 * ny + p5 * nz, p6 * nx + p7 * ny + p8 * nz
                 px, py, pz = e * px, e * py, e * pz
                 gx, gy, gz = gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)

@@ -162,45 +162,39 @@ def _modified_in_basis(w: np.ndarray, u: np.ndarray, a: np.ndarray) -> np.ndarra
 
 def _two_level_spectrum(x: float, z: float, re: float, im: float, m: float):
     """The eigenvalues (l1, l2), larger first and unclipped, of the 2x2
-    Hermitian rho = [[x, re - i im], [re + i im, z]], in Python floats, given
-    its Bloch length m = hypot(2 re, 2 im, x - z), the gap between them.
+    Hermitian rho = [[x, re - i im], [re + i im, z]], and d, the modified
+    operator's off-diagonal weight, in Python floats, given its Bloch length
+    m = hypot(2 re, 2 im, x - z), the gap between the eigenvalues.  The n = 2
+    stage, the dimension-2 monitors and :func:`validate_density_matrix` each
+    make one call; at n = 2 numpy's call overhead is many times this
+    arithmetic.
 
     l1 is (tr rho + m)/2, halved term by term so that it is finite wherever
     m and the eigenvalue are.  Where l1 > 0, l2 is det(rho)/l1, which keeps
     full relative precision where (tr rho - m)/2 loses it to cancellation
     (near a pure state), down to subnormal values; otherwise both
     eigenvalues are nonpositive and l2 is (tr rho - m)/2, which does not
-    cancel.  Non-finite input never raises, and a non-finite entry, with m
-    computed from the entries, gives a non-finite l2.
+    cancel.
+
+    d is the logarithmic mean of l1 and l2 where both are positive, and 0
+    otherwise: in the eigenbasis of rho, modified_operator(rho, a) is a
+    weighted entrywise by [[l1, d], [d, l2]] with l1 and l2 clipped at zero.
+    d depends on the logarithm of l2, which is why l2 must keep its relative
+    precision near a pure state.  d is m/log1p(m/l2), with m itself as the
+    gap, so no l1 - l2 is formed.
+
+    Non-finite input never raises, and a non-finite entry, with m computed
+    from the entries, gives a non-finite l2; d need not be non-finite
+    (x = nan gives 0), but the stage built on it is, as the Bloch vector it
+    also reads is.
     """
     l1 = 0.5 * x + 0.5 * z + 0.5 * m
     if not l1 > 0.0:
-        return l1, 0.5 * x + 0.5 * z - 0.5 * m
+        return l1, 0.5 * x + 0.5 * z - 0.5 * m, 0.0
     acmx, acmn = (x, z) if abs(x) > abs(z) else (z, x)
-    return l1, (acmx / l1) * acmn - ((re / l1) * re + (im / l1) * im)
-
-
-def _two_level_weights(x: float, z: float, re: float, im: float, m: float):
-    """The modified operator's weights for the 2x2 Hermitian
-    rho = [[x, re - i im], [re + i im, z]], in Python floats, given its
-    Bloch length m = hypot(2 re, 2 im, x - z), the gap of its eigenvalues.
-
-    Returns (l1, l2, d): the eigenvalues of :func:`_two_level_spectrum`
-    clipped at zero, and d, their logarithmic mean (0 if either is
-    nonpositive).  In the eigenbasis of rho, modified_operator(rho, a) is a
-    weighted entrywise by [[l1, d], [d, l2]].  d depends on the logarithm
-    of l2, which is why l2 must keep its relative precision near a pure
-    state.  d is m/log1p(m/l2), with m itself as the gap, so no l1 - l2 is
-    formed.  At n = 2 numpy's call overhead is many times this arithmetic.
-    Non-finite input never raises, but the weights need not be non-finite
-    (x = nan gives zeros); the stage built on them is non-finite all the
-    same, as the Bloch vector it also reads is.
-    """
-    l1, l2 = _two_level_spectrum(x, z, re, im, m)
-    if not l1 > 0.0:  # l2 <= l1 <= 0
-        return 0.0, 0.0, 0.0
+    l2 = (acmx / l1) * acmn - ((re / l1) * re + (im / l1) * im)
     if not l2 > 0.0:
-        return l1, 0.0, 0.0
+        return l1, l2, 0.0
     ratio = m / l2
     if ratio < 2.0**-1022:  # d = l2 (1 + ratio/2 + ...): m = 0, or too small to resolve
         return l1, l2, l2

@@ -21,7 +21,6 @@ from thermoqme.operators import (
     _as_square_matrix,
     _require_same_dim,
     _two_level_spectrum,
-    _two_level_weights,
     validate_hermitian,
 )
 from thermoqme.two_level import PauliVector, mu, pauli_compose, pauli_decompose
@@ -198,12 +197,24 @@ def two_level_monitors(rho, H, kB=1.0):
     read from the lower triangles of H and rho."""
     x, z = rho[0, 0].real, rho[1, 1].real
     re, im = rho[1, 0].real, rho[1, 0].imag
-    l1, l2 = _two_level_spectrum(x, z, re, im, math.hypot(2.0 * re, 2.0 * im, x - z))
+    l1, l2, _ = _two_level_spectrum(x, z, re, im, math.hypot(2.0 * re, 2.0 * im, x - z))
     clipped = [min(max(p, 0.0), 1.0) for p in (l2, l1)]
     entropy = -kB * sum(p * math.log(p) for p in clipped if p > 0.0)
     h00, h11, h10 = H[0, 0].real, H[1, 1].real, complex(H[1, 0])
     energy = h00 * x + h11 * z + 2.0 * (h10.conjugate() * complex(rho[1, 0])).real
     return l2, entropy, energy
+
+
+def two_level_weights(x, z, re, im, m):
+    """The modified operator's weights (l1, l2, d) of the 2x2 Hermitian
+    [[x, re - i im], [re + i im, z]] with Bloch length m: the eigenvalues
+    of ``operators._two_level_spectrum`` clipped at zero, and its d."""
+    l1, l2, d = _two_level_spectrum(x, z, re, im, m)
+    if not l1 > 0.0:  # l2 <= l1 <= 0
+        return 0.0, 0.0, 0.0
+    if not l2 > 0.0:
+        return l1, 0.0, 0.0
+    return l1, l2, d
 
 
 def two_level_map(system, friction, diffusion, per_T=None):
@@ -243,7 +254,7 @@ def two_level_stage(r, a, u, p, nonlinear, b=None, T=0.0):
         d = 0.5 * (r00 + r11)
         return gx + d * ux, gy + d * uy, gz + d * uz
     m = math.hypot(mx, my, mz)
-    l1, l2, d = _two_level_weights(r00, r11, x, y, m)
+    l1, l2, d = two_level_weights(r00, r11, x, y, m)
     gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
     if not m > 0.0:
         return gx, gy, gz

@@ -627,6 +627,34 @@ def test_compare_low_temperature_flags_sphere_exit(tmp_path):
     assert summary["max_abs_delta_rho_final"] == delta_rows[-1][1]
 
 
+def _strict_json(path):
+    """The JSON document at ``path``, parsed as RFC 8259 has it: NaN and
+    Infinity are not JSON."""
+
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def test_compare_blow_up_writes_null_for_non_finite_values(tmp_path):
+    # dt = 2 is far past RK4's stability limit: both variants overflow to NaN
+    # between the points sampled every 100 steps and end as violations at
+    # t = 200; the values the summary cannot give as numbers are null
+    cfg = json.loads((CONFIG_DIR / "compare_high_temperature.json").read_text())
+    cfg["integrator"].update(dt=2.0, t_end=400.0, monitor_every=100)
+    out_dir = tmp_path / "cmp_blow_up"
+    assert main(["compare", "--config", str(_write(tmp_path, cfg)), "--out-dir", str(out_dir)]) == 2
+    summary = _strict_json(out_dir / "summary.json")
+    for name in ("nonlinear", "linearized"):
+        assert summary[name]["termination"] == "monitor_violation"
+        assert summary[name]["violation"].startswith("non-finite monitor") and summary[name]["t_final"] == 200.0
+    assert summary["max_abs_delta_rho_final"] is None
+    tl = summary["two_level"]
+    assert tl["nonlinear_final_m3"] is None and tl["linearized_final_m3"] is None
+    assert tl["linearized_left_bloch_ball"] is True and math.isfinite(tl["x"])
+
+
 def test_compare_decoupled_variants_identical(tmp_path):
     cfg = _two_level_config(system={"two_level": {"omega": 1.0, "gamma0": 0.0}},
                             initial_state={"bloch": [0.6, 0.0, 0.2]})

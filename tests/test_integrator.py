@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -295,9 +296,9 @@ def _count_calls(monkeypatch, owner, name):
 
 def _count_decompositions(monkeypatch):
     """Call records of the two ways a stage decomposes rho: the closed-form
-    2x2 eigenvalues master_equation._two_level_weights, and np.linalg.eigh."""
+    2x2 eigenvalues master_equation._two_level_spectrum, and np.linalg.eigh."""
     return (
-        _count_calls(monkeypatch, master_equation, "_two_level_weights"),
+        _count_calls(monkeypatch, master_equation, "_two_level_spectrum"),
         _count_calls(monkeypatch, np.linalg, "eigh"),
     )
 
@@ -478,9 +479,9 @@ def _given_first_step(rho, bath, system, dt, method, nonlinear):
     stage = _bind(bath, system, nonlinear)
     if system.dim == 2:
         r = _two_level_entries(rho)
-        *r, h = _two_level_advance(*r, bath.H_e, stage, dt, method, stage(*r, bath.H_e))
+        *r, h = _two_level_advance(*r, bath.H_e, stage, dt, method, stage(*r, bath.H_e), 1)
         return _two_level_matrix(*r), bath.with_energy(h)
-    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, stage(rho, bath.H_e))
+    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, stage(rho, bath.H_e), 1)
     return rho, bath.with_energy(h)
 
 
@@ -495,7 +496,7 @@ def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
     stage = _bind(bath, system, nonlinear)
     state = (*_two_level_entries(rho), bath.H_e)
     for _ in range(2):
-        state = _two_level_advance(*state, stage, 1e-2, method, stage(*state))
+        state = _two_level_advance(*state, stage, 1e-2, method, stage(*state), 1)
     assert np.array_equal(rho_a, _two_level_matrix(*state[:4]))
     assert bath_a == bath.with_energy(state[4])
 
@@ -519,7 +520,7 @@ def _array_step(rho, bath, system, dt, method, nonlinear, first):
 
     if first is None:
         first = stage(rho, bath.H_e)
-    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, first)
+    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, first, 1)
     return rho, bath.with_energy(h)
 
 
@@ -608,11 +609,16 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
             for r in states:
                 first = stage(*r, bath.H_e)
                 assert _bits(first) == _bits(oracle(*r, bath.H_e))
-                for method in ("rk4", "euler"):
-                    # the oracle step evaluates its own first stage, or is given the fused one
+                for method, steps in itertools.product(("rk4", "euler"), (1, 2, 5)):
+                    # an advance of 1, 2 and 5 steps against as many oracle steps:
+                    # the first evaluates its own first stage or is given the
+                    # fused one, and the later ones evaluate their own
+                    out = integrator._two_level_advance(*r, bath.H_e, stage, 0.05, method, first, steps)
                     for given in (None, first):
-                        out = integrator._two_level_advance(*r, bath.H_e, stage, 0.05, method, first)
-                        ref = oracles.two_level_advance(*r, bath.H_e, oracle, 0.05, method, given)
+                        ref = (*r, bath.H_e)
+                        for _ in range(steps):
+                            ref = oracles.two_level_advance(*ref, oracle, 0.05, method, given)
+                            given = None
                         assert _bits(out) == _bits(ref)
 
 
@@ -679,8 +685,8 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     # violation names the non-finite state, not a drained bath
     system, bath = _finite_bath_setup()
 
-    def nan_step(r00, r11, x, y, h, stage, dt, method, first):
-        return advance(*nan, h, stage, dt, method, stage(*nan, h))
+    def nan_step(r00, r11, x, y, h, stage, dt, method, first, steps):
+        return advance(*nan, h, stage, dt, method, stage(*nan, h), steps)
 
     monkeypatch.setattr(integrator, "_two_level_advance", nan_step)
     traj = simulate(I2 / 2, bath, system, cfg, nonlinear=nonlinear)
@@ -743,6 +749,44 @@ def test_simulate_matches_array_step_loop(rng, method, nonlinear):
             for key in ("H_e", "energy_flux_to_quantum"):
                 a, b = getattr(out.env, key), getattr(ref.env, key)
                 assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+
+def _point_bits(point):
+    """A recorded point as bytes and float hex: t, rho, the env fields and
+    the monitors, so that two points compare bit for bit."""
+    env = point.env
+    monitors = point.monitors
+    return (
+        float.hex(point.t),
+        point.rho.tobytes(),
+        _bits((env.H_e, env.T_e, env.S_e, env.energy_flux_to_quantum)),
+        list(monitors),
+        _bits(monitors.values()),
+    )
+
+
+@pytest.mark.parametrize("dim, setup", DIMENSIONS)
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_sampling_cadence_does_not_change_the_arithmetic(rng, dim, setup, method, nonlinear):
+    # simulate advances a whole sampled interval per call: at monitor_every
+    # 1, 7 and n_steps, every point at a shared t is the same, bit for bit,
+    # with an infinite and with a finite bath
+    system, finite = setup()
+    infinite = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    rho0 = random_density(rng, dim)
+    for bath in (infinite, finite):
+        runs = []
+        for every in (1, 7, 60):
+            cfg = IntegratorConfig(dt=0.01, t_end=0.6, method=method, monitor_every=every)
+            traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+            assert traj.termination == COMPLETED
+            runs.append(traj.points)
+        assert [len(points) for points in runs] == [61, 10, 2]
+        dense = {point.t: _point_bits(point) for point in runs[0]}
+        for points in runs[1:]:
+            for point in points:
+                assert _point_bits(point) == dense[point.t]
 
 
 def _blow_up_setup():
@@ -825,10 +869,23 @@ def test_drained_bath_between_sampled_points(dim, nonlinear, method):
         3: (_three_level_setup, np.diag([0.001, 0.001, 0.998]).astype(complex)),
     }[dim]
     system, bath = _heated(*setup(C_e=1.0, H_e0=0.2))
-    for t_end in (10.0, float(violation.rsplit("t=", 1)[1])):
+    t_drained = float(violation.rsplit("t=", 1)[1])
+    k_d = round(t_drained / 0.05)  # the draining step
+    for t_end in (10.0, t_drained):
         cfg = IntegratorConfig(dt=0.05, t_end=t_end, method=method, monitor_every=4)
         traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
         assert traj.termination == MONITOR_VIOLATION
         assert traj.violation == f"finite bath energy must stay positive, got {violation}"
         assert len(traj.points) == n_points
         assert traj.final.env.H_e == last_H_e
+        # the draining step alone, first, in the middle and last in its
+        # sampled interval: the same text, and the points of the run sampled
+        # at every step at the same times, bit for bit
+        runs = []
+        for every in (1, k_d - 1, k_d, k_d + 1, cfg.n_steps):
+            cadence = IntegratorConfig(dt=0.05, t_end=t_end, method=method, monitor_every=every)
+            runs.append(simulate(rho0, bath, system, cadence, nonlinear=nonlinear))
+        dense = {point.t: _point_bits(point) for point in runs[0].points}
+        for run in runs + [traj]:
+            assert (run.termination, run.violation) == (traj.termination, traj.violation)
+            assert all(_point_bits(point) == dense[point.t] for point in run.points)

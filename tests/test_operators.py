@@ -16,7 +16,7 @@ from thermoqme import (
     von_neumann_entropy,
 )
 from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _rates
-from thermoqme.operators import _pairwise_log_mean, _two_level_spectrum, _two_level_weights
+from thermoqme.operators import _pairwise_log_mean, _two_level_spectrum
 from thermoqme.two_level import SIGMA, pauli_compose, PauliVector
 
 from conftest import random_density, random_hermitian, stage_rhs
@@ -27,6 +27,7 @@ from oracles import (
     operator_function,
     pauli_function,
     spectral_decompose,
+    two_level_weights,
 )
 
 S1, S2, S3 = SIGMA
@@ -183,7 +184,7 @@ def test_log_mean_near_degenerate_precision(p, gap):
     assert abs(modified_operator(rho, S1)[0, 1] - expected) <= 1e-14 * expected
     # the 2x2 path's off-diagonal weight, which is that entry for a diagonal state
     x, z = rho[0, 0].real, rho[1, 1].real
-    assert abs(_two_level_weights(x, z, 0.0, 0.0, abs(x - z))[2] - expected) <= 1e-14 * expected
+    assert abs(_two_level_spectrum(x, z, 0.0, 0.0, abs(x - z))[2] - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1e-310, 1e300), (5e-324, 0.3)])
@@ -197,7 +198,7 @@ def test_log_mean_extreme_ratio(p, q):
     # the same rule on Python floats, and the 2x2 path on the unnormalized diag(q, p)
     assert _log_mean(p, q) == _log_mean(q, p)
     assert abs(_log_mean(p, q) - expected) <= 1e-14 * expected
-    assert abs(_two_level_weights(q, p, 0.0, 0.0, q - p)[2] - expected) <= 1e-14 * expected
+    assert abs(_two_level_spectrum(q, p, 0.0, 0.0, q - p)[2] - expected) <= 1e-14 * expected
 
 
 def _bloch_entries(length, theta, phi):
@@ -283,9 +284,10 @@ def test_two_level_weights_lose_no_digits(entries):
     #   (tr rho +- m)/2
     x, z, re, im = entries
     m = math.hypot(2.0 * re, 2.0 * im, x - z)
-    l1, l2, d = _two_level_weights(x, z, re, im, m)
-    s1, s2 = _two_level_spectrum(x, z, re, im, m)
+    l1, l2, d = two_level_weights(x, z, re, im, m)
+    s1, s2, sd = _two_level_spectrum(x, z, re, im, m)
     assert (l1, l2) == ((s1, max(s2, 0.0)) if s1 > 0.0 else (0.0, 0.0))
+    assert d == sd
     r1, r2, rd = _two_level_spectrum_reference(x, z, re, im)
     with localcontext() as ctx:
         ctx.prec = 60
@@ -317,7 +319,7 @@ def test_two_level_weights_take_non_finite_input(bad):
     for k in range(5):
         args = [0.7, 0.3, 0.1, -0.2, 0.5]
         args[k] = bad
-        out = _two_level_weights(*args)
+        out = _two_level_spectrum(*args)
         assert len(out) == 3 and all(isinstance(v, float) for v in out)
     # the unclipped spectrum, which min_eig reports, is not finite for a
     # non-finite entry and the Bloch length that follows from the entries
@@ -326,7 +328,7 @@ def test_two_level_weights_take_non_finite_input(bad):
         args[k] = bad
         x, z, re, im = args
         assert not math.isfinite(_two_level_spectrum(x, z, re, im, math.hypot(2.0 * re, 2.0 * im, x - z))[1])
-    assert len(_two_level_weights(bad, bad, bad, bad, bad)) == 3
+    assert len(_two_level_spectrum(bad, bad, bad, bad, bad)) == 3
 
 
 def _state(w, phase=0.0, angle=0.3):
@@ -438,7 +440,7 @@ def test_two_by_two_path_scales_huge_entries(rng):
                 assert finite.any()
                 gap = np.max(np.abs(out[finite] - ref[finite]))
                 assert gap <= 1e-14 * max(1.0, np.max(np.abs(ref[finite])))
-    l1, l2, _ = _two_level_weights(1.5e308, 0.5, 0.5, 0.0, math.hypot(1.0, 0.0, 1.5e308 - 0.5))
+    l1, l2, _ = _two_level_spectrum(1.5e308, 0.5, 0.5, 0.0, math.hypot(1.0, 0.0, 1.5e308 - 0.5))
     assert np.allclose((l2, l1), np.linalg.eigvalsh(rho), rtol=1e-15, atol=0.0)
 
 
