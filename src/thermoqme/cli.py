@@ -25,7 +25,7 @@ import numpy as np
 from .config import ConfigError, RunSetup, build_run, load_config
 from .integrator import COMPLETED, Trajectory, simulate
 from .operators import _two_level_entries
-from .two_level import mu, pauli_decompose
+from .two_level import mu
 
 log = logging.getLogger("thermoqme")
 
@@ -34,18 +34,20 @@ EXIT_CONFIG_ERROR = 1
 EXIT_MONITOR_VIOLATION = 2
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".16e")
-
-
 def _finite_or_none(x: float) -> float | None:
     """``x``, or None (JSON null) where it is not finite: NaN and Infinity
     are not JSON (RFC 8259)."""
     return x if math.isfinite(x) else None
 
 
+def _bloch(rho) -> tuple[float, float, float]:
+    """The Bloch vector (2 Re rho10, 2 Im rho10, rho00 - rho11) of a 2x2 density matrix."""
+    a00, a11, re, im = _two_level_entries(rho)
+    return 2.0 * re, 2.0 * im, a00 - a11
+
+
 def _trajectory_rows(traj: Trajectory, setup: RunSetup):
-    """Header and formatted rows for one trajectory: every ``stride``-th
+    """Header and float rows for one trajectory: every ``stride``-th
     recorded point and always the last, where a truncated run ended."""
     dim = setup.system.dim
     finite = setup.bath.kind == "finite"
@@ -60,28 +62,14 @@ def _trajectory_rows(traj: Trajectory, setup: RunSetup):
         header += ["H_e", "T_e"]
     header += ["total_energy", "total_entropy", "min_eig", "trace_err"]
 
-    # The upper triangle as interleaved (re, im) floats, one %-format per row;
-    # "%.16e" gives the same text as _fmt, -0.0 included.
     upper = np.triu_indices(dim)
-    upper_fmt = ",".join(["%.16e"] * (dim * (dim + 1)))
     rows = []
     for point in traj.points[: -1 : setup.stride] + traj.points[-1:]:
-        row = [_fmt(point.t)]
-        if setup.two_level:
-            # the Bloch vector (2 Re rho10, 2 Im rho10, rho00 - rho11), as pauli_decompose gives it
-            a00, a11, re, im = _two_level_entries(point.rho)
-            row += [_fmt(2.0 * re), _fmt(2.0 * im), _fmt(a00 - a11)]
-        else:
-            row.append(upper_fmt % tuple(point.rho[upper].view(float).tolist()))
-        if finite:
-            row += [_fmt(point.env.H_e), _fmt(point.env.T_e)]
-        row += [
-            _fmt(point.monitors["total_energy"]),
-            _fmt(point.monitors["total_entropy"]),
-            _fmt(point.monitors["min_eig"]),
-            _fmt(point.monitors["trace_err"]),
-        ]
-        rows.append(row)
+        # the Bloch vector, or the upper triangle as interleaved (re, im) floats
+        state = _bloch(point.rho) if setup.two_level else point.rho[upper].view(float).tolist()
+        bath = (point.env.H_e, point.env.T_e) if finite else ()
+        m = point.monitors
+        rows.append((point.t, *state, *bath, m["total_energy"], m["total_entropy"], m["min_eig"], m["trace_err"]))
     return header, rows
 
 
@@ -106,10 +94,12 @@ def _output(path):
 
 
 def _write_csv(path, header, rows) -> None:
+    """Write ``header``, then each row, a tuple of floats, as one line of "%.16e" fields."""
+    row_fmt = ",".join(["%.16e"] * len(header)) + "\n"
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(row_fmt % row)
 
 
 def _run_one(setup: RunSetup, nonlinear: bool, path) -> tuple[Trajectory, int]:
@@ -157,7 +147,7 @@ def cmd_mu_table(args) -> int:
         raise ConfigError("mu-table", "steps must be >= 2")
     _output_dir(Path(args.out).parent)
     grid = np.linspace(args.min, args.max, args.steps)
-    rows = [[_fmt(m), _fmt(mu(float(m)))] for m in grid]
+    rows = [(m, mu(m)) for m in grid.tolist()]
     _write_csv(args.out, ["m", "mu"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
@@ -175,7 +165,7 @@ def cmd_compare(args) -> int:
     nl, lin = results["nonlinear"], results["linearized"]
     # zip stops at the shorter trajectory: a truncated variant is compared up to where it ended
     deltas = [(p.t, float(np.max(np.abs(p.rho - q.rho)))) for p, q in zip(nl.points, lin.points)]
-    _write_csv(out_dir / "delta.csv", ["t", "max_abs_delta_rho"], [[_fmt(t), _fmt(d)] for t, d in deltas])
+    _write_csv(out_dir / "delta.csv", ["t", "max_abs_delta_rho"], deltas)
 
     summary = {
         name: {"termination": traj.termination, "violation": traj.violation, "t_final": traj.final.t}
@@ -185,12 +175,11 @@ def cmd_compare(args) -> int:
     if setup.two_level:
         consts = setup.system.constants
         x = consts.hbar * setup.bath.omega_ref / (2.0 * consts.kB * setup.bath.temperature())
-        m_nl = pauli_decompose(nl.final.rho, tol=1e-6).a
-        m_lin = pauli_decompose(lin.final.rho, tol=1e-6).a
+        m_nl, m_lin = _bloch(nl.final.rho), _bloch(lin.final.rho)
         summary["two_level"] = {
             "x": x,
-            "nonlinear_final_m3": _finite_or_none(float(m_nl[2])),
-            "linearized_final_m3": _finite_or_none(float(m_lin[2])),
+            "nonlinear_final_m3": _finite_or_none(m_nl[2]),
+            "linearized_final_m3": _finite_or_none(m_lin[2]),
             "equilibrium_m3": -float(np.tanh(x)),
             "linearized_steady_m3": -x,
             "steady_state_gap": abs(float(np.tanh(x)) - x),

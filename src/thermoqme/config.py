@@ -22,12 +22,7 @@ from .operators import PhysicalConstants, validate_density_matrix, validate_herm
 from .master_equation import CouplingChannel, QuantumSystem
 from .environment import HeatBath
 from .integrator import IntegratorConfig, MonitorTolerances
-from .two_level import (
-    TwoLevelParams,
-    pauli_compose,
-    two_level_hamiltonian,
-    two_level_channels,
-)
+from .two_level import TwoLevelParams, pauli_compose, two_level_system
 
 __all__ = [
     "ConfigError",
@@ -57,6 +52,14 @@ def _require_keys(node: dict, path: str, required: tuple[str, ...], optional: tu
     for key in node:
         if key not in required and key not in optional:
             raise ConfigError(f"{path}.{key}", "unknown field")
+
+
+def _one_of(node: dict, path: str, a: str, b: str) -> str:
+    """The one of the keys ``a`` and ``b`` that the object ``node`` holds; it may hold no other."""
+    _require_keys(node, path, (), (a, b))
+    if (a in node) == (b in node):
+        raise ConfigError(path, f"exactly one of '{a}' or '{b}' must be present")
+    return a if a in node else b
 
 
 def _number(node, path, *, positive=False, nonnegative=False) -> float:
@@ -131,10 +134,12 @@ def _integrator_config(doc: dict) -> IntegratorConfig:
 class SimulationConfig:
     """A checked configuration, held as its canonical document.
 
-    The document is the JSON object with every optional field filled in,
-    real values as floats (the counts monitor_every and stride stay
-    integers) and matrices as nested [re, im] float pairs.  build_run reads
-    it and config_to_dict returns a copy of it.
+    The document is the JSON object with real values as floats (the counts
+    monitor_every and stride stay integers) and matrices as nested [re, im]
+    float pairs.  Optional fields hold their defaults, except four that stay
+    absent when not given: build_run supplies environment.*.gamma0 (0.0),
+    omega_ref (1.0), H_ref (H_e0) and initial_state (I/n).  config_to_dict
+    returns a copy of the document.
     """
 
     document: dict
@@ -183,13 +188,10 @@ def _parse_generic(node, path) -> dict:
 
 
 def _parse_environment(node, path, generic: bool) -> dict:
-    _require_keys(node, path, (), ("infinite", "finite"))
-    if ("infinite" in node) == ("finite" in node):
-        raise ConfigError(path, "exactly one of 'infinite' or 'finite' must be present")
+    kind = _one_of(node, path, "infinite", "finite")
     # gamma0/omega_ref are accepted only for generic systems; two-level runs
     # take them from the system block, and _require_keys rejects them here.
     extras = ("gamma0", "omega_ref") if generic else ()
-    kind = "infinite" if "infinite" in node else "finite"
     sub = node[kind]
     spath = f"{path}.{kind}"
     if kind == "infinite":
@@ -229,10 +231,7 @@ def _parse_integrator(node, path) -> dict:
 
 
 def _parse_initial_state(node, path, dim: int) -> dict:
-    _require_keys(node, path, (), ("bloch", "matrix"))
-    if ("bloch" in node) == ("matrix" in node):
-        raise ConfigError(path, "exactly one of 'bloch' or 'matrix' must be present")
-    if "bloch" in node:
+    if _one_of(node, path, "bloch", "matrix") == "bloch":
         vec = node["bloch"]
         if (
             not isinstance(vec, list)
@@ -266,10 +265,7 @@ def parse_config(data: dict) -> SimulationConfig:
         ("system", "environment", "integrator"),
         ("constants", "variant", "output", "initial_state"),
     )
-    _require_keys(data["system"], "system", (), ("two_level", "generic"))
-    if ("two_level" in data["system"]) == ("generic" in data["system"]):
-        raise ConfigError("system", "exactly one of 'two_level' or 'generic' must be present")
-    if "two_level" in data["system"]:
+    if _one_of(data["system"], "system", "two_level", "generic") == "two_level":
         system = {"two_level": _parse_two_level(data["system"]["two_level"], "system.two_level")}
         dim, channels = 2, []
     else:
@@ -365,7 +361,7 @@ def build_run(cfg: SimulationConfig) -> RunSetup:
             q3_weight=tl["q3_multiplier"],
             constants=constants,
         )
-        system = QuantumSystem(two_level_hamiltonian(params), two_level_channels(params), constants)
+        system = two_level_system(params)
         gamma0, omega_ref = tl["gamma0"], tl["omega"]
     else:
         generic = doc["system"]["generic"]

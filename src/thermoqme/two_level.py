@@ -42,7 +42,6 @@ SIGMA = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-_I2 = np.eye(2, dtype=complex)
 _Q3 = np.array([0.0, 0.0, 1.0])
 
 # Below this magnitude the closed form of mu(m) loses digits to cancellation

@@ -1,9 +1,10 @@
 """Reference implementations that tests compare the program against.
 
 The general-purpose algebra first: commutator and operator-function
-formulas, spectral decomposition, a quadrature of the modified operator and
-the closed-form Pauli identities.  The package needs none of them to run;
-the tests check its kernels against them.
+formulas, spectral decomposition, a quadrature of the modified operator,
+the closed-form Pauli identities and the temperature at which a closed
+system with a finite bath reaches its maximum total entropy.  The package
+needs none of them to run; the tests check its kernels against them.
 
 The dimension-2 kernel below is the stage and RK step written as separate
 functions over tuples, the form the fused closure of
@@ -18,6 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from thermoqme.operators import (
+    NATURAL,
     _as_square_matrix,
     _require_same_dim,
     _two_level_spectrum,
@@ -171,6 +173,32 @@ def bloch_nonlinear_part_uniform_form(m, a) -> PauliVector:
         dev * float(np.real(np.trace(a0 @ dev))) - a0 * float(np.real(np.trace(dev @ dev)))
     )
     return pauli_decompose(mat)
+
+
+def joint_equilibrium_temperature(H, C_e: float, E: float, constants=NATURAL) -> float:
+    """The common temperature T_f of a quantum system in its Gibbs state and a
+    finite bath of heat capacity C_e whose total energy is E: the root of
+    tr(H rho_G(T)) + C_e T = E, found by bisection.  The left side strictly
+    increases in T, so the root is unique; among all joint states of total
+    energy E this one has the largest total entropy."""
+    w = np.linalg.eigvalsh(validate_hermitian(H))
+    if not E > w[0]:
+        raise ValueError(f"total energy {E} must exceed the ground energy {w[0]}")
+
+    def excess(T):
+        p = np.exp(-(w - w[0]) / (constants.kB * T))
+        return float(np.dot(w, p) / p.sum()) + C_e * T - E
+
+    # excess -> w[0] - E < 0 as T -> 0, and excess(hi) = tr(H rho_G) - w[0] >= 0
+    lo, hi = 0.0, (E - w[0]) / C_e
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _log_mean(p: float, q: float) -> float:

@@ -54,14 +54,14 @@ def test_run_two_level(tmp_path):
 
 
 def test_two_level_rows_are_the_pauli_vector(tmp_path):
-    # the m columns, read from the four reals of each point's rho, format
-    # exactly what pauli_decompose gives, -0.0 included
+    # the m columns, read from the four reals of each point's rho, hold
+    # exactly what pauli_decompose gives, -0.0 included (compared as float.hex)
     cfg = _two_level_config(initial_state={"bloch": [0.3, -0.4, 0.5]})
     setup = build_run(load_config(_write(tmp_path, cfg)))
     traj = simulate(setup.rho0, setup.bath, setup.system, setup.integrator)
     _, rows = cli._trajectory_rows(traj, setup)
     for point, row in zip(traj.points, rows):
-        assert row[1:4] == [cli._fmt(v) for v in pauli_decompose(point.rho).a]
+        assert [float(v).hex() for v in row[1:4]] == [float(v).hex() for v in pauli_decompose(point.rho).a]
 
 
 def test_run_requires_output_path(tmp_path):
@@ -699,6 +699,18 @@ def test_run_drained_finite_bath_exits_with_violation(tmp_path, capsys):
     header, rows = _read_csv(out)
     assert 1 <= len(rows) < 21
     assert all(r[header.index("H_e")] > 0.0 for r in rows)
+
+
+def test_run_total_energy_violation_ends_the_csv_at_the_flagged_row(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "finite_bath_closure.json").read_text())
+    cfg["integrator"].update(dt=0.01, t_end=30.0)
+    cfg["integrator"]["tolerances"]["energy"] = 1e-300
+    out = tmp_path / "drift.csv"
+    assert main(["run", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    flagged = re.search(r"total energy drift \S+ exceeds tolerance at t=(\S+) ", capsys.readouterr().err)
+    header, rows = _read_csv(out)
+    assert rows[-1][0] == float(flagged.group(1))
+    assert rows[-1][header.index("total_energy")] != rows[0][header.index("total_energy")]
 
 
 def test_run_state_gone_non_finite_exits_with_violation(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,9 @@
 import itertools
+import json
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +16,11 @@ from thermoqme import (
     QuantumSystem,
     TwoLevelParams,
     bloch_equilibrium,
+    build_run,
     energy_expectation,
     equilibrium_state,
     pauli_compose,
+    parse_config,
     pauli_decompose,
     simulate,
     step,
@@ -33,6 +39,14 @@ from conftest import joint_rhs, random_density, random_hermitian, random_unitary
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _closure_setup():
+    """finite_bath_closure.json through build_run, at dt 0.01 to t 30."""
+    cfg = json.loads((CONFIG_DIR / "finite_bath_closure.json").read_text(encoding="utf-8"))
+    cfg["integrator"].update(dt=0.01, t_end=30.0)
+    return build_run(parse_config(cfg))
 
 
 def _finite_bath_setup(gamma0=1.0, omega=1.0, C_e=10.0, H_e0=10.0):
@@ -189,19 +203,25 @@ def test_energy_exchanged_with_infinite_bath_is_booked():
     assert traj.final.env.H_e > 0.1  # bath absorbed the polarization energy
 
 
-def test_spin_three_halves_relaxes_to_the_gibbs_state():
-    # the generic engine above two levels against the Gibbs oracle: a spin-3/2
-    # ladder, H = J_z with bath-coupled channels J_x and J_y at T_e = 1, from a
-    # seeded full-rank state; the nonlinear variant reaches exp(-H/T_e)/Z, the
-    # linearized one settles measurably elsewhere
+def _spin_three_halves():
+    """A spin-3/2 ladder, H = J_z with bath-coupled channels J_x and J_y, and a
+    seeded full-rank initial state."""
     m = np.array([1.5, 0.5, -0.5, -1.5])
     jp = np.diag(np.sqrt(3.75 - m[1:] * (m[1:] + 1.0)), 1).astype(complex)  # J_+
     jx, jy, jz = 0.5 * (jp + jp.T), -0.5j * (jp - jp.T), np.diag(m).astype(complex)
     system = QuantumSystem(jz, (CouplingChannel(jx, bath_coupled=True), CouplingChannel(jy, bath_coupled=True)))
+    return system, random_density(np.random.default_rng(20260810), 4)
+
+
+def test_spin_three_halves_relaxes_to_the_gibbs_state():
+    # the generic engine above two levels against the Gibbs oracle: the
+    # spin-3/2 ladder at T_e = 1, from a seeded full-rank state; the
+    # nonlinear variant reaches exp(-H/T_e)/Z, the linearized one settles
+    # measurably elsewhere
+    system, rho0 = _spin_three_halves()
     bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
-    rho0 = random_density(np.random.default_rng(20260810), 4)
     cfg = IntegratorConfig(dt=0.01, t_end=15.0, method="rk4", monitor_every=1500)
-    gibbs = equilibrium_state(jz, 1.0)
+    gibbs = equilibrium_state(system.H, 1.0)
     gaps = {}
     for nonlinear in (True, False):
         traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
@@ -209,6 +229,41 @@ def test_spin_three_halves_relaxes_to_the_gibbs_state():
         gaps[nonlinear] = float(np.max(np.abs(traj.final.rho - gibbs)))
     assert gaps[True] <= 1e-8
     assert gaps[False] >= 1e-3
+
+
+def _joint_equilibrium_gaps(rho0, bath, system, cfg):
+    """{nonlinear: (|T - T_f|, max|rho - Gibbs(T_f)|)} at the end of each
+    variant's closed finite-bath run, where T_f is the temperature of
+    maximum total entropy at the run's initial total energy."""
+    gaps = {}
+    for nonlinear in (True, False):
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == COMPLETED
+        energy = traj.points[0].monitors["total_energy"]
+        T_f = oracles.joint_equilibrium_temperature(system.H, bath.C_e, energy, system.constants)
+        gibbs = equilibrium_state(system.H, T_f, system.constants)
+        gaps[nonlinear] = (abs(traj.final.env.T_e - T_f), float(np.max(np.abs(traj.final.rho - gibbs))))
+    return gaps
+
+
+def test_closed_two_level_run_ends_at_maximum_total_entropy():
+    # the paper's proper equilibrium: a two-level system closed with a finite
+    # bath relaxes, in the nonlinear variant, to the joint state of largest
+    # total entropy at its energy; the linearized variant settles elsewhere
+    setup = _closure_setup()
+    gaps = _joint_equilibrium_gaps(setup.rho0, setup.bath, setup.system, setup.integrator)
+    assert gaps[True][0] <= 1e-12 and gaps[True][1] <= 1e-12
+    assert gaps[False][0] >= 1e-4
+
+
+def test_closed_spin_three_halves_run_ends_at_maximum_total_entropy():
+    # the same above two levels: the spin-3/2 ladder with a finite bath
+    system, rho0 = _spin_three_halves()
+    bath = HeatBath.finite(C_e=4.0, H_e=4.0, gamma0=1.0, omega_ref=1.0)
+    cfg = IntegratorConfig(dt=0.01, t_end=15.0, method="rk4", monitor_every=1500)
+    gaps = _joint_equilibrium_gaps(rho0, bath, system, cfg)
+    assert gaps[True][0] <= 1e-10 and gaps[True][1] <= 1e-10
+    assert gaps[False][0] >= 1e-3
 
 
 def test_linearized_run_leaves_state_space_and_is_flagged():
@@ -243,6 +298,40 @@ def test_violation_point_is_kept():
     traj = simulate(I2 / 2, two_level_bath(p), two_level_system(p), cfg, nonlinear=False)
     assert traj.points[-1].monitors["min_eig"] < 0.0
     assert np.min([p.monitors["min_eig"] for p in traj.points[:-1]]) >= -cfg.tolerances.positivity
+
+
+@pytest.mark.parametrize(
+    "entry, tolerance, message",
+    [
+        ((0, 0), "trace", "trace drift 5.000e-11 exceeds 1.0e-11 at t=0"),
+        ((0, 1), "hermiticity", "hermiticity error 5.000e-11 exceeds 1.0e-11 at t=0"),
+    ],
+)
+def test_trace_and_hermiticity_monitors_fire(rng, entry, tolerance, message):
+    # a rho0 off by 5e-11 passes simulate's 1e-10 input check, and a tighter
+    # monitor tolerance flags it at the first point (at n = 3, where the
+    # hermiticity error reads both triangles)
+    system = QuantumSystem(random_hermitian(rng, 3), (CouplingChannel(random_hermitian(rng, 3), 0.2, 0.3),))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    rho0[entry] += 5e-11
+    cfg = IntegratorConfig(dt=0.01, t_end=1.0, tolerances=MonitorTolerances(**{tolerance: 1e-11}))
+    traj = simulate(rho0, bath, system, cfg)
+    assert traj.termination == MONITOR_VIOLATION
+    assert len(traj.points) == 1
+    assert traj.violation == message
+
+
+def test_total_energy_monitor_fires():
+    # the closure run conserves total energy to rounding, so only a tolerance
+    # below rounding flags its drift, at the first sampled point where it is not 0
+    setup = _closure_setup()
+    cfg = replace(setup.integrator, tolerances=replace(setup.integrator.tolerances, energy=1e-300))
+    traj = simulate(setup.rho0, setup.bath, setup.system, cfg)
+    assert traj.termination == MONITOR_VIOLATION
+    assert re.fullmatch(r"total energy drift \S+ exceeds tolerance at t=\S+ \(reference 10\.2\)", traj.violation)
+    energy = traj.monitor_series("total_energy")
+    assert np.all(energy[:-1] == energy[0]) and energy[-1] != energy[0]
 
 
 def test_linearized_finite_bath_conserves_total_energy():

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from thermoqme import (
+    CouplingChannel,
     PauliVector,
     TwoLevelParams,
     bloch_equilibrium,
     bloch_linearized_matrix,
     bloch_nonlinear_part,
     bloch_rhs,
+    check_bath_equilibrium,
     commutator,
+    energy_expectation,
     mu,
     mu_derivative,
     nonlinear_part,
@@ -365,3 +368,29 @@ def test_two_level_params_validation():
         TwoLevelParams(omega=1.0, gamma0=-0.1, T_e=1.0)
     with pytest.raises(ValueError, match="T_e"):
         TwoLevelParams(omega=1.0, gamma0=1.0, T_e=math.nan)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: check_bath_equilibrium(CouplingChannel(S1, 1.0, 1.0), 0.0), "temperature must be positive"),
+        (lambda: energy_expectation(I2 / 2, np.eye(3)), "dimension mismatch"),
+        (lambda: PauliVector(1.0, [0.0, 0.0]), r"shape \(3,\)"),
+        (lambda: pauli_compose(1.0, [0.0, 0.0, 0.0, 0.0]), r"shape \(3,\)"),
+        (lambda: pauli_decompose(np.eye(3)), "expected a 2x2 matrix"),
+        (lambda: _params(isotropic=True, q3_weight=-1.0), "q3_weight must be nonnegative"),
+        (lambda: bloch_nonlinear_part([0.6, 0.0, 0.8], Q3), "strictly inside the unit ball"),
+    ],
+    ids=[
+        "bath_equilibrium_T0",
+        "energy_shapes",
+        "pauli_vector_shape",
+        "pauli_compose_shape",
+        "pauli_decompose_shape",
+        "q3_weight_negative",
+        "nonlinear_part_on_sphere",
+    ],
+)
+def test_input_checks(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
