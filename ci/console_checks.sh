@@ -23,6 +23,17 @@ m3 = scope["pauli_decompose"](scope["trajectory"].final.rho).a[2]
 assert abs(m3 + math.tanh(1.0)) < 1e-6, m3
 EOF
 "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp"
+# pinned to one CPU, compare runs its variants one after the other instead of
+# forking the linearized run: the same four files, byte for byte
+taskset -c 0 "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp_serial"
+for name in nonlinear.csv linearized.csv delta.csv summary.json; do
+  cmp "$out/cmp/$name" "$out/cmp_serial/$name"
+done
+# and no forked run outlives the command (a child has the parent's command line)
+if pgrep -f -- "--out-dir $out/cmp\$" > /dev/null; then
+  echo "compare left a process behind" >&2
+  exit 1
+fi
 "${cli[@]}" run --config configs/two_level_x1.json --out "$out/x1.csv"
 # the finite-bath run: exit 0, a header and 501 rows
 "${cli[@]}" run --config configs/finite_bath_closure.json --out "$out/closure.csv"

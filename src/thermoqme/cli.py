@@ -5,7 +5,9 @@ Trajectories are written as UTF-8 CSV with a header row and
 produce byte-identical files.  Exit codes: 0 for a completed run, 2 when a
 structure monitor fired (the file still holds the trajectory up to the
 violation), 1 for configuration errors, an output location that cannot be
-created or written included.
+created or written included.  Where the process may use more than one CPU,
+`compare` runs its linearized variant in a forked child at the same time
+as the nonlinear one; the files are the same either way.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import json
 import logging
 import math
 import os
+import pickle
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -47,8 +51,9 @@ def _bloch(rho) -> tuple[float, float, float]:
 
 
 def _trajectory_rows(traj: Trajectory, setup: RunSetup):
-    """Header and float rows for one trajectory: every ``stride``-th
-    recorded point and always the last, where a truncated run ended."""
+    """Header and an iterator of float rows for one trajectory: every
+    ``stride``-th recorded point and always the last, where a truncated run
+    ended.  Each row is made only when it is read."""
     dim = setup.system.dim
     finite = setup.bath.kind == "finite"
     header = ["t"]
@@ -63,14 +68,15 @@ def _trajectory_rows(traj: Trajectory, setup: RunSetup):
     header += ["total_energy", "total_entropy", "min_eig", "trace_err"]
 
     upper = np.triu_indices(dim)
-    rows = []
-    for point in traj.points[: -1 : setup.stride] + traj.points[-1:]:
+
+    def row(point):
         # the Bloch vector, or the upper triangle as interleaved (re, im) floats
         state = _bloch(point.rho) if setup.two_level else point.rho[upper].view(float).tolist()
         bath = (point.env.H_e, point.env.T_e) if finite else ()
         m = point.monitors
-        rows.append((point.t, *state, *bath, m["total_energy"], m["total_entropy"], m["min_eig"], m["trace_err"]))
-    return header, rows
+        return (point.t, *state, *bath, m["total_energy"], m["total_entropy"], m["min_eig"], m["trace_err"])
+
+    return header, map(row, traj.points[: -1 : setup.stride] + traj.points[-1:])
 
 
 def _output_dir(path) -> Path:
@@ -93,13 +99,17 @@ def _output(path):
         raise ConfigError("output", f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write ``header``, then each row, a tuple of floats, as one line of "%.16e" fields."""
+def _write_csv(path, header, rows) -> int:
+    """Write ``header``, then each row, a tuple of floats, as one line of
+    "%.16e" fields as it arrives; returns the number of rows."""
     row_fmt = ",".join(["%.16e"] * len(header)) + "\n"
+    n_rows = 0
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(row_fmt % row)
+            n_rows += 1
+    return n_rows
 
 
 def _run_one(setup: RunSetup, nonlinear: bool, path) -> tuple[Trajectory, int]:
@@ -118,9 +128,7 @@ def _run_one(setup: RunSetup, nonlinear: bool, path) -> tuple[Trajectory, int]:
     )
     if traj.violation is not None:
         log.info("%s run: monitor violation: %s", variant, traj.violation)
-    header, rows = _trajectory_rows(traj, setup)
-    _write_csv(path, header, rows)
-    return traj, len(rows)
+    return traj, _write_csv(path, *_trajectory_rows(traj, setup))
 
 
 def cmd_run(args) -> int:
@@ -147,10 +155,73 @@ def cmd_mu_table(args) -> int:
         raise ConfigError("mu-table", "steps must be >= 2")
     _output_dir(Path(args.out).parent)
     grid = np.linspace(args.min, args.max, args.steps)
-    rows = [(m, mu(m)) for m in grid.tolist()]
-    _write_csv(args.out, ["m", "mu"], rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    n_rows = _write_csv(args.out, ["m", "mu"], ((m, mu(m)) for m in grid.tolist()))
+    print(f"wrote {args.out} ({n_rows} rows)")
     return EXIT_OK
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on more than one CPU; False where
+    ``os.sched_getaffinity`` is missing."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def _with_forked(child_fn, parent_fn):
+    """(parent_fn(), child_fn()), with ``child_fn`` run at the same time in
+    a child made with ``os.fork``.
+
+    The child sends its return value, or the exception it raised, pickled
+    through a pipe, and always leaves by ``os._exit``, so it never returns
+    into the caller's stack.  The child's exception is raised here as the
+    parent's own, after ``parent_fn`` has returned.  If ``parent_fn``
+    raises, the child is killed; either way it has been reaped when this
+    returns or raises."""
+    for stream in (sys.stdout, sys.stderr):
+        stream.flush()  # so that no buffered output is written twice
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = (True, child_fn())
+            except BaseException as exc:
+                result = (False, exc)
+            try:
+                data = pickle.dumps(result)
+            except Exception as exc:
+                data = pickle.dumps((False, RuntimeError(f"cannot send the result of the forked run: {exc!r}")))
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    reader = open(read_fd, "rb")
+    try:
+        mine = parent_fn()
+        data = reader.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        reader.close()
+        status = os.waitpid(pid, 0)[1]
+    try:
+        ok, theirs = pickle.loads(data)
+    except Exception as exc:
+        raise RuntimeError(
+            f"the forked run sent no readable result (exit code {os.waitstatus_to_exitcode(status)})"
+        ) from exc
+    if not ok:
+        raise theirs
+    return mine, theirs
 
 
 def cmd_compare(args) -> int:
@@ -158,11 +229,15 @@ def cmd_compare(args) -> int:
     out_dir = _output_dir(args.out_dir)
     log.info("compare: config %s, output directory %s", args.config, out_dir)
 
-    results = {
-        name: _run_one(setup, name == "nonlinear", out_dir / f"{name}.csv")[0] for name in ("nonlinear", "linearized")
-    }
+    def variant(name):
+        return _run_one(setup, name == "nonlinear", out_dir / f"{name}.csv")[0]
 
-    nl, lin = results["nonlinear"], results["linearized"]
+    if _two_cpus():  # the linearized run goes to a forked child, on another CPU
+        nl, lin = _with_forked(lambda: variant("linearized"), lambda: variant("nonlinear"))
+    else:
+        nl, lin = variant("nonlinear"), variant("linearized")
+    results = {"nonlinear": nl, "linearized": lin}
+
     # zip stops at the shorter trajectory: a truncated variant is compared up to where it ended
     deltas = [(p.t, float(np.max(np.abs(p.rho - q.rho)))) for p, q in zip(nl.points, lin.points)]
     _write_csv(out_dir / "delta.csv", ["t", "max_abs_delta_rho"], deltas)

@@ -42,6 +42,10 @@ class ConfigError(ValueError):
         self.path = path
         super().__init__(f"{path}: {message}")
 
+    def __reduce__(self):
+        # pickled (as `compare` sends it from a forked run) with the arguments it was made from
+        return type(self), (self.path, self.args[0][len(self.path) + 2 :])
+
 
 def _require_keys(node: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
     if not isinstance(node, dict):

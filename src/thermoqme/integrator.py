@@ -24,7 +24,7 @@ from .operators import (
     _two_level_spectrum,
     validate_density_matrix,
 )
-from .master_equation import QuantumSystem, _as_state, energy_expectation
+from .master_equation import QuantumSystem, _as_state, _stored_hermitian, energy_expectation
 from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _bind
 
 __all__ = [
@@ -334,6 +334,12 @@ def simulate(
     with RK4 and N + 1 with Euler at any cadence.  Each recorded point's
     monitors are logged at DEBUG level.
 
+    The run starts from rho0 as :func:`~thermoqme.master_equation._stored_hermitian`
+    stores it: as given when exactly Hermitian, otherwise its Hermitian
+    part.  The point at t = 0 observes rho0 as given (at n = 2, its
+    diagonal and entry (1, 0)), so its monitors show the input's own trace
+    and, above n = 2, hermiticity errors.
+
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
     output.  A finite bath drained of its energy within a step also ends the
@@ -342,7 +348,9 @@ def simulate(
     before a monitor sees it; either note names the time at the end of the
     step that failed.
     """
-    rho = _as_state(validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10), system)
+    given = _as_state(validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10), system)
+    # the stages start from rho0 made exactly Hermitian; the t = 0 point observes it as given
+    rho = _stored_hermitian(given, "density matrix", 1e-10)
     stage = _bind(bath0, system, nonlinear)
     two_level = system.dim == 2
     advance = _two_level_advance if two_level else _array_advance
@@ -361,7 +369,10 @@ def simulate(
                 state = advance(*state, stage, dt, method, rates, steps)
             # a finite bath drained by the interval's last step raises here, where T(H_e) is read
             rates = stage(*state)
-            rho = _two_level_matrix(*state[:4]) if two_level else state[0]
+            if steps:
+                rho = _two_level_matrix(*state[:4]) if two_level else state[0]
+            else:  # t = 0 observes rho0 as given
+                rho = _two_level_matrix(*_two_level_entries(given)) if two_level else given
             point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1])
         except (_BathDrained, np.linalg.LinAlgError) as exc:
             # the step that failed: the advance counts the steps before it;

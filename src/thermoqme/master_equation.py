@@ -35,11 +35,11 @@ __all__ = [
 ]
 
 
-def _stored_hermitian(a, name: str) -> np.ndarray:
-    """``a`` checked Hermitian to 1e-12: as given when exactly Hermitian
+def _stored_hermitian(a, name: str, tol: float = 1e-12) -> np.ndarray:
+    """``a`` checked Hermitian to ``tol``: as given when exactly Hermitian
     (bit for bit, even with entries past half the float maximum, where
     averaging would overflow), and otherwise as its Hermitian part."""
-    a = validate_hermitian(a, name=name)
+    a = validate_hermitian(a, tol, name)
     return a if np.array_equal(a, a.conj().T) else hermitianize(a)
 
 
@@ -190,7 +190,8 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
 
     The dimension selects the kernel and its calling convention: above
     n = 2, (rho, H_e) -> (drho/dt, dH_e/dt) by :func:`_lapack_stage` on
-    numpy arrays; at n = 2, this closure, in real Pauli coordinates and
+    numpy arrays, with the rates made into :func:`_rate_column` arrays
+    once; at n = 2, this closure, in real Pauli coordinates and
     Python floats with no numpy call, flat in and out:
     (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt).  There the state is the
     four reals (rho00, rho11, Re rho10, Im rho10) and g = dm/dt for the
@@ -212,11 +213,11 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     """
     finite = temperature is not None
     if system.dim > 2:
+        f, d, d_per_T = _rate_column(friction), _rate_column(diffusion), _rate_column(per_T)
 
         def stage(rho, H_e):
             T = temperature(H_e) if finite else 0.0
-            rates = diffusion if per_T is None else [a + T * x for a, x in zip(diffusion, per_T)]
-            k = _lapack_stage(rho, system, friction, rates, nonlinear)
+            k = _lapack_stage(rho, system, f, d if d_per_T is None else d + T * d_per_T, nonlinear)
             return k, -float(np.vdot(system.H, k).real)
 
         return stage
@@ -271,8 +272,15 @@ def _matrix_rates(stage, rho, H_e: float):
     return stage(rho, H_e)
 
 
+def _rate_column(rates) -> np.ndarray | None:
+    """Per-channel rates in :func:`_rates` form as a (k, 1, 1) float array,
+    which scales a stack of k matrices; None stays None."""
+    return None if rates is None else np.array(rates, dtype=float)[:, None, None]
+
+
 def _lapack_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bool) -> np.ndarray:
-    """The stage kernel on stacked arrays, the one above n = 2.
+    """The stage kernel on stacked arrays, the one above n = 2, with the
+    rates as :func:`_rate_column` arrays (``friction`` may be None).
 
     For Hermitian rho and A, rho A = (A rho)^dagger, so one product P = S rho
     gives [H, rho] and every [Q_j, rho] as P - P^dagger.  Channel j enters
@@ -281,9 +289,8 @@ def _lapack_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bo
     rho, so -sum_j [Q_j, X_j] = -(A + A^dagger) with A = sum_j Q_j X_j."""
     p = system._S @ rho
     comm = p - p.conj().swapaxes(1, 2)
-    x = np.array(diffusion)[:, None, None] * comm[1:]
+    x = diffusion * comm[1:]
     if friction is not None:
-        friction = np.array(friction)[:, None, None]
         C = system._C
         if nonlinear:
             w, u = np.linalg.eigh(rho)

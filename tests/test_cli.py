@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import logging
 import math
+import os
 import re
 from pathlib import Path
 
@@ -558,12 +560,98 @@ def test_unwritable_output_is_a_configuration_error(tmp_path, monkeypatch, capsy
     assert err.startswith(f"configuration error: output: cannot create directory {blocker}: ")
     assert "File exists" in err
 
-    taken = tmp_path / "taken"
-    (taken / ("nonlinear.csv" if command == "compare" else "a.csv")).mkdir(parents=True)
-    assert main(argv(taken)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: output: cannot write {taken}")
-    assert "Is a directory" in err
+    # compare writes each variant's file from its own run, the linearized
+    # one in a forked child where two CPUs can be used
+    for name in ("nonlinear.csv", "linearized.csv") if command == "compare" else ("a.csv",):
+        taken = tmp_path / f"taken_{name}"
+        (taken / name).mkdir(parents=True)
+        assert main(argv(taken)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output: cannot write {taken / name}: ")
+        assert "Is a directory" in err and err.count("\n") == 1
+        _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _seeded_generic_config(seed, dim=3):
+    # a dense seeded system: two bath-bracket channels and one fixed-rate one,
+    # a finite bath, every step monitored and written
+    rng = np.random.default_rng(seed)
+
+    def unit_hermitian():
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = 0.5 * (a + a.conj().T)
+        return _pairs(h / np.linalg.norm(h))
+
+    return {
+        "system": {"generic": {"hamiltonian": unit_hermitian(), "channels": [
+            {"Q": unit_hermitian(), "use_bath_bracket": True},
+            {"Q": unit_hermitian(), "use_bath_bracket": True},
+            {"Q": unit_hermitian(), "friction_rate": 0.5, "diffusion_rate": 0.5},
+        ]}},
+        "environment": {"finite": {"C_e": 3.0, "H_e0": 2.0, "gamma0": 1.0, "omega_ref": 1.0}},
+        "integrator": {"dt": 0.01, "t_end": 0.5, "monitor_every": 1},
+        "output": {"stride": 1},
+    }
+
+
+def _compare_configs(tmp_path):
+    blow_up = json.loads((CONFIG_DIR / "compare_high_temperature.json").read_text())
+    blow_up["integrator"].update(dt=2.0, t_end=400.0, monitor_every=100)
+    return {
+        "high_temperature": (CONFIG_DIR / "compare_high_temperature.json", 0),
+        "low_temperature": (CONFIG_DIR / "compare_low_temperature.json", 2),
+        "blow_up": (_write(tmp_path, blow_up, "blow_up.json"), 2),
+        "generic_3": (_write(tmp_path, _seeded_generic_config(2203), "generic_3.json"), 0),
+    }
+
+
+@pytest.mark.parametrize("case", ["high_temperature", "low_temperature", "blow_up", "generic_3"])
+def test_compare_forked_and_serial_write_the_same_files(tmp_path, monkeypatch, case):
+    # the variants at once (the linearized one in a forked child) or one
+    # after the other: the same four files, byte for byte, and the same exit code
+    cfg_path, code = _compare_configs(tmp_path)[case]
+    digests = {}
+    for forked in (True, False):
+        monkeypatch.setattr(cli, "_two_cpus", lambda: forked)
+        out_dir = tmp_path / f"forked_{forked}"
+        assert main(["compare", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == code
+        _assert_no_child_left()
+        digests[forked] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert sorted(digests[True]) == ["delta.csv", "linearized.csv", "nonlinear.csv", "summary.json"]
+    assert digests[True] == digests[False]
+
+
+@pytest.mark.parametrize("failing", ["nonlinear", "linearized"])
+@pytest.mark.parametrize("forked", [True, False])
+def test_compare_passes_on_an_exception_from_either_variant(tmp_path, monkeypatch, failing, forked):
+    # the exception of the variant that fails reaches the caller as it was
+    # raised, from a forked child too, and no child is left behind
+    real_simulate = cli.simulate
+
+    def simulate(*args, nonlinear):
+        if nonlinear == (failing == "nonlinear"):
+            raise ArithmeticError(f"{failing} run failed")
+        return real_simulate(*args, nonlinear=nonlinear)
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    monkeypatch.setattr(cli, "_two_cpus", lambda: forked)
+    cfg = str(_write(tmp_path, _two_level_config(integrator={"dt": 0.01, "t_end": 0.1})))
+    with pytest.raises(ArithmeticError) as info:
+        main(["compare", "--config", cfg, "--out-dir", str(tmp_path / "cmp")])
+    assert type(info.value) is ArithmeticError and str(info.value) == f"{failing} run failed"
+    _assert_no_child_left()
+
+
+def test_forked_run_that_sends_nothing_is_an_error():
+    # a child that dies before it sends a result is reported with its exit code
+    with pytest.raises(RuntimeError, match=r"^the forked run sent no readable result \(exit code 3\)$"):
+        cli._with_forked(lambda: os._exit(3), lambda: None)
+    _assert_no_child_left()
 
 
 def test_mu_table(tmp_path):

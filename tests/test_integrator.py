@@ -31,7 +31,7 @@ from thermoqme import (
 from thermoqme import environment, integrator, master_equation
 from thermoqme.environment import _bind
 from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe, _two_level_advance
-from thermoqme.operators import PhysicalConstants, _two_level_entries, _two_level_matrix
+from thermoqme.operators import PhysicalConstants, _two_level_entries, _two_level_matrix, hermitianize
 from thermoqme.two_level import SIGMA
 
 import oracles
@@ -320,6 +320,28 @@ def test_trace_and_hermiticity_monitors_fire(rng, entry, tolerance, message):
     assert traj.termination == MONITOR_VIOLATION
     assert len(traj.points) == 1
     assert traj.violation == message
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nearly_hermitian_start_state_runs_from_its_hermitian_part(rng, dim):
+    # rho0 off by 5e-11 passes the 1e-10 input check; the stages start from
+    # its Hermitian part at every n, so every point after t = 0 is that run's
+    system = QuantumSystem(random_hermitian(rng, dim), (CouplingChannel(random_hermitian(rng, dim), 0.2, 0.3),))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    rho0 = random_density(rng, dim, min_eig=0.1)
+    rho0[0, 1] += 5e-11
+    cfg = IntegratorConfig(dt=0.01, t_end=0.2, monitor_every=3)
+    for nonlinear in (True, False):
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        ref = simulate(hermitianize(rho0), bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == ref.termination == COMPLETED
+        assert len(traj.points) == len(ref.points) == 8
+        for p, q in zip(traj.points[1:], ref.points[1:]):
+            assert p.t == q.t and np.array_equal(p.rho, q.rho)
+            assert p.monitors == q.monitors and p.env == q.env
+        # the start point observes rho0 as given, which above n = 2 shows its hermiticity error
+        herm_err = traj.points[0].monitors["herm_err"]
+        assert herm_err == (0.0 if dim == 2 else pytest.approx(5e-11, rel=1e-3))
 
 
 def test_total_energy_monitor_fires():

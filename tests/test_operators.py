@@ -15,7 +15,7 @@ from thermoqme import (
     validate_hermitian,
     von_neumann_entropy,
 )
-from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _rates
+from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _rate_column, _rates
 from thermoqme.operators import _pairwise_log_mean, _two_level_spectrum
 from thermoqme.two_level import SIGMA, pauli_compose, PauliVector
 
@@ -388,7 +388,7 @@ def test_two_by_two_path_matches_lapack(rng, rho):
     # bound fixed before measuring: 1e-14 relative to max(1, max|ref|)
     for system, friction, diffusion in _two_level_stage_cases(rng):
         for nonlinear in (True, False):
-            ref = _lapack_stage(rho, system, friction, diffusion, nonlinear)
+            ref = _lapack_stage(rho, system, _rate_column(friction), _rate_column(diffusion), nonlinear)
             out = stage_rhs(rho, system, friction, diffusion, nonlinear)
             assert out.shape == (2, 2) and out.dtype == complex
             assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
@@ -403,7 +403,7 @@ def test_stack_above_two_levels_is_the_lapack_path(rng):
         rho = random_density(rng, dim)
         for nonlinear in (True, False):
             out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
-            assert np.array_equal(out, _lapack_stage(rho, system, *_rates(system)[:2], nonlinear))
+            assert np.array_equal(out, _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -434,7 +434,7 @@ def test_two_by_two_path_scales_huge_entries(rng):
             system = QuantumSystem(h, tuple(CouplingChannel(q, *rates) for q in qs), consts)
             for nonlinear in (True, False):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    ref = _lapack_stage(rho, system, *_rates(system)[:2], nonlinear)
+                    ref = _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear)
                 out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
                 finite = np.isfinite(ref)
                 assert finite.any()
