@@ -34,6 +34,42 @@ if pgrep -f -- "--out-dir $out/cmp\$" > /dev/null; then
   echo "compare left a process behind" >&2
   exit 1
 fi
+# the same above two levels, where the stage decomposes rho with LAPACK: a
+# spin-1 ladder with one bath-bracket channel (J_x) and one fixed-rate
+# channel (J_y), from a state with coherences, forked and pinned
+python - "$out/n3.json" <<'EOF'
+import json, math, sys
+r = math.sqrt(0.5)
+jx = [[[0.0, 0.0], [r, 0.0], [0.0, 0.0]], [[r, 0.0], [0.0, 0.0], [r, 0.0]], [[0.0, 0.0], [r, 0.0], [0.0, 0.0]]]
+jy = [[[0.0, 0.0], [0.0, -r], [0.0, 0.0]], [[0.0, r], [0.0, 0.0], [0.0, -r]], [[0.0, 0.0], [0.0, r], [0.0, 0.0]]]
+cfg = {
+    "system": {
+        "generic": {
+            "hamiltonian": [[[1.0 - i if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)],  # diag(1, 0, -1)
+            "channels": [
+                {"Q": jx, "use_bath_bracket": True},
+                {"Q": jy, "friction_rate": 0.2, "diffusion_rate": 0.3},
+            ],
+        }
+    },
+    "environment": {"infinite": {"T_e": 1.0, "gamma0": 1.0, "omega_ref": 1.0}},
+    "integrator": {"dt": 0.01, "t_end": 2.0, "monitor_every": 5},
+    "initial_state": {
+        "matrix": [
+            [[0.5, 0.0], [0.1, 0.05], [0.0, 0.0]],
+            [[0.1, -0.05], [0.3, 0.0], [0.05, 0.0]],
+            [[0.0, 0.0], [0.05, 0.0], [0.2, 0.0]],
+        ]
+    },
+}
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(cfg, fh)
+EOF
+"${cli[@]}" compare --config "$out/n3.json" --out-dir "$out/cmp_n3"
+taskset -c 0 "${cli[@]}" compare --config "$out/n3.json" --out-dir "$out/cmp_n3_serial"
+for name in nonlinear.csv linearized.csv delta.csv summary.json; do
+  cmp "$out/cmp_n3/$name" "$out/cmp_n3_serial/$name"
+done
 "${cli[@]}" run --config configs/two_level_x1.json --out "$out/x1.csv"
 # the finite-bath run: exit 0, a header and 501 rows
 "${cli[@]}" run --config configs/finite_bath_closure.json --out "$out/closure.csv"
@@ -78,12 +114,14 @@ status=0
 "${cli[@]}" compare --config "$out/blow_up.json" --out-dir "$out/cmp_blow_up" || status=$?
 test "$status" -eq 2
 # every summary.json is strict JSON (RFC 8259 has no NaN or Infinity)
-python - "$out/cmp/summary.json" "$out/cmp_low/summary.json" "$out/cmp_blow_up/summary.json" <<'EOF'
+python - "$out/cmp/summary.json" "$out/cmp_low/summary.json" "$out/cmp_n3/summary.json" "$out/cmp_blow_up/summary.json" <<'EOF'
 import json, sys
 def reject(token):
     raise ValueError(f"{token} is not JSON")
 summaries = [json.load(open(path, encoding="utf-8"), parse_constant=reject) for path in sys.argv[1:]]
-blow_up = summaries[-1]
+n3, blow_up = summaries[-2:]
+assert n3["nonlinear"]["termination"] == n3["linearized"]["termination"] == "completed", n3
+assert "two_level" not in n3, n3
 assert blow_up["max_abs_delta_rho_final"] is None, blow_up
 assert blow_up["two_level"]["nonlinear_final_m3"] is None, blow_up
 assert blow_up["two_level"]["linearized_final_m3"] is None, blow_up

@@ -24,7 +24,7 @@ from .operators import (
     _two_level_spectrum,
     validate_density_matrix,
 )
-from .master_equation import QuantumSystem, _as_state, _stored_hermitian, energy_expectation
+from .master_equation import QuantumSystem, _as_state, _stored_hermitian
 from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _bind
 
 __all__ = [
@@ -154,34 +154,36 @@ def step(
 
 def _array_advance(rho, h, stage, dt, method, first, steps):
     """``steps`` RK4 or Euler steps of (rho, H_e) on numpy arrays, with the
-    bound ``stage`` (rho, H_e) -> (drho/dt, dH_e/dt) and ``first`` its value
-    at (rho, h); returns (rho, H_e) with rho re-Hermitized after every step.
+    bound ``stage`` (rho, H_e) -> (drho/dt, ..., dH_e/dt) and ``first`` its
+    value at (rho, h); returns (rho, H_e) with rho re-Hermitized after every
+    step.  Only the first and the last item of a stage's value are read, so
+    the spectrum that the n > 2 stage returns between them is ignored.
 
     The stage at each step's end state is the next step's first stage; the
     last step's is left to the caller, so the call costs 4 steps - 1 stages
     with RK4 and steps - 1 with Euler.  An exception raised by a stage
     (a drained bath, a failed eigendecomposition) leaves with the number of
     steps finished before the failing one as its ``steps_done``."""
-    k1, e1 = first
+    k1, *_, e1 = first
     half, sixth, last = 0.5 * dt, dt / 6.0, steps - 1
     try:
         if method == "rk4":
             for done in range(steps):
-                k2, e2 = stage(rho + half * k1, h + half * e1)
-                k3, e3 = stage(rho + half * k2, h + half * e2)
-                k4, e4 = stage(rho + dt * k3, h + dt * e3)
+                k2, *_, e2 = stage(rho + half * k1, h + half * e1)
+                k3, *_, e3 = stage(rho + half * k2, h + half * e2)
+                k4, *_, e4 = stage(rho + dt * k3, h + dt * e3)
                 rho_new = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
                 rho = 0.5 * (rho_new + rho_new.conj().T)
                 if done != last:
-                    k1, e1 = stage(rho, h)
+                    k1, *_, e1 = stage(rho, h)
         elif method == "euler":
             for done in range(steps):
                 rho_new = rho + dt * k1
                 h = h + dt * e1
                 rho = 0.5 * (rho_new + rho_new.conj().T)
                 if done != last:
-                    k1, e1 = stage(rho, h)
+                    k1, *_, e1 = stage(rho, h)
         else:
             raise ValueError(f"unknown method {method!r}")
     except (_BathDrained, np.linalg.LinAlgError) as exc:
@@ -237,7 +239,7 @@ def _two_level_advance(r00, r11, x, y, h, stage, dt, method, first, steps):
     return r00, r11, x, y, h
 
 
-def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux):
+def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
     """Build a trajectory point and return (point, violation detail or None)
     for the state ``rho`` and bath energy ``h``; ``bath`` is the run's bath,
     read at ``h`` for the temperature and entropy, and ``flux`` is dH_e/dt
@@ -245,8 +247,12 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux):
     into the quantum system.
 
     The dimension selects how the monitors are computed.  Above n = 2, with
-    numpy: one eigvalsh gives min_eig and the entropy.  At n = 2, in Python
-    floats from the four reals of rho, which is read as exactly Hermitian
+    numpy: the ascending spectrum gives min_eig and the entropy; it is
+    ``w``, which the stage at (rho, h) took from its eigh of this very rho,
+    or, where ``w`` is None, one eigvalsh of rho.  tr(H rho) is the n^2
+    inner product sum_ij conj(H_ij) rho_ij, which is tr(H rho) for the
+    exactly Hermitian H that :class:`QuantumSystem` stores.  At n = 2, in
+    Python floats from the four reals of rho, which is read as exactly Hermitian
     (as :func:`simulate` builds it): herm_err is 0.0, or NaN if an entry is
     not finite; min_eig is the unclipped smaller eigenvalue det(rho)/l1 of
     one :func:`~thermoqme.operators._two_level_spectrum` call, which keeps
@@ -263,9 +269,9 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux):
     else:
         trace_err = abs(complex(np.trace(rho)) - 1.0)
         herm_err = float(np.max(np.abs(rho - rho.conj().T)))
-        spectrum = np.linalg.eigvalsh(rho).tolist()
+        spectrum = (np.linalg.eigvalsh(rho) if w is None else w).tolist()
         min_eig = spectrum[0]
-        energy = energy_expectation(rho, system.H)
+        energy = float(np.vdot(system.H, rho).real)
     env = EnvironmentObservableReport(
         H_e=h,
         T_e=bath._temperature_at(h),
@@ -326,7 +332,9 @@ def simulate(
     min(monitor_every, n_steps - k) steps from step k.  The density matrix
     is built only at recorded points, where the run's bath is read at the
     carried energy.  The results are a loop of :func:`step`'s, and every
-    point is the same, bit for bit, at any cadence.
+    point is the same, bit for bit, at any cadence.  Above n = 2 a
+    nonlinear point after t = 0 reads its spectrum from the eigh that its
+    stage made, so it makes no decomposition of its own.
 
     The stage at each step's end state is evaluated once: it is the next
     step's first stage, and at an interval's end, evaluated here after the
@@ -369,11 +377,14 @@ def simulate(
                 state = advance(*state, stage, dt, method, rates, steps)
             # a finite bath drained by the interval's last step raises here, where T(H_e) is read
             rates = stage(*state)
-            if steps:
-                rho = _two_level_matrix(*state[:4]) if two_level else state[0]
-            else:  # t = 0 observes rho0 as given
+            w = None  # above n = 2, the stage's spectrum of the observed rho, if it made one
+            if not steps:  # t = 0 observes rho0 as given
                 rho = _two_level_matrix(*_two_level_entries(given)) if two_level else given
-            point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1])
+            elif two_level:
+                rho = _two_level_matrix(*state[:4])
+            else:
+                rho, w = state[0], rates[1]
+            point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1], w)
         except (_BathDrained, np.linalg.LinAlgError) as exc:
             # the step that failed: the advance counts the steps before it;
             # past the advance, it is the interval's last

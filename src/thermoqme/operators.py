@@ -68,13 +68,18 @@ def hermitianize(a) -> np.ndarray:
 
 
 def validate_hermitian(a, tol: float = 1e-12, name: str = "operator") -> np.ndarray:
-    """Check that ``a`` is a self-adjoint matrix of dimension >= 2.
+    """Check that ``a`` is a self-adjoint matrix of dimension >= 2 with
+    finite entries.
 
     Returns the matrix as a complex ndarray, raises ValueError otherwise.
     """
     arr = _as_square_matrix(a, name)
     if arr.shape[0] < 2:
         raise ValueError(f"{name}: dimension must be at least 2, got {arr.shape[0]}")
+    # a NaN deviation passes any tolerance test, and inf - inf warns
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"{name}: entry ({i}, {j}) is not finite, got {arr[i, j]}")
     dev = float(np.max(np.abs(arr - arr.conj().T)))
     if dev > tol:
         raise ValueError(f"{name}: not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
@@ -122,7 +127,27 @@ def _pairwise_log_mean(p: np.ndarray) -> np.ndarray:
     log1p keeps full relative precision down to hi = lo, where the mean is
     lo itself (so lo sits on the diagonal), and the ordering makes the
     matrix exactly symmetric.
+
+    ``p`` is a finite spectrum, as eigh returns it (it raises on a
+    non-finite matrix).  When every member is positive and no ratio can
+    overflow (the largest over the smallest is finite), the formula is
+    applied directly; any other ``p`` takes :func:`_masked_log_mean`, which
+    gives the same bits on such a ``p``.
     """
+    w = p.tolist()
+    smallest = min(w)
+    if not (smallest > 0.0 and max(w) / smallest < math.inf):
+        return _masked_log_mean(p)
+    a, b = p[:, None], p[None, :]
+    lo = np.minimum(a, b)
+    gap = np.maximum(a, b) - lo
+    # where hi = lo the mean is lo itself, which the division leaves in place
+    return np.divide(gap, np.log1p(gap / lo), out=lo, where=gap > 0.0)
+
+
+def _masked_log_mean(p: np.ndarray) -> np.ndarray:
+    """:func:`_pairwise_log_mean` for any ``p``: a nonpositive member's pairs
+    are 0, and a pair whose ratio overflows is taken as gap/(ln hi - ln lo)."""
     a, b = p[:, None], p[None, :]
     lo = np.minimum(a, b)
     gap = np.maximum(a, b) - lo

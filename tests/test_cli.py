@@ -383,6 +383,18 @@ CONFIG_ERRORS = {
         "system.generic.hamiltonian[0][1]",
         "expected an [re, im] pair, got [0.0]",
     ),
+    # JSON true reads as a Python bool, which is an int; neither it nor a
+    # numeric string is a number here
+    "boolean_in_a_pair": (
+        json.dumps(_generic_config(hamiltonian=[[[True, 0.0], _H2[0][1]], _H2[1]])),
+        "system.generic.hamiltonian[0][0]",
+        "expected an [re, im] pair, got [True, 0.0]",
+    ),
+    "string_in_a_pair": (
+        _generic_config(hamiltonian=[_H2[0], [_H2[1][0], ["0.5", 0.0]]]),
+        "system.generic.hamiltonian[1][1]",
+        "expected an [re, im] pair, got ['0.5', 0.0]",
+    ),
     "hamiltonian_not_hermitian": (
         _generic_config(hamiltonian=[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
         "system.generic.hamiltonian",

@@ -550,6 +550,49 @@ def test_two_level_monitors_match_lapack(rng):
         assert violation == f"non-finite monitor {text} at t=0.5"
 
 
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_point_reads_its_stage_spectrum(monkeypatch, rng, nonlinear):
+    # above n = 2 a nonlinear point after t = 0 takes min_eig and the entropy
+    # from the eigh its stage made of that rho, and tr(H rho) as an n^2
+    # inner product: against eigvalsh and energy_expectation of the recorded
+    # rho, on a seeded N = 4 run with a finite bath (a bath-coupled and a
+    # fixed-rate channel); bounds fixed before measuring: 1e-15 absolute in
+    # min_eig and total_energy, 1e-14 in total_entropy
+    q1, q2 = random_hermitian(rng, 4, 0.3), random_hermitian(rng, 4, 0.3)
+    system = QuantumSystem(random_hermitian(rng, 4), (CouplingChannel(q1, bath_coupled=True), CouplingChannel(q2, 0.3, 0.2)))
+    bath = HeatBath.finite(C_e=1.0, H_e=1.0, gamma0=0.8, omega_ref=1.0)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.5, monitor_every=5)
+    eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    traj = simulate(random_density(rng, 4), bath, system, cfg, nonlinear=nonlinear)
+    assert traj.termination == COMPLETED and len(traj.points) == 11
+    # the start state's validation, then the t = 0 point, then (linearized,
+    # with no decomposition to read) every later point
+    assert len(eigvalsh) == (2 if nonlinear else 12)
+    monkeypatch.undo()
+    for point in traj.points:
+        w = np.linalg.eigvalsh(point.rho)
+        entropy = point.env.S_e + von_neumann_entropy(point.rho)
+        energy = energy_expectation(point.rho, system.H) + point.env.H_e
+        assert abs(point.monitors["min_eig"] - w[0]) <= 1e-15
+        assert abs(point.monitors["total_entropy"] - entropy) <= 1e-14
+        assert abs(point.monitors["total_energy"] - energy) <= 1e-15
+
+
+def test_friction_free_point_decomposes_its_own_rho(monkeypatch, rng):
+    # no friction, so the nonlinear stage makes no eigh and every point
+    # takes eigvalsh of its own rho, bit for bit
+    system = QuantumSystem(random_hermitian(rng, 3), (CouplingChannel(random_hermitian(rng, 3), 0.0, 0.3),))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.2, monitor_every=4)
+    eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    traj = simulate(random_density(rng, 3), bath, system, cfg, nonlinear=True)
+    assert traj.termination == COMPLETED and len(eigvalsh) == 1 + len(traj.points)
+    monkeypatch.undo()
+    for point in traj.points:
+        assert point.monitors["min_eig"] == np.linalg.eigvalsh(point.rho)[0]
+        assert point.monitors["total_entropy"] == point.env.S_e + von_neumann_entropy(point.rho)
+
+
 @pytest.mark.parametrize("nonlinear, per_step", [(True, 4), (False, 0)])
 def test_sampled_stage_is_the_next_first_stage(monkeypatch, rng, nonlinear, per_step):
     # every step hands the stage at its end state to the next step, and a

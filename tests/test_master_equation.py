@@ -191,7 +191,7 @@ def test_stage_two_by_two_path_matches_lapack(rng):
         for system in systems:
             for nonlinear in (True, False):
                 out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
-                ref = _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear)
+                ref = _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear)[0]
                 assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -216,7 +216,7 @@ def test_nearly_hermitian_operators_are_stored_hermitian(rng):
         for rho in states:
             for nonlinear in (True, False):
                 out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
-                ref = _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear)
+                ref = _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear)[0]
                 assert np.max(np.abs(out - ref)) <= bound * max(1.0, np.max(np.abs(ref)))
     # exactly Hermitian input is stored bit for bit, entries past half the
     # float maximum (where (A + A^dagger)/2 overflows) included

@@ -6,17 +6,22 @@ import pytest
 
 from thermoqme import (
     NATURAL,
+    HeatBath,
+    IntegratorConfig,
     PhysicalConstants,
     canonical_correlation,
     commutator,
+    equilibrium_state,
     modified_operator,
     nonlinear_part,
+    simulate,
     validate_density_matrix,
     validate_hermitian,
     von_neumann_entropy,
 )
 from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _rate_column, _rates
-from thermoqme.operators import _pairwise_log_mean, _two_level_spectrum
+from thermoqme import operators
+from thermoqme.operators import _masked_log_mean, _pairwise_log_mean, _two_level_spectrum
 from thermoqme.two_level import SIGMA, pauli_compose, PauliVector
 
 from conftest import random_density, random_hermitian, stage_rhs
@@ -199,6 +204,36 @@ def test_log_mean_extreme_ratio(p, q):
     assert _log_mean(p, q) == _log_mean(q, p)
     assert abs(_log_mean(p, q) - expected) <= 1e-14 * expected
     assert abs(_two_level_spectrum(q, p, 0.0, 0.0, q - p)[2] - expected) <= 1e-14 * expected
+
+
+def _log_mean_spectra(rng):
+    """Ascending spectra with every member positive and no ratio past the
+    float maximum: seeded density matrices' spectra from n = 2 to 16, exact
+    ties (I/n, and a doubly degenerate level), neighbours one ulp apart, and
+    subnormal members."""
+    spectra = [np.linalg.eigvalsh(random_density(rng, dim)) for dim in (2, 3, 4, 8, 16)]
+    spectra += [np.full(dim, 1.0 / dim) for dim in (2, 3, 16)]
+    p = np.linalg.eigvalsh(random_density(rng, 6))
+    spectra.append(np.sort(np.concatenate([p, p[1:3]])))
+    spectra.append(np.sort(np.concatenate([p, np.nextafter(p, 1.0), np.nextafter(p, 0.0)])))
+    spectra.append(np.array([5e-324, np.nextafter(5e-324, 1.0), 1e-310, 1e-300]))
+    return spectra
+
+
+def test_log_mean_direct_path_is_the_masked_path_bitwise(monkeypatch, rng):
+    # positive spectra take the direct formula, which must give the masked
+    # path's bits; a nonpositive member or an overflowing ratio takes the
+    # masked path itself
+    masked = []
+    monkeypatch.setattr(operators, "_masked_log_mean", lambda p: masked.append(p) or _masked_log_mean(p))
+    for p in _log_mean_spectra(rng):
+        d = _pairwise_log_mean(p)
+        assert not masked
+        assert d.tobytes() == _masked_log_mean(p).tobytes()
+        assert np.array_equal(np.diagonal(d), p)
+    for p in (np.array([0.0, 0.4, 0.6]), np.array([-1e-17, 0.5, 0.5]), np.array([5e-324, 0.3, 1.0])):
+        assert _pairwise_log_mean(p).tobytes() == _masked_log_mean(p).tobytes()
+        assert masked.pop() is p
 
 
 def _bloch_entries(length, theta, phi):
@@ -388,7 +423,7 @@ def test_two_by_two_path_matches_lapack(rng, rho):
     # bound fixed before measuring: 1e-14 relative to max(1, max|ref|)
     for system, friction, diffusion in _two_level_stage_cases(rng):
         for nonlinear in (True, False):
-            ref = _lapack_stage(rho, system, _rate_column(friction), _rate_column(diffusion), nonlinear)
+            ref = _lapack_stage(rho, system, _rate_column(friction), _rate_column(diffusion), nonlinear)[0]
             out = stage_rhs(rho, system, friction, diffusion, nonlinear)
             assert out.shape == (2, 2) and out.dtype == complex
             assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
@@ -403,7 +438,7 @@ def test_stack_above_two_levels_is_the_lapack_path(rng):
         rho = random_density(rng, dim)
         for nonlinear in (True, False):
             out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
-            assert np.array_equal(out, _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear))
+            assert np.array_equal(out, _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear)[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -434,7 +469,7 @@ def test_two_by_two_path_scales_huge_entries(rng):
             system = QuantumSystem(h, tuple(CouplingChannel(q, *rates) for q in qs), consts)
             for nonlinear in (True, False):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    ref = _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear)
+                    ref = _lapack_stage(rho, system, *map(_rate_column, _rates(system)[:2]), nonlinear)[0]
                 out = stage_rhs(rho, system, *_rates(system)[:2], nonlinear)
                 finite = np.isfinite(ref)
                 assert finite.any()
@@ -600,6 +635,30 @@ def test_validate_hermitian_rejects_bad_input():
         validate_hermitian(np.array([[1.0]]))
     with pytest.raises(ValueError, match="square"):
         validate_hermitian(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrices_are_rejected(rng, dim, bad):
+    # a NaN deviation passes the Hermiticity tolerance, and inf - inf would
+    # warn; every operator and state input names its matrix instead
+    h = random_hermitian(rng, dim)
+    q = random_hermitian(rng, dim)
+    rho = random_density(rng, dim)
+    for a in (h, q, rho):
+        a[dim - 1, 0] = bad
+    with pytest.raises(ValueError, match=rf"^hamiltonian: entry \({dim - 1}, 0\) is not finite"):
+        QuantumSystem(h)
+    with pytest.raises(ValueError, match=r"^hamiltonian: entry .* is not finite"):
+        equilibrium_state(h, 1.0)
+    with pytest.raises(ValueError, match=rf"^coupling operator: entry \({dim - 1}, 0\) is not finite"):
+        CouplingChannel(q, 0.1, 0.1)
+    with pytest.raises(ValueError, match=rf"^density matrix: entry \({dim - 1}, 0\) is not finite"):
+        validate_density_matrix(rho)
+    system = QuantumSystem(np.diag(np.arange(dim, dtype=float)))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    with pytest.raises(ValueError, match=r"^density matrix: entry .* is not finite"):
+        simulate(rho, bath, system, IntegratorConfig(dt=0.1, t_end=1.0))
 
 
 def test_validate_density_matrix(rng):
