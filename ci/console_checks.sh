@@ -12,6 +12,14 @@ fi
 cli=("$@")
 out="${RUNNER_TEMP:-$(mktemp -d)}"
 mkdir -p "$out"
+# a compare forks its linearized run unless pinned to one CPU; no forked run
+# may outlive the command (a child has the parent's command line)
+no_leftover() {
+  if pgrep -f -- "--out-dir $1\$" > /dev/null; then
+    echo "compare left a process behind: $1" >&2
+    exit 1
+  fi
+}
 
 # the README's library quick start: m3 -> -tanh(1)
 python - <<'EOF'
@@ -23,17 +31,13 @@ m3 = scope["pauli_decompose"](scope["trajectory"].final.rho).a[2]
 assert abs(m3 + math.tanh(1.0)) < 1e-6, m3
 EOF
 "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp"
+no_leftover "$out/cmp"
 # pinned to one CPU, compare runs its variants one after the other instead of
 # forking the linearized run: the same four files, byte for byte
 taskset -c 0 "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp_serial"
 for name in nonlinear.csv linearized.csv delta.csv summary.json; do
   cmp "$out/cmp/$name" "$out/cmp_serial/$name"
 done
-# and no forked run outlives the command (a child has the parent's command line)
-if pgrep -f -- "--out-dir $out/cmp\$" > /dev/null; then
-  echo "compare left a process behind" >&2
-  exit 1
-fi
 # the same above two levels, where the stage decomposes rho with LAPACK: a
 # spin-1 ladder with one bath-bracket channel (J_x) and one fixed-rate
 # channel (J_y), from a state with coherences, forked and pinned
@@ -66,6 +70,7 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
     json.dump(cfg, fh)
 EOF
 "${cli[@]}" compare --config "$out/n3.json" --out-dir "$out/cmp_n3"
+no_leftover "$out/cmp_n3"
 taskset -c 0 "${cli[@]}" compare --config "$out/n3.json" --out-dir "$out/cmp_n3_serial"
 for name in nonlinear.csv linearized.csv delta.csv summary.json; do
   cmp "$out/cmp_n3/$name" "$out/cmp_n3_serial/$name"
@@ -94,6 +99,7 @@ test -s "$out/lin_x10.csv"
 status=0
 "${cli[@]}" compare --config configs/compare_low_temperature.json --out-dir "$out/cmp_low" || status=$?
 test "$status" -eq 2
+no_leftover "$out/cmp_low"
 python - "$out/cmp_low/summary.json" <<'EOF'
 import json, sys
 summary = json.load(open(sys.argv[1], encoding="utf-8"))
@@ -113,6 +119,7 @@ EOF
 status=0
 "${cli[@]}" compare --config "$out/blow_up.json" --out-dir "$out/cmp_blow_up" || status=$?
 test "$status" -eq 2
+no_leftover "$out/cmp_blow_up"
 # every summary.json is strict JSON (RFC 8259 has no NaN or Infinity)
 python - "$out/cmp/summary.json" "$out/cmp_low/summary.json" "$out/cmp_n3/summary.json" "$out/cmp_blow_up/summary.json" <<'EOF'
 import json, sys

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .operators import NATURAL, PhysicalConstants
+from .operators import NATURAL, PhysicalConstants, _require_finite
 from .master_equation import QuantumSystem, _as_state, _bind_rates, _matrix_rates, _rates
 
 __all__ = [
@@ -55,18 +55,9 @@ class HeatBath:
     def __post_init__(self) -> None:
         if self.kind not in ("infinite", "finite"):
             raise ValueError(f"bath kind must be 'infinite' or 'finite', got {self.kind!r}")
-        if not self.gamma0 >= 0.0:
-            raise ValueError("gamma0 must be nonnegative")
-        if not self.omega_ref > 0.0:
-            raise ValueError("omega_ref must be positive")
-        if self.kind == "infinite":
-            if self.T_e is None or not self.T_e > 0.0:
-                raise ValueError("infinite bath requires a positive temperature T_e")
-        else:
-            if self.C_e is None or not self.C_e > 0.0:
-                raise ValueError("finite bath requires a positive heat capacity C_e")
-            if self.H_ref is None or not self.H_ref > 0.0:
-                raise ValueError("finite bath requires a positive reference energy H_ref")
+        finite = self.kind == "finite"
+        _require_finite(self, ("omega_ref", *(("C_e", "H_ref") if finite else ("T_e",))), ("gamma0",))
+        if finite:
             self._temperature_at(self.H_e)
 
     @classmethod

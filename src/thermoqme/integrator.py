@@ -24,7 +24,7 @@ from .operators import (
     _two_level_spectrum,
     validate_density_matrix,
 )
-from .master_equation import QuantumSystem, _as_state, _stored_hermitian
+from .master_equation import QuantumSystem, _as_state, _exactly_hermitian
 from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _bind
 
 __all__ = [
@@ -126,11 +126,9 @@ def step(
     every internal stage takes the bath-coupled diffusion at that stage's
     bath energy and dH_e/dt = -Re tr(H drho/dt) from the stage's own
     drho/dt, so the total tr(H rho) + H_e of a closed finite-bath system is
-    conserved to rounding in both variants.  The returned density matrix is
-    Hermitian: above n = 2 it is re-Hermitized by conjugate transpose
-    averaging (a correction at the 1e-16 scale per step), which leaves
-    tr(H rho) as it is; at n = 2, where rho is read from its diagonal and
-    its entry (1, 0), it is built exactly Hermitian.
+    conserved to rounding in both variants.  The step starts from rho made
+    exactly Hermitian (:func:`~thermoqme.master_equation._exactly_hermitian`),
+    as :func:`simulate` starts, and the returned rho is exactly Hermitian.
 
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError.  The dimension selects how:
@@ -141,7 +139,7 @@ def step(
     here over one step, with its first stage evaluated at (rho, bath.H_e):
     4 stages with RK4, 1 with Euler.
     """
-    rho = _as_state(rho, system)
+    rho = _exactly_hermitian(_as_state(rho, system))
     stage = _bind(bath, system, nonlinear)
     if system.dim == 2:
         r00, r11, x, y = _two_level_entries(rho)
@@ -155,9 +153,10 @@ def step(
 def _array_advance(rho, h, stage, dt, method, first, steps):
     """``steps`` RK4 or Euler steps of (rho, H_e) on numpy arrays, with the
     bound ``stage`` (rho, H_e) -> (drho/dt, ..., dH_e/dt) and ``first`` its
-    value at (rho, h); returns (rho, H_e) with rho re-Hermitized after every
-    step.  Only the first and the last item of a stage's value are read, so
-    the spectrum that the n > 2 stage returns between them is ignored.
+    value at (rho, h); returns (rho, H_e), rho exactly Hermitian as it
+    enters (see :func:`~thermoqme.master_equation._lapack_stage`).  Only the
+    first and the last item of a stage's value are read, so the spectrum
+    that the n > 2 stage returns between them is ignored.
 
     The stage at each step's end state is the next step's first stage; the
     last step's is left to the caller, so the call costs 4 steps - 1 stages
@@ -172,16 +171,14 @@ def _array_advance(rho, h, stage, dt, method, first, steps):
                 k2, *_, e2 = stage(rho + half * k1, h + half * e1)
                 k3, *_, e3 = stage(rho + half * k2, h + half * e2)
                 k4, *_, e4 = stage(rho + dt * k3, h + dt * e3)
-                rho_new = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-                rho = 0.5 * (rho_new + rho_new.conj().T)
                 if done != last:
                     k1, *_, e1 = stage(rho, h)
         elif method == "euler":
             for done in range(steps):
-                rho_new = rho + dt * k1
+                rho = rho + dt * k1
                 h = h + dt * e1
-                rho = 0.5 * (rho_new + rho_new.conj().T)
                 if done != last:
                     k1, *_, e1 = stage(rho, h)
         else:
@@ -342,9 +339,9 @@ def simulate(
     with RK4 and N + 1 with Euler at any cadence.  Each recorded point's
     monitors are logged at DEBUG level.
 
-    The run starts from rho0 as :func:`~thermoqme.master_equation._stored_hermitian`
-    stores it: as given when exactly Hermitian, otherwise its Hermitian
-    part.  The point at t = 0 observes rho0 as given (at n = 2, its
+    The run starts, as :func:`step` does, from rho0 made exactly Hermitian
+    (:func:`~thermoqme.master_equation._exactly_hermitian`), once validated
+    to 1e-10.  The point at t = 0 observes rho0 as given (at n = 2, its
     diagonal and entry (1, 0)), so its monitors show the input's own trace
     and, above n = 2, hermiticity errors.
 
@@ -358,7 +355,7 @@ def simulate(
     """
     given = _as_state(validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10), system)
     # the stages start from rho0 made exactly Hermitian; the t = 0 point observes it as given
-    rho = _stored_hermitian(given, "density matrix", 1e-10)
+    rho = _exactly_hermitian(given)
     stage = _bind(bath0, system, nonlinear)
     two_level = system.dim == 2
     advance = _two_level_advance if two_level else _array_advance

@@ -18,6 +18,7 @@ from .operators import (
     PhysicalConstants,
     _as_square_matrix,
     _modified_in_basis,
+    _require_finite,
     _two_level_entries,
     _two_level_matrix,
     _two_level_spectrum,
@@ -35,12 +36,16 @@ __all__ = [
 ]
 
 
-def _stored_hermitian(a, name: str, tol: float = 1e-12) -> np.ndarray:
-    """``a`` checked Hermitian to ``tol``: as given when exactly Hermitian
-    (bit for bit, even with entries past half the float maximum, where
-    averaging would overflow), and otherwise as its Hermitian part."""
-    a = validate_hermitian(a, tol, name)
+def _exactly_hermitian(a: np.ndarray) -> np.ndarray:
+    """``a`` as given when exactly Hermitian (bit for bit, even with entries
+    past half the float maximum, where averaging would overflow), otherwise
+    its Hermitian part: a stored operator, or a state where it enters a run."""
     return a if np.array_equal(a, a.conj().T) else hermitianize(a)
+
+
+def _stored_hermitian(a, name: str) -> np.ndarray:
+    """``a`` checked Hermitian to 1e-12 and made exactly so by :func:`_exactly_hermitian`."""
+    return _exactly_hermitian(validate_hermitian(a, name=name))
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,7 @@ class CouplingChannel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Q", _stored_hermitian(self.Q, "coupling operator"))
-        if not (self.friction_rate >= 0.0 and self.diffusion_rate >= 0.0):
-            raise ValueError("channel rates must be nonnegative")
-        if not self.weight >= 0.0:
-            raise ValueError("channel weight must be nonnegative")
+        _require_finite(self, nonnegative=("friction_rate", "diffusion_rate", "weight"))
 
 
 @dataclass(frozen=True)
@@ -296,7 +298,12 @@ def _lapack_stage(rho, system: QuantumSystem, friction, diffusion, nonlinear: bo
     gives [H, rho] and every [Q_j, rho] as P - P^dagger.  Channel j enters
     through the anti-Hermitian X_j = friction_j/k_B M_j + diffusion_j [Q_j, rho],
     M_j the modified (linearized: symmetrized) product of C_j = [Q_j, H] with
-    rho, so -sum_j [Q_j, X_j] = -(A + A^dagger) with A = sum_j Q_j X_j."""
+    rho, so -sum_j [Q_j, X_j] = -(A + A^dagger) with A = sum_j Q_j X_j.
+
+    drho/dt is exactly Hermitian, for any rho and however the friction's
+    products round: P - P^dagger is exactly anti-Hermitian, A + A^dagger
+    exactly Hermitian, and real or -i/hbar scalings keep both; so a state
+    that enters a run exactly Hermitian stays so, with no correction."""
     p = system._S @ rho
     comm = p - p.conj().swapaxes(1, 2)
     x = diffusion * comm[1:]

@@ -31,6 +31,17 @@ __all__ = [
     "von_neumann_entropy",
 ]
 
+
+def _require_finite(obj, positive=(), nonnegative=()) -> None:
+    """Raise ValueError naming the first field of ``obj``, among ``positive``
+    and then ``nonnegative``, that is not a finite number above zero (at or
+    above zero); None and NaN fail too."""
+    for name in (*positive, *nonnegative):
+        value, strict = getattr(obj, name), name in positive
+        if value is None or not (0.0 < value if strict else 0.0 <= value) or not value < math.inf:
+            raise ValueError(f"{name} must be {'positive' if strict else 'nonnegative'} and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Unit system, threaded explicitly so SI runs are possible.
@@ -42,8 +53,7 @@ class PhysicalConstants:
     kB: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.hbar > 0.0 and self.kB > 0.0):
-            raise ValueError("hbar and kB must be strictly positive")
+        _require_finite(self, ("hbar", "kB"))
 
 
 NATURAL = PhysicalConstants()

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import NATURAL, PhysicalConstants, _two_level_entries, _two_level_matrix
+from .operators import (
+    NATURAL,
+    PhysicalConstants,
+    _require_finite,
+    _two_level_entries,
+    _two_level_matrix,
+    validate_hermitian,
+)
 from .master_equation import CouplingChannel, QuantumSystem
 from .environment import HeatBath
 
@@ -84,14 +91,7 @@ class TwoLevelParams:
     constants: PhysicalConstants = NATURAL
 
     def __post_init__(self) -> None:
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
-        if not self.gamma0 >= 0.0:
-            raise ValueError("gamma0 must be nonnegative")
-        if not self.T_e > 0.0:
-            raise ValueError("T_e must be positive")
-        if not self.q3_weight >= 0.0:
-            raise ValueError("q3_weight must be nonnegative")
+        _require_finite(self, ("omega", "T_e"), ("gamma0", "q3_weight"))
 
 
 def pauli_compose(alpha: float, a) -> np.ndarray:
@@ -106,15 +106,14 @@ def pauli_compose(alpha: float, a) -> np.ndarray:
 def pauli_decompose(matrix, tol: float = 1e-12) -> PauliVector:
     """Inverse of :func:`pauli_compose`: alpha = tr(A), a_j = tr(A sigma_j).
 
-    The representation is a bijection on self-adjoint matrices; non-Hermitian
-    input raises ValueError.
+    The representation is a bijection on self-adjoint matrices; input that
+    :func:`~thermoqme.operators.validate_hermitian` rejects at ``tol`` (not
+    Hermitian, or an entry not finite) raises ValueError.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if float(np.max(np.abs(m - m.conj().T))) > tol:
-        raise ValueError("matrix is not Hermitian; the real representation does not apply")
-    a00, a11, re, im = _two_level_entries(m)
+    a00, a11, re, im = _two_level_entries(validate_hermitian(m, tol, "matrix"))
     return PauliVector(a00 + a11, np.array([2.0 * re, 2.0 * im, a00 - a11]))
 
 

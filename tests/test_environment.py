@@ -72,6 +72,34 @@ def test_bath_validation():
         HeatBath.finite(C_e=1.0, H_e=1.0, gamma0=1.0, omega_ref=1.0, H_ref=nan)
 
 
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda x: HeatBath.finite(C_e=x, H_e=1.0, gamma0=1.0, omega_ref=1.0), "C_e"),
+        (lambda x: HeatBath.finite(C_e=1.0, H_e=1.0, gamma0=1.0, omega_ref=1.0, H_ref=x), "H_ref"),
+        (lambda x: HeatBath.infinite(T_e=x, gamma0=1.0, omega_ref=1.0), "T_e"),
+        (lambda x: HeatBath.infinite(T_e=1.0, gamma0=x, omega_ref=1.0), "gamma0"),
+        (lambda x: HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=x), "omega_ref"),
+        (lambda x: CouplingChannel(S1, friction_rate=x), "friction_rate"),
+        (lambda x: CouplingChannel(S1, diffusion_rate=x), "diffusion_rate"),
+        (lambda x: CouplingChannel(S1, bath_coupled=True, weight=x), "weight"),
+        (lambda x: PhysicalConstants(hbar=x), "hbar"),
+        (lambda x: PhysicalConstants(kB=x), "kB"),
+        (lambda x: TwoLevelParams(omega=x, gamma0=1.0, T_e=1.0), "omega"),
+        (lambda x: TwoLevelParams(omega=1.0, gamma0=x, T_e=1.0), "gamma0"),
+        (lambda x: TwoLevelParams(omega=1.0, gamma0=1.0, T_e=x), "T_e"),
+        (lambda x: TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0, q3_weight=x), "q3_weight"),
+    ],
+)
+def test_constructors_reject_infinite_parameters(build, field):
+    # a parameter parse_config would reject as not finite is rejected by the
+    # public constructor too, in a message that names it
+    build(1.0)
+    with pytest.raises(ValueError, match=f"^{field} must be (positive|nonnegative) and finite, got inf$"):
+        build(math.inf)
+
+
 def test_channel_rates():
     bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
     assert bath.channel_rates() == (1.0, 1.0)

@@ -31,6 +31,7 @@ from thermoqme import (
 from thermoqme import environment, integrator, master_equation
 from thermoqme.environment import _bind
 from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe, _two_level_advance
+from thermoqme.master_equation import _exactly_hermitian
 from thermoqme.operators import PhysicalConstants, _two_level_entries, _two_level_matrix, hermitianize
 from thermoqme.two_level import SIGMA
 
@@ -643,16 +644,93 @@ def _given_first_step(rho, bath, system, dt, method, nonlinear):
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
     # two steps, each handed the stage at the previous end state as its first
-    # stage (as simulate hands it over), against two steps that evaluate it
+    # stage (as simulate hands it over), against two steps that evaluate it;
+    # step starts from the exactly Hermitian form of rho, which
+    # random_density builds Hermitian only to rounding
     system, bath = _finite_bath_setup()
     rho = random_density(rng, 2)
     rho_a, bath_a = step(*step(rho, bath, system, 1e-2, method, nonlinear), system, 1e-2, method, nonlinear)
     stage = _bind(bath, system, nonlinear)
-    state = (*_two_level_entries(rho), bath.H_e)
+    state = (*_two_level_entries(_exactly_hermitian(rho)), bath.H_e)
     for _ in range(2):
         state = _two_level_advance(*state, stage, 1e-2, method, stage(*state), 1)
     assert np.array_equal(rho_a, _two_level_matrix(*state[:4]))
     assert bath_a == bath.with_energy(state[4])
+
+
+def _unit_norm_system(rng, dim):
+    """H and two channels of unit Frobenius norm, one with fixed rates and one
+    bath-coupled, with hbar = 0.8 and k_B = 1.3."""
+    H, Q1, Q2 = (a / np.linalg.norm(a) for a in (random_hermitian(rng, dim) for _ in range(3)))
+    channels = (CouplingChannel(Q1, 0.3, 0.4), CouplingChannel(Q2, bath_coupled=True, weight=0.7))
+    return QuantumSystem(H, channels, PhysicalConstants(hbar=0.8, kB=1.3))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_simulate_is_a_loop_of_step_from_a_nearly_hermitian_rho0(rng, dim, nonlinear):
+    # rho0 Hermitian only to rounding, as random_density builds it: simulate
+    # and a loop of step both start from its exactly Hermitian form, so every
+    # recorded rho and H_e is step's, bit for bit (unit-norm operators keep
+    # rho positive under RK4 at dt = 0.01 at n = 16)
+    system = _unit_norm_system(rng, dim)
+    bath = HeatBath.finite(C_e=4.0, H_e=3.0, gamma0=0.8, omega_ref=1.1)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.1, monitor_every=3)
+    for _ in range(5):
+        rho0 = random_density(rng, dim)
+        assert not np.array_equal(rho0, rho0.conj().T)
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == COMPLETED
+        assert [point.t for point in traj.points] == [k * cfg.dt for k in (0, 3, 6, 9, 10)]
+        rho, b, points = rho0, bath, iter(traj.points[1:])
+        for k in range(1, cfg.n_steps + 1):
+            rho, b = step(rho, b, system, cfg.dt, cfg.method, nonlinear)
+            if k % cfg.monitor_every == 0 or k == cfg.n_steps:
+                point = next(points)
+                assert np.array_equal(point.rho, rho) and point.env.H_e == b.H_e
+
+
+@pytest.mark.parametrize("dim", [3, 4, 16])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_states_above_two_levels_stay_exactly_hermitian(monkeypatch, rng, dim, nonlinear):
+    # with no re-Hermitization, every state a stage sees, every drho/dt it
+    # returns, every point after t = 0 and every step output is exactly
+    # Hermitian: fixed and bath-coupled channels, hbar and k_B != 1, an
+    # infinite and a finite bath, RK4 and Euler, from rho0 Hermitian only
+    # to rounding
+    seen = []
+
+    def recording_bind(*args):
+        stage = _bind(*args)
+
+        def recorded(rho, H_e):
+            out = stage(rho, H_e)
+            seen.extend((rho, out[0]))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(integrator, "_bind", recording_bind)
+    system = _unit_norm_system(rng, dim)
+    baths = (
+        HeatBath.infinite(T_e=0.9, gamma0=0.8, omega_ref=1.1, H_e=0.3),
+        HeatBath.finite(C_e=4.0, H_e=3.0, gamma0=0.8, omega_ref=1.1),
+    )
+    for bath in baths:
+        for method in ("rk4", "euler"):
+            rho0 = random_density(rng, dim)
+            cfg = IntegratorConfig(dt=0.01, t_end=0.1, method=method, monitor_every=3)
+            traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+            assert traj.termination == COMPLETED
+            seen.extend(point.rho for point in traj.points[1:])
+            rho, b = rho0, bath
+            for _ in range(5):
+                rho, b = step(rho, b, system, cfg.dt, method, nonlinear)
+                seen.append(rho)
+    # per bath, RK4: 41 + 20 stages, 4 points, 5 steps; Euler: 11 + 5 stages, 4 points, 5 steps
+    assert len(seen) == 2 * (2 * 61 + 9 + 2 * 16 + 9)
+    for x in seen:
+        assert np.array_equal(x, x.conj().T)
 
 
 @pytest.mark.parametrize("dim, setup", DIMENSIONS)

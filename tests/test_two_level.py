@@ -378,6 +378,8 @@ def test_two_level_params_validation():
         (lambda: PauliVector(1.0, [0.0, 0.0]), r"shape \(3,\)"),
         (lambda: pauli_compose(1.0, [0.0, 0.0, 0.0, 0.0]), r"shape \(3,\)"),
         (lambda: pauli_decompose(np.eye(3)), "expected a 2x2 matrix"),
+        (lambda: pauli_decompose([[math.nan, 0.0], [0.0, 1.0]]), r"^matrix: entry \(0, 0\) is not finite"),
+        (lambda: pauli_decompose([[1.0, 0.0], [0.0, -math.inf]]), r"^matrix: entry \(1, 1\) is not finite"),
         (lambda: _params(isotropic=True, q3_weight=-1.0), "q3_weight must be nonnegative"),
         (lambda: bloch_nonlinear_part([0.6, 0.0, 0.8], Q3), "strictly inside the unit ball"),
     ],
@@ -387,6 +389,8 @@ def test_two_level_params_validation():
         "pauli_vector_shape",
         "pauli_compose_shape",
         "pauli_decompose_shape",
+        "pauli_decompose_nan",
+        "pauli_decompose_inf",
         "q3_weight_negative",
         "nonlinear_part_on_sphere",
     ],
