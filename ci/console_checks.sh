@@ -30,7 +30,11 @@ exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), scope)
 m3 = scope["pauli_decompose"](scope["trajectory"].final.rho).a[2]
 assert abs(m3 + math.tanh(1.0)) < 1e-6, m3
 EOF
-"${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp"
+# Python 3.12 and later warn when a multi-threaded process forks; the first
+# forked compare makes that warning an error (numpy's OpenBLAS starts worker
+# threads on import unless OPENBLAS_NUM_THREADS=1, as the CI workflow sets)
+PYTHONWARNINGS="error:This process:DeprecationWarning" \
+  "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp"
 no_leftover "$out/cmp"
 # pinned to one CPU, compare runs its variants one after the other instead of
 # forking the linearized run: the same four files, byte for byte

@@ -6,8 +6,9 @@ produce byte-identical files.  Exit codes: 0 for a completed run, 2 when a
 structure monitor fired (the file still holds the trajectory up to the
 violation), 1 for configuration errors, an output location that cannot be
 created or written included.  Where the process may use more than one CPU,
-`compare` runs its linearized variant in a forked child at the same time
-as the nonlinear one; the files are the same either way.
+`compare` runs its linearized variant at the same time as the nonlinear one,
+in a child started by multiprocessing's fork context, whose trajectory comes
+back through a multiprocessing ``Pipe``; the files are the same either way.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import json
 import logging
 import math
 import os
-import pickle
-import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -168,57 +167,47 @@ def _two_cpus() -> bool:
 
 def _with_forked(child_fn, parent_fn):
     """(parent_fn(), child_fn()), with ``child_fn`` run at the same time in
-    a child made with ``os.fork``.
+    a child started by multiprocessing's fork context.
 
-    The child sends its return value, or the exception it raised, pickled
-    through a pipe, and always leaves by ``os._exit``, so it never returns
+    The child sends its return value, or the exception it raised, through a
+    one-way multiprocessing ``Pipe`` and then exits, so it never returns
     into the caller's stack.  The child's exception is raised here as the
     parent's own, after ``parent_fn`` has returned.  If ``parent_fn``
     raises, the child is killed; either way it has been reaped when this
     returns or raises."""
-    for stream in (sys.stdout, sys.stderr):
-        stream.flush()  # so that no buffered output is written twice
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
+    # imported here: after numpy it costs 6-9 ms, and `run` never forks
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+
+    def send():
         try:
-            os.close(read_fd)
-            try:
-                result = (True, child_fn())
-            except BaseException as exc:
-                result = (False, exc)
-            try:
-                data = pickle.dumps(result)
-            except Exception as exc:
-                data = pickle.dumps((False, RuntimeError(f"cannot send the result of the forked run: {exc!r}")))
-            with open(write_fd, "wb") as fh:
-                fh.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    reader = open(read_fd, "rb")
+            result = (True, child_fn())
+        except BaseException as exc:
+            result = (False, exc)
+        try:
+            writer.send(result)
+        except Exception as exc:
+            writer.send((False, RuntimeError(f"cannot send the result of the forked run: {exc!r}")))
+
+    child = context.Process(target=send)
+    child.start()
+    writer.close()
     try:
-        mine = parent_fn()
-        data = reader.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
+        try:
+            mine = parent_fn()
+            try:
+                ok, theirs = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"the forked run sent no readable result (exit code {child.exitcode})") from None
+        except BaseException:
+            child.kill()
+            raise
     finally:
         reader.close()
-        status = os.waitpid(pid, 0)[1]
-    try:
-        ok, theirs = pickle.loads(data)
-    except Exception as exc:
-        raise RuntimeError(
-            f"the forked run sent no readable result (exit code {os.waitstatus_to_exitcode(status)})"
-        ) from exc
+        child.join()
     if not ok:
         raise theirs
     return mine, theirs

@@ -21,7 +21,7 @@ import numpy as np
 from .operators import PhysicalConstants, validate_density_matrix, validate_hermitian
 from .master_equation import CouplingChannel, QuantumSystem
 from .environment import HeatBath
-from .integrator import IntegratorConfig, MonitorTolerances
+from .integrator import START_STATE_TOL, IntegratorConfig, MonitorTolerances
 from .two_level import TwoLevelParams, pauli_compose, two_level_system
 
 __all__ = [
@@ -253,7 +253,7 @@ def _parse_initial_state(node, path, dim: int) -> dict:
         return {"bloch": m}
     mat = _complex_matrix(node["matrix"], f"{path}.matrix")
     try:
-        validate_density_matrix(_as_complex(mat), herm_tol=1e-10, trace_tol=1e-10)
+        validate_density_matrix(_as_complex(mat), herm_tol=START_STATE_TOL, trace_tol=START_STATE_TOL)
     except ValueError as exc:
         raise ConfigError(f"{path}.matrix", str(exc)) from exc
     if mat.shape[0] != dim:

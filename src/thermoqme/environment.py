@@ -59,6 +59,8 @@ class HeatBath:
         _require_finite(self, ("omega_ref", *(("C_e", "H_ref") if finite else ("T_e",))), ("gamma0",))
         if finite:
             self._temperature_at(self.H_e)
+        elif not math.isfinite(self.H_e):  # the accumulator may be negative, so not _require_finite
+            raise ValueError(f"H_e must be finite, got {self.H_e}")
 
     @classmethod
     def infinite(cls, T_e: float, gamma0: float, omega_ref: float, H_e: float = 0.0) -> "HeatBath":

@@ -40,6 +40,8 @@ log = logging.getLogger("thermoqme")
 
 COMPLETED = "completed"
 MONITOR_VIOLATION = "monitor_violation"
+# how far from Hermitian and from unit trace a start state may be, here and in a config
+START_STATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,8 @@ def step(
     as :func:`simulate` starts, and the returned rho is exactly Hermitian.
 
     A finite bath whose energy is not positive at any stage or at the end of
-    the step raises ValueError.  The dimension selects how:
+    the step raises ValueError, and so does an infinite bath whose ``H_e``
+    ends the step non-finite.  The dimension selects how:
     :func:`_array_advance` above n = 2; at n = 2, where numpy's call
     overhead is many times the arithmetic, :func:`_two_level_advance` on
     the four reals of rho and H_e as floats, packed into an array once.
@@ -341,9 +344,9 @@ def simulate(
 
     The run starts, as :func:`step` does, from rho0 made exactly Hermitian
     (:func:`~thermoqme.master_equation._exactly_hermitian`), once validated
-    to 1e-10.  The point at t = 0 observes rho0 as given (at n = 2, its
-    diagonal and entry (1, 0)), so its monitors show the input's own trace
-    and, above n = 2, hermiticity errors.
+    to ``START_STATE_TOL``.  The point at t = 0 observes rho0 as given (at
+    n = 2, its diagonal and entry (1, 0)), so its monitors show the input's
+    own trace and, above n = 2, hermiticity errors.
 
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
@@ -353,7 +356,7 @@ def simulate(
     before a monitor sees it; either note names the time at the end of the
     step that failed.
     """
-    given = _as_state(validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10), system)
+    given = _as_state(validate_density_matrix(rho0, herm_tol=START_STATE_TOL, trace_tol=START_STATE_TOL), system)
     # the stages start from rho0 made exactly Hermitian; the t = 0 point observes it as given
     rho = _exactly_hermitian(given)
     stage = _bind(bath0, system, nonlinear)

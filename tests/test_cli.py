@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -663,6 +664,25 @@ def test_forked_run_that_sends_nothing_is_an_error():
     # a child that dies before it sends a result is reported with its exit code
     with pytest.raises(RuntimeError, match=r"^the forked run sent no readable result \(exit code 3\)$"):
         cli._with_forked(lambda: os._exit(3), lambda: None)
+    _assert_no_child_left()
+
+
+def test_forked_run_whose_result_cannot_be_sent_is_an_error():
+    # a result that does not pickle comes back as an error that says so
+    with pytest.raises(RuntimeError, match=r"^cannot send the result of the forked run: "):
+        cli._with_forked(lambda: (lambda: 0), lambda: None)
+    _assert_no_child_left()
+
+
+def test_forked_run_is_killed_when_the_parent_run_raises():
+    # the parent's exception is raised at once, not after the child's run
+    def interrupted():
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli._with_forked(lambda: time.sleep(30), interrupted)
+    assert time.monotonic() - start < 1.0
     _assert_no_child_left()
 
 

@@ -63,6 +63,8 @@ def test_bath_validation():
         ({"T_e": nan, "gamma0": 1.0, "omega_ref": 1.0}, "T_e"),
         ({"T_e": 1.0, "gamma0": nan, "omega_ref": 1.0}, "gamma0"),
         ({"T_e": 1.0, "gamma0": 1.0, "omega_ref": nan}, "omega_ref"),
+        ({"T_e": 1.0, "gamma0": 1.0, "omega_ref": 1.0, "H_e": math.inf}, "H_e"),
+        ({"T_e": 1.0, "gamma0": 1.0, "omega_ref": 1.0, "H_e": nan}, "H_e"),
     ]:
         with pytest.raises(ValueError, match=field):
             HeatBath.infinite(**kwargs)

@@ -891,10 +891,11 @@ def test_non_finite_state_is_a_violation(nonlinear):
     for key in ("trace_err", "herm_err", "min_eig"):
         assert f"{key}=nan" in violation
     assert "total_energy" in violation and "t=0.5" in violation
-    # a finite state with a non-finite bath energy: only the total is bad
-    infinite = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0, H_e=np.inf)
-    flux = joint_rhs(I2 / 2, infinite.H_e, infinite, system, nonlinear)[1]
-    _, violation = _observe(0.5, I2 / 2, infinite.H_e, infinite, system, None, MonitorTolerances(), flux)
+    # a finite state with a non-finite carried bath energy, as simulate
+    # carries it: only the total is bad
+    infinite = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    flux = joint_rhs(I2 / 2, np.inf, infinite, system, nonlinear)[1]
+    _, violation = _observe(0.5, I2 / 2, np.inf, infinite, system, None, MonitorTolerances(), flux)
     assert violation == "non-finite monitor total_energy=inf at t=0.5"
 
 
