@@ -79,6 +79,41 @@ taskset -c 0 "${cli[@]}" compare --config "$out/n3.json" --out-dir "$out/cmp_n3_
 for name in nonlinear.csv linearized.csv delta.csv summary.json; do
   cmp "$out/cmp_n3/$name" "$out/cmp_n3_serial/$name"
 done
+# a seeded N = 16 system whose nonlinear CSV (101 rows of 277 fields) is
+# above the size rule, so a forked compare whose child is idle when the
+# nonlinear run ends hands it half of the rows to format: the same four
+# files as pinned to one CPU, and no process left behind
+python - "$out/n16.json" <<'EOF'
+import json, random, sys
+rng = random.Random(2616)
+def unit_hermitian(n=16):
+    a = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(n)]
+    h = [[(a[i][j] + a[j][i].conjugate()) / 2 for j in range(n)] for i in range(n)]
+    norm = sum(abs(v) ** 2 for row in h for v in row) ** 0.5
+    return [[[v.real / norm, v.imag / norm if i != j else 0.0] for j, v in enumerate(row)] for i, row in enumerate(h)]
+cfg = {
+    "system": {
+        "generic": {
+            "hamiltonian": unit_hermitian(),
+            "channels": [
+                {"Q": unit_hermitian(), "use_bath_bracket": True},
+                {"Q": unit_hermitian(), "use_bath_bracket": True},
+                {"Q": unit_hermitian(), "friction_rate": 0.5, "diffusion_rate": 0.5},
+            ],
+        }
+    },
+    "environment": {"infinite": {"T_e": 1.0, "gamma0": 1.0, "omega_ref": 1.0}},
+    "integrator": {"dt": 0.01, "t_end": 1.0, "monitor_every": 1},
+}
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(cfg, fh)
+EOF
+"${cli[@]}" compare --config "$out/n16.json" --out-dir "$out/cmp_n16"
+no_leftover "$out/cmp_n16"
+taskset -c 0 "${cli[@]}" compare --config "$out/n16.json" --out-dir "$out/cmp_n16_serial"
+for name in nonlinear.csv linearized.csv delta.csv summary.json; do
+  cmp "$out/cmp_n16/$name" "$out/cmp_n16_serial/$name"
+done
 "${cli[@]}" run --config configs/two_level_x1.json --out "$out/x1.csv"
 # the finite-bath run: exit 0, a header and 501 rows
 "${cli[@]}" run --config configs/finite_bath_closure.json --out "$out/closure.csv"

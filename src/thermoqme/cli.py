@@ -8,7 +8,12 @@ violation), 1 for configuration errors, an output location that cannot be
 created or written included.  Where the process may use more than one CPU,
 `compare` runs its linearized variant at the same time as the nonlinear one,
 in a child started by multiprocessing's fork context, whose trajectory comes
-back through a multiprocessing ``Pipe``; the files are the same either way.
+back through a multiprocessing ``Pipe``.  When the nonlinear run ends, the
+parent checks without waiting whether the child has finished its own
+variant; if it has, and the nonlinear CSV holds at least ``HANDOFF_FIELDS``
+fields (rows x columns), the child formats the second half of its rows
+while the parent writes the header and the first half, then appends the
+child's text.  The files are the same either way.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from time import perf_counter
 
@@ -35,6 +42,14 @@ log = logging.getLogger("thermoqme")
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_MONITOR_VIOLATION = 2
+# The fewest fields (rows x columns) of a nonlinear CSV that a forked compare
+# hands half of to its idle child.  Measured on a 2-core Xeon against the
+# plain fork (medians of 30 interleaved pairs per size, in-process): on the
+# seeded N = 16 system it saved 2.9 ms of 45 at 5,540 fields, 5.3 ms of 66
+# at 9,972 and 14.6 ms of 154 at 27,977, but cost 0.2-0.5 ms at 1,385-2,770
+# fields, where the child is rarely idle yet; the checked-in two-level
+# compares (1,608 and 4,008 fields) read 1.0 ms of 45 and 1.8 ms of 123 slower.
+HANDOFF_FIELDS = 10_000
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -49,12 +64,9 @@ def _bloch(rho) -> tuple[float, float, float]:
     return 2.0 * re, 2.0 * im, a00 - a11
 
 
-def _trajectory_rows(traj: Trajectory, setup: RunSetup):
-    """Header and an iterator of float rows for one trajectory: every
-    ``stride``-th recorded point and always the last, where a truncated run
-    ended.  Each row is made only when it is read."""
+def _header(setup: RunSetup) -> list[str]:
+    """The CSV header of a trajectory of ``setup``."""
     dim = setup.system.dim
-    finite = setup.bath.kind == "finite"
     header = ["t"]
     if setup.two_level:
         header += ["m1", "m2", "m3"]
@@ -62,10 +74,24 @@ def _trajectory_rows(traj: Trajectory, setup: RunSetup):
         for i in range(dim):
             for j in range(i, dim):
                 header += [f"rho{i}{j}_re", f"rho{i}{j}_im"]
-    if finite:
+    if setup.bath.kind == "finite":
         header += ["H_e", "T_e"]
-    header += ["total_energy", "total_entropy", "min_eig", "trace_err"]
+    return header + ["total_energy", "total_entropy", "min_eig", "trace_err"]
 
+
+def _planned_rows(setup: RunSetup) -> int:
+    """The number of CSV rows of a run of ``setup`` that is not truncated."""
+    config = setup.integrator
+    points = len(range(0, config.n_steps, config.monitor_every)) + 1
+    return len(range(0, points - 1, setup.stride)) + 1
+
+
+def _trajectory_rows(traj: Trajectory, setup: RunSetup):
+    """Header, the function that makes one point's row of floats, and the
+    points to write for one trajectory: every ``stride``-th recorded point
+    and always the last, where a truncated run ended."""
+    dim = setup.system.dim
+    finite = setup.bath.kind == "finite"
     upper = np.triu_indices(dim)
 
     def row(point):
@@ -75,7 +101,7 @@ def _trajectory_rows(traj: Trajectory, setup: RunSetup):
         m = point.monitors
         return (point.t, *state, *bath, m["total_energy"], m["total_entropy"], m["min_eig"], m["trace_err"])
 
-    return header, map(row, traj.points[: -1 : setup.stride] + traj.points[-1:])
+    return _header(setup), row, traj.points[: -1 : setup.stride] + traj.points[-1:]
 
 
 def _output_dir(path) -> Path:
@@ -98,23 +124,47 @@ def _output(path):
         raise ConfigError("output", f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path, header, rows) -> int:
+def _row_format(n_fields: int) -> str:
+    """The format of one CSV line of ``n_fields`` floats."""
+    return ",".join(["%.16e"] * n_fields) + "\n"
+
+
+def _packed(rows, n_rows: int, n_fields: int) -> np.ndarray:
+    """``n_rows`` rows of ``n_fields`` floats as one float64 array, filled as
+    the rows arrive."""
+    return np.fromiter(chain.from_iterable(rows), float, n_rows * n_fields).reshape(n_rows, n_fields)
+
+
+def _csv_text(rows: np.ndarray) -> str:
+    """The CSV lines of the rows of a 2-D float array, as :func:`_write_csv`
+    writes them."""
+    row_fmt = _row_format(rows.shape[1])
+    return "".join([row_fmt % tuple(row) for row in rows.tolist()])
+
+
+def _write_csv(path, header, rows, tail=None) -> None:
     """Write ``header``, then each row, a tuple of floats, as one line of
-    "%.16e" fields as it arrives; returns the number of rows."""
-    row_fmt = ",".join(["%.16e"] * len(header)) + "\n"
-    n_rows = 0
+    "%.16e" fields as it arrives, then the text ``tail()`` returns, where
+    ``tail`` is given."""
+    row_fmt = _row_format(len(header))
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(row_fmt % row)
-            n_rows += 1
-    return n_rows
+        if tail is not None:
+            fh.write(tail())
 
 
-def _run_one(setup: RunSetup, nonlinear: bool, path) -> tuple[Trajectory, int]:
+def _run_one(setup: RunSetup, nonlinear: bool, path, handoff=None) -> tuple[Trajectory, int]:
     """Integrate one variant, logging its wall time, steps and any monitor
     violation, and write its trajectory CSV to ``path``; returns
-    (trajectory, rows written)."""
+    (trajectory, rows written).
+
+    ``handoff`` is the ``ask`` of :func:`_with_forked`, whose child formats
+    rows with :func:`_csv_text`.  Where the CSV holds at least
+    ``HANDOFF_FIELDS`` fields and the child is idle, the second half of the
+    rows goes to it as one float64 array, and its text is written after the
+    first half, which is formatted here meanwhile."""
     variant = "nonlinear" if nonlinear else "linearized"
     log.info("%s run: %d steps of dt=%g", variant, setup.integrator.n_steps, setup.integrator.dt)
     start = perf_counter()
@@ -127,7 +177,13 @@ def _run_one(setup: RunSetup, nonlinear: bool, path) -> tuple[Trajectory, int]:
     )
     if traj.violation is not None:
         log.info("%s run: monitor violation: %s", variant, traj.violation)
-    return traj, _write_csv(path, *_trajectory_rows(traj, setup))
+    header, row, points = _trajectory_rows(traj, setup)
+    cut, tail = len(points) // 2, None
+    if handoff is not None:  # the child is released at once unless the CSV is large
+        large = len(header) * len(points) >= HANDOFF_FIELDS
+        tail = handoff((lambda: _packed(map(row, points[cut:]), len(points) - cut, len(header))) if large else None)
+    _write_csv(path, header, map(row, points[:cut] if tail else points), tail)
+    return traj, len(points)
 
 
 def cmd_run(args) -> int:
@@ -154,8 +210,8 @@ def cmd_mu_table(args) -> int:
         raise ConfigError("mu-table", "steps must be >= 2")
     _output_dir(Path(args.out).parent)
     grid = np.linspace(args.min, args.max, args.steps)
-    n_rows = _write_csv(args.out, ["m", "mu"], ((m, mu(m)) for m in grid.tolist()))
-    print(f"wrote {args.out} ({n_rows} rows)")
+    _write_csv(args.out, ["m", "mu"], ((m, mu(m)) for m in grid.tolist()))
+    print(f"wrote {args.out} ({args.steps} rows)")
     return EXIT_OK
 
 
@@ -165,48 +221,117 @@ def _two_cpus() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-def _with_forked(child_fn, parent_fn):
+def _with_forked(child_fn, parent_fn, serve=None):
     """(parent_fn(), child_fn()), with ``child_fn`` run at the same time in
     a child started by multiprocessing's fork context.
 
     The child sends its return value, or the exception it raised, through a
-    one-way multiprocessing ``Pipe`` and then exits, so it never returns
-    into the caller's stack.  The child's exception is raised here as the
-    parent's own, after ``parent_fn`` has returned.  If ``parent_fn``
-    raises, the child is killed; either way it has been reaped when this
-    returns or raises."""
+    multiprocessing ``Pipe`` and then exits, so it never returns into the
+    caller's stack.  The child's exception is raised here as the parent's
+    own, after ``parent_fn`` has returned.  If ``parent_fn`` raises, the
+    child is killed; either way it has been reaped when this returns or
+    raises.
+
+    With ``serve``, the child offers one exchange after ``child_fn`` has
+    returned: it says that it is idle, waits for one request and sends
+    serve(request) back, and only then sends its return value, so that two
+    large messages never block both sides on a full pipe.  ``parent_fn`` is
+    then called as parent_fn(ask).  ask(make_request) never waits: where
+    ``make_request`` is None or the child is still busy (or has failed), it
+    returns None and the child is released unasked; otherwise it sends
+    make_request() and returns a function, which ``parent_fn`` must call,
+    that waits for serve(request) and returns it, or raises the exception
+    serve raised.  Only the first ask counts; a child never asked is
+    released when ``parent_fn`` returns."""
     # imported here: after numpy it costs 6-9 ms, and `run` never forks
     import multiprocessing
+    from multiprocessing.reduction import ForkingPickler
 
     context = multiprocessing.get_context("fork")
-    reader, writer = context.Pipe(duplex=False)
+    conn, child_conn = context.Pipe(duplex=serve is not None)
 
-    def send():
+    def pickled(message):
         try:
-            result = (True, child_fn())
-        except BaseException as exc:
-            result = (False, exc)
-        try:
-            writer.send(result)
+            return ForkingPickler.dumps(message)
         except Exception as exc:
-            writer.send((False, RuntimeError(f"cannot send the result of the forked run: {exc!r}")))
+            return ForkingPickler.dumps((False, RuntimeError(f"cannot send the result of the forked run: {exc!r}")))
 
-    child = context.Process(target=send)
+    def run():
+        conn.close()  # so that a parent gone before its message ends the wait with EOFError
+        try:
+            outcome = (True, child_fn())
+            if serve is not None:
+                child_conn.send(None)  # idle
+        except BaseException as exc:
+            outcome = (False, exc)
+        # pickled now, while the parent still runs, rather than after the exchange
+        payload = pickled(outcome)
+        try:
+            request = child_conn.recv() if serve is not None and outcome[0] else None
+            if request is not None:
+                try:
+                    reply = (True, serve(request))
+                except BaseException as exc:
+                    reply = (False, exc)
+                child_conn.send_bytes(pickled(reply))
+            child_conn.send_bytes(payload)
+        except (EOFError, OSError):  # the parent has gone
+            pass
+
+    def recv():
+        try:
+            return conn.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"the forked run sent no readable result (exit code {child.exitcode})") from None
+
+    def received():
+        ok, value = recv()
+        if not ok:
+            raise value
+        return value
+
+    answered = False  # whether the child has had its one message, a request or None
+    early = None  # the child's outcome, where that came in place of its idle message
+
+    def release():
+        nonlocal answered
+        answered = True
+        try:
+            conn.send(None)
+        except OSError:  # the child has gone; reading its outcome says how
+            pass
+
+    def ask(make_request):
+        nonlocal answered, early
+        if answered:
+            return None
+        message = recv() if make_request is not None and conn.poll() else False
+        if message is not None:  # still busy (False), or failed: its outcome
+            early = message or None
+            release()
+            return None
+        answered = True
+        conn.send(make_request())
+        return received
+
+    child = context.Process(target=run)
     child.start()
-    writer.close()
+    child_conn.close()
     try:
         try:
-            mine = parent_fn()
-            try:
-                ok, theirs = reader.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"the forked run sent no readable result (exit code {child.exitcode})") from None
+            mine = parent_fn() if serve is None else parent_fn(ask)
+            if serve is not None and not answered:
+                release()
+            message = early or recv()
+            while message is None:  # the idle message of a child released unasked
+                message = recv()
+            ok, theirs = message
         except BaseException:
             child.kill()
             raise
     finally:
-        reader.close()
+        conn.close()
         child.join()
     if not ok:
         raise theirs
@@ -218,11 +343,14 @@ def cmd_compare(args) -> int:
     out_dir = _output_dir(args.out_dir)
     log.info("compare: config %s, output directory %s", args.config, out_dir)
 
-    def variant(name):
-        return _run_one(setup, name == "nonlinear", out_dir / f"{name}.csv")[0]
+    def variant(name, handoff=None):
+        return _run_one(setup, name == "nonlinear", out_dir / f"{name}.csv", handoff)[0]
 
     if _two_cpus():  # the linearized run goes to a forked child, on another CPU
-        nl, lin = _with_forked(lambda: variant("linearized"), lambda: variant("nonlinear"))
+        # which formats half of the nonlinear CSV where that can be large enough
+        large = len(_header(setup)) * _planned_rows(setup) >= HANDOFF_FIELDS
+        serve = _csv_text if large else None
+        nl, lin = _with_forked(lambda: variant("linearized"), partial(variant, "nonlinear"), serve)
     else:
         nl, lin = variant("nonlinear"), variant("linearized")
     results = {"nonlinear": nl, "linearized": lin}

@@ -239,7 +239,7 @@ def _two_level_advance(r00, r11, x, y, h, stage, dt, method, first, steps):
     return r00, r11, x, y, h
 
 
-def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
+def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None, hermitian=False):
     """Build a trajectory point and return (point, violation detail or None)
     for the state ``rho`` and bath energy ``h``; ``bath`` is the run's bath,
     read at ``h`` for the temperature and entropy, and ``flux`` is dH_e/dt
@@ -251,7 +251,11 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
     ``w``, which the stage at (rho, h) took from its eigh of this very rho,
     or, where ``w`` is None, one eigvalsh of rho.  tr(H rho) is the n^2
     inner product sum_ij conj(H_ij) rho_ij, which is tr(H rho) for the
-    exactly Hermitian H that :class:`QuantumSystem` stores.  At n = 2, in
+    exactly Hermitian H that :class:`QuantumSystem` stores.  herm_err is
+    max|rho - rho^dagger|, or, where ``hermitian`` says that rho is exactly
+    Hermitian by construction (every point :func:`simulate` records after
+    t = 0), 0.0, or NaN if an entry is not finite, the value that maximum
+    takes on such a rho.  At n = 2, in
     Python floats from the four reals of rho, which is read as exactly Hermitian
     (as :func:`simulate` builds it): herm_err is 0.0, or NaN if an entry is
     not finite; min_eig is the unclipped smaller eigenvalue det(rho)/l1 of
@@ -268,7 +272,10 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
         energy = h00 * r00 + h11 * r11 + 2.0 * (hr * x + hi * y)
     else:
         trace_err = abs(complex(np.trace(rho)) - 1.0)
-        herm_err = float(np.max(np.abs(rho - rho.conj().T)))
+        if hermitian:
+            herm_err = 0.0 if np.isfinite(rho).all() else math.nan
+        else:
+            herm_err = float(np.max(np.abs(rho - rho.conj().T)))
         spectrum = (np.linalg.eigvalsh(rho) if w is None else w).tolist()
         min_eig = spectrum[0]
         energy = float(np.vdot(system.H, rho).real)
@@ -384,7 +391,7 @@ def simulate(
                 rho = _two_level_matrix(*state[:4])
             else:
                 rho, w = state[0], rates[1]
-            point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1], w)
+            point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1], w, steps > 0)
         except (_BathDrained, np.linalg.LinAlgError) as exc:
             # the step that failed: the advance counts the steps before it;
             # past the advance, it is the interval's last

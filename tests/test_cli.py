@@ -62,8 +62,8 @@ def test_two_level_rows_are_the_pauli_vector(tmp_path):
     cfg = _two_level_config(initial_state={"bloch": [0.3, -0.4, 0.5]})
     setup = build_run(load_config(_write(tmp_path, cfg)))
     traj = simulate(setup.rho0, setup.bath, setup.system, setup.integrator)
-    _, rows = cli._trajectory_rows(traj, setup)
-    for point, row in zip(traj.points, rows):
+    _, row_of, points = cli._trajectory_rows(traj, setup)
+    for point, row in zip(traj.points, map(row_of, points)):
         assert [float(v).hex() for v in row[1:4]] == [float(v).hex() for v in pauli_decompose(point.rho).a]
 
 
@@ -620,10 +620,16 @@ def _compare_configs(tmp_path):
         "low_temperature": (CONFIG_DIR / "compare_low_temperature.json", 2),
         "blow_up": (_write(tmp_path, blow_up, "blow_up.json"), 2),
         "generic_3": (_write(tmp_path, _seeded_generic_config(2203), "generic_3.json"), 0),
+        "generic_16": (_generic_16(tmp_path), 0),
     }
 
 
-@pytest.mark.parametrize("case", ["high_temperature", "low_temperature", "blow_up", "generic_3"])
+def _generic_16(tmp_path):
+    # 51 rows of 279 fields: above the size rule of the nonlinear CSV's handoff
+    return _write(tmp_path, _seeded_generic_config(2616, dim=16), "generic_16.json")
+
+
+@pytest.mark.parametrize("case", ["high_temperature", "low_temperature", "blow_up", "generic_3", "generic_16"])
 def test_compare_forked_and_serial_write_the_same_files(tmp_path, monkeypatch, case):
     # the variants at once (the linearized one in a forked child) or one
     # after the other: the same four files, byte for byte, and the same exit code
@@ -683,6 +689,127 @@ def test_forked_run_is_killed_when_the_parent_run_raises():
     with pytest.raises(KeyboardInterrupt):
         cli._with_forked(lambda: time.sleep(30), interrupted)
     assert time.monotonic() - start < 1.0
+    _assert_no_child_left()
+
+
+def _wait_for_lines(path, lines):
+    """Wait until the file ``path`` holds ``lines`` complete lines, then a
+    little longer, for its writer to move on."""
+    deadline = time.monotonic() + 60.0
+    while not (path.exists() and path.read_bytes().count(b"\n") == lines):
+        assert time.monotonic() < deadline, f"{path} was not written"
+        time.sleep(0.002)
+    time.sleep(0.05)
+
+
+def _handoff_patches(monkeypatch, out_dir, waiting=None, failing=None):
+    """Patch compare so that the variant ``waiting`` ends its run only once
+    the other variant's CSV is complete (51 rows and the header) or the
+    other variant has failed, and the one ``failing`` raises; returns the
+    list to which the parent appends, for each nonlinear CSV, whether it
+    handed half of the rows to the child."""
+    real_simulate, real_write = cli.simulate, cli._write_csv
+    handed = []
+
+    def simulate(*args, nonlinear):
+        name, other = ("nonlinear", "linearized") if nonlinear else ("linearized", "nonlinear")
+        if name == failing:
+            (out_dir / "failed").write_text("\n")
+            raise ArithmeticError(f"{name} run failed")
+        traj = real_simulate(*args, nonlinear=nonlinear)
+        if name == waiting:
+            _wait_for_lines(*((out_dir / "failed", 1) if other == failing else (out_dir / f"{other}.csv", 52)))
+        return traj
+
+    def write_csv(path, header, rows, tail=None):
+        if path.name == "nonlinear.csv":
+            handed.append(tail is not None)
+            if tail is not None and failing == "parent":
+                raise ArithmeticError("parent failed while the child formats")
+        real_write(path, header, rows, tail)
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    monkeypatch.setattr(cli, "_write_csv", write_csv)
+    return handed
+
+
+def test_compare_writes_the_same_files_with_and_without_the_handoff(tmp_path, monkeypatch):
+    # at N = 16, above the size rule: the parent hands half of the nonlinear
+    # rows to an idle child; a child still busy when the parent's run ends
+    # leaves it all to the parent; pinned, the variants run one after the
+    # other: the same four files, byte for byte, in all three
+    cfg = str(_generic_16(tmp_path))
+    digests, handed = {}, {}
+    for case, forked, waiting in [("handoff", True, "nonlinear"), ("busy", True, "linearized"), ("serial", False, None)]:
+        out_dir = tmp_path / case
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_two_cpus", lambda: forked)
+            handed[case] = _handoff_patches(patch, out_dir, waiting)
+            assert main(["compare", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+        _assert_no_child_left()
+        digests[case] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert handed == {"handoff": [True], "busy": [False], "serial": [False]}
+    assert sorted(digests["handoff"]) == ["delta.csv", "linearized.csv", "nonlinear.csv", "summary.json"]
+    assert digests["handoff"] == digests["busy"] == digests["serial"]
+
+
+@pytest.mark.parametrize("failing", ["serve", "parent", "linearized"])
+def test_compare_passes_on_an_exception_around_the_handoff(tmp_path, monkeypatch, failing):
+    # the child's formatting of the handed rows, the parent while the child
+    # formats, or the child's own run, which fails before the parent's ends:
+    # the exception reaches the caller as it was raised, and no child is left
+    def no_text(rows):
+        raise ArithmeticError("the child's formatting failed")
+
+    if failing == "serve":
+        monkeypatch.setattr(cli, "_csv_text", no_text)
+    monkeypatch.setattr(cli, "_two_cpus", lambda: True)
+    out_dir = tmp_path / "cmp"
+    handed = _handoff_patches(monkeypatch, out_dir, "nonlinear", failing)
+    with pytest.raises(ArithmeticError) as info:
+        main(["compare", "--config", str(_generic_16(tmp_path)), "--out-dir", str(out_dir)])
+    message = {
+        "serve": "the child's formatting failed",
+        "parent": "parent failed while the child formats",
+        "linearized": "linearized run failed",
+    }[failing]
+    assert type(info.value) is ArithmeticError and str(info.value) == message
+    assert handed == [failing != "linearized"]
+    _assert_no_child_left()
+
+
+def test_forked_exchange(tmp_path):
+    # an idle child serves the first ask only, and sends its result after
+    # it; a busy child, or one never asked, is released unasked
+    marker = tmp_path / "idle"
+
+    def child():
+        marker.write_text("\n")
+        return "child"
+
+    def parent(ask):
+        _wait_for_lines(marker, 1)
+        reply = ask(lambda: 20)
+        assert ask(lambda: 1) is None
+        return reply()
+
+    assert cli._with_forked(child, parent, serve=lambda n: n + 1) == (21, "child")
+    busy = cli._with_forked(lambda: time.sleep(0.2) or "late", lambda ask: ask(lambda: 1), serve=abs)
+    assert busy == (None, "late")
+    assert cli._with_forked(lambda: "child", lambda ask: "parent", serve=abs) == ("parent", "child")
+    _assert_no_child_left()
+
+
+def test_forked_exchange_whose_child_dies_is_an_error(tmp_path):
+    # a child that dies while it serves the request is reported with its exit code
+    marker = tmp_path / "idle"
+
+    def parent(ask):
+        _wait_for_lines(marker, 1)
+        return ask(lambda: 5)()
+
+    with pytest.raises(RuntimeError, match=r"^the forked run sent no readable result \(exit code 5\)$"):
+        cli._with_forked(lambda: marker.write_text("\n"), parent, serve=os._exit)
     _assert_no_child_left()
 
 

@@ -345,6 +345,57 @@ def test_nearly_hermitian_start_state_runs_from_its_hermitian_part(rng, dim):
         assert herm_err == (0.0 if dim == 2 else pytest.approx(5e-11, rel=1e-3))
 
 
+@pytest.mark.parametrize("dim", [3, 16])
+def test_herm_err_after_the_start_is_exactly_zero(rng, dim):
+    # above n = 2 the state is exactly Hermitian after t = 0 by construction,
+    # so every later point reads herm_err 0.0, in both variants, with a
+    # bath-coupled and a fixed-rate channel and a finite bath; the t = 0
+    # point still measures the input, Hermitian only to 1e-11
+    h, q1, q2 = (random_hermitian(rng, dim, scale=1.0 / dim) for _ in range(3))
+    system = QuantumSystem(h, (CouplingChannel(q1, bath_coupled=True), CouplingChannel(q2, 0.2, 0.3)))
+    bath = HeatBath.finite(C_e=3.0, H_e=2.0, gamma0=1.0, omega_ref=1.0)
+    rho0 = random_density(rng, dim, min_eig=0.5 / dim)
+    rho0[1, 0] += 1e-11
+    cfg = IntegratorConfig(dt=0.01, t_end=0.1, monitor_every=2)
+    for nonlinear in (True, False):
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == COMPLETED and len(traj.points) == 6
+        assert traj.points[0].monitors["herm_err"] == pytest.approx(1e-11, rel=1e-3)
+        assert [point.monitors["herm_err"] for point in traj.points[1:]] == [0.0] * 5
+
+
+def test_herm_err_of_a_state_hermitian_by_construction():
+    # an exactly Hermitian rho with a non-finite entry: herm_err is NaN, as
+    # max|rho - rho^dagger| reads it, so the violation text is the same
+    # whether _observe measures it or takes rho as Hermitian by construction
+    system = QuantumSystem(np.diag([1.0, 0.0, -1.0]), (CouplingChannel(np.ones((3, 3)), 0.2, 0.3),))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    nan, inf = math.nan, math.inf
+    for entry, off_diagonal in [(nan, False), (inf, True), (complex(1.0, inf), True), (complex(nan, inf), True)]:
+        rho = np.eye(3, dtype=complex) / 3
+        if off_diagonal:
+            rho[0, 2], rho[2, 0] = entry, np.conj(entry)
+        else:
+            rho[1, 1] = entry
+        w = np.full(3, nan)  # a spectrum, as a stage's eigh would have made it
+        with np.errstate(invalid="ignore"):
+            texts = [
+                _observe(0.5, rho, 0.0, bath, system, None, MonitorTolerances(), 0.0, w, hermitian)[1]
+                for hermitian in (False, True)
+            ]
+        assert texts[0] == texts[1]
+        assert "herm_err=nan, min_eig=nan" in texts[1]
+    assert texts[1] == "non-finite monitor herm_err=nan, min_eig=nan, total_energy=nan at t=0.5"
+    # a finite rho taken as Hermitian by construction is not measured
+    rho = np.eye(3, dtype=complex) / 3
+    rho[1, 0] += 1e-11
+    monitors = [
+        _observe(0.5, rho, 0.0, bath, system, None, MonitorTolerances(), 0.0, None, hermitian)[0].monitors
+        for hermitian in (False, True)
+    ]
+    assert monitors[0]["herm_err"] == pytest.approx(1e-11, rel=1e-3) and monitors[1]["herm_err"] == 0.0
+
+
 def test_total_energy_monitor_fires():
     # the closure run conserves total energy to rounding, so only a tolerance
     # below rounding flags its drift, at the first sampled point where it is not 0
