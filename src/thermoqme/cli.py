@@ -9,11 +9,12 @@ created or written included.  Where the process may use more than one CPU,
 `compare` runs its linearized variant at the same time as the nonlinear one,
 in a child started by multiprocessing's fork context, whose trajectory comes
 back through a multiprocessing ``Pipe``.  When the nonlinear run ends, the
-parent checks without waiting whether the child has finished its own
-variant; if it has, and the nonlinear CSV holds at least ``HANDOFF_FIELDS``
-fields (rows x columns), the child formats the second half of its rows
-while the parent writes the header and the first half, then appends the
-child's text.  The files are the same either way.
+parent checks without waiting whether the child has sent that trajectory;
+if it has, and the nonlinear CSV holds at least ``HANDOFF_FIELDS`` fields
+(rows x columns), the parent reads it and hands the second half of its own
+rows to the child, which formats them while the parent writes the header
+and the first half; the parent then appends the child's text.  Otherwise
+the child is released at once.  The files are the same either way.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_MONITOR_VIOLATION = 2
 # The fewest fields (rows x columns) of a nonlinear CSV that a forked compare
-# hands half of to its idle child.  Measured on a 2-core Xeon against the
-# plain fork (medians of 30 interleaved pairs per size, in-process): on the
-# seeded N = 16 system it saved 2.9 ms of 45 at 5,540 fields, 5.3 ms of 66
-# at 9,972 and 14.6 ms of 154 at 27,977, but cost 0.2-0.5 ms at 1,385-2,770
-# fields, where the child is rarely idle yet; the checked-in two-level
-# compares (1,608 and 4,008 fields) read 1.0 ms of 45 and 1.8 ms of 123 slower.
+# hands half of to its idle child.  The value is set to separate the
+# checked-in configs: the benchmark's N = 16 compare (27,977 fields) above,
+# the two-level compares of configs/ (1,608 and 4,008 fields) below, where
+# the handoff saved nothing on a 2-core Xeon (medians of 30 interleaved pairs,
+# in-process: 1.3 ms slower and 0.2 ms faster).  The field count is a proxy:
+# on the seeded N = 16 system the handoff also saved 2.2 ms of 47 at 5,540
+# fields and 5.8 ms of 71 at 9,972, and whether the child is idle yet, which
+# decides the rest, is checked when the run ends.
 HANDOFF_FIELDS = 10_000
 
 
@@ -64,9 +67,12 @@ def _bloch(rho) -> tuple[float, float, float]:
     return 2.0 * re, 2.0 * im, a00 - a11
 
 
-def _header(setup: RunSetup) -> list[str]:
-    """The CSV header of a trajectory of ``setup``."""
+def _trajectory_rows(traj: Trajectory, setup: RunSetup):
+    """Header, the function that makes one point's row of floats, and the
+    points to write for one trajectory: every ``stride``-th recorded point
+    and always the last, where a truncated run ended."""
     dim = setup.system.dim
+    finite = setup.bath.kind == "finite"
     header = ["t"]
     if setup.two_level:
         header += ["m1", "m2", "m3"]
@@ -74,24 +80,10 @@ def _header(setup: RunSetup) -> list[str]:
         for i in range(dim):
             for j in range(i, dim):
                 header += [f"rho{i}{j}_re", f"rho{i}{j}_im"]
-    if setup.bath.kind == "finite":
+    if finite:
         header += ["H_e", "T_e"]
-    return header + ["total_energy", "total_entropy", "min_eig", "trace_err"]
+    header += ["total_energy", "total_entropy", "min_eig", "trace_err"]
 
-
-def _planned_rows(setup: RunSetup) -> int:
-    """The number of CSV rows of a run of ``setup`` that is not truncated."""
-    config = setup.integrator
-    points = len(range(0, config.n_steps, config.monitor_every)) + 1
-    return len(range(0, points - 1, setup.stride)) + 1
-
-
-def _trajectory_rows(traj: Trajectory, setup: RunSetup):
-    """Header, the function that makes one point's row of floats, and the
-    points to write for one trajectory: every ``stride``-th recorded point
-    and always the last, where a truncated run ended."""
-    dim = setup.system.dim
-    finite = setup.bath.kind == "finite"
     upper = np.triu_indices(dim)
 
     def row(point):
@@ -101,7 +93,7 @@ def _trajectory_rows(traj: Trajectory, setup: RunSetup):
         m = point.monitors
         return (point.t, *state, *bath, m["total_energy"], m["total_entropy"], m["min_eig"], m["trace_err"])
 
-    return _header(setup), row, traj.points[: -1 : setup.stride] + traj.points[-1:]
+    return header, row, traj.points[: -1 : setup.stride] + traj.points[-1:]
 
 
 def _output_dir(path) -> Path:
@@ -221,67 +213,62 @@ def _two_cpus() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-def _with_forked(child_fn, parent_fn, serve=None):
-    """(parent_fn(), child_fn()), with ``child_fn`` run at the same time in
-    a child started by multiprocessing's fork context.
+def _with_forked(child_fn, parent_fn, serve):
+    """(parent_fn(ask), child_fn()), with ``child_fn`` run at the same time
+    in a child started by multiprocessing's fork context, which then serves
+    at most one request of the parent.
 
     The child sends its return value, or the exception it raised, through a
-    multiprocessing ``Pipe`` and then exits, so it never returns into the
-    caller's stack.  The child's exception is raised here as the parent's
-    own, after ``parent_fn`` has returned.  If ``parent_fn`` raises, the
-    child is killed; either way it has been reaped when this returns or
-    raises.
+    multiprocessing ``Pipe``, then waits for one message from the parent, a
+    request or None, sends serve(request) back for a request, and exits, so
+    it never returns into the caller's stack.  ask(make_request) never
+    waits: where ``make_request`` is None, or the child has not yet sent
+    its result, or has failed, it releases the child with None and returns
+    None; otherwise it reads the child's result, sends make_request() and
+    returns a function, which ``parent_fn`` must call, that waits for
+    serve(request) and returns it, or raises the exception serve raised.
+    As the result is read before a request is sent, two large messages never
+    block both sides on a full pipe.  Only the first ask counts; a child
+    never asked is released when ``parent_fn`` returns.
 
-    With ``serve``, the child offers one exchange after ``child_fn`` has
-    returned: it says that it is idle, waits for one request and sends
-    serve(request) back, and only then sends its return value, so that two
-    large messages never block both sides on a full pipe.  ``parent_fn`` is
-    then called as parent_fn(ask).  ask(make_request) never waits: where
-    ``make_request`` is None or the child is still busy (or has failed), it
-    returns None and the child is released unasked; otherwise it sends
-    make_request() and returns a function, which ``parent_fn`` must call,
-    that waits for serve(request) and returns it, or raises the exception
-    serve raised.  Only the first ask counts; a child never asked is
-    released when ``parent_fn`` returns."""
+    The child's exception is raised here as the parent's own, after
+    ``parent_fn`` has returned.  If ``parent_fn`` raises, the child is
+    killed; either way it has been reaped when this returns or raises."""
     # imported here: after numpy it costs 6-9 ms, and `run` never forks
     import multiprocessing
     from multiprocessing.reduction import ForkingPickler
 
     context = multiprocessing.get_context("fork")
-    conn, child_conn = context.Pipe(duplex=serve is not None)
+    conn, child_conn = context.Pipe()
 
-    def pickled(message):
+    def send(outcome):
         try:
-            return ForkingPickler.dumps(message)
+            message = ForkingPickler.dumps(outcome)
         except Exception as exc:
-            return ForkingPickler.dumps((False, RuntimeError(f"cannot send the result of the forked run: {exc!r}")))
+            message = ForkingPickler.dumps((False, RuntimeError(f"cannot send the result of the forked run: {exc!r}")))
+        child_conn.send_bytes(message)
 
     def run():
         conn.close()  # so that a parent gone before its message ends the wait with EOFError
         try:
             outcome = (True, child_fn())
-            if serve is not None:
-                child_conn.send(None)  # idle
         except BaseException as exc:
             outcome = (False, exc)
-        # pickled now, while the parent still runs, rather than after the exchange
-        payload = pickled(outcome)
         try:
-            request = child_conn.recv() if serve is not None and outcome[0] else None
+            send(outcome)
+            request = child_conn.recv()
             if request is not None:
                 try:
-                    reply = (True, serve(request))
+                    send((True, serve(request)))
                 except BaseException as exc:
-                    reply = (False, exc)
-                child_conn.send_bytes(pickled(reply))
-            child_conn.send_bytes(payload)
+                    send((False, exc))
         except (EOFError, OSError):  # the parent has gone
             pass
 
     def recv():
         try:
             return conn.recv()
-        except EOFError:
+        except (EOFError, ConnectionResetError):  # reset where the parent wrote to a child gone
             child.join()
             raise RuntimeError(f"the forked run sent no readable result (exit code {child.exitcode})") from None
 
@@ -291,42 +278,31 @@ def _with_forked(child_fn, parent_fn, serve=None):
             raise value
         return value
 
-    answered = False  # whether the child has had its one message, a request or None
-    early = None  # the child's outcome, where that came in place of its idle message
-
-    def release():
-        nonlocal answered
-        answered = True
-        try:
-            conn.send(None)
-        except OSError:  # the child has gone; reading its outcome says how
-            pass
+    outcome = None  # the child's (ok, value), once read
+    asked = False
 
     def ask(make_request):
-        nonlocal answered, early
-        if answered:
+        nonlocal outcome, asked
+        if asked:
             return None
-        message = recv() if make_request is not None and conn.poll() else False
-        if message is not None:  # still busy (False), or failed: its outcome
-            early = message or None
-            release()
-            return None
-        answered = True
-        conn.send(make_request())
-        return received
+        asked = True
+        if make_request is not None and conn.poll():
+            outcome = recv()
+        request = make_request() if outcome is not None and outcome[0] else None
+        try:
+            conn.send(request)
+        except OSError:  # the child has gone; reading from it says how
+            pass
+        return None if request is None else received
 
     child = context.Process(target=run)
     child.start()
     child_conn.close()
     try:
         try:
-            mine = parent_fn() if serve is None else parent_fn(ask)
-            if serve is not None and not answered:
-                release()
-            message = early or recv()
-            while message is None:  # the idle message of a child released unasked
-                message = recv()
-            ok, theirs = message
+            mine = parent_fn(ask)
+            ask(None)  # releases a child never asked
+            ok, theirs = outcome or recv()
         except BaseException:
             child.kill()
             raise
@@ -346,11 +322,9 @@ def cmd_compare(args) -> int:
     def variant(name, handoff=None):
         return _run_one(setup, name == "nonlinear", out_dir / f"{name}.csv", handoff)[0]
 
-    if _two_cpus():  # the linearized run goes to a forked child, on another CPU
-        # which formats half of the nonlinear CSV where that can be large enough
-        large = len(_header(setup)) * _planned_rows(setup) >= HANDOFF_FIELDS
-        serve = _csv_text if large else None
-        nl, lin = _with_forked(lambda: variant("linearized"), partial(variant, "nonlinear"), serve)
+    if _two_cpus():  # the linearized run goes to a forked child, on another CPU,
+        # which then formats half of a large nonlinear CSV if it is idle by then
+        nl, lin = _with_forked(lambda: variant("linearized"), partial(variant, "nonlinear"), _csv_text)
     else:
         nl, lin = variant("nonlinear"), variant("linearized")
     results = {"nonlinear": nl, "linearized": lin}

@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing.connection
 import os
 import re
 import time
@@ -669,56 +670,63 @@ def test_compare_passes_on_an_exception_from_either_variant(tmp_path, monkeypatc
 def test_forked_run_that_sends_nothing_is_an_error():
     # a child that dies before it sends a result is reported with its exit code
     with pytest.raises(RuntimeError, match=r"^the forked run sent no readable result \(exit code 3\)$"):
-        cli._with_forked(lambda: os._exit(3), lambda: None)
+        cli._with_forked(lambda: os._exit(3), lambda ask: None, abs)
     _assert_no_child_left()
 
 
 def test_forked_run_whose_result_cannot_be_sent_is_an_error():
     # a result that does not pickle comes back as an error that says so
     with pytest.raises(RuntimeError, match=r"^cannot send the result of the forked run: "):
-        cli._with_forked(lambda: (lambda: 0), lambda: None)
+        cli._with_forked(lambda: (lambda: 0), lambda ask: None, abs)
     _assert_no_child_left()
 
 
 def test_forked_run_is_killed_when_the_parent_run_raises():
     # the parent's exception is raised at once, not after the child's run
-    def interrupted():
+    def interrupted(ask):
         raise KeyboardInterrupt
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        cli._with_forked(lambda: time.sleep(30), interrupted)
+        cli._with_forked(lambda: time.sleep(30), interrupted, abs)
     assert time.monotonic() - start < 1.0
     _assert_no_child_left()
 
 
 def _wait_for_lines(path, lines):
-    """Wait until the file ``path`` holds ``lines`` complete lines, then a
-    little longer, for its writer to move on."""
+    """Wait until the file ``path`` holds ``lines`` complete lines."""
     deadline = time.monotonic() + 60.0
     while not (path.exists() and path.read_bytes().count(b"\n") == lines):
         assert time.monotonic() < deadline, f"{path} was not written"
         time.sleep(0.002)
-    time.sleep(0.05)
+
+
+def _waiting_poll(monkeypatch):
+    """Make the parent's check whether the forked child has sent its result
+    wait for that result, up to 60 s, instead of looking once."""
+    real_poll = multiprocessing.connection.Connection.poll
+    monkeypatch.setattr(multiprocessing.connection.Connection, "poll", lambda self, timeout=0.0: real_poll(self, 60.0))
 
 
 def _handoff_patches(monkeypatch, out_dir, waiting=None, failing=None):
-    """Patch compare so that the variant ``waiting`` ends its run only once
-    the other variant's CSV is complete (51 rows and the header) or the
-    other variant has failed, and the one ``failing`` raises; returns the
-    list to which the parent appends, for each nonlinear CSV, whether it
-    handed half of the rows to the child."""
+    """Patch compare so that the variant ``waiting`` waits for the other:
+    the parent, when its nonlinear run ends, for the child's result, or the
+    child, before its linearized run ends, for a complete nonlinear.csv (51
+    rows and the header); and so that the variant ``failing`` raises.
+    Returns the list to which the parent appends, for each nonlinear CSV,
+    whether it handed half of the rows to the child."""
     real_simulate, real_write = cli.simulate, cli._write_csv
     handed = []
+    if waiting == "nonlinear":
+        _waiting_poll(monkeypatch)
 
     def simulate(*args, nonlinear):
-        name, other = ("nonlinear", "linearized") if nonlinear else ("linearized", "nonlinear")
+        name = "nonlinear" if nonlinear else "linearized"
         if name == failing:
-            (out_dir / "failed").write_text("\n")
             raise ArithmeticError(f"{name} run failed")
         traj = real_simulate(*args, nonlinear=nonlinear)
-        if name == waiting:
-            _wait_for_lines(*((out_dir / "failed", 1) if other == failing else (out_dir / f"{other}.csv", 52)))
+        if name == waiting == "linearized":
+            _wait_for_lines(out_dir / "nonlinear.csv", 52)
         return traj
 
     def write_csv(path, header, rows, tail=None):
@@ -778,38 +786,39 @@ def test_compare_passes_on_an_exception_around_the_handoff(tmp_path, monkeypatch
     _assert_no_child_left()
 
 
-def test_forked_exchange(tmp_path):
-    # an idle child serves the first ask only, and sends its result after
-    # it; a busy child, or one never asked, is released unasked
-    marker = tmp_path / "idle"
-
-    def child():
-        marker.write_text("\n")
-        return "child"
-
+def test_forked_exchange(tmp_path, monkeypatch):
+    # a child that has sent its result serves the first ask only; a busy
+    # child, or one never asked, is released unasked
     def parent(ask):
-        _wait_for_lines(marker, 1)
         reply = ask(lambda: 20)
         assert ask(lambda: 1) is None
         return reply()
 
-    assert cli._with_forked(child, parent, serve=lambda n: n + 1) == (21, "child")
-    busy = cli._with_forked(lambda: time.sleep(0.2) or "late", lambda ask: ask(lambda: 1), serve=abs)
-    assert busy == (None, "late")
-    assert cli._with_forked(lambda: "child", lambda ask: "parent", serve=abs) == ("parent", "child")
+    with monkeypatch.context() as patch:
+        _waiting_poll(patch)
+        assert cli._with_forked(lambda: "child", parent, lambda n: n + 1) == (21, "child")
+
+    marker = tmp_path / "asked"
+
+    def busy():  # still running when the parent asks
+        _wait_for_lines(marker, 1)
+        return "late"
+
+    def impatient(ask):
+        reply = ask(lambda: 1)
+        marker.write_text("\n")
+        return reply
+
+    assert cli._with_forked(busy, impatient, abs) == (None, "late")
+    assert cli._with_forked(lambda: "child", lambda ask: "parent", abs) == ("parent", "child")
     _assert_no_child_left()
 
 
-def test_forked_exchange_whose_child_dies_is_an_error(tmp_path):
+def test_forked_exchange_whose_child_dies_is_an_error(monkeypatch):
     # a child that dies while it serves the request is reported with its exit code
-    marker = tmp_path / "idle"
-
-    def parent(ask):
-        _wait_for_lines(marker, 1)
-        return ask(lambda: 5)()
-
+    _waiting_poll(monkeypatch)
     with pytest.raises(RuntimeError, match=r"^the forked run sent no readable result \(exit code 5\)$"):
-        cli._with_forked(lambda: marker.write_text("\n"), parent, serve=os._exit)
+        cli._with_forked(lambda: None, lambda ask: ask(lambda: 5)(), os._exit)
     _assert_no_child_left()
 
 
