@@ -32,10 +32,13 @@ assert abs(m3 + math.tanh(1.0)) < 1e-6, m3
 EOF
 # Python 3.12 and later warn when a multi-threaded process forks; the first
 # forked compare makes that warning an error (numpy's OpenBLAS starts worker
-# threads on import unless OPENBLAS_NUM_THREADS=1, as the CI workflow sets)
-PYTHONWARNINGS="error:This process:DeprecationWarning" \
-  "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp"
+# threads on import unless OPENBLAS_NUM_THREADS=1, as the CI workflow sets).
+# It also logs at INFO, and must report that its child formatted some of
+# the nonlinear rows
+PYTHONWARNINGS="error:This process:DeprecationWarning" THERMOQME_LOG=INFO \
+  "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp" 2> "$out/cmp.err"
 no_leftover "$out/cmp"
+grep -Eq "nonlinear run: the forked child formatted [1-9][0-9]* of [0-9]+ CSV rows$" "$out/cmp.err"
 # pinned to one CPU, compare runs its variants one after the other instead of
 # forking the linearized run: the same four files, byte for byte
 taskset -c 0 "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp_serial"
@@ -79,10 +82,9 @@ taskset -c 0 "${cli[@]}" compare --config "$out/n3.json" --out-dir "$out/cmp_n3_
 for name in nonlinear.csv linearized.csv delta.csv summary.json; do
   cmp "$out/cmp_n3/$name" "$out/cmp_n3_serial/$name"
 done
-# a seeded N = 16 system whose nonlinear CSV (101 rows of 277 fields) is
-# above the size rule, so a forked compare whose child is idle when the
-# nonlinear run ends hands it half of the rows to format: the same four
-# files as pinned to one CPU, and no process left behind
+# a seeded N = 16 system (a nonlinear CSV of 101 rows of 277 fields), whose
+# forked compare hands the child half of the nonlinear rows to format: the
+# same four files as pinned to one CPU, and no process left behind
 python - "$out/n16.json" <<'EOF'
 import json, random, sys
 rng = random.Random(2616)

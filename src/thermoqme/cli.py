@@ -9,12 +9,11 @@ created or written included.  Where the process may use more than one CPU,
 `compare` runs its linearized variant at the same time as the nonlinear one,
 in a child started by multiprocessing's fork context, whose trajectory comes
 back through a multiprocessing ``Pipe``.  When the nonlinear run ends, the
-parent checks without waiting whether the child has sent that trajectory;
-if it has, and the nonlinear CSV holds at least ``HANDOFF_FIELDS`` fields
-(rows x columns), the parent reads it and hands the second half of its own
-rows to the child, which formats them while the parent writes the header
-and the first half; the parent then appends the child's text.  Otherwise
-the child is released at once.  The files are the same either way.
+parent reads that trajectory, waiting for it if need be, and unless the
+child's run failed hands it the second half of the nonlinear rows, which
+the child formats while the parent writes the header and the first half;
+the parent then appends the child's text.  The files are the same as when
+the variants run one after the other.
 """
 
 from __future__ import annotations
@@ -43,16 +42,6 @@ log = logging.getLogger("thermoqme")
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_MONITOR_VIOLATION = 2
-# The fewest fields (rows x columns) of a nonlinear CSV that a forked compare
-# hands half of to its idle child.  The value is set to separate the
-# checked-in configs: the benchmark's N = 16 compare (27,977 fields) above,
-# the two-level compares of configs/ (1,608 and 4,008 fields) below, where
-# the handoff saved nothing on a 2-core Xeon (medians of 30 interleaved pairs,
-# in-process: 1.3 ms slower and 0.2 ms faster).  The field count is a proxy:
-# on the seeded N = 16 system the handoff also saved 2.2 ms of 47 at 5,540
-# fields and 5.8 ms of 71 at 9,972, and whether the child is idle yet, which
-# decides the rest, is checked when the run ends.
-HANDOFF_FIELDS = 10_000
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -153,10 +142,13 @@ def _run_one(setup: RunSetup, nonlinear: bool, path, handoff=None) -> tuple[Traj
     (trajectory, rows written).
 
     ``handoff`` is the ``ask`` of :func:`_with_forked`, whose child formats
-    rows with :func:`_csv_text`.  Where the CSV holds at least
-    ``HANDOFF_FIELDS`` fields and the child is idle, the second half of the
-    rows goes to it as one float64 array, and its text is written after the
-    first half, which is formatted here meanwhile."""
+    rows with :func:`_csv_text`.  Unless the child's own run failed, the
+    second half of the rows goes to it as one float64 array, and its text
+    is written after the first half, which is formatted here meanwhile; the
+    number of rows the child formatted is logged.  The one schedule that
+    loses is a child still busy when the run here ends, as after a run here
+    that stops early: this waits idle for it, which costs at most half the
+    time this CSV takes to format."""
     variant = "nonlinear" if nonlinear else "linearized"
     log.info("%s run: %d steps of dt=%g", variant, setup.integrator.n_steps, setup.integrator.dt)
     start = perf_counter()
@@ -171,10 +163,12 @@ def _run_one(setup: RunSetup, nonlinear: bool, path, handoff=None) -> tuple[Traj
         log.info("%s run: monitor violation: %s", variant, traj.violation)
     header, row, points = _trajectory_rows(traj, setup)
     cut, tail = len(points) // 2, None
-    if handoff is not None:  # the child is released at once unless the CSV is large
-        large = len(header) * len(points) >= HANDOFF_FIELDS
-        tail = handoff((lambda: _packed(map(row, points[cut:]), len(points) - cut, len(header))) if large else None)
-    _write_csv(path, header, map(row, points[:cut] if tail else points), tail)
+    if handoff is not None:
+        tail = handoff(lambda: _packed(map(row, points[cut:]), len(points) - cut, len(header)))
+    mine = points[:cut] if tail else points
+    _write_csv(path, header, map(row, mine), tail)
+    if handoff is not None:
+        log.info("%s run: the forked child formatted %d of %d CSV rows", variant, len(points) - len(mine), len(points))
     return traj, len(points)
 
 
@@ -219,17 +213,16 @@ def _with_forked(child_fn, parent_fn, serve):
     at most one request of the parent.
 
     The child sends its return value, or the exception it raised, through a
-    multiprocessing ``Pipe``, then waits for one message from the parent, a
-    request or None, sends serve(request) back for a request, and exits, so
-    it never returns into the caller's stack.  ask(make_request) never
-    waits: where ``make_request`` is None, or the child has not yet sent
-    its result, or has failed, it releases the child with None and returns
-    None; otherwise it reads the child's result, sends make_request() and
-    returns a function, which ``parent_fn`` must call, that waits for
-    serve(request) and returns it, or raises the exception serve raised.
-    As the result is read before a request is sent, two large messages never
-    block both sides on a full pipe.  Only the first ask counts; a child
-    never asked is released when ``parent_fn`` returns.
+    multiprocessing ``Pipe``, then waits for a request, sends serve(request)
+    back and exits, so it never returns into the caller's stack; the parent
+    closing its end also ends the wait.  ask(make_request), which
+    ``parent_fn`` calls at most once, reads the child's result, waiting for
+    it if need be.  Where the child's run failed, ask returns None;
+    otherwise it sends make_request() and returns a function, which
+    ``parent_fn`` must call, that waits for serve(request) and returns it,
+    or raises the exception serve raised.  As the result is read before a
+    request is sent, two large messages never block both sides on a full
+    pipe; a parent that asks before the child's run ends waits for it idle.
 
     The child's exception is raised here as the parent's own, after
     ``parent_fn`` has returned.  If ``parent_fn`` raises, the child is
@@ -249,7 +242,7 @@ def _with_forked(child_fn, parent_fn, serve):
         child_conn.send_bytes(message)
 
     def run():
-        conn.close()  # so that a parent gone before its message ends the wait with EOFError
+        conn.close()  # so that the parent closing its end ends the wait with EOFError
         try:
             outcome = (True, child_fn())
         except BaseException as exc:
@@ -257,12 +250,11 @@ def _with_forked(child_fn, parent_fn, serve):
         try:
             send(outcome)
             request = child_conn.recv()
-            if request is not None:
-                try:
-                    send((True, serve(request)))
-                except BaseException as exc:
-                    send((False, exc))
-        except (EOFError, OSError):  # the parent has gone
+            try:
+                send((True, serve(request)))
+            except BaseException as exc:
+                send((False, exc))
+        except (EOFError, OSError):  # the parent has gone, or closed its end without a request
             pass
 
     def recv():
@@ -272,28 +264,24 @@ def _with_forked(child_fn, parent_fn, serve):
             child.join()
             raise RuntimeError(f"the forked run sent no readable result (exit code {child.exitcode})") from None
 
-    def received():
+    def reply():
         ok, value = recv()
         if not ok:
             raise value
         return value
 
-    outcome = None  # the child's (ok, value), once read
-    asked = False
+    outcome = None  # the child's result, once read
 
     def ask(make_request):
-        nonlocal outcome, asked
-        if asked:
+        nonlocal outcome
+        outcome = recv()
+        if not outcome[0]:
             return None
-        asked = True
-        if make_request is not None and conn.poll():
-            outcome = recv()
-        request = make_request() if outcome is not None and outcome[0] else None
         try:
-            conn.send(request)
+            conn.send(make_request())
         except OSError:  # the child has gone; reading from it says how
             pass
-        return None if request is None else received
+        return reply
 
     child = context.Process(target=run)
     child.start()
@@ -301,7 +289,6 @@ def _with_forked(child_fn, parent_fn, serve):
     try:
         try:
             mine = parent_fn(ask)
-            ask(None)  # releases a child never asked
             ok, theirs = outcome or recv()
         except BaseException:
             child.kill()
@@ -323,7 +310,7 @@ def cmd_compare(args) -> int:
         return _run_one(setup, name == "nonlinear", out_dir / f"{name}.csv", handoff)[0]
 
     if _two_cpus():  # the linearized run goes to a forked child, on another CPU,
-        # which then formats half of a large nonlinear CSV if it is idle by then
+        # which then formats half of the nonlinear CSV
         nl, lin = _with_forked(lambda: variant("linearized"), partial(variant, "nonlinear"), _csv_text)
     else:
         nl, lin = variant("nonlinear"), variant("linearized")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermoqme.environment import _bind
-from thermoqme.master_equation import _bind_rates, _matrix_rates
+from thermoqme.master_equation import CouplingChannel, QuantumSystem, _bind_rates, _matrix_rates
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -22,6 +22,16 @@ def random_density(rng, dim, min_eig=1e-3):
     p = (1.0 - dim * min_eig) * p + min_eig
     u = random_unitary(rng, dim)
     return (u * p) @ u.conj().T
+
+
+def spin_three_halves():
+    """A spin-3/2 ladder, H = J_z with bath-coupled channels J_x and J_y, and a
+    seeded full-rank initial state."""
+    m = np.array([1.5, 0.5, -0.5, -1.5])
+    jp = np.diag(np.sqrt(3.75 - m[1:] * (m[1:] + 1.0)), 1).astype(complex)  # J_+
+    jx, jy, jz = 0.5 * (jp + jp.T), -0.5j * (jp - jp.T), np.diag(m).astype(complex)
+    system = QuantumSystem(jz, (CouplingChannel(jx, bath_coupled=True), CouplingChannel(jy, bath_coupled=True)))
+    return system, random_density(np.random.default_rng(20260810), 4)
 
 
 @pytest.fixture

@@ -201,6 +201,45 @@ def joint_equilibrium_temperature(H, C_e: float, E: float, constants=NATURAL) ->
             hi = mid
 
 
+def linearized_generator(system) -> Callable[[np.ndarray], np.ndarray]:
+    """The linearized equation's generator with the rates stored on the
+    channels, as the complex-linear map on n x n matrices
+    L(A) = -(i/hbar)[H, A]
+           - sum_j [Q_j, friction_j/k_B (C_j A + A C_j)/2 + diffusion_j [Q_j, A]]
+    with C_j = [Q_j, H].  On a Hermitian A it is ``master_rhs(A, system,
+    nonlinear=False)``; written out here because the program's kernels
+    assume a Hermitian argument (rho A = (A rho)^dagger), which a matrix
+    unit E_ij is not."""
+    H, hbar, kB = system.H, system.constants.hbar, system.constants.kB
+    terms = [(ch.Q, ch.Q @ H - H @ ch.Q, ch.friction_rate / kB, ch.diffusion_rate) for ch in system.channels]
+
+    def generator(a):
+        out = (-1j / hbar) * (H @ a - a @ H)
+        for Q, C, f, d in terms:
+            x = 0.5 * f * (C @ a + a @ C) + d * (Q @ a - a @ Q)
+            out = out - (Q @ x - x @ Q)
+        return out
+
+    return generator
+
+
+def choi_complement_minimum(generator, n: int) -> float:
+    """The smallest eigenvalue of the Choi matrix C_L = sum_ij E_ij (x) L(E_ij)
+    of a Hermiticity-preserving map L on n x n matrices, on the orthogonal
+    complement of the maximally entangled vector sum_i e_i (x) e_i.  exp(tL)
+    is completely positive for every t >= 0 iff this is >= 0: L is then of
+    Gorini-Kossakowski-Sudarshan-Lindblad form (conditional complete
+    positivity; Wolf, Eisert, Cubitt & Cirac, PRL 101, 150402, 2008).  The
+    complement is spanned by an orthonormal basis: the projected matrix
+    P C_L P would keep an exact zero eigenvalue on the entangled vector,
+    which hides a positive minimum."""
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij is units[i n + j]
+    choi = sum(np.kron(e, generator(e)) for e in units)
+    entangled = np.eye(n).reshape(1, n * n) / math.sqrt(n)
+    basis = np.linalg.svd(entangled)[2][1:].T  # the right singular vectors orthogonal to it
+    return float(np.linalg.eigvalsh(basis.T @ choi @ basis)[0])
+
+
 def _log_mean(p: float, q: float) -> float:
     """One entry of :func:`_pairwise_log_mean`, by the same rule, in Python floats."""
     if not (p > 0.0 and q > 0.0):

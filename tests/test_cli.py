@@ -3,7 +3,6 @@ import hashlib
 import json
 import logging
 import math
-import multiprocessing.connection
 import os
 import re
 import time
@@ -626,24 +625,63 @@ def _compare_configs(tmp_path):
 
 
 def _generic_16(tmp_path):
-    # 51 rows of 279 fields: above the size rule of the nonlinear CSV's handoff
+    # 51 rows of 279 fields
     return _write(tmp_path, _seeded_generic_config(2616, dim=16), "generic_16.json")
 
 
+def _handoff_patches(monkeypatch, failing=None):
+    """Patch compare so that the variant ``failing`` raises.  Returns the
+    list to which compare appends, for each nonlinear CSV, whether it handed
+    half of the rows to the child."""
+    real_simulate, real_write = cli.simulate, cli._write_csv
+    handed = []
+
+    def simulate(*args, nonlinear):
+        name = "nonlinear" if nonlinear else "linearized"
+        if name == failing:
+            raise ArithmeticError(f"{name} run failed")
+        return real_simulate(*args, nonlinear=nonlinear)
+
+    def write_csv(path, header, rows, tail=None):
+        if path.name == "nonlinear.csv":
+            handed.append(tail is not None)
+            if tail is not None and failing == "parent":
+                raise ArithmeticError("parent failed while the child formats")
+        real_write(path, header, rows, tail)
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    monkeypatch.setattr(cli, "_write_csv", write_csv)
+    return handed
+
+
+def _handoff_logs(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "thermoqme" and "forked child" in r.getMessage()]
+
+
 @pytest.mark.parametrize("case", ["high_temperature", "low_temperature", "blow_up", "generic_3", "generic_16"])
-def test_compare_forked_and_serial_write_the_same_files(tmp_path, monkeypatch, case):
-    # the variants at once (the linearized one in a forked child) or one
-    # after the other: the same four files, byte for byte, and the same exit code
+def test_compare_forked_and_serial_write_the_same_files(tmp_path, monkeypatch, caplog, case):
+    # the variants at once (the linearized one in a forked child, which then
+    # formats the second half of the nonlinear rows, at every CSV size) or
+    # one after the other: the same four files, byte for byte, and the same
+    # exit code; the forked run logs how many rows the child formatted
     cfg_path, code = _compare_configs(tmp_path)[case]
-    digests = {}
+    monkeypatch.setenv("THERMOQME_LOG", "INFO")
+    digests, handed, logs = {}, {}, {}
     for forked in (True, False):
-        monkeypatch.setattr(cli, "_two_cpus", lambda: forked)
         out_dir = tmp_path / f"forked_{forked}"
-        assert main(["compare", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == code
+        caplog.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_two_cpus", lambda: forked)
+            handed[forked] = _handoff_patches(patch)
+            assert main(["compare", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == code
         _assert_no_child_left()
+        logs[forked] = _handoff_logs(caplog)
         digests[forked] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert sorted(digests[True]) == ["delta.csv", "linearized.csv", "nonlinear.csv", "summary.json"]
     assert digests[True] == digests[False]
+    assert handed == {True: [True], False: [False]}
+    rows = len(_read_csv(tmp_path / "forked_True" / "nonlinear.csv")[1])
+    assert logs == {True: [f"nonlinear run: the forked child formatted {rows - rows // 2} of {rows} CSV rows"], False: []}
 
 
 @pytest.mark.parametrize("failing", ["nonlinear", "linearized"])
@@ -693,89 +731,22 @@ def test_forked_run_is_killed_when_the_parent_run_raises():
     _assert_no_child_left()
 
 
-def _wait_for_lines(path, lines):
-    """Wait until the file ``path`` holds ``lines`` complete lines."""
-    deadline = time.monotonic() + 60.0
-    while not (path.exists() and path.read_bytes().count(b"\n") == lines):
-        assert time.monotonic() < deadline, f"{path} was not written"
-        time.sleep(0.002)
-
-
-def _waiting_poll(monkeypatch):
-    """Make the parent's check whether the forked child has sent its result
-    wait for that result, up to 60 s, instead of looking once."""
-    real_poll = multiprocessing.connection.Connection.poll
-    monkeypatch.setattr(multiprocessing.connection.Connection, "poll", lambda self, timeout=0.0: real_poll(self, 60.0))
-
-
-def _handoff_patches(monkeypatch, out_dir, waiting=None, failing=None):
-    """Patch compare so that the variant ``waiting`` waits for the other:
-    the parent, when its nonlinear run ends, for the child's result, or the
-    child, before its linearized run ends, for a complete nonlinear.csv (51
-    rows and the header); and so that the variant ``failing`` raises.
-    Returns the list to which the parent appends, for each nonlinear CSV,
-    whether it handed half of the rows to the child."""
-    real_simulate, real_write = cli.simulate, cli._write_csv
-    handed = []
-    if waiting == "nonlinear":
-        _waiting_poll(monkeypatch)
-
-    def simulate(*args, nonlinear):
-        name = "nonlinear" if nonlinear else "linearized"
-        if name == failing:
-            raise ArithmeticError(f"{name} run failed")
-        traj = real_simulate(*args, nonlinear=nonlinear)
-        if name == waiting == "linearized":
-            _wait_for_lines(out_dir / "nonlinear.csv", 52)
-        return traj
-
-    def write_csv(path, header, rows, tail=None):
-        if path.name == "nonlinear.csv":
-            handed.append(tail is not None)
-            if tail is not None and failing == "parent":
-                raise ArithmeticError("parent failed while the child formats")
-        real_write(path, header, rows, tail)
-
-    monkeypatch.setattr(cli, "simulate", simulate)
-    monkeypatch.setattr(cli, "_write_csv", write_csv)
-    return handed
-
-
-def test_compare_writes_the_same_files_with_and_without_the_handoff(tmp_path, monkeypatch):
-    # at N = 16, above the size rule: the parent hands half of the nonlinear
-    # rows to an idle child; a child still busy when the parent's run ends
-    # leaves it all to the parent; pinned, the variants run one after the
-    # other: the same four files, byte for byte, in all three
-    cfg = str(_generic_16(tmp_path))
-    digests, handed = {}, {}
-    for case, forked, waiting in [("handoff", True, "nonlinear"), ("busy", True, "linearized"), ("serial", False, None)]:
-        out_dir = tmp_path / case
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_two_cpus", lambda: forked)
-            handed[case] = _handoff_patches(patch, out_dir, waiting)
-            assert main(["compare", "--config", cfg, "--out-dir", str(out_dir)]) == 0
-        _assert_no_child_left()
-        digests[case] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
-    assert handed == {"handoff": [True], "busy": [False], "serial": [False]}
-    assert sorted(digests["handoff"]) == ["delta.csv", "linearized.csv", "nonlinear.csv", "summary.json"]
-    assert digests["handoff"] == digests["busy"] == digests["serial"]
-
-
 @pytest.mark.parametrize("failing", ["serve", "parent", "linearized"])
-def test_compare_passes_on_an_exception_around_the_handoff(tmp_path, monkeypatch, failing):
+def test_compare_passes_on_an_exception_around_the_handoff(tmp_path, monkeypatch, caplog, failing):
     # the child's formatting of the handed rows, the parent while the child
-    # formats, or the child's own run, which fails before the parent's ends:
-    # the exception reaches the caller as it was raised, and no child is left
+    # formats, or the child's own run, after which the parent formats every
+    # row and logs that the child formatted none: the exception reaches the
+    # caller as it was raised, and no child is left
     def no_text(rows):
         raise ArithmeticError("the child's formatting failed")
 
     if failing == "serve":
         monkeypatch.setattr(cli, "_csv_text", no_text)
     monkeypatch.setattr(cli, "_two_cpus", lambda: True)
-    out_dir = tmp_path / "cmp"
-    handed = _handoff_patches(monkeypatch, out_dir, "nonlinear", failing)
+    monkeypatch.setenv("THERMOQME_LOG", "INFO")
+    handed = _handoff_patches(monkeypatch, failing)
     with pytest.raises(ArithmeticError) as info:
-        main(["compare", "--config", str(_generic_16(tmp_path)), "--out-dir", str(out_dir)])
+        main(["compare", "--config", str(_generic_16(tmp_path)), "--out-dir", str(tmp_path / "cmp")])
     message = {
         "serve": "the child's formatting failed",
         "parent": "parent failed while the child formats",
@@ -783,40 +754,21 @@ def test_compare_passes_on_an_exception_around_the_handoff(tmp_path, monkeypatch
     }[failing]
     assert type(info.value) is ArithmeticError and str(info.value) == message
     assert handed == [failing != "linearized"]
+    logged = ["nonlinear run: the forked child formatted 0 of 51 CSV rows"] if failing == "linearized" else []
+    assert _handoff_logs(caplog) == logged
     _assert_no_child_left()
 
 
-def test_forked_exchange(tmp_path, monkeypatch):
-    # a child that has sent its result serves the first ask only; a busy
-    # child, or one never asked, is released unasked
-    def parent(ask):
-        reply = ask(lambda: 20)
-        assert ask(lambda: 1) is None
-        return reply()
-
-    with monkeypatch.context() as patch:
-        _waiting_poll(patch)
-        assert cli._with_forked(lambda: "child", parent, lambda n: n + 1) == (21, "child")
-
-    marker = tmp_path / "asked"
-
-    def busy():  # still running when the parent asks
-        _wait_for_lines(marker, 1)
-        return "late"
-
-    def impatient(ask):
-        reply = ask(lambda: 1)
-        marker.write_text("\n")
-        return reply
-
-    assert cli._with_forked(busy, impatient, abs) == (None, "late")
+def test_forked_exchange():
+    # the child serves the parent's one ask; a child never asked is
+    # released when the parent's function returns
+    assert cli._with_forked(lambda: "child", lambda ask: ask(lambda: 20)(), lambda n: n + 1) == (21, "child")
     assert cli._with_forked(lambda: "child", lambda ask: "parent", abs) == ("parent", "child")
     _assert_no_child_left()
 
 
-def test_forked_exchange_whose_child_dies_is_an_error(monkeypatch):
+def test_forked_exchange_whose_child_dies_is_an_error():
     # a child that dies while it serves the request is reported with its exit code
-    _waiting_poll(monkeypatch)
     with pytest.raises(RuntimeError, match=r"^the forked run sent no readable result \(exit code 5\)$"):
         cli._with_forked(lambda: None, lambda ask: ask(lambda: 5)(), os._exit)
     _assert_no_child_left()

@@ -36,7 +36,7 @@ from thermoqme.operators import PhysicalConstants, _two_level_entries, _two_leve
 from thermoqme.two_level import SIGMA
 
 import oracles
-from conftest import joint_rhs, random_density, random_hermitian, random_unitary
+from conftest import joint_rhs, random_density, random_hermitian, random_unitary, spin_three_halves
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
@@ -204,22 +204,12 @@ def test_energy_exchanged_with_infinite_bath_is_booked():
     assert traj.final.env.H_e > 0.1  # bath absorbed the polarization energy
 
 
-def _spin_three_halves():
-    """A spin-3/2 ladder, H = J_z with bath-coupled channels J_x and J_y, and a
-    seeded full-rank initial state."""
-    m = np.array([1.5, 0.5, -0.5, -1.5])
-    jp = np.diag(np.sqrt(3.75 - m[1:] * (m[1:] + 1.0)), 1).astype(complex)  # J_+
-    jx, jy, jz = 0.5 * (jp + jp.T), -0.5j * (jp - jp.T), np.diag(m).astype(complex)
-    system = QuantumSystem(jz, (CouplingChannel(jx, bath_coupled=True), CouplingChannel(jy, bath_coupled=True)))
-    return system, random_density(np.random.default_rng(20260810), 4)
-
-
 def test_spin_three_halves_relaxes_to_the_gibbs_state():
     # the generic engine above two levels against the Gibbs oracle: the
     # spin-3/2 ladder at T_e = 1, from a seeded full-rank state; the
     # nonlinear variant reaches exp(-H/T_e)/Z, the linearized one settles
     # measurably elsewhere
-    system, rho0 = _spin_three_halves()
+    system, rho0 = spin_three_halves()
     bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
     cfg = IntegratorConfig(dt=0.01, t_end=15.0, method="rk4", monitor_every=1500)
     gibbs = equilibrium_state(system.H, 1.0)
@@ -259,7 +249,7 @@ def test_closed_two_level_run_ends_at_maximum_total_entropy():
 
 def test_closed_spin_three_halves_run_ends_at_maximum_total_entropy():
     # the same above two levels: the spin-3/2 ladder with a finite bath
-    system, rho0 = _spin_three_halves()
+    system, rho0 = spin_three_halves()
     bath = HeatBath.finite(C_e=4.0, H_e=4.0, gamma0=1.0, omega_ref=1.0)
     cfg = IntegratorConfig(dt=0.01, t_end=15.0, method="rk4", monitor_every=1500)
     gaps = _joint_equilibrium_gaps(rho0, bath, system, cfg)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from thermoqme.master_equation import _lapack_stage, _rate_column, _rates
 from thermoqme.operators import PhysicalConstants
 from thermoqme.two_level import SIGMA
 
-from conftest import random_density, random_hermitian, stage_rhs
+import oracles
+from conftest import random_density, random_hermitian, spin_three_halves, stage_rhs
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
@@ -225,3 +227,53 @@ def test_nearly_hermitian_operators_are_stored_hermitian(rng):
     huge = np.array([[1.5e308, 1e308 - 1e308j, 0.0], [1e308 + 1e308j, 0.0, 0.5], [0.0, 0.5, -1.5e308]])
     assert np.array_equal(QuantumSystem(huge).H, huge)
     assert np.array_equal(CouplingChannel(huge).Q, huge)
+
+
+def _choi_minimum(system):
+    return oracles.choi_complement_minimum(oracles.linearized_generator(system), system.dim)
+
+
+def test_linearized_generator_oracle_matches_the_program(rng):
+    # the oracle's complex-linear L, on Hermitian arguments, against the
+    # program's linearized stage at n = 2 and n = 4; bound fixed before
+    # measuring: 1e-13 relative to max(1, max|ref|) (measured 2.2e-16)
+    system, _ = spin_three_halves()
+    ladder = QuantumSystem(system.H, [replace(ch, friction_rate=1.0, diffusion_rate=0.7) for ch in system.channels])
+    pair = two_level_system(TwoLevelParams(omega=1.0, gamma0=1.0, T_e=0.7, isotropic=True))
+    for s in (pair, ladder):
+        for _ in range(3):
+            a = random_hermitian(rng, s.dim)
+            ref = master_rhs(a, s, nonlinear=False)
+            assert np.max(np.abs(oracles.linearized_generator(s)(a) - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("isotropic", [False, True])
+@pytest.mark.parametrize("gamma0", [1.0, 2.0])
+def test_two_level_linearized_generator_is_lindblad_exactly_up_to_x_1(isotropic, gamma0):
+    # the paper's "Markovian character": the linearized two-level generator
+    # at x = hbar omega/(2 k_B T) has the smallest complement-Choi eigenvalue
+    # gamma0 (1 - x)/(2x) with the isotropic triple, and min(0, that) with
+    # the transverse pair alone (which keeps a zero eigenvalue), so exp(tL)
+    # is completely positive for all t exactly where x <= 1, the boundary at
+    # which the linearized steady state -x e3 leaves the Bloch ball; bound
+    # fixed before measuring: 1e-12 (1 + |expected|) (measured 4.5e-16)
+    for x in (0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 5.0):
+        system = two_level_system(TwoLevelParams(omega=1.0, gamma0=gamma0, T_e=0.5 / x, isotropic=isotropic))
+        expected = gamma0 * (1.0 - x) / (2.0 * x)
+        if not isotropic:
+            expected = min(0.0, expected)
+        assert abs(_choi_minimum(system) - expected) <= 1e-12 * (1.0 + abs(expected))
+
+
+def test_spin_three_halves_linearized_generator_is_lindblad_down_to_t_half():
+    # the spin-3/2 ladder with bath-bracket rates at temperature T (gamma0 =
+    # omega_ref = 1): the smallest complement-Choi eigenvalue is 0 to
+    # rounding at T >= 0.5 and -0.5 just below, at T = 0.45; bounds fixed
+    # before measuring: 1e-12 (measured at most 4.4e-15)
+    system, _ = spin_three_halves()
+    minima = {}
+    for T in (0.45, 0.5, 1.0):
+        channels = [replace(ch, friction_rate=1.0, diffusion_rate=T) for ch in system.channels]
+        minima[T] = _choi_minimum(QuantumSystem(system.H, channels))
+    assert abs(minima[0.5]) <= 1e-12 and abs(minima[1.0]) <= 1e-12
+    assert abs(minima[0.45] + 0.5) <= 1e-12
