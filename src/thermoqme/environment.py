@@ -13,17 +13,13 @@ import math
 from dataclasses import dataclass, replace
 
 from .operators import NATURAL, PhysicalConstants, _require_finite
-from .master_equation import QuantumSystem, _as_state, _bind_rates, _matrix_rates, _rates
+from .master_equation import QuantumSystem, _as_state, _bath_temperature, _bind_rates, _matrix_rates, _rates
 
 __all__ = [
     "HeatBath",
     "EnvironmentObservableReport",
     "environment_rhs",
 ]
-
-
-class _BathDrained(ValueError):
-    """A finite bath's energy reached zero or below, or went non-finite."""
 
 
 @dataclass(frozen=True)
@@ -94,11 +90,7 @@ class HeatBath:
         energy is not positive (drained) or not finite (a state gone non-finite)."""
         if self.kind == "infinite":
             return float(self.T_e)
-        if not 0.0 < H_e < math.inf:
-            if math.isfinite(H_e):
-                raise _BathDrained(f"finite bath energy must stay positive, got H_e={H_e:.6g}")
-            raise _BathDrained(f"state went non-finite: finite bath energy H_e={H_e}")
-        return H_e / self.C_e
+        return _bath_temperature(H_e, self.C_e)
 
     def entropy(self) -> float:
         """Bath entropy relative to its reference point.
@@ -153,12 +145,14 @@ def _bind(bath: HeatBath, system: QuantumSystem, nonlinear: bool):
 
     Every friction rate is constant, and the diffusion rates are a fixed
     part plus T(H_e) times a bath part.  For an infinite bath the two are
-    folded together here, once; a finite bath reads T at each stage's own
-    H_e and raises :class:`_BathDrained` there when the energy is not
-    positive or not finite."""
+    folded together here, once.  A finite bath hands the stage its heat
+    capacity: the stage itself reads T = H_e/C_e at its own H_e, inline at
+    n = 2, with the check and messages of :meth:`HeatBath._temperature_at`,
+    and raises :class:`_BathDrained` there when the energy is not positive
+    or not finite."""
     friction, diffusion, per_T = _rates(system, bath._friction_rate(system.constants))
     if bath.kind == "finite":
-        return _bind_rates(system, nonlinear, friction, diffusion, per_T, bath._temperature_at)
+        return _bind_rates(system, nonlinear, friction, diffusion, per_T, bath.C_e)
     if per_T is not None:
         T = bath.temperature()
         diffusion = [a + T * x for a, x in zip(diffusion, per_T)]

@@ -24,8 +24,8 @@ from .operators import (
     _two_level_spectrum,
     validate_density_matrix,
 )
-from .master_equation import QuantumSystem, _as_state, _exactly_hermitian
-from .environment import EnvironmentObservableReport, HeatBath, _BathDrained, _bind
+from .master_equation import QuantumSystem, _as_state, _BathDrained, _exactly_hermitian
+from .environment import EnvironmentObservableReport, HeatBath, _bind
 
 __all__ = [
     "MonitorTolerances",
@@ -80,7 +80,10 @@ class IntegratorConfig:
             )
         if self.method not in ("rk4", "euler"):
             raise ValueError(f"method must be 'rk4' or 'euler', got {self.method!r}")
-        if int(self.monitor_every) != self.monitor_every or self.monitor_every < 1:
+        # an int, not a bool, as config._integer requires of JSON: a float,
+        # even 2.0, would fail later in range(steps)
+        every = self.monitor_every
+        if isinstance(every, bool) or not isinstance(every, int) or every < 1:
             raise ValueError("monitor_every must be a positive integer")
 
     @property

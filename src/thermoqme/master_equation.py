@@ -21,7 +21,6 @@ from .operators import (
     _require_finite,
     _two_level_entries,
     _two_level_matrix,
-    _two_level_spectrum,
     hermitianize,
     validate_hermitian,
 )
@@ -34,6 +33,29 @@ __all__ = [
     "check_bath_equilibrium",
     "energy_expectation",
 ]
+
+
+class _BathDrained(ValueError):
+    """A finite bath's energy reached zero or below, or went non-finite."""
+
+    @classmethod
+    def at(cls, H_e: float) -> "_BathDrained":
+        """The error for a finite bath at energy ``H_e``, which is not a
+        finite number above zero: drained if finite, a state gone non-finite
+        otherwise."""
+        if math.isfinite(H_e):
+            return cls(f"finite bath energy must stay positive, got H_e={H_e:.6g}")
+        return cls(f"state went non-finite: finite bath energy H_e={H_e}")
+
+
+def _bath_temperature(H_e: float, C_e: float) -> float:
+    """H_e/C_e, the temperature of a finite bath of heat capacity ``C_e`` at
+    energy ``H_e``; raises :meth:`_BathDrained.at` unless 0 < H_e < inf.
+    The n = 2 stage of :func:`_bind_rates` makes the same check and
+    division inline."""
+    if not 0.0 < H_e < math.inf:
+        raise _BathDrained.at(H_e)
+    return H_e / C_e
 
 
 def _exactly_hermitian(a: np.ndarray) -> np.ndarray:
@@ -188,12 +210,14 @@ def _rates(system: QuantumSystem, g: float | None = None):
     return friction, diffusion, per_T if any(per_T) else None
 
 
-def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per_T=None, temperature=None):
+def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per_T=None, C_e=None):
     """The stage of rates in :func:`_rates` form, with what they fix
     compiled once; it gives the state's rate and dH_e/dt = -Re tr(H drho/dt)
-    by energy closure.  ``temperature``, if given, maps a bath energy to T
-    (raising for a drained bath) and is read at every stage's own H_e; the
-    diffusion rates are then ``diffusion`` + T ``per_T``.
+    by energy closure.  ``C_e``, if given, is a finite bath's heat
+    capacity: every stage reads the temperature T = H_e/C_e at its own H_e,
+    raising :class:`_BathDrained` unless 0 < H_e < inf (the check and
+    messages of :func:`_bath_temperature`), and the diffusion rates are
+    then ``diffusion`` + T ``per_T``.
 
     The dimension selects the kernel and its calling convention: above
     n = 2, (rho, H_e) -> (drho/dt, w, dH_e/dt) by :func:`_lapack_stage` on
@@ -201,13 +225,14 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     once, where w is the ascending spectrum of rho from the stage's eigh,
     or None where it made none (linearized, or no friction); at n = 2,
     this closure, in real Pauli coordinates and Python floats with no
-    numpy call, flat in and out:
+    numpy call and no Python call but ``math``'s, flat in and out:
     (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt).  There the state is the
     four reals (rho00, rho11, Re rho10, Im rho10) and g = dm/dt for the
     Bloch vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
     rho = (tr rho I + m . sigma)/2.  With the Bloch map (A, U, P) and a
     finite bath's A_bath, unpacked once into closure locals (as are
-    ``math.hypot`` and the spectrum function),
+    ``math``'s hypot, log and log1p, taken from this module's ``math`` when
+    the stage is bound),
     dm/dt = (A + T A_bath) m + d U + (e P n) x n.  This sums, over the
     channels, (2/hbar) h x m, 4 diffusion_j q_j x (q_j x m) and
     4 friction_j/k_B q_j x v_j, where v_j . sigma is the traceless part of
@@ -215,17 +240,18 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     v_j = d c_j + e (c_j . n) n with n = m/|m| (0 at m = 0), d the log-mean
     of the clipped eigenvalues and e their mean minus d.  |m| is computed
     once per stage: it normalizes n and is the eigenvalues' gap, from which
-    one :func:`~thermoqme.operators._two_level_spectrum` call per stage with
-    friction gives the unclipped eigenvalues and d in closed form, and the
-    stage clips the eigenvalues for e itself; linearized, d = tr rho/2 and
-    there is no P term.
+    the stage computes the unclipped eigenvalues and d inline, with the
+    operations and branches of
+    :func:`~thermoqme.operators._two_level_spectrum` (the reference, which
+    the tests hold it to bit for bit), and clips the eigenvalues for e;
+    linearized, d = tr rho/2 and there is no P term.
     """
-    finite = temperature is not None
+    finite = C_e is not None
     if system.dim > 2:
         f, d, d_per_T = _rate_column(friction), _rate_column(diffusion), _rate_column(per_T)
 
         def stage(rho, H_e):
-            T = temperature(H_e) if finite else 0.0
+            T = _bath_temperature(H_e, C_e) if finite else 0.0
             k, w = _lapack_stage(rho, system, f, d if d_per_T is None else d + T * d_per_T, nonlinear)
             return k, w, -float(np.vdot(system.H, k).real)
 
@@ -240,14 +266,16 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
         ux, uy, uz = np.dot(friction, u).tolist()
         p0, p1, p2, p3, p4, p5, p6, p7, p8 = np.dot(friction, p).tolist()
 
-    hypot, spectrum = math.hypot, _two_level_spectrum
+    hypot, log, log1p, inf = math.hypot, math.log, math.log1p, math.inf
 
     def stage(r00, r11, x, y, H_e):
         mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
         gx, gy, gz = a0 * mx + a1 * my + a2 * mz, a3 * mx + a4 * my + a5 * mz, a6 * mx + a7 * my + a8 * mz
         if finite:
-            T = temperature(H_e)
+            if not 0.0 < H_e < inf:
+                raise _BathDrained.at(H_e)
             if bath:
+                T = H_e / C_e
                 gx += T * (b0 * mx + b1 * my + b2 * mz)
                 gy += T * (b3 * mx + b4 * my + b5 * mz)
                 gz += T * (b6 * mx + b7 * my + b8 * mz)
@@ -258,12 +286,27 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
             gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
         else:
             m = hypot(mx, my, mz)
-            l1, l2, d = spectrum(r00, r11, x, y, m)
+            # _two_level_spectrum(r00, r11, x, y, m), then e from its clipped eigenvalues
+            l1 = 0.5 * r00 + 0.5 * r11 + 0.5 * m
+            if not l1 > 0.0:
+                d = e = 0.0
+            else:
+                acmx, acmn = (r00, r11) if abs(r00) > abs(r11) else (r11, r00)
+                l2 = (acmx / l1) * acmn - ((x / l1) * x + (y / l1) * y)
+                if not l2 > 0.0:
+                    d, e = 0.0, 0.5 * l1
+                else:
+                    ratio = m / l2
+                    if ratio < 2.0**-1022:
+                        d = l2
+                    elif ratio == inf:
+                        d = m / (log(l1) - log(l2))
+                    else:
+                        d = m / log1p(ratio)
+                    e = 0.5 * (l1 + l2) - d
             gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
             if m > 0.0:
                 nx, ny, nz = mx / m, my / m, mz / m
-                # with m > 0, l2 > 0 only where l1 > 0 too
-                e = 0.5 * (l1 + l2) - d if l2 > 0.0 else 0.5 * l1 if l1 > 0.0 else 0.0
                 px, py, pz = p0 * nx + p1 * ny + p2 * nz, p3 * nx + p4 * ny + p5 * nz, p6 * nx + p7 * ny + p8 * nz
                 px, py, pz = e * px, e * py, e * pz
                 gx, gy, gz = gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)

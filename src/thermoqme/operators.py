@@ -199,10 +199,13 @@ def _two_level_spectrum(x: float, z: float, re: float, im: float, m: float):
     """The eigenvalues (l1, l2), larger first and unclipped, of the 2x2
     Hermitian rho = [[x, re - i im], [re + i im, z]], and d, the modified
     operator's off-diagonal weight, in Python floats, given its Bloch length
-    m = hypot(2 re, 2 im, x - z), the gap between the eigenvalues.  The n = 2
-    stage, the dimension-2 monitors and :func:`validate_density_matrix` each
-    make one call; at n = 2 numpy's call overhead is many times this
-    arithmetic.
+    m = hypot(2 re, 2 im, x - z), the gap between the eigenvalues.  The
+    dimension-2 monitors and :func:`validate_density_matrix` each make one
+    call; at n = 2 numpy's call overhead is many times this arithmetic.
+    The n = 2 stage of :func:`~thermoqme.master_equation._bind_rates`, where
+    even a Python call is a sizeable share of the cost, computes the same
+    inline, with these operations in this branch order; this function is
+    the reference, which the tests hold it to bit for bit.
 
     l1 is (tr rho + m)/2, halved term by term so that it is finite wherever
     m and the eigenvalue are.  Where l1 > 0, l2 is det(rho)/l1, which keeps

@@ -224,7 +224,7 @@ def test_bath_rate_rule(rng):
     for nonlinear in (True, False):
         stage = _bind(finite, sys_, nonlinear)
         k, e = _matrix_rates(stage, rho, 6.0)
-        at_1p5 = _bind_rates(sys_, nonlinear, friction, diffusion, per_T, lambda H_e: 1.5)
+        at_1p5 = _bind_rates(sys_, nonlinear, friction, diffusion, per_T, 4.0)  # T = 6.0/4.0
         k_ref, e_ref = _matrix_rates(at_1p5, rho, 6.0)
         assert np.array_equal(k, k_ref) and e == e_ref
         assert not np.array_equal(k, _matrix_rates(stage, rho, finite.H_e)[0])

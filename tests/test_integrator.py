@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,8 +65,11 @@ def test_config_validation():
         IntegratorConfig(dt=1.0, t_end=0.5)
     with pytest.raises(ValueError, match="method"):
         IntegratorConfig(dt=0.1, t_end=1.0, method="rk5")
-    with pytest.raises(ValueError, match="monitor_every"):
-        IntegratorConfig(dt=0.1, t_end=1.0, monitor_every=0)
+    # an int, not a bool, as a config's monitor_every: a float, even 2.0,
+    # would fail later in range(steps)
+    for every in (2.0, math.inf, math.nan, True, 0, -1):
+        with pytest.raises(ValueError, match="^monitor_every must be a positive integer$"):
+            IntegratorConfig(dt=0.1, t_end=1.0, monitor_every=every)
     # a horizon off the dt grid would end early at round(t_end/dt) * dt
     with pytest.raises(ValueError, match="whole number of dt"):
         IntegratorConfig(dt=0.7, t_end=1.0)
@@ -448,18 +452,37 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def _count_decompositions(monkeypatch):
-    """Call records of the two ways a stage decomposes rho: the closed-form
-    2x2 eigenvalues master_equation._two_level_spectrum, and np.linalg.eigh."""
-    return (
-        _count_calls(monkeypatch, master_equation, "_two_level_spectrum"),
-        _count_calls(monkeypatch, np.linalg, "eigh"),
-    )
+    """Call records of the two ways a stage decomposes rho: at n = 2 the
+    closed-form spectrum the stage computes inline, recorded as the names of
+    its math.hypot (the Bloch length) and math.log1p or math.log (the
+    log-mean weight) calls, and np.linalg.eigh above.  The n = 2 stage takes
+    those functions from master_equation's ``math`` when it is bound, so
+    the counting stand-in goes there first; operators' own ``math``, which
+    the monitors' spectrum uses, is not counted."""
+    names = []
+
+    def recording(name):
+        original = getattr(math, name)
+
+        def counting(*args):
+            names.append(name)
+            return original(*args)
+
+        return counting
+
+    stand_in = types.SimpleNamespace(**vars(math))
+    for name in ("hypot", "log1p", "log"):
+        setattr(stand_in, name, recording(name))
+    monkeypatch.setattr(master_equation, "math", stand_in)
+    return names, _count_calls(monkeypatch, np.linalg, "eigh")
 
 
 def _decompositions(dim, want):
     """The call records of ``want`` decompositions of rho: at n = 2 one
-    closed-form spectrum each and no LAPACK call, at n = 3 one eigh each."""
-    return ([()] * want, []) if dim == 2 else ([], [(dim, dim)] * want)
+    Bloch length and one log-mean (log1p, for states with both eigenvalues
+    positive and a normal ratio) each and no LAPACK call, at n = 3 one eigh
+    each."""
+    return (["hypot", "log1p"] * want, []) if dim == 2 else ([], [(dim, dim)] * want)
 
 
 DIMENSIONS = ((2, _finite_bath_setup), (3, _three_level_setup))
@@ -873,11 +896,24 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
     near_pure = (u * [1.0 - 1e-13, 1e-13]) @ u.conj().T
     states = [(0.5, 0.5, 0.0, 0.0), (1.0 - 1e-13, 1e-13, 0.0, 0.0), master_equation._two_level_entries(near_pure)]
     states += [master_equation._two_level_entries(random_density(rng, 2)) for _ in range(3)]
+    # every other branch of the spectrum: exactly pure (l2 = 0), a subnormal
+    # smaller eigenvalue (m/l2 overflows to inf), a negative smaller
+    # eigenvalue, and no positive eigenvalue (l1 < 0, and l1 = 0 at rho = 0)
+    states += [(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.0), (1.0, 5e-324, 0.0, 0.0)]
+    states += [(1.1, -0.1, 0.0, 0.0), master_equation._two_level_entries((u * [1.2, -0.2]) @ u.conj().T)]
+    states += [(-0.3, -0.2, 0.1, 0.05), (0.0, 0.0, 0.0, 0.0)]
     for system, bath in cases:
         for nonlinear in (True, False):
             stage = _bind(bath, system, nonlinear)
+
+            def oracle_rates(system, nonlinear, friction, diffusion, per_T=None, C_e=None):
+                # the oracle stage reads a finite bath's temperature through the bath
+                assert C_e in (None, bath.C_e)
+                temperature = None if C_e is None else bath._temperature_at
+                return oracles.two_level_bound_stage(system, nonlinear, friction, diffusion, per_T, temperature)
+
             with monkeypatch.context() as patch:
-                patch.setattr(environment, "_bind_rates", oracles.two_level_bound_stage)
+                patch.setattr(environment, "_bind_rates", oracle_rates)
                 oracle = _bind(bath, system, nonlinear)
             for r in states:
                 first = stage(*r, bath.H_e)
