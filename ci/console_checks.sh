@@ -116,6 +116,12 @@ taskset -c 0 "${cli[@]}" compare --config "$out/n16.json" --out-dir "$out/cmp_n1
 for name in nonlinear.csv linearized.csv delta.csv summary.json; do
   cmp "$out/cmp_n16/$name" "$out/cmp_n16_serial/$name"
 done
+# every checked-in config, run and compared forked and pinned to one CPU:
+# the same sha256 listing of every file written
+bash ci/output_digests.sh "${cli[@]}" > "$out/digests.txt"
+taskset -c 0 bash ci/output_digests.sh "${cli[@]}" > "$out/digests_serial.txt"
+test -s "$out/digests.txt"
+cmp "$out/digests.txt" "$out/digests_serial.txt"
 "${cli[@]}" run --config configs/two_level_x1.json --out "$out/x1.csv"
 # the finite-bath run: exit 0, a header and 501 rows
 "${cli[@]}" run --config configs/finite_bath_closure.json --out "$out/closure.csv"

@@ -242,7 +242,7 @@ def _two_level_advance(r00, r11, x, y, h, stage, dt, method, first, steps):
     return r00, r11, x, y, h
 
 
-def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None, hermitian=False):
+def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
     """Build a trajectory point and return (point, violation detail or None)
     for the state ``rho`` and bath energy ``h``; ``bath`` is the run's bath,
     read at ``h`` for the temperature and entropy, and ``flux`` is dH_e/dt
@@ -255,15 +255,14 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None, herm
     or, where ``w`` is None, one eigvalsh of rho.  tr(H rho) is the n^2
     inner product sum_ij conj(H_ij) rho_ij, which is tr(H rho) for the
     exactly Hermitian H that :class:`QuantumSystem` stores.  herm_err is
-    max|rho - rho^dagger|, or, where ``hermitian`` says that rho is exactly
-    Hermitian by construction (every point :func:`simulate` records after
-    t = 0), 0.0, or NaN if an entry is not finite, the value that maximum
-    takes on such a rho.  At n = 2, in
-    Python floats from the four reals of rho, which is read as exactly Hermitian
-    (as :func:`simulate` builds it): herm_err is 0.0, or NaN if an entry is
-    not finite; min_eig is the unclipped smaller eigenvalue det(rho)/l1 of
-    one :func:`~thermoqme.operators._two_level_spectrum` call, which keeps
-    its relative precision near a pure state; the entropy is that spectrum's;
+    max|rho - rho^dagger|: 0.0 on an exactly Hermitian rho, as every point
+    :func:`simulate` records after t = 0 is, and NaN if an entry is not
+    finite.  At n = 2, in Python floats from the four reals of rho, which
+    is read as exactly Hermitian (as :func:`simulate` builds it): herm_err
+    is 0.0, or NaN if an entry is not finite; min_eig is the unclipped
+    smaller eigenvalue det(rho)/l1 of one
+    :func:`~thermoqme.operators._two_level_spectrum` call, which keeps its
+    relative precision near a pure state; the entropy is that spectrum's;
     and tr(H rho) comes from H's four reals."""
     if rho.shape[0] == 2:
         r00, r11, x, y = _two_level_entries(rho)
@@ -275,10 +274,7 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None, herm
         energy = h00 * r00 + h11 * r11 + 2.0 * (hr * x + hi * y)
     else:
         trace_err = abs(complex(np.trace(rho)) - 1.0)
-        if hermitian:
-            herm_err = 0.0 if np.isfinite(rho).all() else math.nan
-        else:
-            herm_err = float(np.max(np.abs(rho - rho.conj().T)))
+        herm_err = float(np.max(np.abs(rho - rho.conj().T)))
         spectrum = (np.linalg.eigvalsh(rho) if w is None else w).tolist()
         min_eig = spectrum[0]
         energy = float(np.vdot(system.H, rho).real)
@@ -356,7 +352,9 @@ def simulate(
     (:func:`~thermoqme.master_equation._exactly_hermitian`), once validated
     to ``START_STATE_TOL``.  The point at t = 0 observes rho0 as given (at
     n = 2, its diagonal and entry (1, 0)), so its monitors show the input's
-    own trace and, above n = 2, hermiticity errors.
+    own trace and, above n = 2, hermiticity errors.  Every point measures
+    herm_err by the same rule (:func:`_observe`), so the exactly Hermitian
+    points after t = 0 read 0.0.
 
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
@@ -394,7 +392,7 @@ def simulate(
                 rho = _two_level_matrix(*state[:4])
             else:
                 rho, w = state[0], rates[1]
-            point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1], w, steps > 0)
+            point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1], w)
         except (_BathDrained, np.linalg.LinAlgError) as exc:
             # the step that failed: the advance counts the steps before it;
             # past the advance, it is the interval's last

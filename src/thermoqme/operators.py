@@ -136,28 +136,12 @@ def _pairwise_log_mean(p: np.ndarray) -> np.ndarray:
     Each pair is taken in order, lo <= hi, as (hi - lo)/log1p((hi - lo)/lo).
     log1p keeps full relative precision down to hi = lo, where the mean is
     lo itself (so lo sits on the diagonal), and the ordering makes the
-    matrix exactly symmetric.
+    matrix exactly symmetric.  A pair whose ratio overflows (a subnormal lo
+    far below hi) is taken as (hi - lo)/(ln hi - ln lo).
 
     ``p`` is a finite spectrum, as eigh returns it (it raises on a
-    non-finite matrix).  When every member is positive and no ratio can
-    overflow (the largest over the smallest is finite), the formula is
-    applied directly; any other ``p`` takes :func:`_masked_log_mean`, which
-    gives the same bits on such a ``p``.
+    non-finite matrix).
     """
-    w = p.tolist()
-    smallest = min(w)
-    if not (smallest > 0.0 and max(w) / smallest < math.inf):
-        return _masked_log_mean(p)
-    a, b = p[:, None], p[None, :]
-    lo = np.minimum(a, b)
-    gap = np.maximum(a, b) - lo
-    # where hi = lo the mean is lo itself, which the division leaves in place
-    return np.divide(gap, np.log1p(gap / lo), out=lo, where=gap > 0.0)
-
-
-def _masked_log_mean(p: np.ndarray) -> np.ndarray:
-    """:func:`_pairwise_log_mean` for any ``p``: a nonpositive member's pairs
-    are 0, and a pair whose ratio overflows is taken as gap/(ln hi - ln lo)."""
     a, b = p[:, None], p[None, :]
     lo = np.minimum(a, b)
     gap = np.maximum(a, b) - lo
@@ -167,8 +151,8 @@ def _masked_log_mean(p: np.ndarray) -> np.ndarray:
         d = np.divide(gap, np.log1p(ratio), out=lo, where=gap > 0.0)
     if not d.min() > 0.0:
         # Every mean of positive members is positive, so this is rare: a
-        # nonpositive member, whose pairs are 0, or a ratio that overflowed
-        # (a subnormal lo far below hi), whose log1p is ln hi - ln lo.
+        # nonpositive member, whose pairs are 0, or a ratio that overflowed,
+        # whose log1p is ln hi - ln lo.
         lo = np.minimum(a, b)
         over = np.isinf(ratio) & (lo > 0.0)
         d[over] = gap[over] / (np.log(np.maximum(a, b)[over]) - np.log(lo[over]))

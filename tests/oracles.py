@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from thermoqme.master_equation import _bath_temperature
 from thermoqme.operators import (
     NATURAL,
     _as_square_matrix,
@@ -333,17 +334,19 @@ def two_level_stage(r, a, u, p, nonlinear, b=None, T=0.0):
     return gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
 
 
-def two_level_bound_stage(system, nonlinear, friction, diffusion, per_T=None, temperature=None):
+def two_level_bound_stage(system, nonlinear, friction, diffusion, per_T=None, C_e=None):
     """The flat stage (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt), g = dm/dt,
     of ``master_equation._bind_rates`` at n = 2, with the same arguments,
-    built on :func:`two_level_stage`."""
+    built on :func:`two_level_stage`; with a finite bath's ``C_e`` it reads
+    T = H_e/C_e through ``master_equation._bath_temperature``, the stage's
+    drain check."""
     hx, hy, hz = system._h2
     a, u, p, b = two_level_map(system, friction, diffusion, per_T)
 
     def stage(r00, r11, x, y, H_e):
         r = (r00, r11, x, y)
-        if temperature is not None:
-            g = two_level_stage(r, a, u, p, nonlinear, b, temperature(H_e))
+        if C_e is not None:
+            g = two_level_stage(r, a, u, p, nonlinear, b, _bath_temperature(H_e, C_e))
         else:
             g = two_level_stage(r, a, u, p, nonlinear)
         gx, gy, gz = g

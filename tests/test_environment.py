@@ -24,7 +24,7 @@ from thermoqme.master_equation import _bind_rates, _matrix_rates, _rates
 from thermoqme.two_level import SIGMA
 
 from conftest import joint_rhs, random_density, random_hermitian
-from oracles import anticommutator
+from oracles import anticommutator, log_density
 
 S1, S2, S3 = SIGMA
 I2 = np.eye(2, dtype=complex)
@@ -273,6 +273,35 @@ def test_stage_bath_rate_closes_energy(rng, dim, nonlinear):
         assert abs(e + np.real(np.trace(h @ reference))) < 1e-12
         if nonlinear:
             assert abs(e - environment_rhs(bath.with_energy(H_e), rho, sys_)) < 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16])
+def test_nonlinear_stage_is_a_free_energy_gradient_flow(rng, dim):
+    # with an infinite bath at T, a bath-coupled channel's diffusion is
+    # T f_j, and M_rho([Q, ln rho]) = [Q, rho] folds it into the friction:
+    # drho/dt = (-i/hbar)[H, rho]
+    #           - sum_j (f_j/k_B) [Q_j, M_rho([Q_j, H + k_B T ln rho])],
+    # friction applied to the gradient of F = tr(H rho) - T S(rho); seeded
+    # full-rank states, bound fixed before measuring: 1e-13 relative to the
+    # largest entry of the terms summed
+    constants = PhysicalConstants(hbar=0.8, kB=1.3)
+    scale = 1.0 / dim
+    h = random_hermitian(rng, dim, scale)
+    weights = (0.7, 1.6)
+    channels = tuple(CouplingChannel(random_hermitian(rng, dim, scale), bath_coupled=True, weight=w) for w in weights)
+    system = QuantumSystem(h, channels, constants)
+    T = 0.6
+    bath = HeatBath.infinite(T_e=T, gamma0=0.9, omega_ref=1.1, H_e=0.4)
+    friction = [w * bath.channel_rates(constants)[0] for w in weights]
+    for _ in range(5):
+        rho = random_density(rng, dim)
+        gradient = h + constants.kB * T * log_density(rho)
+        terms = [(-1j / constants.hbar) * commutator(h, rho)]
+        for ch, f in zip(channels, friction):
+            terms.append(-(f / constants.kB) * commutator(ch.Q, modified_operator(rho, commutator(ch.Q, gradient))))
+        k = joint_rhs(rho, bath.H_e, bath, system, True)[0]
+        bound = 1e-13 * max(np.max(np.abs(term)) for term in terms)
+        assert np.max(np.abs(k - sum(terms))) <= bound
 
 
 def _channel_loop_rhs(rho, system, rates, nonlinear):

@@ -20,6 +20,7 @@ from thermoqme import (
     build_run,
     energy_expectation,
     equilibrium_state,
+    load_config,
     pauli_compose,
     parse_config,
     pauli_decompose,
@@ -226,6 +227,43 @@ def test_spin_three_halves_relaxes_to_the_gibbs_state():
     assert gaps[False] >= 1e-3
 
 
+def _entropy_drop(traj):
+    """(largest drop of total_entropy between consecutive sampled points, and
+    the rounding bound fixed before measuring: 1e-13 times max(1, the
+    largest |total_entropy|))."""
+    entropy = traj.monitor_series("total_entropy")
+    return float(np.max(entropy[:-1] - entropy[1:])), 1e-13 * max(1.0, float(np.max(np.abs(entropy))))
+
+
+def test_nonlinear_runs_never_lower_the_total_entropy():
+    # with an infinite bath, total_entropy is S(rho) + H_e/T = (E - F)/T,
+    # E = tr(H rho) + H_e conserved and F = tr(H rho) - T S(rho), so the
+    # nonlinear gradient flow never lowers it beyond rounding: the two-level
+    # configs at x = 1 and x = 5, and the spin-3/2 ladder at T = 1 and 0.5;
+    # the linearized variant does lower it, at x = 1 and for the ladder at
+    # T = 0.5
+    for name in ("two_level_x1.json", "two_level_x5.json"):
+        setup = build_run(load_config(CONFIG_DIR / name))
+        traj = simulate(setup.rho0, setup.bath, setup.system, setup.integrator, nonlinear=True)
+        assert traj.termination == COMPLETED
+        drop, bound = _entropy_drop(traj)
+        assert drop <= bound
+        if name == "two_level_x1.json":
+            drop, bound = _entropy_drop(simulate(setup.rho0, setup.bath, setup.system, setup.integrator, False))
+            assert drop > bound
+    system, rho0 = spin_three_halves()
+    cfg = IntegratorConfig(dt=0.01, t_end=10.0, monitor_every=10)
+    for T in (1.0, 0.5):
+        bath = HeatBath.infinite(T_e=T, gamma0=1.0, omega_ref=1.0)
+        traj = simulate(rho0, bath, system, cfg, nonlinear=True)
+        assert traj.termination == COMPLETED
+        drop, bound = _entropy_drop(traj)
+        assert drop <= bound
+    # bath is still the T = 0.5 one
+    drop, bound = _entropy_drop(simulate(rho0, bath, system, cfg, nonlinear=False))
+    assert drop > bound
+
+
 def _joint_equilibrium_gaps(rho0, bath, system, cfg):
     """{nonlinear: (|T - T_f|, max|rho - Gibbs(T_f)|)} at the end of each
     variant's closed finite-bath run, where T_f is the temperature of
@@ -360,8 +398,7 @@ def test_herm_err_after_the_start_is_exactly_zero(rng, dim):
 
 def test_herm_err_of_a_state_hermitian_by_construction():
     # an exactly Hermitian rho with a non-finite entry: herm_err is NaN, as
-    # max|rho - rho^dagger| reads it, so the violation text is the same
-    # whether _observe measures it or takes rho as Hermitian by construction
+    # max|rho - rho^dagger| reads it, and the violation names it
     system = QuantumSystem(np.diag([1.0, 0.0, -1.0]), (CouplingChannel(np.ones((3, 3)), 0.2, 0.3),))
     bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
     nan, inf = math.nan, math.inf
@@ -373,21 +410,14 @@ def test_herm_err_of_a_state_hermitian_by_construction():
             rho[1, 1] = entry
         w = np.full(3, nan)  # a spectrum, as a stage's eigh would have made it
         with np.errstate(invalid="ignore"):
-            texts = [
-                _observe(0.5, rho, 0.0, bath, system, None, MonitorTolerances(), 0.0, w, hermitian)[1]
-                for hermitian in (False, True)
-            ]
-        assert texts[0] == texts[1]
-        assert "herm_err=nan, min_eig=nan" in texts[1]
-    assert texts[1] == "non-finite monitor herm_err=nan, min_eig=nan, total_energy=nan at t=0.5"
-    # a finite rho taken as Hermitian by construction is not measured
+            text = _observe(0.5, rho, 0.0, bath, system, None, MonitorTolerances(), 0.0, w)[1]
+        assert "herm_err=nan, min_eig=nan" in text
+    assert text == "non-finite monitor herm_err=nan, min_eig=nan, total_energy=nan at t=0.5"
+    # a finite rho is measured
     rho = np.eye(3, dtype=complex) / 3
     rho[1, 0] += 1e-11
-    monitors = [
-        _observe(0.5, rho, 0.0, bath, system, None, MonitorTolerances(), 0.0, None, hermitian)[0].monitors
-        for hermitian in (False, True)
-    ]
-    assert monitors[0]["herm_err"] == pytest.approx(1e-11, rel=1e-3) and monitors[1]["herm_err"] == 0.0
+    monitors = _observe(0.5, rho, 0.0, bath, system, None, MonitorTolerances(), 0.0, None)[0].monitors
+    assert monitors["herm_err"] == pytest.approx(1e-11, rel=1e-3)
 
 
 def test_total_energy_monitor_fires():
@@ -905,15 +935,8 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
     for system, bath in cases:
         for nonlinear in (True, False):
             stage = _bind(bath, system, nonlinear)
-
-            def oracle_rates(system, nonlinear, friction, diffusion, per_T=None, C_e=None):
-                # the oracle stage reads a finite bath's temperature through the bath
-                assert C_e in (None, bath.C_e)
-                temperature = None if C_e is None else bath._temperature_at
-                return oracles.two_level_bound_stage(system, nonlinear, friction, diffusion, per_T, temperature)
-
             with monkeypatch.context() as patch:
-                patch.setattr(environment, "_bind_rates", oracle_rates)
+                patch.setattr(environment, "_bind_rates", oracles.two_level_bound_stage)
                 oracle = _bind(bath, system, nonlinear)
             for r in states:
                 first = stage(*r, bath.H_e)

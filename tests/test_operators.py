@@ -20,8 +20,7 @@ from thermoqme import (
     von_neumann_entropy,
 )
 from thermoqme.master_equation import CouplingChannel, QuantumSystem, _lapack_stage, _rate_column, _rates
-from thermoqme import operators
-from thermoqme.operators import _masked_log_mean, _pairwise_log_mean, _two_level_spectrum
+from thermoqme.operators import _pairwise_log_mean, _two_level_spectrum
 from thermoqme.two_level import SIGMA, pauli_compose, PauliVector
 
 from conftest import random_density, random_hermitian, stage_rhs
@@ -220,20 +219,18 @@ def _log_mean_spectra(rng):
     return spectra
 
 
-def test_log_mean_direct_path_is_the_masked_path_bitwise(monkeypatch, rng):
-    # positive spectra take the direct formula, which must give the masked
-    # path's bits; a nonpositive member or an overflowing ratio takes the
-    # masked path itself
-    masked = []
-    monkeypatch.setattr(operators, "_masked_log_mean", lambda p: masked.append(p) or _masked_log_mean(p))
+def test_log_mean_diagonal_is_the_spectrum(rng):
+    # a pair of equal members is their mean, so the diagonal is p itself,
+    # exactly, and the matrix is exactly symmetric
     for p in _log_mean_spectra(rng):
         d = _pairwise_log_mean(p)
-        assert not masked
-        assert d.tobytes() == _masked_log_mean(p).tobytes()
         assert np.array_equal(np.diagonal(d), p)
-    for p in (np.array([0.0, 0.4, 0.6]), np.array([-1e-17, 0.5, 0.5]), np.array([5e-324, 0.3, 1.0])):
-        assert _pairwise_log_mean(p).tobytes() == _masked_log_mean(p).tobytes()
-        assert masked.pop() is p
+        assert np.array_equal(d, d.T)
+    # a nonpositive member's pairs are 0, and the other pairs keep their means
+    for p in (np.array([0.0, 0.4, 0.6]), np.array([-1e-17, 0.5, 0.5])):
+        d = _pairwise_log_mean(p)
+        assert not d[0].any() and not d[:, 0].any()
+        assert np.array_equal(d[1:, 1:], _pairwise_log_mean(p[1:]))
 
 
 def _bloch_entries(length, theta, phi):
