@@ -39,49 +39,11 @@ PYTHONWARNINGS="error:This process:DeprecationWarning" THERMOQME_LOG=INFO \
   "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp" 2> "$out/cmp.err"
 no_leftover "$out/cmp"
 grep -Eq "nonlinear run: the forked child formatted [1-9][0-9]* of [0-9]+ CSV rows$" "$out/cmp.err"
-# pinned to one CPU, compare runs its variants one after the other instead of
-# forking the linearized run: the same four files, byte for byte
-taskset -c 0 "${cli[@]}" compare --config configs/compare_high_temperature.json --out-dir "$out/cmp_serial"
-for name in nonlinear.csv linearized.csv delta.csv summary.json; do
-  cmp "$out/cmp/$name" "$out/cmp_serial/$name"
-done
-# the same above two levels, where the stage decomposes rho with LAPACK: a
+# a compare above two levels, where the stage decomposes rho with LAPACK: a
 # spin-1 ladder with one bath-bracket channel (J_x) and one fixed-rate
-# channel (J_y), from a state with coherences, forked and pinned
-python - "$out/n3.json" <<'EOF'
-import json, math, sys
-r = math.sqrt(0.5)
-jx = [[[0.0, 0.0], [r, 0.0], [0.0, 0.0]], [[r, 0.0], [0.0, 0.0], [r, 0.0]], [[0.0, 0.0], [r, 0.0], [0.0, 0.0]]]
-jy = [[[0.0, 0.0], [0.0, -r], [0.0, 0.0]], [[0.0, r], [0.0, 0.0], [0.0, -r]], [[0.0, 0.0], [0.0, r], [0.0, 0.0]]]
-cfg = {
-    "system": {
-        "generic": {
-            "hamiltonian": [[[1.0 - i if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)],  # diag(1, 0, -1)
-            "channels": [
-                {"Q": jx, "use_bath_bracket": True},
-                {"Q": jy, "friction_rate": 0.2, "diffusion_rate": 0.3},
-            ],
-        }
-    },
-    "environment": {"infinite": {"T_e": 1.0, "gamma0": 1.0, "omega_ref": 1.0}},
-    "integrator": {"dt": 0.01, "t_end": 2.0, "monitor_every": 5},
-    "initial_state": {
-        "matrix": [
-            [[0.5, 0.0], [0.1, 0.05], [0.0, 0.0]],
-            [[0.1, -0.05], [0.3, 0.0], [0.05, 0.0]],
-            [[0.0, 0.0], [0.05, 0.0], [0.2, 0.0]],
-        ]
-    },
-}
-with open(sys.argv[1], "w", encoding="utf-8") as fh:
-    json.dump(cfg, fh)
-EOF
-"${cli[@]}" compare --config "$out/n3.json" --out-dir "$out/cmp_n3"
+# channel (J_y), from a state with coherences
+"${cli[@]}" compare --config configs/spin_one_ladder.json --out-dir "$out/cmp_n3"
 no_leftover "$out/cmp_n3"
-taskset -c 0 "${cli[@]}" compare --config "$out/n3.json" --out-dir "$out/cmp_n3_serial"
-for name in nonlinear.csv linearized.csv delta.csv summary.json; do
-  cmp "$out/cmp_n3/$name" "$out/cmp_n3_serial/$name"
-done
 # a seeded N = 16 system (a nonlinear CSV of 101 rows of 277 fields), whose
 # forked compare hands the child half of the nonlinear rows to format: the
 # same four files as pinned to one CPU, and no process left behind
@@ -116,8 +78,9 @@ taskset -c 0 "${cli[@]}" compare --config "$out/n16.json" --out-dir "$out/cmp_n1
 for name in nonlinear.csv linearized.csv delta.csv summary.json; do
   cmp "$out/cmp_n16/$name" "$out/cmp_n16_serial/$name"
 done
-# every checked-in config, run and compared forked and pinned to one CPU:
-# the same sha256 listing of every file written
+# every checked-in config, run and compared forked and pinned to one CPU
+# (where compare runs its variants one after the other instead of forking
+# the linearized run): the same sha256 listing of every file written
 bash ci/output_digests.sh "${cli[@]}" > "$out/digests.txt"
 taskset -c 0 bash ci/output_digests.sh "${cli[@]}" > "$out/digests_serial.txt"
 test -s "$out/digests.txt"

@@ -7,13 +7,9 @@ structure monitor fired (the file still holds the trajectory up to the
 violation), 1 for configuration errors, an output location that cannot be
 created or written included.  Where the process may use more than one CPU,
 `compare` runs its linearized variant at the same time as the nonlinear one,
-in a child started by multiprocessing's fork context, whose trajectory comes
-back through a multiprocessing ``Pipe``.  When the nonlinear run ends, the
-parent reads that trajectory, waiting for it if need be, and unless the
-child's run failed hands it the second half of the nonlinear rows, which
-the child formats while the parent writes the header and the first half;
-the parent then appends the child's text.  The files are the same as when
-the variants run one after the other.
+in a forked child that then formats the second half of the nonlinear CSV
+(:func:`_compare_forked`).  The files are the same as when the variants run
+one after the other.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
 from itertools import chain
 from pathlib import Path
 from time import perf_counter
@@ -96,10 +91,11 @@ def _output_dir(path) -> Path:
 
 
 @contextmanager
-def _output(path):
-    """The text file ``path`` opened for writing; ConfigError if it cannot be written."""
+def _output(path, mode="w"):
+    """The text file ``path`` opened for writing, or appending where ``mode``
+    is "a"; ConfigError if it cannot be written."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, mode, encoding="utf-8", newline="\n") as fh:
             yield fh
     except OSError as exc:
         raise ConfigError("output", f"cannot write {path}: {exc}") from exc
@@ -123,32 +119,19 @@ def _csv_text(rows: np.ndarray) -> str:
     return "".join([row_fmt % tuple(row) for row in rows.tolist()])
 
 
-def _write_csv(path, header, rows, tail=None) -> None:
+def _write_csv(path, header, rows) -> None:
     """Write ``header``, then each row, a tuple of floats, as one line of
-    "%.16e" fields as it arrives, then the text ``tail()`` returns, where
-    ``tail`` is given."""
+    "%.16e" fields as it arrives."""
     row_fmt = _row_format(len(header))
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(row_fmt % row)
-        if tail is not None:
-            fh.write(tail())
 
 
-def _run_one(setup: RunSetup, nonlinear: bool, path, handoff=None) -> tuple[Trajectory, int]:
+def _simulate_logged(setup: RunSetup, nonlinear: bool) -> Trajectory:
     """Integrate one variant, logging its wall time, steps and any monitor
-    violation, and write its trajectory CSV to ``path``; returns
-    (trajectory, rows written).
-
-    ``handoff`` is the ``ask`` of :func:`_with_forked`, whose child formats
-    rows with :func:`_csv_text`.  Unless the child's own run failed, the
-    second half of the rows goes to it as one float64 array, and its text
-    is written after the first half, which is formatted here meanwhile; the
-    number of rows the child formatted is logged.  The one schedule that
-    loses is a child still busy when the run here ends, as after a run here
-    that stops early: this waits idle for it, which costs at most half the
-    time this CSV takes to format."""
+    violation."""
     variant = "nonlinear" if nonlinear else "linearized"
     log.info("%s run: %d steps of dt=%g", variant, setup.integrator.n_steps, setup.integrator.dt)
     start = perf_counter()
@@ -161,14 +144,15 @@ def _run_one(setup: RunSetup, nonlinear: bool, path, handoff=None) -> tuple[Traj
     )
     if traj.violation is not None:
         log.info("%s run: monitor violation: %s", variant, traj.violation)
+    return traj
+
+
+def _run_one(setup: RunSetup, nonlinear: bool, path) -> tuple[Trajectory, int]:
+    """Integrate one variant, logged, and write its trajectory CSV to
+    ``path``; returns (trajectory, rows written)."""
+    traj = _simulate_logged(setup, nonlinear)
     header, row, points = _trajectory_rows(traj, setup)
-    cut, tail = len(points) // 2, None
-    if handoff is not None:
-        tail = handoff(lambda: _packed(map(row, points[cut:]), len(points) - cut, len(header)))
-    mine = points[:cut] if tail else points
-    _write_csv(path, header, map(row, mine), tail)
-    if handoff is not None:
-        log.info("%s run: the forked child formatted %d of %d CSV rows", variant, len(points) - len(mine), len(points))
+    _write_csv(path, header, map(row, points))
     return traj, len(points)
 
 
@@ -207,25 +191,27 @@ def _two_cpus() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-def _with_forked(child_fn, parent_fn, serve):
-    """(parent_fn(ask), child_fn()), with ``child_fn`` run at the same time
-    in a child started by multiprocessing's fork context, which then serves
-    at most one request of the parent.
+def _compare_forked(setup: RunSetup, out_dir: Path) -> tuple[Trajectory, Trajectory]:
+    """(nonlinear, linearized) trajectories of ``setup``, each written to
+    its CSV in ``out_dir``, the linearized one at the same time by a child
+    started by multiprocessing's fork context.
 
-    The child sends its return value, or the exception it raised, through a
-    multiprocessing ``Pipe``, then waits for a request, sends serve(request)
-    back and exits, so it never returns into the caller's stack; the parent
-    closing its end also ends the wait.  ask(make_request), which
-    ``parent_fn`` calls at most once, reads the child's result, waiting for
-    it if need be.  Where the child's run failed, ask returns None;
-    otherwise it sends make_request() and returns a function, which
-    ``parent_fn`` must call, that waits for serve(request) and returns it,
-    or raises the exception serve raised.  As the result is read before a
-    request is sent, two large messages never block both sides on a full
-    pipe; a parent that asks before the child's run ends waits for it idle.
+    The child writes ``linearized.csv``, sends its trajectory, or the
+    exception it raised, through a multiprocessing ``Pipe``, then waits for
+    the second half of the nonlinear rows as one float64 array, sends back
+    their CSV text, or the exception its formatting raised, and exits, so
+    it never returns into the caller's stack; the parent closing its end
+    also ends the wait.  When the nonlinear run ends, the parent reads the
+    child's trajectory, waiting for it idle if need be, and unless that run
+    failed sends it the rows; it writes the header and the first half
+    meanwhile and appends the child's text.  As the trajectory is read
+    before the rows are sent, two large messages never block both sides on
+    a full pipe.  A child still busy when the nonlinear run ends, as after
+    one that stops early, makes this slower than formatting every row here
+    by at most half the time that takes.
 
-    The child's exception is raised here as the parent's own, after
-    ``parent_fn`` has returned.  If ``parent_fn`` raises, the child is
+    The child's exception is raised as the parent's own once
+    ``nonlinear.csv`` is written.  If the parent raises, the child is
     killed; either way it has been reaped when this returns or raises."""
     # imported here: after numpy it costs 6-9 ms, and `run` never forks
     import multiprocessing
@@ -241,20 +227,20 @@ def _with_forked(child_fn, parent_fn, serve):
             message = ForkingPickler.dumps((False, RuntimeError(f"cannot send the result of the forked run: {exc!r}")))
         child_conn.send_bytes(message)
 
-    def run():
+    def linearized():
         conn.close()  # so that the parent closing its end ends the wait with EOFError
         try:
-            outcome = (True, child_fn())
+            outcome = (True, _run_one(setup, False, out_dir / "linearized.csv")[0])
         except BaseException as exc:
             outcome = (False, exc)
         try:
             send(outcome)
-            request = child_conn.recv()
+            rows = child_conn.recv()
             try:
-                send((True, serve(request)))
+                send((True, _csv_text(rows)))
             except BaseException as exc:
                 send((False, exc))
-        except (EOFError, OSError):  # the parent has gone, or closed its end without a request
+        except (EOFError, OSError):  # the parent has gone, or closed its end without sending rows
             pass
 
     def recv():
@@ -264,32 +250,29 @@ def _with_forked(child_fn, parent_fn, serve):
             child.join()
             raise RuntimeError(f"the forked run sent no readable result (exit code {child.exitcode})") from None
 
-    def reply():
-        ok, value = recv()
-        if not ok:
-            raise value
-        return value
-
-    outcome = None  # the child's result, once read
-
-    def ask(make_request):
-        nonlocal outcome
-        outcome = recv()
-        if not outcome[0]:
-            return None
-        try:
-            conn.send(make_request())
-        except OSError:  # the child has gone; reading from it says how
-            pass
-        return reply
-
-    child = context.Process(target=run)
+    child = context.Process(target=linearized)
     child.start()
     child_conn.close()
+    path = out_dir / "nonlinear.csv"
     try:
         try:
-            mine = parent_fn(ask)
-            ok, theirs = outcome or recv()
+            nl = _simulate_logged(setup, True)
+            header, row, points = _trajectory_rows(nl, setup)
+            ok, lin = recv()
+            cut = len(points) // 2 if ok else len(points)
+            if ok:
+                try:
+                    conn.send(_packed(map(row, points[cut:]), len(points) - cut, len(header)))
+                except OSError:  # the child has gone; reading from it says how
+                    pass
+            _write_csv(path, header, map(row, points[:cut]))
+            if ok:
+                formatted, text = recv()
+                if not formatted:
+                    raise text
+                with _output(path, "a") as fh:
+                    fh.write(text)
+            log.info("nonlinear run: the forked child formatted %d of %d CSV rows", len(points) - cut, len(points))
         except BaseException:
             child.kill()
             raise
@@ -297,8 +280,8 @@ def _with_forked(child_fn, parent_fn, serve):
         conn.close()
         child.join()
     if not ok:
-        raise theirs
-    return mine, theirs
+        raise lin
+    return nl, lin
 
 
 def cmd_compare(args) -> int:
@@ -306,14 +289,12 @@ def cmd_compare(args) -> int:
     out_dir = _output_dir(args.out_dir)
     log.info("compare: config %s, output directory %s", args.config, out_dir)
 
-    def variant(name, handoff=None):
-        return _run_one(setup, name == "nonlinear", out_dir / f"{name}.csv", handoff)[0]
-
     if _two_cpus():  # the linearized run goes to a forked child, on another CPU,
         # which then formats half of the nonlinear CSV
-        nl, lin = _with_forked(lambda: variant("linearized"), partial(variant, "nonlinear"), _csv_text)
+        nl, lin = _compare_forked(setup, out_dir)
     else:
-        nl, lin = variant("nonlinear"), variant("linearized")
+        nl = _run_one(setup, True, out_dir / "nonlinear.csv")[0]
+        lin = _run_one(setup, False, out_dir / "linearized.csv")[0]
     results = {"nonlinear": nl, "linearized": lin}
 
     # zip stops at the shorter trajectory: a truncated variant is compared up to where it ended

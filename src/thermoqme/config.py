@@ -66,10 +66,26 @@ def _one_of(node: dict, path: str, a: str, b: str) -> str:
     return a if a in node else b
 
 
+def _float(v) -> float:
+    """The number ``v`` as a float; an integer too large for one is an infinity of its sign."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _json_int(text: str):
+    """A JSON integer; one with more digits than ``int`` reads from text is an infinity."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _number(node, path, *, positive=False, nonnegative=False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(path, f"expected a number, got {node!r}")
-    value = float(node)
+    value = _float(node)
     if not math.isfinite(value):
         raise ConfigError(path, f"must be finite, got {value}")
     if positive and value <= 0.0:
@@ -108,11 +124,11 @@ def _complex_matrix(node, path) -> np.ndarray:
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
                 raise ConfigError(f"{path}[{i}][{j}]", f"expected an [re, im] pair, got {entry!r}")
-    pairs = np.asarray(node, dtype=float)
+    pairs = np.array([[[_float(v) for v in entry] for entry in row] for row in node])
     bad = np.argwhere(~np.isfinite(pairs))
     if bad.size:
         i, j, _ = bad[0]
-        raise ConfigError(f"{path}[{i}][{j}]", f"must be finite, got {node[i][j]!r}")
+        raise ConfigError(f"{path}[{i}][{j}]", f"must be finite, got {pairs[i, j].tolist()}")
     return pairs
 
 
@@ -245,9 +261,9 @@ def _parse_initial_state(node, path, dim: int) -> dict:
             raise ConfigError(f"{path}.bloch", f"expected three numbers, got {vec!r}")
         if dim != 2:
             raise ConfigError(f"{path}.bloch", "bloch initial states require a two-dimensional system")
-        m = [float(v) for v in vec]
+        m = [_float(v) for v in vec]
         if not all(math.isfinite(v) for v in m):
-            raise ConfigError(f"{path}.bloch", f"must be finite, got {vec!r}")
+            raise ConfigError(f"{path}.bloch", f"must be finite, got {m!r}")
         if np.linalg.norm(m) > 1.0 + 1e-12:
             raise ConfigError(f"{path}.bloch", f"|m| = {np.linalg.norm(m)} exceeds 1")
         return {"bloch": m}
@@ -325,10 +341,10 @@ def config_to_dict(cfg: SimulationConfig) -> dict:
 
 def load_config(path) -> SimulationConfig:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_json_int)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to parse
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config", "top-level value must be an object")

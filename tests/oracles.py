@@ -241,6 +241,22 @@ def choi_complement_minimum(generator, n: int) -> float:
     return float(np.linalg.eigvalsh(basis.T @ choi @ basis)[0])
 
 
+def linearized_steady_state(system) -> tuple[np.ndarray, float]:
+    """(rho, s) for the linearized generator of :func:`linearized_generator`
+    as the n^2 x n^2 matrix of its action on the matrix units E_ij: rho is
+    its null vector, as a Hermitian matrix of trace one, and s its
+    second-smallest singular value, which is well above 0 exactly where
+    that null space is one-dimensional.  Found with no integrator."""
+    n = system.dim
+    generator = linearized_generator(system)
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij is units[i n + j]
+    matrix = np.stack([generator(e).reshape(n * n) for e in units], axis=1)
+    _, singular, vh = np.linalg.svd(matrix)
+    rho = vh[-1].conj().reshape(n, n)
+    rho = rho / np.trace(rho)
+    return 0.5 * (rho + rho.conj().T), float(singular[-2])
+
+
 def _log_mean(p: float, q: float) -> float:
     """One entry of :func:`_pairwise_log_mean`, by the same rule, in Python floats."""
     if not (p > 0.0 and q > 0.0):

@@ -515,7 +515,31 @@ CONFIG_ERRORS = {
         "initial_state.bloch",
         "must be finite, got [0.0, nan, 0.5]",
     ),
+    # an integer too large for a float is not finite and is never printed,
+    # whether it comes from JSON text, with more digits than int() reads
+    # from text too, or from a Python int
+    "overflowing_number": (
+        json.dumps(_two_level_config()).replace('"omega": 1.0', '"omega": 1' + "0" * 400),
+        "system.two_level.omega",
+        "must be finite, got inf",
+    ),
+    "integer_too_long_to_read": (
+        json.dumps(_two_level_config()).replace('"omega": 1.0', '"omega": ' + "9" * 5000),
+        "system.two_level.omega",
+        "must be finite, got inf",
+    ),
+    "overflowing_bloch": (
+        _two_level_config(initial_state={"bloch": [0.0, 10**400, 0.5]}),
+        "initial_state.bloch",
+        "must be finite, got [0.0, inf, 0.5]",
+    ),
+    "overflowing_matrix_entry": (
+        _generic_config(hamiltonian=[[[0.5, 0.0], [0.0, -(10**400)]], [[0.0, 0.0], [-0.5, 0.0]]]),
+        "system.generic.hamiltonian[0][1]",
+        "must be finite, got [0.0, -inf]",
+    ),
     "invalid_json": ('{"system": ', "config", "invalid JSON"),
+    "nested_too_deeply": ("[" * 100_000 + "]" * 100_000, "config", "invalid JSON: maximum recursion depth exceeded"),
     "top_level_not_an_object": ("[1, 2]", "config", "top-level value must be an object"),
 }
 
@@ -619,6 +643,7 @@ def _compare_configs(tmp_path):
         "high_temperature": (CONFIG_DIR / "compare_high_temperature.json", 0),
         "low_temperature": (CONFIG_DIR / "compare_low_temperature.json", 2),
         "blow_up": (_write(tmp_path, blow_up, "blow_up.json"), 2),
+        "generic_2": (_write(tmp_path, _seeded_generic_config(2202, dim=2), "generic_2.json"), 0),
         "generic_3": (_write(tmp_path, _seeded_generic_config(2203), "generic_3.json"), 0),
         "generic_16": (_generic_16(tmp_path), 0),
     }
@@ -630,11 +655,12 @@ def _generic_16(tmp_path):
 
 
 def _handoff_patches(monkeypatch, failing=None):
-    """Patch compare so that the variant ``failing`` raises.  Returns the
-    list to which compare appends, for each nonlinear CSV, whether it handed
-    half of the rows to the child."""
+    """Patch compare so that the variant ``failing`` raises, or, where
+    ``failing`` is "parent", the parent's write of the nonlinear CSV, made
+    while the child formats.  Returns the list to which compare appends,
+    for each nonlinear CSV this process writes, how many rows it wrote."""
     real_simulate, real_write = cli.simulate, cli._write_csv
-    handed = []
+    written = []
 
     def simulate(*args, nonlinear):
         name = "nonlinear" if nonlinear else "linearized"
@@ -642,45 +668,50 @@ def _handoff_patches(monkeypatch, failing=None):
             raise ArithmeticError(f"{name} run failed")
         return real_simulate(*args, nonlinear=nonlinear)
 
-    def write_csv(path, header, rows, tail=None):
+    def write_csv(path, header, rows):
         if path.name == "nonlinear.csv":
-            handed.append(tail is not None)
-            if tail is not None and failing == "parent":
+            rows = list(rows)
+            written.append(len(rows))
+            if failing == "parent":
                 raise ArithmeticError("parent failed while the child formats")
-        real_write(path, header, rows, tail)
+        real_write(path, header, rows)
 
     monkeypatch.setattr(cli, "simulate", simulate)
     monkeypatch.setattr(cli, "_write_csv", write_csv)
-    return handed
+    return written
 
 
 def _handoff_logs(caplog):
     return [r.getMessage() for r in caplog.records if r.name == "thermoqme" and "forked child" in r.getMessage()]
 
 
-@pytest.mark.parametrize("case", ["high_temperature", "low_temperature", "blow_up", "generic_3", "generic_16"])
+@pytest.mark.parametrize(
+    "case", ["high_temperature", "low_temperature", "blow_up", "generic_2", "generic_3", "generic_16"]
+)
 def test_compare_forked_and_serial_write_the_same_files(tmp_path, monkeypatch, caplog, case):
     # the variants at once (the linearized one in a forked child, which then
     # formats the second half of the nonlinear rows, at every CSV size) or
     # one after the other: the same four files, byte for byte, and the same
-    # exit code; the forked run logs how many rows the child formatted
+    # exit code; generic_2 is the upper triangle written from the n = 2
+    # kernel; the forked run writes the first half of the nonlinear rows
+    # itself and logs how many rows the child formatted
     cfg_path, code = _compare_configs(tmp_path)[case]
     monkeypatch.setenv("THERMOQME_LOG", "INFO")
-    digests, handed, logs = {}, {}, {}
+    digests, written, logs = {}, {}, {}
     for forked in (True, False):
         out_dir = tmp_path / f"forked_{forked}"
         caplog.clear()
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_two_cpus", lambda: forked)
-            handed[forked] = _handoff_patches(patch)
+            written[forked] = _handoff_patches(patch)
             assert main(["compare", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == code
         _assert_no_child_left()
         logs[forked] = _handoff_logs(caplog)
         digests[forked] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert sorted(digests[True]) == ["delta.csv", "linearized.csv", "nonlinear.csv", "summary.json"]
     assert digests[True] == digests[False]
-    assert handed == {True: [True], False: [False]}
     rows = len(_read_csv(tmp_path / "forked_True" / "nonlinear.csv")[1])
+    assert written == {True: [rows // 2], False: [rows]}
     assert logs == {True: [f"nonlinear run: the forked child formatted {rows - rows // 2} of {rows} CSV rows"], False: []}
 
 
@@ -705,28 +736,51 @@ def test_compare_passes_on_an_exception_from_either_variant(tmp_path, monkeypatc
     _assert_no_child_left()
 
 
-def test_forked_run_that_sends_nothing_is_an_error():
-    # a child that dies before it sends a result is reported with its exit code
+def _forked_compare(tmp_path, monkeypatch, **patches):
+    """Exit code of a short two-level compare whose linearized variant runs
+    in a forked child, with the given attributes of thermoqme.cli patched;
+    it writes to tmp_path/cmp."""
+    monkeypatch.setattr(cli, "_two_cpus", lambda: True)
+    for name, value in patches.items():
+        monkeypatch.setattr(cli, name, value)
+    cfg = _write(tmp_path, _two_level_config(integrator={"dt": 0.01, "t_end": 0.1}))
+    return main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path / "cmp")])
+
+
+def _simulate_with(nonlinear_run=None, linearized_run=None):
+    """A stand-in for cli.simulate that calls the given function in place
+    of the variant's run."""
+    real_simulate = cli.simulate
+
+    def simulate(*args, nonlinear):
+        run = nonlinear_run if nonlinear else linearized_run
+        return real_simulate(*args, nonlinear=nonlinear) if run is None else run()
+
+    return simulate
+
+
+def test_forked_run_that_sends_nothing_is_an_error(tmp_path, monkeypatch):
+    # a child that dies before it sends its trajectory is reported with its exit code
     with pytest.raises(RuntimeError, match=r"^the forked run sent no readable result \(exit code 3\)$"):
-        cli._with_forked(lambda: os._exit(3), lambda ask: None, abs)
+        _forked_compare(tmp_path, monkeypatch, simulate=_simulate_with(linearized_run=lambda: os._exit(3)))
     _assert_no_child_left()
 
 
-def test_forked_run_whose_result_cannot_be_sent_is_an_error():
+def test_forked_run_whose_result_cannot_be_sent_is_an_error(tmp_path, monkeypatch):
     # a result that does not pickle comes back as an error that says so
     with pytest.raises(RuntimeError, match=r"^cannot send the result of the forked run: "):
-        cli._with_forked(lambda: (lambda: 0), lambda ask: None, abs)
+        _forked_compare(tmp_path, monkeypatch, _run_one=lambda setup, nonlinear, path: (lambda: 0, 0))
     _assert_no_child_left()
 
 
-def test_forked_run_is_killed_when_the_parent_run_raises():
+def test_forked_run_is_killed_when_the_parent_run_raises(tmp_path, monkeypatch):
     # the parent's exception is raised at once, not after the child's run
-    def interrupted(ask):
+    def interrupted():
         raise KeyboardInterrupt
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        cli._with_forked(lambda: time.sleep(30), interrupted, abs)
+        _forked_compare(tmp_path, monkeypatch, simulate=_simulate_with(interrupted, lambda: time.sleep(30)))
     assert time.monotonic() - start < 1.0
     _assert_no_child_left()
 
@@ -744,7 +798,7 @@ def test_compare_passes_on_an_exception_around_the_handoff(tmp_path, monkeypatch
         monkeypatch.setattr(cli, "_csv_text", no_text)
     monkeypatch.setattr(cli, "_two_cpus", lambda: True)
     monkeypatch.setenv("THERMOQME_LOG", "INFO")
-    handed = _handoff_patches(monkeypatch, failing)
+    written = _handoff_patches(monkeypatch, failing)
     with pytest.raises(ArithmeticError) as info:
         main(["compare", "--config", str(_generic_16(tmp_path)), "--out-dir", str(tmp_path / "cmp")])
     message = {
@@ -753,24 +807,37 @@ def test_compare_passes_on_an_exception_around_the_handoff(tmp_path, monkeypatch
         "linearized": "linearized run failed",
     }[failing]
     assert type(info.value) is ArithmeticError and str(info.value) == message
-    assert handed == [failing != "linearized"]
+    assert written == [51 if failing == "linearized" else 25]
     logged = ["nonlinear run: the forked child formatted 0 of 51 CSV rows"] if failing == "linearized" else []
     assert _handoff_logs(caplog) == logged
     _assert_no_child_left()
 
 
-def test_forked_exchange():
-    # the child serves the parent's one ask; a child never asked is
-    # released when the parent's function returns
-    assert cli._with_forked(lambda: "child", lambda ask: ask(lambda: 20)(), lambda n: n + 1) == (21, "child")
-    assert cli._with_forked(lambda: "child", lambda ask: "parent", abs) == ("parent", "child")
+def test_forked_exchange(tmp_path, monkeypatch):
+    # the parent writes the first half of the nonlinear rows and hands the
+    # child the second half as one float64 array, whose text the child sends
+    # back to be appended: here with a line that says what it was handed
+    real_text = cli._csv_text
+
+    def csv_text(rows):
+        return f"{rows.dtype} {rows.shape}\n" + real_text(rows)
+
+    assert _forked_compare(tmp_path, monkeypatch, _csv_text=csv_text) == 0
     _assert_no_child_left()
+    monkeypatch.setattr(cli, "_two_cpus", lambda: False)
+    cfg = str(tmp_path / "cfg.json")
+    assert main(["compare", "--config", cfg, "--out-dir", str(tmp_path / "serial")]) == 0
+    lines = (tmp_path / "cmp" / "nonlinear.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = len(lines) - 2
+    assert lines[1 + rows // 2] == f"float64 ({rows - rows // 2}, 8)\n"
+    del lines[1 + rows // 2]
+    assert "".join(lines) == (tmp_path / "serial" / "nonlinear.csv").read_text(encoding="utf-8")
 
 
-def test_forked_exchange_whose_child_dies_is_an_error():
-    # a child that dies while it serves the request is reported with its exit code
+def test_forked_exchange_whose_child_dies_is_an_error(tmp_path, monkeypatch):
+    # a child that dies while it formats the handed rows is reported with its exit code
     with pytest.raises(RuntimeError, match=r"^the forked run sent no readable result \(exit code 5\)$"):
-        cli._with_forked(lambda: None, lambda ask: ask(lambda: 5)(), os._exit)
+        _forked_compare(tmp_path, monkeypatch, _csv_text=lambda rows: os._exit(5))
     _assert_no_child_left()
 
 

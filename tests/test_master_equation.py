@@ -277,3 +277,36 @@ def test_spin_three_halves_linearized_generator_is_lindblad_down_to_t_half():
         minima[T] = _choi_minimum(QuantumSystem(system.H, channels))
     assert abs(minima[0.5]) <= 1e-12 and abs(minima[1.0]) <= 1e-12
     assert abs(minima[0.45] + 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("isotropic", [False, True])
+@pytest.mark.parametrize("gamma0", [1.0, 2.0])
+def test_two_level_linearized_steady_state_is_minus_x_e3(isotropic, gamma0):
+    # the null vector of the linearized two-level generator, with no
+    # integrator, is the Bloch vector -x e3, and it is the only one; bounds
+    # fixed before measuring: |m + x e3| <= 1e-12 max(1, x), second-smallest
+    # singular value >= 0.1
+    for x in (0.1, 0.5, 1.0, 2.0, 5.0):
+        system = two_level_system(TwoLevelParams(omega=1.0, gamma0=gamma0, T_e=0.5 / x, isotropic=isotropic))
+        rho, gap = oracles.linearized_steady_state(system)
+        assert np.linalg.norm(pauli_decompose(rho).a - [0.0, 0.0, -x]) <= 1e-12 * max(1.0, x)
+        assert gap >= 0.1
+
+
+def test_spin_three_halves_linearized_steady_state_leaves_the_state_space_below_t_half():
+    # the spin-3/2 ladder with friction 1 and diffusion T: the linearized
+    # steady state is positive at T = 1, where it still misses the Gibbs
+    # state, on the boundary at T = 0.5 (where the generator's Choi
+    # minimum reaches 0) and not a state at T = 0.2; bounds fixed before
+    # measuring: smallest eigenvalue >= 1e-3 at T = 1, within 1e-12 of 0 at
+    # T = 0.5 and <= -0.1 at T = 0.2; max|rho - Gibbs| >= 1e-3 at T = 1;
+    # second-smallest singular value >= 0.1
+    system, _ = spin_three_halves()
+    lowest, steady = {}, {}
+    for T in (1.0, 0.5, 0.2):
+        channels = [replace(ch, friction_rate=1.0, diffusion_rate=T) for ch in system.channels]
+        steady[T], gap = oracles.linearized_steady_state(QuantumSystem(system.H, channels))
+        lowest[T] = np.linalg.eigvalsh(steady[T])[0]
+        assert gap >= 0.1
+    assert lowest[1.0] >= 1e-3 and abs(lowest[0.5]) <= 1e-12 and lowest[0.2] <= -0.1
+    assert np.max(np.abs(steady[1.0] - equilibrium_state(system.H, 1.0))) >= 1e-3
