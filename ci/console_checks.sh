@@ -148,6 +148,23 @@ status=0
 "${cli[@]}" run --config missing.json --out "$out/missing.csv" 2> "$out/missing.err" || status=$?
 test "$status" -eq 1
 grep -q "^configuration error: config: " "$out/missing.err"
+# so is a t_end / dt too large for a float to count the steps
+python - "$out/overflow.json" <<'EOF'
+import json, sys
+with open("configs/two_level_x1.json", encoding="utf-8") as fh:
+    cfg = json.load(fh)
+cfg["integrator"].update(dt=1e-300, t_end=1e300)
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(cfg, fh)
+EOF
+status=0
+"${cli[@]}" run --config "$out/overflow.json" --out "$out/overflow.csv" 2> "$out/overflow.err" || status=$?
+test "$status" -eq 1
+test "$(head -c 32 "$out/overflow.err")" = "configuration error: integrator:"
+if grep -q Traceback "$out/overflow.err"; then
+  echo "an overflowing step count printed a traceback" >&2
+  exit 1
+fi
 # so is a bad mu-table step count: exit 1, one message and no file
 status=0
 "${cli[@]}" mu-table --min 0 --max 0.5 --steps 1 --out "$out/mu_bad.csv" 2> "$out/mu_bad.err" || status=$?

@@ -99,7 +99,11 @@ def _integer(node, path, minimum=None) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         raise ConfigError(path, f"expected an integer, got {node!r}")
     if minimum is not None and node < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {node}")
+        # an integer past 64 bits is named by its size: whole, it may run to
+        # thousands of digits, and past 4,300 str() refuses it
+        bits = node.bit_length()
+        shown = node if bits <= 64 else f"{'a negative' if node < 0 else 'an'} integer of {bits} bits"
+        raise ConfigError(path, f"must be >= {minimum}, got {shown}")
     return node
 
 

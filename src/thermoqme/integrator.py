@@ -1,12 +1,12 @@
 """Fixed-step time integration of the coupled quantum-bath system.
 
-Steps the density matrix and the bath energy jointly with classic RK4 (or
-explicit Euler).  Every internal stage evaluates the bath-coupled diffusion
-rates at that stage's bath energy and takes the bath's energy rate from the
-closure identity.  Structure monitors (trace, hermiticity, positivity, total
-energy for closed totals) are sampled on a configurable cadence; a breach,
-or a finite bath drained of its energy, terminates the run with a flagged
-violation rather than a silent repair or a traceback.
+Steps the density matrix and the bath energy jointly with classic RK4, the
+one integration method.  Every internal stage evaluates the bath-coupled
+diffusion rates at that stage's bath energy and takes the bath's energy rate
+from the closure identity.  Structure monitors (trace, hermiticity,
+positivity, total energy for closed totals) are sampled on a configurable
+cadence; a breach, or a finite bath drained of its energy, terminates the
+run with a flagged violation rather than a silent repair or a traceback.
 """
 
 from __future__ import annotations
@@ -72,14 +72,16 @@ class IntegratorConfig:
             raise ValueError("t_end must exceed dt")
         if not math.isfinite(self.t_end):
             raise ValueError("t_end must be finite")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"the step count t_end / dt = {self.t_end} / {self.dt} is not finite")
         # n_steps fixed steps end at n_steps * dt, so that must be t_end
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(
                 f"t_end = {self.t_end} is not a whole number of dt = {self.dt} steps "
                 f"(the nearest step ends at t = {self.n_steps * self.dt:g})"
             )
-        if self.method not in ("rk4", "euler"):
-            raise ValueError(f"method must be 'rk4' or 'euler', got {self.method!r}")
+        if self.method != "rk4":
+            raise ValueError(f"method must be 'rk4', got {self.method!r}")
         # an int, not a bool, as config._integer requires of JSON: a float,
         # even 2.0, would fail later in range(steps)
         every = self.monitor_every
@@ -122,10 +124,10 @@ def step(
     bath: HeatBath,
     system: QuantumSystem,
     dt: float,
-    method: str = "rk4",
+    *,
     nonlinear: bool = True,
 ) -> tuple[np.ndarray, HeatBath]:
-    """One explicit step of the joint (rho, H_e) system.
+    """One RK4 step of the joint (rho, H_e) system.
 
     The run's rates are bound once (:func:`~thermoqme.environment._bind`);
     every internal stage takes the bath-coupled diffusion at that stage's
@@ -143,21 +145,21 @@ def step(
     the four reals of rho and H_e as floats, packed into an array once.
     Each is the advance :func:`simulate` makes once per sampled interval,
     here over one step, with its first stage evaluated at (rho, bath.H_e):
-    4 stages with RK4, 1 with Euler.
+    4 stages.
     """
     rho = _exactly_hermitian(_as_state(rho, system))
     stage = _bind(bath, system, nonlinear)
     if system.dim == 2:
         r00, r11, x, y = _two_level_entries(rho)
         first = stage(r00, r11, x, y, bath.H_e)
-        *r, h = _two_level_advance(r00, r11, x, y, bath.H_e, stage, dt, method, first, 1)
+        *r, h = _two_level_advance(r00, r11, x, y, bath.H_e, stage, dt, first, 1)
         return _two_level_matrix(*r), bath.with_energy(h)
-    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, stage(rho, bath.H_e), 1)
+    rho, h = _array_advance(rho, bath.H_e, stage, dt, stage(rho, bath.H_e), 1)
     return rho, bath.with_energy(h)
 
 
-def _array_advance(rho, h, stage, dt, method, first, steps):
-    """``steps`` RK4 or Euler steps of (rho, H_e) on numpy arrays, with the
+def _array_advance(rho, h, stage, dt, first, steps):
+    """``steps`` RK4 steps of (rho, H_e) on numpy arrays, with the
     bound ``stage`` (rho, H_e) -> (drho/dt, ..., dH_e/dt) and ``first`` its
     value at (rho, h); returns (rho, H_e), rho exactly Hermitian as it
     enters (see :func:`~thermoqme.master_equation._lapack_stage`).  Only the
@@ -165,37 +167,28 @@ def _array_advance(rho, h, stage, dt, method, first, steps):
     that the n > 2 stage returns between them is ignored.
 
     The stage at each step's end state is the next step's first stage; the
-    last step's is left to the caller, so the call costs 4 steps - 1 stages
-    with RK4 and steps - 1 with Euler.  An exception raised by a stage
+    last step's is left to the caller, so the call costs 4 steps - 1
+    stages.  An exception raised by a stage
     (a drained bath, a failed eigendecomposition) leaves with the number of
     steps finished before the failing one as its ``steps_done``."""
     k1, *_, e1 = first
     half, sixth, last = 0.5 * dt, dt / 6.0, steps - 1
     try:
-        if method == "rk4":
-            for done in range(steps):
-                k2, *_, e2 = stage(rho + half * k1, h + half * e1)
-                k3, *_, e3 = stage(rho + half * k2, h + half * e2)
-                k4, *_, e4 = stage(rho + dt * k3, h + dt * e3)
-                rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-                if done != last:
-                    k1, *_, e1 = stage(rho, h)
-        elif method == "euler":
-            for done in range(steps):
-                rho = rho + dt * k1
-                h = h + dt * e1
-                if done != last:
-                    k1, *_, e1 = stage(rho, h)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        for done in range(steps):
+            k2, *_, e2 = stage(rho + half * k1, h + half * e1)
+            k3, *_, e3 = stage(rho + half * k2, h + half * e2)
+            k4, *_, e4 = stage(rho + dt * k3, h + dt * e3)
+            rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+            if done != last:
+                k1, *_, e1 = stage(rho, h)
     except (_BathDrained, np.linalg.LinAlgError) as exc:
         exc.steps_done = done
         raise
     return rho, h
 
 
-def _two_level_advance(r00, r11, x, y, h, stage, dt, method, first, steps):
+def _two_level_advance(r00, r11, x, y, h, stage, dt, first, steps):
     """:func:`_array_advance` at n = 2 on Python floats, flat in and out:
     the four reals (rho00, rho11, Re rho10, Im rho10), which keep the
     smaller diagonal entry, and with it the smaller eigenvalue, to full
@@ -214,28 +207,20 @@ def _two_level_advance(r00, r11, x, y, h, stage, dt, method, first, steps):
     twelfth = sixth * 0.5
     last = steps - 1
     try:
-        if method == "rk4":
-            for done in range(steps):
-                s = quarter
-                g2x, g2y, g2z, e2 = stage(r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y, h + half * e1)
-                g3x, g3y, g3z, e3 = stage(r00 + s * g2z, r11 - s * g2z, x + s * g2x, y + s * g2y, h + half * e2)
-                s = half
-                g4x, g4y, g4z, e4 = stage(r00 + s * g3z, r11 - s * g3z, x + s * g3x, y + s * g3y, h + dt * e3)
-                s = twelfth
-                gx = g1x + 2.0 * g2x + 2.0 * g3x + g4x
-                gy = g1y + 2.0 * g2y + 2.0 * g3y + g4y
-                gz = g1z + 2.0 * g2z + 2.0 * g3z + g4z
-                r00, r11, x, y = r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
-                h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-                if done != last:
-                    g1x, g1y, g1z, e1 = stage(r00, r11, x, y, h)
-        elif method == "euler":
-            for done in range(steps):
-                r00, r11, x, y, h = r00 + half * g1z, r11 - half * g1z, x + half * g1x, y + half * g1y, h + dt * e1
-                if done != last:
-                    g1x, g1y, g1z, e1 = stage(r00, r11, x, y, h)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        for done in range(steps):
+            s = quarter
+            g2x, g2y, g2z, e2 = stage(r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y, h + half * e1)
+            g3x, g3y, g3z, e3 = stage(r00 + s * g2z, r11 - s * g2z, x + s * g2x, y + s * g2y, h + half * e2)
+            s = half
+            g4x, g4y, g4z, e4 = stage(r00 + s * g3z, r11 - s * g3z, x + s * g3x, y + s * g3y, h + dt * e3)
+            s = twelfth
+            gx = g1x + 2.0 * g2x + 2.0 * g3x + g4x
+            gy = g1y + 2.0 * g2y + 2.0 * g3y + g4y
+            gz = g1z + 2.0 * g2z + 2.0 * g3z + g4z
+            r00, r11, x, y = r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
+            h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+            if done != last:
+                g1x, g1y, g1z, e1 = stage(r00, r11, x, y, h)
     except (_BathDrained, np.linalg.LinAlgError) as exc:
         exc.steps_done = done
         raise
@@ -345,7 +330,7 @@ def simulate(
     The stage at each step's end state is evaluated once: it is the next
     step's first stage, and at an interval's end, evaluated here after the
     advance, a recorded point's energy flux.  So N steps cost 4N + 1 stages
-    with RK4 and N + 1 with Euler at any cadence.  Each recorded point's
+    at any cadence.  Each recorded point's
     monitors are logged at DEBUG level.
 
     The run starts, as :func:`step` does, from rho0 made exactly Hermitian
@@ -376,13 +361,13 @@ def simulate(
     points: list[TrajectoryPoint] = []
     energy_ref = None
     debug = log.isEnabledFor(logging.DEBUG)
-    dt, method, every, n, tol = config.dt, config.method, config.monitor_every, config.n_steps, config.tolerances
+    dt, every, n, tol = config.dt, config.monitor_every, config.n_steps, config.tolerances
     k = steps = 0  # the step of the next recorded point, and the length of the interval that ends there
     while True:
         t = k * dt
         try:
             if steps:
-                state = advance(*state, stage, dt, method, rates, steps)
+                state = advance(*state, stage, dt, rates, steps)
             # a finite bath drained by the interval's last step raises here, where T(H_e) is read
             rates = stage(*state)
             w = None  # above n = 2, the stage's spectrum of the observed rho, if it made one

@@ -380,8 +380,8 @@ def moved(r, s, g):
     return r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
 
 
-def two_level_advance(r00, r11, x, y, h, stage, dt, method, first=None):
-    """One RK4 or Euler step of the four reals and H_e, flat in and out, with
+def two_level_advance(r00, r11, x, y, h, stage, dt, first=None):
+    """One RK4 step of the four reals and H_e, flat in and out, with
     the flat ``stage`` (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt) and
     ``first`` its value at the start or None."""
 
@@ -394,12 +394,8 @@ def two_level_advance(r00, r11, x, y, h, stage, dt, method, first=None):
         g1, e1 = at(r, h)
     else:
         *g1, e1 = first
-    if method == "rk4":
-        g2, e2 = at(moved(r, 0.5 * dt, g1), h + 0.5 * dt * e1)
-        g3, e3 = at(moved(r, 0.5 * dt, g2), h + 0.5 * dt * e2)
-        g4, e4 = at(moved(r, dt, g3), h + dt * e3)
-        g = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(g1, g2, g3, g4)]
-        return (*moved(r, dt / 6.0, g), h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4))
-    if method == "euler":
-        return (*moved(r, dt, g1), h + dt * e1)
-    raise ValueError(f"unknown method {method!r}")
+    g2, e2 = at(moved(r, 0.5 * dt, g1), h + 0.5 * dt * e1)
+    g3, e3 = at(moved(r, 0.5 * dt, g2), h + 0.5 * dt * e2)
+    g4, e4 = at(moved(r, dt, g3), h + dt * e3)
+    g = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(g1, g2, g3, g4)]
+    return (*moved(r, dt / 6.0, g), h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4))

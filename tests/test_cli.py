@@ -364,6 +364,18 @@ CONFIG_ERRORS = {
         "expected an integer, got 2.5",
     ),
     "below_minimum": (_two_level_config(output={"stride": 0}), "output.stride", "must be >= 1, got 0"),
+    # an integer past 64 bits is named by its size, never printed whole:
+    # 400 digits, and more digits than str() prints
+    "far_below_minimum": (
+        _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "monitor_every": -(10**400)}),
+        "integrator.monitor_every",
+        "must be >= 1, got a negative integer of 1329 bits",
+    ),
+    "below_minimum_past_printing": (
+        _two_level_config(output={"stride": -(10**5000)}),
+        "output.stride",
+        "must be >= 1, got a negative integer of 16610 bits",
+    ),
     "not_a_boolean": (
         _two_level_config(system={"two_level": {"omega": 1.0, "gamma0": 1.0, "isotropic": "yes"}}),
         "system.two_level.isotropic",
@@ -440,7 +452,22 @@ CONFIG_ERRORS = {
     "unknown_method": (
         _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "method": "rk5"}),
         "integrator",
-        "method must be 'rk4' or 'euler', got 'rk5'",
+        "method must be 'rk4', got 'rk5'",
+    ),
+    "euler_method": (
+        _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "method": "euler"}),
+        "integrator",
+        "method must be 'rk4', got 'euler'",
+    ),
+    "step_count_overflows": (
+        _two_level_config(integrator={"dt": 1e-300, "t_end": 1e300}),
+        "integrator",
+        "the step count t_end / dt = 1e+300 / 1e-300 is not finite",
+    ),
+    "step_count_overflows_at_a_subnormal_dt": (
+        _two_level_config(integrator={"dt": 5e-324, "t_end": 1.0}),
+        "integrator",
+        "the step count t_end / dt = 1.0 / 5e-324 is not finite",
     ),
     "initial_state_kind": (
         _two_level_config(initial_state={}),
@@ -1026,11 +1053,14 @@ def test_run_state_gone_non_finite_above_two_levels_exits_with_violation(tmp_pat
 
 
 def test_run_rejects_unknown_method(tmp_path, capsys):
-    cfg = _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "method": "rk5"})
-    out = tmp_path / "never.csv"
-    assert main(["run", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
-    assert "method" in capsys.readouterr().err
-    assert not out.exists()
+    # RK4 is the one method, so Euler is as unknown as a misspelling
+    for method in ("rk5", "euler"):
+        cfg = _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "method": method})
+        out = tmp_path / "never.csv"
+        assert main(["run", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: integrator: method must be 'rk4', got '{method}'\n"
+        assert not out.exists()
 
 
 def test_log_level_from_environment(tmp_path, monkeypatch, caplog):

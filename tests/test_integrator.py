@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import re
@@ -64,8 +63,10 @@ def test_config_validation():
         IntegratorConfig(dt=-0.1, t_end=1.0)
     with pytest.raises(ValueError, match="t_end"):
         IntegratorConfig(dt=1.0, t_end=0.5)
-    with pytest.raises(ValueError, match="method"):
-        IntegratorConfig(dt=0.1, t_end=1.0, method="rk5")
+    # RK4 is the one method; the field stays so that configs may name it
+    for method in ("rk5", "euler"):
+        with pytest.raises(ValueError, match=f"^method must be 'rk4', got '{method}'$"):
+            IntegratorConfig(dt=0.1, t_end=1.0, method=method)
     # an int, not a bool, as a config's monitor_every: a float, even 2.0,
     # would fail later in range(steps)
     for every in (2.0, math.inf, math.nan, True, 0, -1):
@@ -88,6 +89,10 @@ def test_config_validation():
         IntegratorConfig(dt=0.1, t_end=float("nan"))
     with pytest.raises(ValueError, match="t_end must be finite"):
         IntegratorConfig(dt=0.1, t_end=float("inf"))
+    # t_end / dt overflows a float: no step count, rather than an OverflowError from round()
+    for dt, t_end in ((1e-300, 1e300), (5e-324, 1.0)):
+        with pytest.raises(ValueError, match=r"^the step count t_end / dt = .* is not finite$"):
+            IntegratorConfig(dt=dt, t_end=t_end)
 
 
 def test_commuting_initial_state_is_stationary():
@@ -137,24 +142,6 @@ def test_rk4_order_via_richardson():
     e1 = np.max(np.abs(run(0.05) - ref))
     e2 = np.max(np.abs(run(0.025) - ref))
     assert 14.0 <= e1 / e2 <= 18.0
-
-
-def test_euler_order_via_richardson():
-    # successive-difference Richardson: |y(dt) - y(dt/2)| / |y(dt/2) - y(dt/4)|
-    # converges to 2^order without needing a fine reference run
-    p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=0.5)
-    system = two_level_system(p)
-    rho0 = pauli_compose(1.0, np.array([0.6, 0.0, 0.3]))
-
-    def run(dt, t_end=1.0):
-        rho, bath = rho0, two_level_bath(p)
-        for _ in range(int(round(t_end / dt))):
-            rho, bath = step(rho, bath, system, dt, method="euler")
-        return rho
-
-    y1, y2, y4 = run(4e-3), run(2e-3), run(1e-3)
-    ratio = np.max(np.abs(y1 - y2)) / np.max(np.abs(y2 - y4))
-    assert 1.8 <= ratio <= 2.2
 
 
 def test_simulate_two_level_relaxation():
@@ -516,6 +503,8 @@ def _decompositions(dim, want):
 
 
 DIMENSIONS = ((2, _finite_bath_setup), (3, _three_level_setup))
+# the nonlinear and the linearized variant; the ids name the integration method, RK4, as well
+VARIANTS = pytest.mark.parametrize("nonlinear", [True, False], ids=lambda nonlinear: f"{nonlinear}-rk4")
 
 
 @pytest.mark.parametrize("nonlinear, expected", [(True, 4), (False, 0)])
@@ -571,13 +560,12 @@ def test_one_eigvalsh_per_observation(monkeypatch, rng, nonlinear, decomposition
 LAPACK_DECOMPOSITIONS = ("eig", "eigh", "eigvals", "eigvalsh", "svd")
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_two_level_simulate_makes_no_lapack_decomposition(monkeypatch, rng, method, nonlinear):
+@VARIANTS
+def test_two_level_simulate_makes_no_lapack_decomposition(monkeypatch, rng, nonlinear):
     # a whole n = 2 run, every step sampled, with a finite and an infinite
     # bath: the start state's validation, the stages and the monitors are
     # closed forms, so np.linalg is not asked for one decomposition
-    cfg = IntegratorConfig(dt=1e-2, t_end=0.2, method=method, monitor_every=1)
+    cfg = IntegratorConfig(dt=1e-2, t_end=0.2, monitor_every=1)
     p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
     for system, bath in (_finite_bath_setup(), (two_level_system(p), two_level_bath(p))):
         rho0 = random_density(rng, 2)
@@ -692,22 +680,20 @@ def test_friction_free_point_decomposes_its_own_rho(monkeypatch, rng):
 def test_sampled_stage_is_the_next_first_stage(monkeypatch, rng, nonlinear, per_step):
     # every step hands the stage at its end state to the next step, and a
     # sampled point reads its flux from that stage, so N RK4 steps cost
-    # 4N + 1 decompositions (N + 1 with Euler), not 5N + 1, whether every
-    # step is sampled or, with monitor_every = 4 over 6 steps, steps 1-3
-    # and 5 are not
+    # 4N + 1 decompositions, not 5N + 1, whether every step is sampled or,
+    # with monitor_every = 4 over 6 steps, steps 1-3 and 5 are not
     bases, eighs = _count_decompositions(monkeypatch)
-    for method, stages in (("rk4", per_step), ("euler", per_step // 4)):
-        for every, n_points in ((1, 7), (4, 3)):
-            cfg = IntegratorConfig(dt=1e-3, t_end=6e-3, method=method, monitor_every=every)
-            for dim, setup in DIMENSIONS:
-                system, bath = setup()
-                rho0 = random_density(rng, dim)
-                bases.clear()
-                eighs.clear()
-                traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
-                assert traj.termination == COMPLETED and len(traj.points) == n_points
-                want = stages * cfg.n_steps + (1 if nonlinear else 0)
-                assert (bases, eighs) == _decompositions(dim, want)
+    for every, n_points in ((1, 7), (4, 3)):
+        cfg = IntegratorConfig(dt=1e-3, t_end=6e-3, monitor_every=every)
+        for dim, setup in DIMENSIONS:
+            system, bath = setup()
+            rho0 = random_density(rng, dim)
+            bases.clear()
+            eighs.clear()
+            traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+            assert traj.termination == COMPLETED and len(traj.points) == n_points
+            want = per_step * cfg.n_steps + (1 if nonlinear else 0)
+            assert (bases, eighs) == _decompositions(dim, want)
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])
@@ -722,32 +708,31 @@ def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
         assert point.env.energy_flux_to_quantum == -rate
 
 
-def _given_first_step(rho, bath, system, dt, method, nonlinear):
+def _given_first_step(rho, bath, system, dt, nonlinear):
     """The step as simulate takes it: the advance of the run's dimension with
     its first stage evaluated beforehand and handed over."""
     stage = _bind(bath, system, nonlinear)
     if system.dim == 2:
         r = _two_level_entries(rho)
-        *r, h = _two_level_advance(*r, bath.H_e, stage, dt, method, stage(*r, bath.H_e), 1)
+        *r, h = _two_level_advance(*r, bath.H_e, stage, dt, stage(*r, bath.H_e), 1)
         return _two_level_matrix(*r), bath.with_energy(h)
-    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, stage(rho, bath.H_e), 1)
+    rho, h = _array_advance(rho, bath.H_e, stage, dt, stage(rho, bath.H_e), 1)
     return rho, bath.with_energy(h)
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_step_with_given_first_stage_is_bit_identical(rng, method, nonlinear):
+@VARIANTS
+def test_step_with_given_first_stage_is_bit_identical(rng, nonlinear):
     # two steps, each handed the stage at the previous end state as its first
     # stage (as simulate hands it over), against two steps that evaluate it;
     # step starts from the exactly Hermitian form of rho, which
     # random_density builds Hermitian only to rounding
     system, bath = _finite_bath_setup()
     rho = random_density(rng, 2)
-    rho_a, bath_a = step(*step(rho, bath, system, 1e-2, method, nonlinear), system, 1e-2, method, nonlinear)
+    rho_a, bath_a = step(*step(rho, bath, system, 1e-2, nonlinear=nonlinear), system, 1e-2, nonlinear=nonlinear)
     stage = _bind(bath, system, nonlinear)
     state = (*_two_level_entries(_exactly_hermitian(rho)), bath.H_e)
     for _ in range(2):
-        state = _two_level_advance(*state, stage, 1e-2, method, stage(*state), 1)
+        state = _two_level_advance(*state, stage, 1e-2, stage(*state), 1)
     assert np.array_equal(rho_a, _two_level_matrix(*state[:4]))
     assert bath_a == bath.with_energy(state[4])
 
@@ -778,7 +763,7 @@ def test_simulate_is_a_loop_of_step_from_a_nearly_hermitian_rho0(rng, dim, nonli
         assert [point.t for point in traj.points] == [k * cfg.dt for k in (0, 3, 6, 9, 10)]
         rho, b, points = rho0, bath, iter(traj.points[1:])
         for k in range(1, cfg.n_steps + 1):
-            rho, b = step(rho, b, system, cfg.dt, cfg.method, nonlinear)
+            rho, b = step(rho, b, system, cfg.dt, nonlinear=nonlinear)
             if k % cfg.monitor_every == 0 or k == cfg.n_steps:
                 point = next(points)
                 assert np.array_equal(point.rho, rho) and point.env.H_e == b.H_e
@@ -790,8 +775,7 @@ def test_states_above_two_levels_stay_exactly_hermitian(monkeypatch, rng, dim, n
     # with no re-Hermitization, every state a stage sees, every drho/dt it
     # returns, every point after t = 0 and every step output is exactly
     # Hermitian: fixed and bath-coupled channels, hbar and k_B != 1, an
-    # infinite and a finite bath, RK4 and Euler, from rho0 Hermitian only
-    # to rounding
+    # infinite and a finite bath, from rho0 Hermitian only to rounding
     seen = []
 
     def recording_bind(*args):
@@ -811,32 +795,32 @@ def test_states_above_two_levels_stay_exactly_hermitian(monkeypatch, rng, dim, n
         HeatBath.finite(C_e=4.0, H_e=3.0, gamma0=0.8, omega_ref=1.1),
     )
     for bath in baths:
-        for method in ("rk4", "euler"):
-            rho0 = random_density(rng, dim)
-            cfg = IntegratorConfig(dt=0.01, t_end=0.1, method=method, monitor_every=3)
-            traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
-            assert traj.termination == COMPLETED
-            seen.extend(point.rho for point in traj.points[1:])
-            rho, b = rho0, bath
-            for _ in range(5):
-                rho, b = step(rho, b, system, cfg.dt, method, nonlinear)
-                seen.append(rho)
-    # per bath, RK4: 41 + 20 stages, 4 points, 5 steps; Euler: 11 + 5 stages, 4 points, 5 steps
-    assert len(seen) == 2 * (2 * 61 + 9 + 2 * 16 + 9)
+        rho0 = random_density(rng, dim)
+        cfg = IntegratorConfig(dt=0.01, t_end=0.1, monitor_every=3)
+        traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
+        assert traj.termination == COMPLETED
+        seen.extend(point.rho for point in traj.points[1:])
+        rho, b = rho0, bath
+        for _ in range(5):
+            rho, b = step(rho, b, system, cfg.dt, nonlinear=nonlinear)
+            seen.append(rho)
+    # per bath: 41 + 20 stages, 4 points, 5 steps
+    assert len(seen) == 2 * (2 * 61 + 9)
     for x in seen:
         assert np.array_equal(x, x.conj().T)
 
 
 @pytest.mark.parametrize("dim, setup", DIMENSIONS)
 def test_step_rejects_unknown_method(rng, dim, setup):
+    # step takes no method, and the variant only by keyword: a method passed
+    # after dt is a TypeError, not read as the variant
     system, bath = setup()
     rho = random_density(rng, dim)
-    for advance in (step, _given_first_step):
-        with pytest.raises(ValueError, match="unknown method 'midpoint'"):
-            advance(rho, bath, system, 1e-2, "midpoint", True)
+    with pytest.raises(TypeError, match="positional"):
+        step(rho, bath, system, 1e-2, "euler")
 
 
-def _array_step(rho, bath, system, dt, method, nonlinear, first):
+def _array_step(rho, bath, system, dt, nonlinear, first):
     """The step on numpy arrays at any n, every stage bound anew by
     joint_rhs, and the first one evaluated here when ``first`` is None: the
     reference for the float-carried dim-2 step."""
@@ -846,7 +830,7 @@ def _array_step(rho, bath, system, dt, method, nonlinear, first):
 
     if first is None:
         first = stage(rho, bath.H_e)
-    rho, h = _array_advance(rho, bath.H_e, stage, dt, method, first, 1)
+    rho, h = _array_advance(rho, bath.H_e, stage, dt, first, 1)
     return rho, bath.with_energy(h)
 
 
@@ -875,9 +859,8 @@ def _two_level_step_cases(rng):
     return [(system, bath) for system in (fixed, coupled) for bath in baths]
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_two_level_step_matches_array_step(rng, method, nonlinear):
+@VARIANTS
+def test_two_level_step_matches_array_step(rng, nonlinear):
     # the scalar dim-2 step against the array step at n = 2; they differ only
     # in how the closure flux is summed (np.vdot against a Python sum);
     # bound fixed before measuring: 1e-14 relative to max(1, max|ref|)
@@ -885,8 +868,8 @@ def test_two_level_step_matches_array_step(rng, method, nonlinear):
         rho = random_density(rng, 2)
         first = joint_rhs(rho, bath.H_e, bath, system, nonlinear)
         for given, advance in ((None, step), (first, _given_first_step)):
-            ref, ref_bath = _array_step(rho, bath, system, 0.05, method, nonlinear, given)
-            out, out_bath = advance(rho, bath, system, 0.05, method, nonlinear)
+            ref, ref_bath = _array_step(rho, bath, system, 0.05, nonlinear, given)
+            out, out_bath = advance(rho, bath, system, 0.05, nonlinear=nonlinear)
             assert out.shape == (2, 2) and out.dtype == complex
             assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
             assert abs(out_bath.H_e - ref_bath.H_e) <= 1e-14 * max(1.0, abs(ref_bath.H_e))
@@ -941,22 +924,21 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
             for r in states:
                 first = stage(*r, bath.H_e)
                 assert _bits(first) == _bits(oracle(*r, bath.H_e))
-                for method, steps in itertools.product(("rk4", "euler"), (1, 2, 5)):
+                for steps in (1, 2, 5):
                     # an advance of 1, 2 and 5 steps against as many oracle steps:
                     # the first evaluates its own first stage or is given the
                     # fused one, and the later ones evaluate their own
-                    out = integrator._two_level_advance(*r, bath.H_e, stage, 0.05, method, first, steps)
+                    out = integrator._two_level_advance(*r, bath.H_e, stage, 0.05, first, steps)
                     for given in (None, first):
                         ref = (*r, bath.H_e)
                         for _ in range(steps):
-                            ref = oracles.two_level_advance(*ref, oracle, 0.05, method, given)
+                            ref = oracles.two_level_advance(*ref, oracle, 0.05, given)
                             given = None
                         assert _bits(out) == _bits(ref)
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_two_level_step_invariants(rng, method, nonlinear):
+@VARIANTS
+def test_two_level_step_invariants(rng, nonlinear):
     # a random non-diagonal H and a finite bath, step after step: the returned
     # rho is exactly Hermitian, its trace drifts by at most 4 ulp of 1 per
     # step, and tr(H rho) + H_e moves by at most 1e-15 relative to
@@ -972,7 +954,7 @@ def test_two_level_step_invariants(rng, method, nonlinear):
     eps = np.finfo(float).eps
     for _ in range(300):
         energy = energy_expectation(rho, h)
-        rho_new, bath_new = step(rho, bath, system, 0.01, method, nonlinear)
+        rho_new, bath_new = step(rho, bath, system, 0.01, nonlinear=nonlinear)
         assert np.array_equal(rho_new, rho_new.conj().T)
         assert abs(np.trace(rho_new) - np.trace(rho)) <= 4.0 * eps
         drift = energy_expectation(rho_new, h) + bath_new.H_e - (energy + bath.H_e)
@@ -1018,8 +1000,8 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     # violation names the non-finite state, not a drained bath
     system, bath = _finite_bath_setup()
 
-    def nan_step(r00, r11, x, y, h, stage, dt, method, first, steps):
-        return advance(*nan, h, stage, dt, method, stage(*nan, h), steps)
+    def nan_step(r00, r11, x, y, h, stage, dt, first, steps):
+        return advance(*nan, h, stage, dt, stage(*nan, h), steps)
 
     monkeypatch.setattr(integrator, "_two_level_advance", nan_step)
     traj = simulate(I2 / 2, bath, system, cfg, nonlinear=nonlinear)
@@ -1028,9 +1010,8 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     assert [point.t for point in traj.points] == [0.0]
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_simulate_matches_array_step_loop(rng, method, nonlinear):
+@VARIANTS
+def test_simulate_matches_array_step_loop(rng, nonlinear):
     # simulate carries the dim-2 state as floats between sampled points, with
     # the rates bound once; a loop of the array step, which binds at every
     # stage and builds every step's matrix and bath snapshot, and _observe
@@ -1058,7 +1039,7 @@ def test_simulate_matches_array_step_loop(rng, method, nonlinear):
         HeatBath.infinite(T_e=2.0, gamma0=0.9, omega_ref=1.1, H_e=0.3),
         HeatBath.finite(C_e=4.0, H_e=8.0, gamma0=0.9, omega_ref=1.1),
     )
-    cfg = IntegratorConfig(dt=0.01, t_end=2.4, method=method, monitor_every=7)
+    cfg = IntegratorConfig(dt=0.01, t_end=2.4, monitor_every=7)
     for bath in baths:
         rho0 = 0.5 * (random_density(rng, 2) + I2 / 2)
         traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
@@ -1066,7 +1047,7 @@ def test_simulate_matches_array_step_loop(rng, method, nonlinear):
         rho, ref_bath, energy_ref, reference = rho0, bath, None, []
         for k in range(cfg.n_steps + 1):
             if k:
-                rho, ref_bath = _array_step(rho, ref_bath, system, cfg.dt, method, nonlinear, None)
+                rho, ref_bath = _array_step(rho, ref_bath, system, cfg.dt, nonlinear, None)
             if k % cfg.monitor_every == 0 or k == cfg.n_steps:
                 flux = joint_rhs(rho, ref_bath.H_e, ref_bath, system, nonlinear)[1]
                 point, violation = _observe(
@@ -1099,9 +1080,8 @@ def _point_bits(point):
 
 
 @pytest.mark.parametrize("dim, setup", DIMENSIONS)
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_sampling_cadence_does_not_change_the_arithmetic(rng, dim, setup, method, nonlinear):
+@VARIANTS
+def test_sampling_cadence_does_not_change_the_arithmetic(rng, dim, setup, nonlinear):
     # simulate advances a whole sampled interval per call: at monitor_every
     # 1, 7 and n_steps, every point at a shared t is the same, bit for bit,
     # with an infinite and with a finite bath
@@ -1111,7 +1091,7 @@ def test_sampling_cadence_does_not_change_the_arithmetic(rng, dim, setup, method
     for bath in (infinite, finite):
         runs = []
         for every in (1, 7, 60):
-            cfg = IntegratorConfig(dt=0.01, t_end=0.6, method=method, monitor_every=every)
+            cfg = IntegratorConfig(dt=0.01, t_end=0.6, monitor_every=every)
             traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
             assert traj.termination == COMPLETED
             runs.append(traj.points)
@@ -1176,27 +1156,23 @@ def _heated(system, bath):
     return QuantumSystem(system.H, (CouplingChannel(system.channels[0].Q, 0.1, 1.0),)), bath
 
 
-# (dim, nonlinear, method) -> (violation, number of points, last recorded H_e),
+# (dim, nonlinear) -> (violation, number of points, last recorded H_e),
 # as the loop over step gave them, with monitor_every=4, dt=0.05
 DRAINED = {
-    (2, True, "rk4"): ("H_e=-0.0015102 in the step to t=0.55", 3, 0.042551615563457434),
-    (2, True, "euler"): ("H_e=-0.00557756 in the step to t=0.55", 3, 0.03905075104058656),
-    (2, False, "rk4"): ("H_e=-0.00561274 in the step to t=0.6", 3, 0.04505042847972897),
-    (2, False, "euler"): ("H_e=-0.00266396 in the step to t=0.55", 3, 0.041807602705859384),
-    (3, True, "rk4"): ("H_e=-0.0113941 in the step to t=0.25", 2, 0.02627019677251277),
-    (3, True, "euler"): ("H_e=-0.0169433 in the step to t=0.25", 2, 0.021441214229442285),
-    (3, False, "rk4"): ("H_e=-0.00749331 in the step to t=0.25", 2, 0.02971915892339689),
-    (3, False, "euler"): ("H_e=-0.012383 in the step to t=0.25", 2, 0.02554406520578123),
+    (2, True): ("H_e=-0.0015102 in the step to t=0.55", 3, 0.042551615563457434),
+    (2, False): ("H_e=-0.00561274 in the step to t=0.6", 3, 0.04505042847972897),
+    (3, True): ("H_e=-0.0113941 in the step to t=0.25", 2, 0.02627019677251277),
+    (3, False): ("H_e=-0.00749331 in the step to t=0.25", 2, 0.02971915892339689),
 }
 
 
-@pytest.mark.parametrize("dim, nonlinear, method", DRAINED)
-def test_drained_bath_between_sampled_points(dim, nonlinear, method):
-    # the bath drains in a step between recorded points (with euler, only at
-    # the end of the step): the run ends where stepping bath snapshots did,
-    # with the same text, the same points and the same last bath energy;
-    # so does a run whose last step is the draining one
-    violation, n_points, last_H_e = DRAINED[dim, nonlinear, method]
+@pytest.mark.parametrize("dim, nonlinear", DRAINED, ids=[f"{dim}-{nonlinear}-rk4" for dim, nonlinear in DRAINED])
+def test_drained_bath_between_sampled_points(dim, nonlinear):
+    # the bath drains in a step between recorded points: the run ends where
+    # stepping bath snapshots did, with the same text, the same points and
+    # the same last bath energy; so does a run whose last step is the
+    # draining one
+    violation, n_points, last_H_e = DRAINED[dim, nonlinear]
     setup, rho0 = {
         2: (_finite_bath_setup, pauli_compose(1.0, np.array([0.0, 0.0, -0.99]))),
         3: (_three_level_setup, np.diag([0.001, 0.001, 0.998]).astype(complex)),
@@ -1205,7 +1181,7 @@ def test_drained_bath_between_sampled_points(dim, nonlinear, method):
     t_drained = float(violation.rsplit("t=", 1)[1])
     k_d = round(t_drained / 0.05)  # the draining step
     for t_end in (10.0, t_drained):
-        cfg = IntegratorConfig(dt=0.05, t_end=t_end, method=method, monitor_every=4)
+        cfg = IntegratorConfig(dt=0.05, t_end=t_end, monitor_every=4)
         traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
         assert traj.termination == MONITOR_VIOLATION
         assert traj.violation == f"finite bath energy must stay positive, got {violation}"
@@ -1216,7 +1192,7 @@ def test_drained_bath_between_sampled_points(dim, nonlinear, method):
         # at every step at the same times, bit for bit
         runs = []
         for every in (1, k_d - 1, k_d, k_d + 1, cfg.n_steps):
-            cadence = IntegratorConfig(dt=0.05, t_end=t_end, method=method, monitor_every=every)
+            cadence = IntegratorConfig(dt=0.05, t_end=t_end, monitor_every=every)
             runs.append(simulate(rho0, bath, system, cadence, nonlinear=nonlinear))
         dense = {point.t: _point_bits(point) for point in runs[0].points}
         for run in runs + [traj]:
