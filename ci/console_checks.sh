@@ -165,6 +165,30 @@ if grep -q Traceback "$out/overflow.err"; then
   echo "an overflowing step count printed a traceback" >&2
   exit 1
 fi
+# so is a finite bath whose start temperature H_e0/C_e overflows, under
+# run and compare alike
+python - "$out/hot_bath.json" <<'EOF'
+import json, sys
+with open("configs/two_level_x1.json", encoding="utf-8") as fh:
+    cfg = json.load(fh)
+cfg["environment"] = {"finite": {"H_e0": 1e308, "C_e": 1e-300}}
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(cfg, fh)
+EOF
+for command in run compare; do
+  status=0
+  if [ "$command" = run ]; then
+    "${cli[@]}" run --config "$out/hot_bath.json" --out "$out/hot_bath.csv" 2> "$out/hot_bath.err" || status=$?
+  else
+    "${cli[@]}" compare --config "$out/hot_bath.json" --out-dir "$out/cmp_hot_bath" 2> "$out/hot_bath.err" || status=$?
+  fi
+  test "$status" -eq 1
+  test "$(head -c 20 "$out/hot_bath.err")" = "configuration error:"
+  if grep -q Traceback "$out/hot_bath.err"; then
+    echo "$command on an overflowing bath temperature printed a traceback" >&2
+    exit 1
+  fi
+done
 # so is a bad mu-table step count: exit 1, one message and no file
 status=0
 "${cli[@]}" mu-table --min 0 --max 0.5 --steps 1 --out "$out/mu_bad.csv" 2> "$out/mu_bad.err" || status=$?

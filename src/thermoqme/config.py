@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import reprlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -82,9 +83,22 @@ def _json_int(text: str):
         return float(text)
 
 
+class _Shown(reprlib.Repr):
+    """The repr of a rejected value, bounded, with an integer past 64 bits
+    named by its size: whole, it may run to thousands of digits, and past
+    4,300 repr() refuses it."""
+
+    def repr_int(self, x, level):
+        bits = x.bit_length()
+        return repr(x) if bits <= 64 else f"{'a negative' if x < 0 else 'an'} integer of {bits} bits"
+
+
+_shown = _Shown().repr
+
+
 def _number(node, path, *, positive=False, nonnegative=False) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(path, f"expected a number, got {node!r}")
+        raise ConfigError(path, f"expected a number, got {_shown(node)}")
     value = _float(node)
     if not math.isfinite(value):
         raise ConfigError(path, f"must be finite, got {value}")
@@ -97,19 +111,15 @@ def _number(node, path, *, positive=False, nonnegative=False) -> float:
 
 def _integer(node, path, minimum=None) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
-        raise ConfigError(path, f"expected an integer, got {node!r}")
+        raise ConfigError(path, f"expected an integer, got {_shown(node)}")
     if minimum is not None and node < minimum:
-        # an integer past 64 bits is named by its size: whole, it may run to
-        # thousands of digits, and past 4,300 str() refuses it
-        bits = node.bit_length()
-        shown = node if bits <= 64 else f"{'a negative' if node < 0 else 'an'} integer of {bits} bits"
-        raise ConfigError(path, f"must be >= {minimum}, got {shown}")
+        raise ConfigError(path, f"must be >= {minimum}, got {_shown(node)}")
     return node
 
 
 def _boolean(node, path) -> bool:
     if not isinstance(node, bool):
-        raise ConfigError(path, f"expected a boolean, got {node!r}")
+        raise ConfigError(path, f"expected a boolean, got {_shown(node)}")
     return node
 
 
@@ -127,7 +137,7 @@ def _complex_matrix(node, path) -> np.ndarray:
                 or len(entry) != 2
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
-                raise ConfigError(f"{path}[{i}][{j}]", f"expected an [re, im] pair, got {entry!r}")
+                raise ConfigError(f"{path}[{i}][{j}]", f"expected an [re, im] pair, got {_shown(entry)}")
     pairs = np.array([[[_float(v) for v in entry] for entry in row] for row in node])
     bad = np.argwhere(~np.isfinite(pairs))
     if bad.size:
@@ -262,23 +272,57 @@ def _parse_initial_state(node, path, dim: int) -> dict:
             or len(vec) != 3
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in vec)
         ):
-            raise ConfigError(f"{path}.bloch", f"expected three numbers, got {vec!r}")
+            raise ConfigError(f"{path}.bloch", f"expected three numbers, got {_shown(vec)}")
         if dim != 2:
             raise ConfigError(f"{path}.bloch", "bloch initial states require a two-dimensional system")
         m = [_float(v) for v in vec]
         if not all(math.isfinite(v) for v in m):
-            raise ConfigError(f"{path}.bloch", f"must be finite, got {m!r}")
+            raise ConfigError(f"{path}.bloch", f"must be finite, got {_shown(m)}")
         if np.linalg.norm(m) > 1.0 + 1e-12:
             raise ConfigError(f"{path}.bloch", f"|m| = {np.linalg.norm(m)} exceeds 1")
         return {"bloch": m}
     mat = _complex_matrix(node["matrix"], f"{path}.matrix")
     try:
-        validate_density_matrix(_as_complex(mat), herm_tol=START_STATE_TOL, trace_tol=START_STATE_TOL)
+        validate_density_matrix(_as_complex(mat), START_STATE_TOL)
     except ValueError as exc:
         raise ConfigError(f"{path}.matrix", str(exc)) from exc
     if mat.shape[0] != dim:
         raise ConfigError(f"{path}.matrix", f"dimension {mat.shape[0]} does not match system dimension {dim}")
     return {"matrix": mat.tolist()}
+
+
+def _bracket_inputs(doc: dict) -> tuple[float, float]:
+    """(gamma0, omega_ref) of the bath bracket: the two-level system's gamma0
+    and omega, or the environment's, 0.0 and 1.0 where absent."""
+    if "two_level" in doc["system"]:
+        tl = doc["system"]["two_level"]
+        return tl["gamma0"], tl["omega"]
+    (env,) = doc["environment"].values()
+    return env.get("gamma0", 0.0), env.get("omega_ref", 1.0)
+
+
+def _check_bath_rates(doc: dict) -> None:
+    """Reject a document whose bath quantities, as a run derives them, are not
+    finite: a finite bath's start temperature H_e0/C_e, which must lie in
+    (0, inf), and, for each channel weight (a two-level q3_multiplier), the
+    bath bracket g = gamma0 k_B/(hbar omega), g/k_B and g T.  A two-level
+    hbar omega, the level splitting, must be finite too."""
+    ((kind, env),) = doc["environment"].items()
+    tl = doc["system"].get("two_level")
+    where = "system.two_level" if tl else f"environment.{kind}"
+    gamma0, omega = _bracket_inputs(doc)
+    kB, hw = doc["constants"]["kB"], doc["constants"]["hbar"] * omega
+    T = env["T_e"] if kind == "infinite" else env["H_e0"] / env["C_e"]
+    if not 0.0 < T < math.inf:
+        raise ConfigError("environment.finite", f"the start temperature H_e0/C_e = {T} is not positive and finite")
+    if tl and not hw < math.inf:
+        raise ConfigError(where, f"the level splitting hbar omega = {hw} is not finite")
+    g = gamma0 * kB / hw if hw else math.inf
+    for w in (1.0, tl["q3_multiplier"]) if tl and tl["isotropic"] else (1.0,):
+        scale = "" if w == 1.0 else "q3_multiplier * "
+        for name, value in (("gamma0 k_B", w * g), ("gamma0", w * g / kB), ("gamma0 k_B T", w * g * T)):
+            if not value < math.inf:
+                raise ConfigError(where, f"the bath bracket {scale}{name}/(hbar omega) = {value} is not finite")
 
 
 def parse_config(data: dict) -> SimulationConfig:
@@ -316,13 +360,13 @@ def parse_config(data: dict) -> SimulationConfig:
 
     variant = data.get("variant", "nonlinear")
     if variant not in ("nonlinear", "linearized"):
-        raise ConfigError("variant", f"must be 'nonlinear' or 'linearized', got {variant!r}")
+        raise ConfigError("variant", f"must be 'nonlinear' or 'linearized', got {_shown(variant)}")
 
     out_node = data.get("output", {})
     _require_keys(out_node, "output", (), ("path", "stride"))
     path = out_node.get("path")
     if path is not None and not isinstance(path, str):
-        raise ConfigError("output.path", f"expected a string, got {path!r}")
+        raise ConfigError("output.path", f"expected a string, got {_shown(path)}")
     output = {"path": path, "stride": _integer(out_node.get("stride", 1), "output.stride", minimum=1)}
 
     document = {
@@ -333,6 +377,7 @@ def parse_config(data: dict) -> SimulationConfig:
         "variant": variant,
         "output": output,
     }
+    _check_bath_rates(document)
     if "initial_state" in data:
         document["initial_state"] = _parse_initial_state(data["initial_state"], "initial_state", dim)
     return SimulationConfig(document)
@@ -386,7 +431,6 @@ def build_run(cfg: SimulationConfig) -> RunSetup:
             constants=constants,
         )
         system = two_level_system(params)
-        gamma0, omega_ref = tl["gamma0"], tl["omega"]
     else:
         generic = doc["system"]["generic"]
         channels = tuple(
@@ -398,8 +442,8 @@ def build_run(cfg: SimulationConfig) -> RunSetup:
             for ch in generic["channels"]
         )
         system = QuantumSystem(_as_complex(generic["hamiltonian"]), channels, constants)
-        gamma0, omega_ref = env.get("gamma0", 0.0), env.get("omega_ref", 1.0)
 
+    gamma0, omega_ref = _bracket_inputs(doc)
     if kind == "infinite":
         bath = HeatBath.infinite(T_e=env["T_e"], gamma0=gamma0, omega_ref=omega_ref)
     else:

@@ -243,7 +243,7 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
     max|rho - rho^dagger|: 0.0 on an exactly Hermitian rho, as every point
     :func:`simulate` records after t = 0 is, and NaN if an entry is not
     finite.  At n = 2, in Python floats from the four reals of rho, which
-    is read as exactly Hermitian (as :func:`simulate` builds it): herm_err
+    is read as exactly Hermitian (entry (0, 1) is not read): herm_err
     is 0.0, or NaN if an entry is not finite; min_eig is the unclipped
     smaller eigenvalue det(rho)/l1 of one
     :func:`~thermoqme.operators._two_level_spectrum` call, which keeps its
@@ -335,9 +335,9 @@ def simulate(
 
     The run starts, as :func:`step` does, from rho0 made exactly Hermitian
     (:func:`~thermoqme.master_equation._exactly_hermitian`), once validated
-    to ``START_STATE_TOL``.  The point at t = 0 observes rho0 as given (at
-    n = 2, its diagonal and entry (1, 0)), so its monitors show the input's
-    own trace and, above n = 2, hermiticity errors.  Every point measures
+    to ``START_STATE_TOL``.  The point at t = 0 observes and records rho0
+    as given, so its monitors show the input's own trace and, above n = 2,
+    hermiticity errors.  Every point measures
     herm_err by the same rule (:func:`_observe`), so the exactly Hermitian
     points after t = 0 read 0.0.
 
@@ -349,7 +349,7 @@ def simulate(
     before a monitor sees it; either note names the time at the end of the
     step that failed.
     """
-    given = _as_state(validate_density_matrix(rho0, herm_tol=START_STATE_TOL, trace_tol=START_STATE_TOL), system)
+    given = _as_state(validate_density_matrix(rho0, START_STATE_TOL), system)
     # the stages start from rho0 made exactly Hermitian; the t = 0 point observes it as given
     rho = _exactly_hermitian(given)
     stage = _bind(bath0, system, nonlinear)
@@ -372,7 +372,7 @@ def simulate(
             rates = stage(*state)
             w = None  # above n = 2, the stage's spectrum of the observed rho, if it made one
             if not steps:  # t = 0 observes rho0 as given
-                rho = _two_level_matrix(*_two_level_entries(given)) if two_level else given
+                rho = given
             elif two_level:
                 rho = _two_level_matrix(*state[:4])
             else:

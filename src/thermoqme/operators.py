@@ -96,25 +96,19 @@ def validate_hermitian(a, tol: float = 1e-12, name: str = "operator") -> np.ndar
     return arr
 
 
-def validate_density_matrix(
-    rho,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, no eigenvalue below
-    ``eig_floor``; at n = 2 the smallest eigenvalue is the closed form's."""
-    arr = validate_hermitian(rho, herm_tol, name="density matrix")
+EIG_FLOOR = -1e-10  # the smallest eigenvalue a density matrix may have
+
+
+def validate_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
+    """Validate a density matrix: Hermitian and of unit trace to ``tol``,
+    and no eigenvalue (one eigvalsh at every n) below ``EIG_FLOOR``."""
+    arr = validate_hermitian(rho, tol, name="density matrix")
     tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix: trace {tr} deviates from 1 by more than {trace_tol:.1e}")
-    if arr.shape[0] == 2:
-        x, z, re, im = _two_level_entries(arr)
-        w_min = _two_level_spectrum(x, z, re, im, math.hypot(2.0 * re, 2.0 * im, x - z))[1]
-    else:
-        w_min = float(np.linalg.eigvalsh(arr)[0])
-    if w_min < eig_floor:
-        raise ValueError(f"density matrix: smallest eigenvalue {w_min:.3e} below {eig_floor:.1e}")
+    if abs(tr - 1.0) > tol:
+        raise ValueError(f"density matrix: trace {tr} deviates from 1 by more than {tol:.1e}")
+    w_min = float(np.linalg.eigvalsh(arr)[0])
+    if w_min < EIG_FLOOR:
+        raise ValueError(f"density matrix: smallest eigenvalue {w_min:.3e} below {EIG_FLOOR:.1e}")
     return arr
 
 
@@ -184,8 +178,8 @@ def _two_level_spectrum(x: float, z: float, re: float, im: float, m: float):
     Hermitian rho = [[x, re - i im], [re + i im, z]], and d, the modified
     operator's off-diagonal weight, in Python floats, given its Bloch length
     m = hypot(2 re, 2 im, x - z), the gap between the eigenvalues.  The
-    dimension-2 monitors and :func:`validate_density_matrix` each make one
-    call; at n = 2 numpy's call overhead is many times this arithmetic.
+    dimension-2 monitors make one call per sampled point; at n = 2 numpy's
+    call overhead is many times this arithmetic.
     The n = 2 stage of :func:`~thermoqme.master_equation._bind_rates`, where
     even a Python call is a sizeable share of the cost, computes the same
     inline, with these operations in this branch order; this function is

@@ -565,6 +565,96 @@ CONFIG_ERRORS = {
         "system.generic.hamiltonian[0][1]",
         "must be finite, got [0.0, -inf]",
     ),
+    # a value holding an integer of more digits than repr() prints is shown
+    # by the size rule of far_below_minimum, at every site that shows a value
+    "huge_integer_for_a_number": (
+        _two_level_config(integrator={"dt": [10**5000], "t_end": 1.0}),
+        "integrator.dt",
+        "expected a number, got [an integer of 16610 bits]",
+    ),
+    "huge_integer_for_an_integer": (
+        _two_level_config(output={"stride": [10**5000]}),
+        "output.stride",
+        "expected an integer, got [an integer of 16610 bits]",
+    ),
+    "huge_integer_for_a_boolean": (
+        _two_level_config(system={"two_level": {"omega": 1.0, "gamma0": 1.0, "isotropic": [10**5000]}}),
+        "system.two_level.isotropic",
+        "expected a boolean, got [an integer of 16610 bits]",
+    ),
+    "huge_integer_for_a_pair": (
+        _generic_config(hamiltonian=[[[10**5000], _H2[0][1]], _H2[1]]),
+        "system.generic.hamiltonian[0][0]",
+        "expected an [re, im] pair, got [an integer of 16610 bits]",
+    ),
+    "huge_integer_for_a_bloch_vector": (
+        _two_level_config(initial_state={"bloch": [10**5000]}),
+        "initial_state.bloch",
+        "expected three numbers, got [an integer of 16610 bits]",
+    ),
+    "huge_integer_for_the_variant": (
+        _two_level_config(variant=[10**5000]),
+        "variant",
+        "must be 'nonlinear' or 'linearized', got [an integer of 16610 bits]",
+    ),
+    "huge_integer_for_the_output_path": (
+        _two_level_config(output={"path": [10**5000]}),
+        "output.path",
+        "expected a string, got [an integer of 16610 bits]",
+    ),
+    # bath quantities that a run derives from finite fields must be finite too
+    "hot_finite_bath": (
+        _two_level_config(environment={"finite": {"H_e0": 1e308, "C_e": 1e-300}}),
+        "environment.finite",
+        "the start temperature H_e0/C_e = inf is not positive and finite",
+    ),
+    "cold_finite_bath": (
+        _two_level_config(environment={"finite": {"H_e0": 1e-300, "H_ref": 1e-300, "C_e": 1e300}}),
+        "environment.finite",
+        "the start temperature H_e0/C_e = 0.0 is not positive and finite",
+    ),
+    "overflowing_bracket": (
+        _two_level_config(system={"two_level": {"omega": 1e-300, "gamma0": 1e300}}),
+        "system.two_level",
+        "the bath bracket gamma0 k_B/(hbar omega) = inf is not finite",
+    ),
+    "overflowing_diffusion": (
+        _two_level_config(
+            system={"two_level": {"omega": 1.0, "gamma0": 1e200}}, environment={"infinite": {"T_e": 1e200}}
+        ),
+        "system.two_level",
+        "the bath bracket gamma0 k_B T/(hbar omega) = inf is not finite",
+    ),
+    "overflowing_generic_bracket": (
+        _generic_config(
+            [{"Q": _X2, "use_bath_bracket": True}],
+            environment={"infinite": {"T_e": 1.0, "gamma0": 1e300, "omega_ref": 1e-300}},
+        ),
+        "environment.infinite",
+        "the bath bracket gamma0 k_B/(hbar omega) = inf is not finite",
+    ),
+    "bracket_over_a_small_k_B": (
+        _two_level_config(system={"two_level": {"omega": 1e-10, "gamma0": 1e300}}, constants={"kB": 1e-10}),
+        "system.two_level",
+        "the bath bracket gamma0/(hbar omega) = inf is not finite",
+    ),
+    "overflowing_q3_bracket": (
+        _two_level_config(
+            system={"two_level": {"omega": 1.0, "gamma0": 1e300, "isotropic": True, "q3_multiplier": 1e10}}
+        ),
+        "system.two_level",
+        "the bath bracket q3_multiplier * gamma0 k_B/(hbar omega) = inf is not finite",
+    ),
+    "underflowing_hbar_omega": (
+        _two_level_config(system={"two_level": {"omega": 1e-300, "gamma0": 1.0}}, constants={"hbar": 1e-300}),
+        "system.two_level",
+        "the bath bracket gamma0 k_B/(hbar omega) = inf is not finite",
+    ),
+    "overflowing_level_splitting": (
+        _two_level_config(system={"two_level": {"omega": 1e300, "gamma0": 1.0}}, constants={"hbar": 1e10}),
+        "system.two_level",
+        "the level splitting hbar omega = inf is not finite",
+    ),
     "invalid_json": ('{"system": ', "config", "invalid JSON"),
     "nested_too_deeply": ("[" * 100_000 + "]" * 100_000, "config", "invalid JSON: maximum recursion depth exceeded"),
     "top_level_not_an_object": ("[1, 2]", "config", "top-level value must be an object"),

@@ -364,6 +364,18 @@ def test_nearly_hermitian_start_state_runs_from_its_hermitian_part(rng, dim):
         assert herm_err == (0.0 if dim == 2 else pytest.approx(5e-11, rel=1e-3))
 
 
+def test_two_level_start_point_records_rho0_as_given(rng):
+    # at n = 2 too, the t = 0 point records rho0 itself, entry (0, 1) off by
+    # 5e-11 included, not the Hermitian matrix the stages start from
+    system = QuantumSystem(random_hermitian(rng, 2), (CouplingChannel(random_hermitian(rng, 2), 0.2, 0.3),))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    rho0 = random_density(rng, 2, min_eig=0.1)
+    rho0[0, 1] += 5e-11
+    traj = simulate(rho0, bath, system, IntegratorConfig(dt=0.01, t_end=0.1, monitor_every=5))
+    assert traj.termination == COMPLETED
+    assert np.array_equal(traj.points[0].rho, rho0)
+
+
 @pytest.mark.parametrize("dim", [3, 16])
 def test_herm_err_after_the_start_is_exactly_zero(rng, dim):
     # above n = 2 the state is exactly Hermitian after t = 0 by construction,
@@ -563,8 +575,9 @@ LAPACK_DECOMPOSITIONS = ("eig", "eigh", "eigvals", "eigvalsh", "svd")
 @VARIANTS
 def test_two_level_simulate_makes_no_lapack_decomposition(monkeypatch, rng, nonlinear):
     # a whole n = 2 run, every step sampled, with a finite and an infinite
-    # bath: the start state's validation, the stages and the monitors are
-    # closed forms, so np.linalg is not asked for one decomposition
+    # bath: the start state's validation is one eigvalsh, as at every n,
+    # and the stages and the monitors are closed forms, so np.linalg is
+    # asked for no other decomposition
     cfg = IntegratorConfig(dt=1e-2, t_end=0.2, monitor_every=1)
     p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
     for system, bath in (_finite_bath_setup(), (two_level_system(p), two_level_bath(p))):
@@ -573,7 +586,7 @@ def test_two_level_simulate_makes_no_lapack_decomposition(monkeypatch, rng, nonl
             calls = {name: _count_calls(patch, np.linalg, name) for name in LAPACK_DECOMPOSITIONS}
             traj = simulate(rho0, bath, system, cfg, nonlinear=nonlinear)
         assert traj.termination == COMPLETED and len(traj.points) == 21
-        assert calls == {name: [] for name in LAPACK_DECOMPOSITIONS}
+        assert calls == {name: [(2, 2)] if name == "eigvalsh" else [] for name in LAPACK_DECOMPOSITIONS}
 
 
 def _stored_state(rng, w):
