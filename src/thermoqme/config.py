@@ -13,13 +13,12 @@ from __future__ import annotations
 import copy
 import json
 import math
-import reprlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .operators import PhysicalConstants, validate_density_matrix, validate_hermitian
+from .operators import PhysicalConstants, _shown, validate_density_matrix, validate_hermitian
 from .master_equation import CouplingChannel, QuantumSystem
 from .environment import HeatBath
 from .integrator import START_STATE_TOL, IntegratorConfig, MonitorTolerances
@@ -56,7 +55,7 @@ def _require_keys(node: dict, path: str, required: tuple[str, ...], optional: tu
             raise ConfigError(f"{path}.{key}", "required field is missing")
     for key in node:
         if key not in required and key not in optional:
-            raise ConfigError(f"{path}.{key}", "unknown field")
+            raise ConfigError(f"{path}.{key}" if isinstance(key, str) else f"{path}[{_shown(key)}]", "unknown field")
 
 
 def _one_of(node: dict, path: str, a: str, b: str) -> str:
@@ -81,19 +80,6 @@ def _json_int(text: str):
         return int(text)
     except ValueError:
         return float(text)
-
-
-class _Shown(reprlib.Repr):
-    """The repr of a rejected value, bounded, with an integer past 64 bits
-    named by its size: whole, it may run to thousands of digits, and past
-    4,300 repr() refuses it."""
-
-    def repr_int(self, x, level):
-        bits = x.bit_length()
-        return repr(x) if bits <= 64 else f"{'a negative' if x < 0 else 'an'} integer of {bits} bits"
-
-
-_shown = _Shown().repr
 
 
 def _number(node, path, *, positive=False, nonnegative=False) -> float:

@@ -139,14 +139,14 @@ class EnvironmentObservableReport:
 
 def _bind(bath: HeatBath, system: QuantumSystem, nonlinear: bool):
     """The coupled stage of one run, which gives the state's rate and
-    dH_e/dt: the stage of :func:`~thermoqme.master_equation._bind_rates`
-    (flat floats at n = 2) for the rates of the bath bracket
-    (:func:`~thermoqme.master_equation._rates`).
+    dH_e/dt: the closure of :func:`~thermoqme.master_equation._bind_rates`
+    (at n = 2 the advance, whose zero-step call is the stage) for the
+    rates of the bath bracket (:func:`~thermoqme.master_equation._rates`).
 
     Every friction rate is constant, and the diffusion rates are a fixed
     part plus T(H_e) times a bath part.  For an infinite bath the two are
     folded together here, once.  A finite bath hands the stage its heat
-    capacity: the stage itself reads T = H_e/C_e at its own H_e, inline at
+    capacity: each stage reads T = H_e/C_e at its own H_e, inline at
     n = 2, with the check and messages of :meth:`HeatBath._temperature_at`,
     and raises :class:`_BathDrained` there when the energy is not positive
     or not finite."""

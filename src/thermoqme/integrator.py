@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    _shown,
     _spectrum_entropy,
     _two_level_entries,
     _two_level_matrix,
@@ -81,7 +82,7 @@ class IntegratorConfig:
                 f"(the nearest step ends at t = {self.n_steps * self.dt:g})"
             )
         if self.method != "rk4":
-            raise ValueError(f"method must be 'rk4', got {self.method!r}")
+            raise ValueError(f"method must be 'rk4', got {_shown(self.method)}")
         # an int, not a bool, as config._integer requires of JSON: a float,
         # even 2.0, would fail later in range(steps)
         every = self.monitor_every
@@ -139,20 +140,14 @@ def step(
 
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError, and so does an infinite bath whose ``H_e``
-    ends the step non-finite.  The dimension selects how:
-    :func:`_array_advance` above n = 2; at n = 2, where numpy's call
-    overhead is many times the arithmetic, :func:`_two_level_advance` on
-    the four reals of rho and H_e as floats, packed into an array once.
-    Each is the advance :func:`simulate` makes once per sampled interval,
-    here over one step, with its first stage evaluated at (rho, bath.H_e):
-    4 stages.
+    ends the step non-finite.  The step is :func:`simulate`'s advance over
+    one step, 4 stages: :func:`_array_advance` above n = 2, and at n = 2 the
+    bound closure, on the four reals of rho and H_e as Python floats.
     """
     rho = _exactly_hermitian(_as_state(rho, system))
     stage = _bind(bath, system, nonlinear)
-    if system.dim == 2:
-        r00, r11, x, y = _two_level_entries(rho)
-        first = stage(r00, r11, x, y, bath.H_e)
-        *r, h = _two_level_advance(r00, r11, x, y, bath.H_e, stage, dt, first, 1)
+    if system.dim == 2:  # the stage is the advance
+        *r, h = stage(*_two_level_entries(rho), bath.H_e, dt, None, 1)
         return _two_level_matrix(*r), bath.with_energy(h)
     rho, h = _array_advance(rho, bath.H_e, stage, dt, stage(rho, bath.H_e), 1)
     return rho, bath.with_energy(h)
@@ -186,45 +181,6 @@ def _array_advance(rho, h, stage, dt, first, steps):
         exc.steps_done = done
         raise
     return rho, h
-
-
-def _two_level_advance(r00, r11, x, y, h, stage, dt, first, steps):
-    """:func:`_array_advance` at n = 2 on Python floats, flat in and out:
-    the four reals (rho00, rho11, Re rho10, Im rho10), which keep the
-    smaller diagonal entry, and with it the smaller eigenvalue, to full
-    relative precision, and H_e; returns the same five floats ``steps``
-    steps on, with the same stage count and the same ``steps_done`` on an
-    exception.  ``stage`` is the flat n = 2 stage (r00, r11, x, y, H_e) ->
-    (gx, gy, gz, dH_e/dt), g = dm/dt for the Bloch vector m, and ``first``
-    its value at the start.  The state, the first stage and the
-    dt-derived constants stay in locals for the whole call.  The state
-    rho + s drho/dt has the four reals (r00, r11, x, y) + (s/2) (gz, -gz,
-    gx, gy), so the trace changes only by rounding."""
-    g1x, g1y, g1z, e1 = first
-    half = 0.5 * dt
-    quarter = 0.5 * half
-    sixth = dt / 6.0
-    twelfth = sixth * 0.5
-    last = steps - 1
-    try:
-        for done in range(steps):
-            s = quarter
-            g2x, g2y, g2z, e2 = stage(r00 + s * g1z, r11 - s * g1z, x + s * g1x, y + s * g1y, h + half * e1)
-            g3x, g3y, g3z, e3 = stage(r00 + s * g2z, r11 - s * g2z, x + s * g2x, y + s * g2y, h + half * e2)
-            s = half
-            g4x, g4y, g4z, e4 = stage(r00 + s * g3z, r11 - s * g3z, x + s * g3x, y + s * g3y, h + dt * e3)
-            s = twelfth
-            gx = g1x + 2.0 * g2x + 2.0 * g3x + g4x
-            gy = g1y + 2.0 * g2y + 2.0 * g3y + g4y
-            gz = g1z + 2.0 * g2z + 2.0 * g3z + g4z
-            r00, r11, x, y = r00 + s * gz, r11 - s * gz, x + s * gx, y + s * gy
-            h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-            if done != last:
-                g1x, g1y, g1z, e1 = stage(r00, r11, x, y, h)
-    except (_BathDrained, np.linalg.LinAlgError) as exc:
-        exc.steps_done = done
-        raise
-    return r00, r11, x, y, h
 
 
 def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
@@ -330,16 +286,14 @@ def simulate(
     The stage at each step's end state is evaluated once: it is the next
     step's first stage, and at an interval's end, evaluated here after the
     advance, a recorded point's energy flux.  So N steps cost 4N + 1 stages
-    at any cadence.  Each recorded point's
-    monitors are logged at DEBUG level.
+    at any cadence.  Each recorded point's monitors are logged at DEBUG level.
 
     The run starts, as :func:`step` does, from rho0 made exactly Hermitian
     (:func:`~thermoqme.master_equation._exactly_hermitian`), once validated
     to ``START_STATE_TOL``.  The point at t = 0 observes and records rho0
     as given, so its monitors show the input's own trace and, above n = 2,
-    hermiticity errors.  Every point measures
-    herm_err by the same rule (:func:`_observe`), so the exactly Hermitian
-    points after t = 0 read 0.0.
+    hermiticity errors.  Every point measures herm_err by the same rule
+    (:func:`_observe`), so the exactly Hermitian points after t = 0 read 0.0.
 
     Terminates early with a monitor violation note when a tolerance is
     breached; the offending point is kept so the pathology is visible in the
@@ -354,7 +308,7 @@ def simulate(
     rho = _exactly_hermitian(given)
     stage = _bind(bath0, system, nonlinear)
     two_level = system.dim == 2
-    advance = _two_level_advance if two_level else _array_advance
+    advance = stage if two_level else (lambda rho, h, *args: _array_advance(rho, h, stage, *args))
     # (r00, r11, x, y, H_e) as floats at n = 2, (rho, H_e) above: the
     # arguments of the dimension's stage and advance
     state = (*_two_level_entries(rho), bath0.H_e) if two_level else (rho, bath0.H_e)
@@ -367,7 +321,7 @@ def simulate(
         t = k * dt
         try:
             if steps:
-                state = advance(*state, stage, dt, rates, steps)
+                state = advance(*state, dt, rates, steps)
             # a finite bath drained by the interval's last step raises here, where T(H_e) is read
             rates = stage(*state)
             w = None  # above n = 2, the stage's spectrum of the observed rho, if it made one

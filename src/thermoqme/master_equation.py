@@ -50,9 +50,8 @@ class _BathDrained(ValueError):
 
 def _bath_temperature(H_e: float, C_e: float) -> float:
     """H_e/C_e, the temperature of a finite bath of heat capacity ``C_e`` at
-    energy ``H_e``; raises :meth:`_BathDrained.at` unless 0 < H_e < inf.
-    The n = 2 stage of :func:`_bind_rates` makes the same check and
-    division inline."""
+    energy ``H_e``; raises :meth:`_BathDrained.at` unless 0 < H_e < inf,
+    a check and division that the n = 2 advance of :func:`_bind_rates` inlines."""
     if not 0.0 < H_e < math.inf:
         raise _BathDrained.at(H_e)
     return H_e / C_e
@@ -223,28 +222,30 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     n = 2, (rho, H_e) -> (drho/dt, w, dH_e/dt) by :func:`_lapack_stage` on
     numpy arrays, with the rates made into :func:`_rate_column` arrays
     once, where w is the ascending spectrum of rho from the stage's eigh,
-    or None where it made none (linearized, or no friction); at n = 2,
-    this closure, in real Pauli coordinates and Python floats with no
-    numpy call and no Python call but ``math``'s, flat in and out:
-    (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt).  There the state is the
+    or None where it made none (linearized, or no friction).  At n = 2 the
+    closure is the RK4 advance (r00, r11, x, y, H_e, dt, first, steps) ->
+    the five floats ``steps`` steps on, in real Pauli coordinates with no
+    numpy call and no Python call but ``math``'s; its zero-step call is the
+    stage (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt).  The state is the
     four reals (rho00, rho11, Re rho10, Im rho10) and g = dm/dt for the
     Bloch vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
-    rho = (tr rho I + m . sigma)/2.  With the Bloch map (A, U, P) and a
-    finite bath's A_bath, unpacked once into closure locals (as are
-    ``math``'s hypot, log and log1p, taken from this module's ``math`` when
-    the stage is bound),
+    rho = (tr rho I + m . sigma)/2.  A call costs 4 steps stages, one less
+    with ``first``, the stage at the start, given; the last step's end
+    stage is left to the caller.  A :class:`_BathDrained` it raises
+    carries ``steps_done``, the steps finished before the failing one.
+    With the Bloch map (A, U, P) and a finite bath's A_bath, unpacked once
+    into closure locals (as are ``math``'s hypot, log and log1p, taken from
+    this module's ``math`` when the advance is bound),
     dm/dt = (A + T A_bath) m + d U + (e P n) x n.  This sums, over the
     channels, (2/hbar) h x m, 4 diffusion_j q_j x (q_j x m) and
     4 friction_j/k_B q_j x v_j, where v_j . sigma is the traceless part of
     the modified product of c_j . sigma = [Q_j, H]/i with rho.  Nonlinear,
     v_j = d c_j + e (c_j . n) n with n = m/|m| (0 at m = 0), d the log-mean
-    of the clipped eigenvalues and e their mean minus d.  |m| is computed
-    once per stage: it normalizes n and is the eigenvalues' gap, from which
-    the stage computes the unclipped eigenvalues and d inline, with the
-    operations and branches of
-    :func:`~thermoqme.operators._two_level_spectrum` (the reference, which
-    the tests hold it to bit for bit), and clips the eigenvalues for e;
-    linearized, d = tr rho/2 and there is no P term.
+    of the clipped eigenvalues and e their mean minus d.  |m|, computed
+    once per stage, normalizes n and is the eigenvalues' gap, from which
+    the stage computes them and d as the reference
+    :func:`~thermoqme.operators._two_level_spectrum` does, bit for bit, and
+    clips them for e; linearized, d = tr rho/2 and there is no P term.
     """
     finite = C_e is not None
     if system.dim > 2:
@@ -268,51 +269,103 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
 
     hypot, log, log1p, inf = math.hypot, math.log, math.log1p, math.inf
 
-    def stage(r00, r11, x, y, H_e):
-        mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
-        gx, gy, gz = a0 * mx + a1 * my + a2 * mz, a3 * mx + a4 * my + a5 * mz, a6 * mx + a7 * my + a8 * mz
-        if finite:
-            if not 0.0 < H_e < inf:
-                raise _BathDrained.at(H_e)
-            if bath:
-                T = H_e / C_e
-                gx += T * (b0 * mx + b1 * my + b2 * mz)
-                gy += T * (b3 * mx + b4 * my + b5 * mz)
-                gz += T * (b6 * mx + b7 * my + b8 * mz)
-        if friction is None:
-            pass
-        elif not nonlinear:
-            d = 0.5 * (r00 + r11)
-            gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
-        else:
-            m = hypot(mx, my, mz)
-            # _two_level_spectrum(r00, r11, x, y, m), then e from its clipped eigenvalues
-            l1 = 0.5 * r00 + 0.5 * r11 + 0.5 * m
-            if not l1 > 0.0:
-                d = e = 0.0
-            else:
-                acmx, acmn = (r00, r11) if abs(r00) > abs(r11) else (r11, r00)
-                l2 = (acmx / l1) * acmn - ((x / l1) * x + (y / l1) * y)
-                if not l2 > 0.0:
-                    d, e = 0.0, 0.5 * l1
+    def advance(r00, r11, x, y, H_e, dt=0.0, first=None, steps=0):
+        # One loop over stage evaluations, the stage written once at its end.
+        # The state is (s00, s11, sx, sy, sh), and (r00, r11, x, y, H_e) the
+        # point of the next stage.  Each pass files the stage in hand,
+        # (gx, gy, gz, dh), as k_j (j = 0: none yet), moves the point on
+        # (after k4, the state by dt/6 (((k1 + 2 k2) + 2 k3) + k4), for m and
+        # for H_e), sets j to the stage it evaluates there, and evaluates it.
+        # No tuple of more than three is packed per pass, as CPython builds
+        # one for a longer assignment.
+        s00, s11, sx, sy, sh = r00, r11, x, y, H_e
+        dt2, dt6 = 0.5 * dt, dt / 6.0
+        dt4, dt12 = 0.5 * dt2, 0.5 * dt6
+        done, j = 0, 0 if first is None else 1
+        if j:
+            gx, gy, gz, dh = first
+        try:
+            while True:
+                if j == 1:
+                    if not steps:
+                        return gx, gy, gz, dh
+                    g1x, g1y, g1z = gx, gy, gz
+                    r00, r11, e1 = s00 + dt4 * gz, s11 - dt4 * gz, dh
+                    x, y, H_e = sx + dt4 * gx, sy + dt4 * gy, sh + dt2 * dh
+                    j = 2
+                elif j == 2:
+                    g2x, g2y, g2z = gx, gy, gz
+                    r00, r11, e2 = s00 + dt4 * gz, s11 - dt4 * gz, dh
+                    x, y, H_e = sx + dt4 * gx, sy + dt4 * gy, sh + dt2 * dh
+                    j = 3
+                elif j == 3:
+                    g3x, g3y, g3z = gx, gy, gz
+                    r00, r11, e3 = s00 + dt2 * gz, s11 - dt2 * gz, dh
+                    x, y, H_e = sx + dt2 * gx, sy + dt2 * gy, sh + dt * dh
+                    j = 4
+                elif j:  # j == 4
+                    gx = g1x + 2.0 * g2x + 2.0 * g3x + gx
+                    gy = g1y + 2.0 * g2y + 2.0 * g3y + gy
+                    gz = g1z + 2.0 * g2z + 2.0 * g3z + gz
+                    s00, s11, sh = s00 + dt12 * gz, s11 - dt12 * gz, sh + dt6 * (e1 + 2.0 * e2 + 2.0 * e3 + dh)
+                    sx, sy = sx + dt12 * gx, sy + dt12 * gy
+                    done += 1
+                    if done == steps:
+                        return s00, s11, sx, sy, sh
+                    r00, r11, H_e = s00, s11, sh
+                    x, y, j = sx, sy, 1
+                else:  # none in hand: k1 at the state
+                    j = 1
+                # the stage at (r00, r11, x, y, H_e)
+                mx, my, mz = 2.0 * x, 2.0 * y, r00 - r11
+                gx, gy, gz = a0 * mx + a1 * my + a2 * mz, a3 * mx + a4 * my + a5 * mz, a6 * mx + a7 * my + a8 * mz
+                if finite:
+                    if not 0.0 < H_e < inf:
+                        raise _BathDrained.at(H_e)
+                    if bath:
+                        T = H_e / C_e
+                        gx += T * (b0 * mx + b1 * my + b2 * mz)
+                        gy += T * (b3 * mx + b4 * my + b5 * mz)
+                        gz += T * (b6 * mx + b7 * my + b8 * mz)
+                if friction is None:
+                    pass
+                elif not nonlinear:
+                    d = 0.5 * (r00 + r11)
+                    gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
                 else:
-                    ratio = m / l2
-                    if ratio < 2.0**-1022:
-                        d = l2
-                    elif ratio == inf:
-                        d = m / (log(l1) - log(l2))
+                    m = hypot(mx, my, mz)
+                    # _two_level_spectrum(r00, r11, x, y, m), then e from its clipped eigenvalues
+                    l1 = 0.5 * r00 + 0.5 * r11 + 0.5 * m
+                    if not l1 > 0.0:
+                        d = e = 0.0
                     else:
-                        d = m / log1p(ratio)
-                    e = 0.5 * (l1 + l2) - d
-            gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
-            if m > 0.0:
-                nx, ny, nz = mx / m, my / m, mz / m
-                px, py, pz = p0 * nx + p1 * ny + p2 * nz, p3 * nx + p4 * ny + p5 * nz, p6 * nx + p7 * ny + p8 * nz
-                px, py, pz = e * px, e * py, e * pz
-                gx, gy, gz = gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
-        return gx, gy, gz, -(hx * gx + hy * gy + hz * gz)
+                        acmx, acmn = (r00, r11) if abs(r00) > abs(r11) else (r11, r00)
+                        l2 = (acmx / l1) * acmn - ((x / l1) * x + (y / l1) * y)
+                        if not l2 > 0.0:
+                            d, e = 0.0, 0.5 * l1
+                        else:
+                            ratio = m / l2
+                            if ratio < 2.0**-1022:
+                                d = l2
+                            elif ratio == inf:
+                                d = m / (log(l1) - log(l2))
+                            else:
+                                d = m / log1p(ratio)
+                            e = 0.5 * (l1 + l2) - d
+                    gx, gy, gz = gx + d * ux, gy + d * uy, gz + d * uz
+                    if m > 0.0:
+                        nx, ny, nz = mx / m, my / m, mz / m
+                        px = e * (p0 * nx + p1 * ny + p2 * nz)
+                        py = e * (p3 * nx + p4 * ny + p5 * nz)
+                        pz = e * (p6 * nx + p7 * ny + p8 * nz)
+                        gx, gy, gz = gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
+                dh = -(hx * gx + hy * gy + hz * gz)
+        except _BathDrained as exc:
+            if steps:  # a step's end stage (j = 1 after a step) fails in that step
+                exc.steps_done = done - 1 if done and j == 1 else done
+            raise
 
-    return stage
+    return advance
 
 
 def _matrix_rates(stage, rho, H_e: float):

@@ -14,6 +14,7 @@ for SI runs.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,19 @@ def _require_finite(obj, positive=(), nonnegative=()) -> None:
         value, strict = getattr(obj, name), name in positive
         if value is None or not (0.0 < value if strict else 0.0 <= value) or not value < math.inf:
             raise ValueError(f"{name} must be {'positive' if strict else 'nonnegative'} and finite, got {value}")
+
+
+class _Shown(reprlib.Repr):
+    """The repr of a rejected value, bounded, with an integer past 64 bits
+    named by its size: whole, it may run to thousands of digits, and past
+    4,300 repr() refuses it."""
+
+    def repr_int(self, x, level):
+        bits = x.bit_length()
+        return repr(x) if bits <= 64 else f"{'a negative' if x < 0 else 'an'} integer of {bits} bits"
+
+
+_shown = _Shown().repr
 
 
 @dataclass(frozen=True)
@@ -180,10 +194,10 @@ def _two_level_spectrum(x: float, z: float, re: float, im: float, m: float):
     m = hypot(2 re, 2 im, x - z), the gap between the eigenvalues.  The
     dimension-2 monitors make one call per sampled point; at n = 2 numpy's
     call overhead is many times this arithmetic.
-    The n = 2 stage of :func:`~thermoqme.master_equation._bind_rates`, where
-    even a Python call is a sizeable share of the cost, computes the same
-    inline, with these operations in this branch order; this function is
-    the reference, which the tests hold it to bit for bit.
+    The n = 2 advance of :func:`~thermoqme.master_equation._bind_rates`,
+    where even a Python call is a sizeable share of a stage's cost,
+    computes the same inline, with these operations in this branch order;
+    this function is the reference, which the tests hold it to bit for bit.
 
     l1 is (tr rho + m)/2, halved term by term so that it is finite wherever
     m and the eigenvalue are.  Where l1 > 0, l2 is det(rho)/l1, which keeps

@@ -7,10 +7,11 @@ system with a finite bath reaches its maximum total entropy.  The package
 needs none of them to run; the tests check its kernels against them.
 
 The dimension-2 kernel below is the stage and RK step written as separate
-functions over tuples, the form the fused closure of
-``master_equation._bind_rates`` and ``integrator._two_level_advance``
-reproduce operation for operation.  The tests compare them bitwise, so a
-reordering of the arithmetic fails a test instead of changing output bytes.
+functions over tuples, the form the advance that
+``master_equation._bind_rates`` returns at n = 2, one loop with the stage
+written once, reproduces operation for operation.  The tests compare them
+bitwise, so a reordering of the arithmetic fails a test instead of
+changing output bytes.
 """
 
 import math
@@ -352,10 +353,10 @@ def two_level_stage(r, a, u, p, nonlinear, b=None, T=0.0):
 
 def two_level_bound_stage(system, nonlinear, friction, diffusion, per_T=None, C_e=None):
     """The flat stage (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt), g = dm/dt,
-    of ``master_equation._bind_rates`` at n = 2, with the same arguments,
-    built on :func:`two_level_stage`; with a finite bath's ``C_e`` it reads
-    T = H_e/C_e through ``master_equation._bath_temperature``, the stage's
-    drain check."""
+    the zero-step call of ``master_equation._bind_rates``' advance at n = 2,
+    with the same arguments, built on :func:`two_level_stage`; with a
+    finite bath's ``C_e`` it reads T = H_e/C_e through
+    ``master_equation._bath_temperature``, the stage's drain check."""
     hx, hy, hz = system._h2
     a, u, p, b = two_level_map(system, friction, diffusion, per_T)
 

@@ -459,6 +459,23 @@ CONFIG_ERRORS = {
         "integrator",
         "method must be 'rk4', got 'euler'",
     ),
+    # a rejected method is shown bounded, as every rejected value is
+    "long_method": (
+        _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "method": "x" * 100_000}),
+        "integrator",
+        "method must be 'rk4', got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'",
+    ),
+    "huge_integer_method": (
+        _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "method": [10**5000]}),
+        "integrator",
+        "method must be 'rk4', got [an integer of 16610 bits]",
+    ),
+    # a key that is not a string (a Python dict's) is named bounded too
+    "huge_integer_key": (
+        _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, 10**5000: 1}),
+        "integrator[an integer of 16610 bits]",
+        "unknown field",
+    ),
     "step_count_overflows": (
         _two_level_config(integrator={"dt": 1e-300, "t_end": 1e300}),
         "integrator",
@@ -1106,8 +1123,15 @@ def test_run_total_energy_violation_ends_the_csv_at_the_flagged_row(tmp_path, ca
 
 
 def test_run_state_gone_non_finite_exits_with_violation(tmp_path, monkeypatch, capsys):
-    # a dim-2 run steps its state through the float-carried step simulate binds
-    monkeypatch.setattr(integrator, "_two_level_advance", lambda r00, r11, x, y, h, *args: (np.nan,) * 4 + (h,))
+    # a dim-2 run steps its state through the float-carried advance simulate
+    # binds; its zero-step calls, the stages at sampled points, stay as bound
+    bind = integrator._bind
+
+    def nan_stepping(*args):
+        advance = bind(*args)
+        return lambda r00, r11, x, y, h, *rest: (np.nan,) * 4 + (h,) if rest else advance(r00, r11, x, y, h)
+
+    monkeypatch.setattr(integrator, "_bind", nan_stepping)
     out = tmp_path / "nan.csv"
     assert main(["run", "--config", str(_write(tmp_path, _two_level_config())), "--out", str(out)]) == 2
     assert "non-finite monitor trace_err=nan" in capsys.readouterr().err

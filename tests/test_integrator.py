@@ -31,7 +31,7 @@ from thermoqme import (
 )
 from thermoqme import environment, integrator, master_equation
 from thermoqme.environment import _bind
-from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe, _two_level_advance
+from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe
 from thermoqme.master_equation import _exactly_hermitian
 from thermoqme.operators import PhysicalConstants, _two_level_entries, _two_level_matrix, hermitianize
 from thermoqme.two_level import SIGMA
@@ -723,11 +723,12 @@ def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
 
 def _given_first_step(rho, bath, system, dt, nonlinear):
     """The step as simulate takes it: the advance of the run's dimension with
-    its first stage evaluated beforehand and handed over."""
+    its first stage evaluated beforehand and handed over (at n = 2 the bound
+    stage is the advance, and a stage its zero-step call)."""
     stage = _bind(bath, system, nonlinear)
     if system.dim == 2:
         r = _two_level_entries(rho)
-        *r, h = _two_level_advance(*r, bath.H_e, stage, dt, stage(*r, bath.H_e), 1)
+        *r, h = stage(*r, bath.H_e, dt, stage(*r, bath.H_e), 1)
         return _two_level_matrix(*r), bath.with_energy(h)
     rho, h = _array_advance(rho, bath.H_e, stage, dt, stage(rho, bath.H_e), 1)
     return rho, bath.with_energy(h)
@@ -742,10 +743,10 @@ def test_step_with_given_first_stage_is_bit_identical(rng, nonlinear):
     system, bath = _finite_bath_setup()
     rho = random_density(rng, 2)
     rho_a, bath_a = step(*step(rho, bath, system, 1e-2, nonlinear=nonlinear), system, 1e-2, nonlinear=nonlinear)
-    stage = _bind(bath, system, nonlinear)
+    advance = _bind(bath, system, nonlinear)
     state = (*_two_level_entries(_exactly_hermitian(rho)), bath.H_e)
     for _ in range(2):
-        state = _two_level_advance(*state, stage, 1e-2, stage(*state), 1)
+        state = advance(*state, 1e-2, advance(*state), 1)
     assert np.array_equal(rho_a, _two_level_matrix(*state[:4]))
     assert bath_a == bath.with_energy(state[4])
 
@@ -895,10 +896,11 @@ def _bits(values):
 
 
 def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
-    # the fused dim-2 stage and RK step against the stage and step written as
-    # separate functions (tests/oracles.py), bit for bit: infinite and finite
-    # baths, with and without bath-coupled channels, and without friction
-    # (gamma0 = 0, and bath-coupled channels of weight 0 only)
+    # the dim-2 advance, whose zero-step call is the stage, against the stage
+    # and RK step written as separate functions (tests/oracles.py), bit for
+    # bit: infinite and finite baths, with and without bath-coupled
+    # channels, and without friction (gamma0 = 0, and bath-coupled channels
+    # of weight 0 only)
     consts = PhysicalConstants(hbar=0.8, kB=1.3)
     h = random_hermitian(rng, 2)
     qs = [random_hermitian(rng, 2) for _ in range(3)]
@@ -930,24 +932,27 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
     states += [(-0.3, -0.2, 0.1, 0.05), (0.0, 0.0, 0.0, 0.0)]
     for system, bath in cases:
         for nonlinear in (True, False):
-            stage = _bind(bath, system, nonlinear)
+            advance = _bind(bath, system, nonlinear)
             with monkeypatch.context() as patch:
                 patch.setattr(environment, "_bind_rates", oracles.two_level_bound_stage)
                 oracle = _bind(bath, system, nonlinear)
             for r in states:
-                first = stage(*r, bath.H_e)
+                # zero steps: the stage at the start
+                first = advance(*r, bath.H_e, 0.05, None, 0)
                 assert _bits(first) == _bits(oracle(*r, bath.H_e))
+                assert _bits(advance(*r, bath.H_e)) == _bits(first)
                 for steps in (1, 2, 5):
-                    # an advance of 1, 2 and 5 steps against as many oracle steps:
-                    # the first evaluates its own first stage or is given the
-                    # fused one, and the later ones evaluate their own
-                    out = integrator._two_level_advance(*r, bath.H_e, stage, 0.05, first, steps)
-                    for given in (None, first):
-                        ref = (*r, bath.H_e)
-                        for _ in range(steps):
-                            ref = oracles.two_level_advance(*ref, oracle, 0.05, given)
-                            given = None
-                        assert _bits(out) == _bits(ref)
+                    # an advance of 1, 2 and 5 steps, given its first stage or
+                    # evaluating it, against as many oracle steps: the first
+                    # evaluates its own first stage or is given the advance's,
+                    # and the later ones evaluate their own
+                    for out in (advance(*r, bath.H_e, 0.05, first, steps), advance(*r, bath.H_e, 0.05, None, steps)):
+                        for given in (None, first):
+                            ref = (*r, bath.H_e)
+                            for _ in range(steps):
+                                ref = oracles.two_level_advance(*ref, oracle, 0.05, given)
+                                given = None
+                            assert _bits(out) == _bits(ref)
 
 
 @VARIANTS
@@ -996,12 +1001,21 @@ def test_non_finite_state_is_a_violation(nonlinear):
 
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
-    # simulate steps a dim-2 state through the float-carried step it binds
-    # at the start of the run, so that is where the NaN goes in
+    # simulate steps a dim-2 state through the float-carried advance it binds
+    # at the start of the run, so that is where the NaN goes in; its
+    # zero-step calls, the stages at sampled points, stay as bound
     p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
     nan = (np.nan,) * 4
-    advance = integrator._two_level_advance
-    monkeypatch.setattr(integrator, "_two_level_advance", lambda r00, r11, x, y, h, *args: (*nan, h))
+    bind = integrator._bind
+
+    def bind_stepping(stepping):
+        def binding(*args):
+            advance = bind(*args)
+            return lambda r00, r11, x, y, h, *rest: stepping(advance, h, *rest) if rest else advance(r00, r11, x, y, h)
+
+        return binding
+
+    monkeypatch.setattr(integrator, "_bind", bind_stepping(lambda advance, h, dt, first, steps: (*nan, h)))
     cfg = IntegratorConfig(dt=0.01, t_end=1.0, monitor_every=3)
     traj = simulate(I2 / 2, two_level_bath(p), two_level_system(p), cfg, nonlinear=nonlinear)
     assert traj.termination == MONITOR_VIOLATION
@@ -1013,10 +1027,10 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     # violation names the non-finite state, not a drained bath
     system, bath = _finite_bath_setup()
 
-    def nan_step(r00, r11, x, y, h, stage, dt, first, steps):
-        return advance(*nan, h, stage, dt, stage(*nan, h), steps)
+    def nan_step(advance, h, dt, first, steps):
+        return advance(*nan, h, dt, advance(*nan, h), steps)
 
-    monkeypatch.setattr(integrator, "_two_level_advance", nan_step)
+    monkeypatch.setattr(integrator, "_bind", bind_stepping(nan_step))
     traj = simulate(I2 / 2, bath, system, cfg, nonlinear=nonlinear)
     assert traj.termination == MONITOR_VIOLATION
     assert traj.violation == "state went non-finite: finite bath energy H_e=nan in the step to t=0.01"
