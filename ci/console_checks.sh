@@ -143,6 +143,53 @@ assert blow_up["max_abs_delta_rho_final"] is None, blow_up
 assert blow_up["two_level"]["nonlinear_final_m3"] is None, blow_up
 assert blow_up["two_level"]["linearized_final_m3"] is None, blow_up
 EOF
+# a finite bath drained within a sampled interval above two levels: a
+# 3-level system, H = diag(1, 0, -1), one fixed channel J_x that heats it
+# from near its ground state, and a small finite bath; run and compare
+# both exit 2 and name the step that drained the bath (step 5 of the
+# interval from step 4 to 8), with no traceback and no process left behind
+python - "$out/drained_n3.json" <<'EOF'
+import json, sys
+r = 0.5 ** 0.5
+def real(a):
+    return [[[float(x), 0.0] for x in row] for row in a]
+cfg = {
+    "system": {
+        "generic": {
+            "hamiltonian": real([[1, 0, 0], [0, 0, 0], [0, 0, -1]]),
+            "channels": [{"Q": real([[0, r, 0], [r, 0, r], [0, r, 0]]), "friction_rate": 0.1, "diffusion_rate": 1.0}],
+        }
+    },
+    "environment": {"finite": {"C_e": 1.0, "H_e0": 0.2, "gamma0": 1.0, "omega_ref": 1.0}},
+    "integrator": {"dt": 0.05, "t_end": 10.0, "monitor_every": 4},
+    "initial_state": {"matrix": real([[0.001, 0, 0], [0, 0.001, 0], [0, 0, 0.998]])},
+}
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(cfg, fh)
+EOF
+for command in run compare; do
+  status=0
+  if [ "$command" = run ]; then
+    "${cli[@]}" run --config "$out/drained_n3.json" --out "$out/drained_n3.csv" > "$out/drained_n3.err" 2>&1 || status=$?
+  else
+    "${cli[@]}" compare --config "$out/drained_n3.json" --out-dir "$out/cmp_drained_n3" > "$out/drained_n3.err" 2>&1 || status=$?
+    no_leftover "$out/cmp_drained_n3"
+  fi
+  test "$status" -eq 2
+  grep -q "H_e=-0.0113941 in the step to t=0.25" "$out/drained_n3.err"
+  if grep -q Traceback "$out/drained_n3.err"; then
+    echo "$command on a drained 3-level bath printed a traceback" >&2
+    exit 1
+  fi
+done
+python - "$out/cmp_drained_n3/summary.json" <<'EOF'
+import json, sys
+def reject(token):
+    raise ValueError(f"{token} is not JSON")
+summary = json.load(open(sys.argv[1], encoding="utf-8"), parse_constant=reject)
+assert summary["nonlinear"]["termination"] == "monitor_violation", summary
+assert summary["linearized"]["termination"] == "monitor_violation", summary
+EOF
 # an unreadable config is a configuration error: exit 1 and a message, not a traceback
 status=0
 "${cli[@]}" run --config missing.json --out "$out/missing.csv" 2> "$out/missing.err" || status=$?

@@ -55,7 +55,9 @@ def _require_keys(node: dict, path: str, required: tuple[str, ...], optional: tu
             raise ConfigError(f"{path}.{key}", "required field is missing")
     for key in node:
         if key not in required and key not in optional:
-            raise ConfigError(f"{path}.{key}" if isinstance(key, str) else f"{path}[{_shown(key)}]", "unknown field")
+            # a key that is not a string, or a string past 80 characters, is named bounded
+            named = isinstance(key, str) and len(key) <= 80
+            raise ConfigError(f"{path}.{key}" if named else f"{path}[{_shown(key)}]", "unknown field")
 
 
 def _one_of(node: dict, path: str, a: str, b: str) -> str:

@@ -138,9 +138,9 @@ class EnvironmentObservableReport:
 
 
 def _bind(bath: HeatBath, system: QuantumSystem, nonlinear: bool):
-    """The coupled stage of one run, which gives the state's rate and
-    dH_e/dt: the closure of :func:`~thermoqme.master_equation._bind_rates`
-    (at n = 2 the advance, whose zero-step call is the stage) for the
+    """The RK4 advance of one run, whose zero-step call is the coupled
+    stage, which gives the state's rate and dH_e/dt: the closure of
+    :func:`~thermoqme.master_equation._bind_rates`, at every n, for the
     rates of the bath bracket (:func:`~thermoqme.master_equation._rates`).
 
     Every friction rate is constant, and the diffusion rates are a fixed

@@ -21,11 +21,10 @@ from .operators import (
     _shown,
     _spectrum_entropy,
     _two_level_entries,
-    _two_level_matrix,
     _two_level_spectrum,
     validate_density_matrix,
 )
-from .master_equation import QuantumSystem, _as_state, _BathDrained, _exactly_hermitian
+from .master_equation import QuantumSystem, _as_state, _BathDrained, _exactly_hermitian, _state_entries, _state_matrix
 from .environment import EnvironmentObservableReport, HeatBath, _bind
 
 __all__ = [
@@ -140,47 +139,13 @@ def step(
 
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError, and so does an infinite bath whose ``H_e``
-    ends the step non-finite.  The step is :func:`simulate`'s advance over
-    one step, 4 stages: :func:`_array_advance` above n = 2, and at n = 2 the
-    bound closure, on the four reals of rho and H_e as Python floats.
+    ends the step non-finite.  The step is one call of the run's advance
+    (:func:`~thermoqme.master_equation._bind_rates`) over one step, 4
+    stages, at every n.
     """
     rho = _exactly_hermitian(_as_state(rho, system))
-    stage = _bind(bath, system, nonlinear)
-    if system.dim == 2:  # the stage is the advance
-        *r, h = stage(*_two_level_entries(rho), bath.H_e, dt, None, 1)
-        return _two_level_matrix(*r), bath.with_energy(h)
-    rho, h = _array_advance(rho, bath.H_e, stage, dt, stage(rho, bath.H_e), 1)
-    return rho, bath.with_energy(h)
-
-
-def _array_advance(rho, h, stage, dt, first, steps):
-    """``steps`` RK4 steps of (rho, H_e) on numpy arrays, with the
-    bound ``stage`` (rho, H_e) -> (drho/dt, ..., dH_e/dt) and ``first`` its
-    value at (rho, h); returns (rho, H_e), rho exactly Hermitian as it
-    enters (see :func:`~thermoqme.master_equation._lapack_stage`).  Only the
-    first and the last item of a stage's value are read, so the spectrum
-    that the n > 2 stage returns between them is ignored.
-
-    The stage at each step's end state is the next step's first stage; the
-    last step's is left to the caller, so the call costs 4 steps - 1
-    stages.  An exception raised by a stage
-    (a drained bath, a failed eigendecomposition) leaves with the number of
-    steps finished before the failing one as its ``steps_done``."""
-    k1, *_, e1 = first
-    half, sixth, last = 0.5 * dt, dt / 6.0, steps - 1
-    try:
-        for done in range(steps):
-            k2, *_, e2 = stage(rho + half * k1, h + half * e1)
-            k3, *_, e3 = stage(rho + half * k2, h + half * e2)
-            k4, *_, e4 = stage(rho + dt * k3, h + dt * e3)
-            rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-            if done != last:
-                k1, *_, e1 = stage(rho, h)
-    except (_BathDrained, np.linalg.LinAlgError) as exc:
-        exc.steps_done = done
-        raise
-    return rho, h
+    *r, h = _bind(bath, system, nonlinear)(*_state_entries(rho), bath.H_e, dt, None, 1)
+    return _state_matrix(*r), bath.with_energy(h)
 
 
 def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
@@ -192,16 +157,16 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
 
     The dimension selects how the monitors are computed.  Above n = 2, with
     numpy: the ascending spectrum gives min_eig and the entropy; it is
-    ``w``, which the stage at (rho, h) took from its eigh of this very rho,
-    or, where ``w`` is None, one eigvalsh of rho.  tr(H rho) is the n^2
-    inner product sum_ij conj(H_ij) rho_ij, which is tr(H rho) for the
-    exactly Hermitian H that :class:`QuantumSystem` stores.  herm_err is
-    max|rho - rho^dagger|: 0.0 on an exactly Hermitian rho, as every point
-    :func:`simulate` records after t = 0 is, and NaN if an entry is not
-    finite.  At n = 2, in Python floats from the four reals of rho, which
-    is read as exactly Hermitian (entry (0, 1) is not read): herm_err
-    is 0.0, or NaN if an entry is not finite; min_eig is the unclipped
-    smaller eigenvalue det(rho)/l1 of one
+    ``w``, the second item of that stage's value (read only above n = 2),
+    from its eigh of this very rho, or, where ``w`` is None, one eigvalsh of
+    rho.  tr(H rho) is the n^2 inner product sum_ij conj(H_ij) rho_ij, which
+    is tr(H rho) for the exactly Hermitian H that :class:`QuantumSystem`
+    stores.  herm_err is max|rho - rho^dagger|: 0.0 on an exactly Hermitian
+    rho, as every point :func:`simulate` records after t = 0 is, and NaN if
+    an entry is not finite.  At n = 2, in Python floats from the four reals
+    of rho, which is read as exactly Hermitian (entry (0, 1) is not read):
+    herm_err is 0.0, or NaN if an entry is not finite; min_eig is the
+    unclipped smaller eigenvalue det(rho)/l1 of one
     :func:`~thermoqme.operators._two_level_spectrum` call, which keeps its
     relative precision near a pure state; the entropy is that spectrum's;
     and tr(H rho) comes from H's four reals."""
@@ -273,15 +238,16 @@ def simulate(
     """Integrate from t=0 to t_end, recording monitors every
     ``monitor_every`` steps (plus the initial and final states).
 
-    The rates are bound once per run, and the state is carried as
-    :func:`step` advances it (at n = 2 as Python floats): one call of the
-    dimension's advance covers a whole sampled interval,
-    min(monitor_every, n_steps - k) steps from step k.  The density matrix
-    is built only at recorded points, where the run's bath is read at the
-    carried energy.  The results are a loop of :func:`step`'s, and every
-    point is the same, bit for bit, at any cadence.  Above n = 2 a
-    nonlinear point after t = 0 reads its spectrum from the eigh that its
-    stage made, so it makes no decomposition of its own.
+    The rates are bound once per run into the advance of
+    :func:`~thermoqme.master_equation._bind_rates`, which carries the state
+    as :func:`step` does (at n = 2 as Python floats): one call covers a
+    whole sampled interval, min(monitor_every, n_steps - k) steps from step
+    k, and its zero-step call is the stage.  The density matrix is built
+    only at recorded points, where the run's bath is read at the carried
+    energy.  The results are a loop of :func:`step`'s, and every point is
+    the same, bit for bit, at any cadence.  Above n = 2 a nonlinear point
+    after t = 0 reads its spectrum from the eigh that its stage made, so it
+    makes no decomposition of its own.
 
     The stage at each step's end state is evaluated once: it is the next
     step's first stage, and at an interval's end, evaluated here after the
@@ -304,14 +270,10 @@ def simulate(
     step that failed.
     """
     given = _as_state(validate_density_matrix(rho0, START_STATE_TOL), system)
-    # the stages start from rho0 made exactly Hermitian; the t = 0 point observes it as given
-    rho = _exactly_hermitian(given)
-    stage = _bind(bath0, system, nonlinear)
-    two_level = system.dim == 2
-    advance = stage if two_level else (lambda rho, h, *args: _array_advance(rho, h, stage, *args))
-    # (r00, r11, x, y, H_e) as floats at n = 2, (rho, H_e) above: the
-    # arguments of the dimension's stage and advance
-    state = (*_two_level_entries(rho), bath0.H_e) if two_level else (rho, bath0.H_e)
+    advance = _bind(bath0, system, nonlinear)
+    # the advance's state and H_e: the stages start from rho0 made exactly
+    # Hermitian; the t = 0 point observes it as given
+    state = (*_state_entries(_exactly_hermitian(given)), bath0.H_e)
     points: list[TrajectoryPoint] = []
     energy_ref = None
     debug = log.isEnabledFor(logging.DEBUG)
@@ -323,14 +285,9 @@ def simulate(
             if steps:
                 state = advance(*state, dt, rates, steps)
             # a finite bath drained by the interval's last step raises here, where T(H_e) is read
-            rates = stage(*state)
-            w = None  # above n = 2, the stage's spectrum of the observed rho, if it made one
-            if not steps:  # t = 0 observes rho0 as given
-                rho = given
-            elif two_level:
-                rho = _two_level_matrix(*state[:4])
-            else:
-                rho, w = state[0], rates[1]
+            rates = advance(*state)
+            # t = 0 observes rho0 as given, and a later point the stage's spectrum, if it made one
+            rho, w = (_state_matrix(*state[:-1]), rates[1]) if steps else (given, None)
             point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1], w)
         except (_BathDrained, np.linalg.LinAlgError) as exc:
             # the step that failed: the advance counts the steps before it;

@@ -210,29 +210,31 @@ def _rates(system: QuantumSystem, g: float | None = None):
 
 
 def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per_T=None, C_e=None):
-    """The stage of rates in :func:`_rates` form, with what they fix
-    compiled once; it gives the state's rate and dH_e/dt = -Re tr(H drho/dt)
-    by energy closure.  ``C_e``, if given, is a finite bath's heat
-    capacity: every stage reads the temperature T = H_e/C_e at its own H_e,
-    raising :class:`_BathDrained` unless 0 < H_e < inf (the check and
-    messages of :func:`_bath_temperature`), and the diffusion rates are
-    then ``diffusion`` + T ``per_T``.
+    """The RK4 advance of rates in :func:`_rates` form at every n, with what
+    they fix compiled once; its stage gives the state's rate and
+    dH_e/dt = -Re tr(H drho/dt) by energy closure.  ``C_e``, if given, is a
+    finite bath's heat capacity: every stage reads the temperature
+    T = H_e/C_e at its own H_e, raising :class:`_BathDrained` unless
+    0 < H_e < inf (the check and messages of :func:`_bath_temperature`),
+    and the diffusion rates are then ``diffusion`` + T ``per_T``.
 
-    The dimension selects the kernel and its calling convention: above
-    n = 2, (rho, H_e) -> (drho/dt, w, dH_e/dt) by :func:`_lapack_stage` on
-    numpy arrays, with the rates made into :func:`_rate_column` arrays
-    once, where w is the ascending spectrum of rho from the stage's eigh,
-    or None where it made none (linearized, or no friction).  At n = 2 the
-    closure is the RK4 advance (r00, r11, x, y, H_e, dt, first, steps) ->
-    the five floats ``steps`` steps on, in real Pauli coordinates with no
-    numpy call and no Python call but ``math``'s; its zero-step call is the
-    stage (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt).  The state is the
-    four reals (rho00, rho11, Re rho10, Im rho10) and g = dm/dt for the
-    Bloch vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
-    rho = (tr rho I + m . sigma)/2.  A call costs 4 steps stages, one less
-    with ``first``, the stage at the start, given; the last step's end
-    stage is left to the caller.  A :class:`_BathDrained` it raises
-    carries ``steps_done``, the steps finished before the failing one.
+    The advance is (*state, H_e, dt=0.0, first=None, steps=0) -> (*state,
+    H_e) ``steps`` steps on, for rho's :func:`_state_entries` as the state;
+    its zero-step call is the stage (or ``first``, if given).  A call costs
+    4 steps stages, one less with ``first`` given; the last step's end stage
+    is left to the caller.  An exception that a step raises carries
+    ``steps_done``, the steps finished before the failing one.
+
+    The dimension selects the kernel: above n = 2, the stage (rho, H_e) ->
+    (drho/dt, w, dH_e/dt) by :func:`_lapack_stage` on numpy arrays, with the
+    rates made into :func:`_rate_column` arrays once, where w is the
+    ascending spectrum of rho from the stage's eigh, or None where it made
+    none (linearized, or no friction).  At n = 2, in real Pauli coordinates
+    with no numpy call and no Python call but ``math``'s, the stage
+    (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt) reads the four reals
+    (rho00, rho11, Re rho10, Im rho10) and gives g = dm/dt for the Bloch
+    vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
+    rho = (tr rho I + m . sigma)/2.
     With the Bloch map (A, U, P) and a finite bath's A_bath, unpacked once
     into closure locals (as are ``math``'s hypot, log and log1p, taken from
     this module's ``math`` when the advance is bound),
@@ -251,12 +253,30 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     if system.dim > 2:
         f, d, d_per_T = _rate_column(friction), _rate_column(diffusion), _rate_column(per_T)
 
-        def stage(rho, H_e):
-            T = _bath_temperature(H_e, C_e) if finite else 0.0
-            k, w = _lapack_stage(rho, system, f, d if d_per_T is None else d + T * d_per_T, nonlinear)
-            return k, w, -float(np.vdot(system.H, k).real)
+        def advance(rho, h, dt=0.0, first=None, steps=0):
+            if not steps:  # the stage at (rho, h)
+                if first is not None:
+                    return first
+                T = _bath_temperature(h, C_e) if finite else 0.0
+                k, w = _lapack_stage(rho, system, f, d if d_per_T is None else d + T * d_per_T, nonlinear)
+                return k, w, -float(np.vdot(system.H, k).real)
+            half, sixth, last, done = 0.5 * dt, dt / 6.0, steps - 1, 0
+            try:
+                k1, _, e1 = advance(rho, h) if first is None else first
+                for done in range(steps):
+                    k2, _, e2 = advance(rho + half * k1, h + half * e1)
+                    k3, _, e3 = advance(rho + half * k2, h + half * e2)
+                    k4, _, e4 = advance(rho + dt * k3, h + dt * e3)
+                    rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+                    if done != last:
+                        k1, _, e1 = advance(rho, h)
+            except (_BathDrained, np.linalg.LinAlgError) as exc:
+                exc.steps_done = done
+                raise
+            return rho, h
 
-        return stage
+        return advance
     hx, hy, hz = system._h2
     cross, k, u, p = system._q2
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = (cross + np.dot(diffusion, k)).tolist()
@@ -368,14 +388,25 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     return advance
 
 
-def _matrix_rates(stage, rho, H_e: float):
-    """(drho/dt, dH_e/dt) of a stage of :func:`_bind_rates` at (rho, H_e),
-    with rho and drho/dt numpy arrays at every n."""
-    if rho.shape[0] == 2:  # drho/dt = (dm/dt . sigma)/2
-        gx, gy, gz, rate = stage(*_two_level_entries(rho), H_e)
-        return _two_level_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy), rate
-    k, _, rate = stage(rho, H_e)
-    return k, rate
+def _matrix_rates(advance, rho, H_e: float):
+    """(drho/dt, dH_e/dt) of the stage of an advance of :func:`_bind_rates`
+    at (rho, H_e), with rho and drho/dt numpy arrays at every n."""
+    out = advance(*_state_entries(rho), H_e)
+    if len(out) == 4:  # n = 2: (dm/dt, dH_e/dt), and drho/dt = (dm/dt . sigma)/2
+        gx, gy, gz, rate = out
+        return _state_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy), rate
+    return out[0], out[2]
+
+
+def _state_entries(rho: np.ndarray) -> tuple:
+    """rho as an advance of :func:`_bind_rates` carries it: its four reals
+    (:func:`~thermoqme.operators._two_level_entries`) at n = 2, ``(rho,)`` above."""
+    return _two_level_entries(rho) if rho.shape[0] == 2 else (rho,)
+
+
+def _state_matrix(*entries) -> np.ndarray:
+    """rho from its :func:`_state_entries`: the exactly Hermitian 2x2 matrix of four reals, or the one array."""
+    return _two_level_matrix(*entries) if len(entries) == 4 else entries[0]
 
 
 def _rate_column(rates) -> np.ndarray | None:

@@ -11,7 +11,9 @@ functions over tuples, the form the advance that
 ``master_equation._bind_rates`` returns at n = 2, one loop with the stage
 written once, reproduces operation for operation.  The tests compare them
 bitwise, so a reordering of the arithmetic fails a test instead of
-changing output bytes.
+changing output bytes.  Last, a plain RK4 step on numpy arrays, summed in
+the order of the advance above n = 2, is the reference that the
+float-carried dimension-2 step is checked against.
 """
 
 import math
@@ -400,3 +402,16 @@ def two_level_advance(r00, r11, x, y, h, stage, dt, first=None):
     g4, e4 = at(moved(r, dt, g3), h + dt * e3)
     g = [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(g1, g2, g3, g4)]
     return (*moved(r, dt / 6.0, g), h + (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4))
+
+
+def array_rk4_step(rho, h, stage, dt, first=None):
+    """One RK4 step of (rho, H_e) on numpy arrays with ``stage`` (rho, H_e) ->
+    (drho/dt, ..., dH_e/dt) and ``first`` its value at (rho, h) or None,
+    summed in the order of the advance that ``master_equation._bind_rates``
+    returns above n = 2."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1, *_, e1 = stage(rho, h) if first is None else first
+    k2, *_, e2 = stage(rho + half * k1, h + half * e1)
+    k3, *_, e3 = stage(rho + half * k2, h + half * e2)
+    k4, *_, e4 = stage(rho + dt * k3, h + dt * e3)
+    return rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)

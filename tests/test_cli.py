@@ -476,6 +476,18 @@ CONFIG_ERRORS = {
         "integrator[an integer of 16610 bits]",
         "unknown field",
     ),
+    # and so is a string key past 80 characters, which JSON text can hold;
+    # one of 80 characters or fewer is named whole
+    "long_unknown_key": (
+        _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "k" * 100_000: 1}),
+        "integrator['kkkkkkkkkkkk...kkkkkkkkkkkkk']",
+        "unknown field",
+    ),
+    "unknown_key_of_80_characters": (
+        _two_level_config(integrator={"dt": 0.01, "t_end": 1.0, "k" * 80: 1}),
+        "integrator." + "k" * 80,
+        "unknown field",
+    ),
     "step_count_overflows": (
         _two_level_config(integrator={"dt": 1e-300, "t_end": 1e300}),
         "integrator",

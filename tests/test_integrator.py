@@ -31,8 +31,8 @@ from thermoqme import (
 )
 from thermoqme import environment, integrator, master_equation
 from thermoqme.environment import _bind
-from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _array_advance, _observe
-from thermoqme.master_equation import _exactly_hermitian
+from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _observe
+from thermoqme.master_equation import _exactly_hermitian, _rate_column, _rates, _state_entries, _state_matrix
 from thermoqme.operators import PhysicalConstants, _two_level_entries, _two_level_matrix, hermitianize
 from thermoqme.two_level import SIGMA
 
@@ -722,33 +722,49 @@ def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
 
 
 def _given_first_step(rho, bath, system, dt, nonlinear):
-    """The step as simulate takes it: the advance of the run's dimension with
-    its first stage evaluated beforehand and handed over (at n = 2 the bound
-    stage is the advance, and a stage its zero-step call)."""
-    stage = _bind(bath, system, nonlinear)
-    if system.dim == 2:
-        r = _two_level_entries(rho)
-        *r, h = stage(*r, bath.H_e, dt, stage(*r, bath.H_e), 1)
-        return _two_level_matrix(*r), bath.with_energy(h)
-    rho, h = _array_advance(rho, bath.H_e, stage, dt, stage(rho, bath.H_e), 1)
-    return rho, bath.with_energy(h)
+    """The step as simulate takes it: the run's advance over one step, handed
+    its first stage, the advance's zero-step call, evaluated beforehand."""
+    advance = _bind(bath, system, nonlinear)
+    state = (*_state_entries(rho), bath.H_e)
+    *r, h = advance(*state, dt, advance(*state), 1)
+    return _state_matrix(*r), bath.with_energy(h)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 16])
 @VARIANTS
-def test_step_with_given_first_stage_is_bit_identical(rng, nonlinear):
+def test_step_with_given_first_stage_is_bit_identical(rng, nonlinear, dim):
     # two steps, each handed the stage at the previous end state as its first
-    # stage (as simulate hands it over), against two steps that evaluate it;
-    # step starts from the exactly Hermitian form of rho, which
-    # random_density builds Hermitian only to rounding
-    system, bath = _finite_bath_setup()
-    rho = random_density(rng, 2)
+    # stage (as simulate hands it over), against two steps that evaluate it,
+    # through the one advance signature at every n; step starts from the
+    # exactly Hermitian form of rho, which random_density builds Hermitian
+    # only to rounding
+    if dim == 2:
+        system, bath = _finite_bath_setup()
+    else:
+        system = _unit_norm_system(rng, dim)
+        bath = HeatBath.finite(C_e=4.0, H_e=3.0, gamma0=0.8, omega_ref=1.1)
+    rho = random_density(rng, dim)
     rho_a, bath_a = step(*step(rho, bath, system, 1e-2, nonlinear=nonlinear), system, 1e-2, nonlinear=nonlinear)
     advance = _bind(bath, system, nonlinear)
-    state = (*_two_level_entries(_exactly_hermitian(rho)), bath.H_e)
+    state = (*_state_entries(_exactly_hermitian(rho)), bath.H_e)
     for _ in range(2):
         state = advance(*state, 1e-2, advance(*state), 1)
-    assert np.array_equal(rho_a, _two_level_matrix(*state[:4]))
-    assert bath_a == bath.with_energy(state[4])
+    assert np.array_equal(rho_a, _state_matrix(*state[:-1]))
+    assert bath_a == bath.with_energy(state[-1])
+    if dim > 2:
+        # above n = 2 the zero-step call is _lapack_stage's drho/dt and
+        # spectrum at the stage's own T = H_e/C_e, with the closure flux
+        # -Re tr(H k), bit for bit
+        first = advance(*state)
+        friction, diffusion, per_T = map(_rate_column, _rates(system, bath._friction_rate(system.constants)))
+        diffusion = diffusion + (state[-1] / bath.C_e) * per_T
+        k, w = master_equation._lapack_stage(state[0], system, friction, diffusion, nonlinear)
+        assert np.array_equal(first[0], k)
+        if nonlinear:
+            assert np.array_equal(first[1], w)
+        else:
+            assert first[1] is None and w is None
+        assert first[2] == -float(np.vdot(system.H, k).real)
 
 
 def _unit_norm_system(rng, dim):
@@ -791,18 +807,14 @@ def test_states_above_two_levels_stay_exactly_hermitian(monkeypatch, rng, dim, n
     # Hermitian: fixed and bath-coupled channels, hbar and k_B != 1, an
     # infinite and a finite bath, from rho0 Hermitian only to rounding
     seen = []
+    lapack_stage = master_equation._lapack_stage
 
-    def recording_bind(*args):
-        stage = _bind(*args)
+    def recorded(rho, *args):
+        out = lapack_stage(rho, *args)
+        seen.extend((rho, out[0]))
+        return out
 
-        def recorded(rho, H_e):
-            out = stage(rho, H_e)
-            seen.extend((rho, out[0]))
-            return out
-
-        return recorded
-
-    monkeypatch.setattr(integrator, "_bind", recording_bind)
+    monkeypatch.setattr(master_equation, "_lapack_stage", recorded)
     system = _unit_norm_system(rng, dim)
     baths = (
         HeatBath.infinite(T_e=0.9, gamma0=0.8, omega_ref=1.1, H_e=0.3),
@@ -836,15 +848,13 @@ def test_step_rejects_unknown_method(rng, dim, setup):
 
 def _array_step(rho, bath, system, dt, nonlinear, first):
     """The step on numpy arrays at any n, every stage bound anew by
-    joint_rhs, and the first one evaluated here when ``first`` is None: the
+    joint_rhs, and the first one evaluated when ``first`` is None: the
     reference for the float-carried dim-2 step."""
 
     def stage(rho, H_e):
         return joint_rhs(rho, H_e, bath, system, nonlinear)
 
-    if first is None:
-        first = stage(rho, bath.H_e)
-    rho, h = _array_advance(rho, bath.H_e, stage, dt, first, 1)
+    rho, h = oracles.array_rk4_step(rho, bath.H_e, stage, dt, first)
     return rho, bath.with_energy(h)
 
 
