@@ -190,6 +190,49 @@ summary = json.load(open(sys.argv[1], encoding="utf-8"), parse_constant=reject)
 assert summary["nonlinear"]["termination"] == "monitor_violation", summary
 assert summary["linearized"]["termination"] == "monitor_violation", summary
 EOF
+# the dimension-2 kernel with a non-diagonal H and a complex coherence: a
+# generic 2x2 system with H = [[0.5, 0.2-0.1i], [0.2+0.1i, -0.5]], a
+# bath-bracket channel sigma_x/2, a fixed channel with an imaginary
+# off-diagonal entry and a finite bath, from rho0 with Im rho10 != 0; run
+# exits 0 with 41 rows that keep a complex coherence, its CSV is compare's
+# nonlinear.csv, the forked compare and the one pinned to one CPU write the
+# same four files, and no process is left behind
+python - "$out/complex_n2.json" <<'EOF'
+import json, sys
+def c(a):
+    return [[[complex(x).real, complex(x).imag] for x in row] for row in a]
+cfg = {
+    "system": {
+        "generic": {
+            "hamiltonian": c([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]]),
+            "channels": [
+                {"Q": c([[0, 0.5], [0.5, 0]]), "use_bath_bracket": True},
+                {"Q": c([[0.3, 0.1j], [-0.1j, -0.3]]), "friction_rate": 0.2, "diffusion_rate": 0.3},
+            ],
+        }
+    },
+    "environment": {"finite": {"C_e": 2.0, "H_e0": 1.5, "gamma0": 0.8, "omega_ref": 1.0}},
+    "integrator": {"dt": 0.01, "t_end": 2.0, "monitor_every": 5},
+    "initial_state": {"matrix": c([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])},
+}
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(cfg, fh)
+EOF
+"${cli[@]}" run --config "$out/complex_n2.json" --out "$out/complex_n2.csv"
+python - "$out/complex_n2.csv" <<'EOF'
+import csv, sys
+rows = list(csv.DictReader(open(sys.argv[1], encoding="utf-8")))
+assert len(rows) == 41, len(rows)
+assert all(float(row["rho01_im"]) != 0.0 for row in rows), rows
+EOF
+"${cli[@]}" compare --config "$out/complex_n2.json" --out-dir "$out/cmp_complex_n2"
+no_leftover "$out/cmp_complex_n2"
+taskset -c 0 "${cli[@]}" compare --config "$out/complex_n2.json" --out-dir "$out/cmp_complex_n2_serial"
+no_leftover "$out/cmp_complex_n2_serial"
+cmp "$out/complex_n2.csv" "$out/cmp_complex_n2/nonlinear.csv"
+for name in nonlinear.csv linearized.csv delta.csv summary.json; do
+  cmp "$out/cmp_complex_n2/$name" "$out/cmp_complex_n2_serial/$name"
+done
 # an unreadable config is a configuration error: exit 1 and a message, not a traceback
 status=0
 "${cli[@]}" run --config missing.json --out "$out/missing.csv" 2> "$out/missing.err" || status=$?

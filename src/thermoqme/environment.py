@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .operators import NATURAL, PhysicalConstants, _require_finite
-from .master_equation import QuantumSystem, _as_state, _bath_temperature, _bind_rates, _matrix_rates, _rates
+from .master_equation import QuantumSystem, _as_state, _bath_temperature, _bind_rates, _rates
 
 __all__ = [
     "HeatBath",
@@ -138,10 +138,10 @@ class EnvironmentObservableReport:
 
 
 def _bind(bath: HeatBath, system: QuantumSystem, nonlinear: bool):
-    """The RK4 advance of one run, whose zero-step call is the coupled
-    stage, which gives the state's rate and dH_e/dt: the closure of
-    :func:`~thermoqme.master_equation._bind_rates`, at every n, for the
-    rates of the bath bracket (:func:`~thermoqme.master_equation._rates`).
+    """The RK4 advance (rho, H_e, ...) -> (rho, H_e) of one run at every n,
+    whose zero-step call is the coupled stage, the state's rate and, last,
+    dH_e/dt: the closure of :func:`~thermoqme.master_equation._bind_rates`
+    for the rates of the bath bracket (:func:`~thermoqme.master_equation._rates`).
 
     Every friction rate is constant, and the diffusion rates are a fixed
     part plus T(H_e) times a bath part.  For an infinite bath the two are
@@ -177,4 +177,4 @@ def environment_rhs(bath: HeatBath, rho, system: QuantumSystem) -> float:
     microseconds on a 2-core Xeon), whereas a run
     (:func:`~thermoqme.integrator.simulate`) binds its stage once.
     """
-    return _matrix_rates(_bind(bath, system, True), _as_state(rho, system), bath.H_e)[1]
+    return _bind(bath, system, True)(_as_state(rho, system), bath.H_e)[-1]

@@ -1,12 +1,13 @@
 """Fixed-step time integration of the coupled quantum-bath system.
 
-Steps the density matrix and the bath energy jointly with classic RK4, the
-one integration method.  Every internal stage evaluates the bath-coupled
-diffusion rates at that stage's bath energy and takes the bath's energy rate
-from the closure identity.  Structure monitors (trace, hermiticity,
-positivity, total energy for closed totals) are sampled on a configurable
-cadence; a breach, or a finite bath drained of its energy, terminates the
-run with a flagged violation rather than a silent repair or a traceback.
+Steps the density matrix and the bath energy jointly through the one RK4
+advance, which ``master_equation`` binds and which takes and returns rho
+at every n.  Every internal stage evaluates the bath-coupled diffusion
+rates at that stage's bath energy and takes the bath's energy rate from
+the closure identity.  Structure monitors (trace, hermiticity, positivity,
+total energy for closed totals) are sampled on a configurable cadence; a
+breach, or a finite bath drained of its energy, terminates the run with a
+flagged violation rather than a silent repair or a traceback.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import numpy as np
 from .operators import (
     _shown,
     _spectrum_entropy,
-    _two_level_entries,
     _two_level_spectrum,
     validate_density_matrix,
 )
-from .master_equation import QuantumSystem, _as_state, _BathDrained, _exactly_hermitian, _state_entries, _state_matrix
+from .master_equation import QuantumSystem, _as_state, _BathDrained, _exactly_hermitian
 from .environment import EnvironmentObservableReport, HeatBath, _bind
 
 __all__ = [
@@ -141,11 +141,10 @@ def step(
     the step raises ValueError, and so does an infinite bath whose ``H_e``
     ends the step non-finite.  The step is one call of the run's advance
     (:func:`~thermoqme.master_equation._bind_rates`) over one step, 4
-    stages, at every n.
+    stages, which takes and returns rho at every n.
     """
-    rho = _exactly_hermitian(_as_state(rho, system))
-    *r, h = _bind(bath, system, nonlinear)(*_state_entries(rho), bath.H_e, dt, None, 1)
-    return _state_matrix(*r), bath.with_energy(h)
+    rho, h = _bind(bath, system, nonlinear)(_exactly_hermitian(_as_state(rho, system)), bath.H_e, dt, None, 1)
+    return rho, bath.with_energy(h)
 
 
 def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
@@ -161,19 +160,21 @@ def _observe(t, rho, h, bath, system, energy_ref, tolerances, flux, w=None):
     from its eigh of this very rho, or, where ``w`` is None, one eigvalsh of
     rho.  tr(H rho) is the n^2 inner product sum_ij conj(H_ij) rho_ij, which
     is tr(H rho) for the exactly Hermitian H that :class:`QuantumSystem`
-    stores.  herm_err is max|rho - rho^dagger|: 0.0 on an exactly Hermitian
-    rho, as every point :func:`simulate` records after t = 0 is, and NaN if
-    an entry is not finite.  At n = 2, in Python floats from the four reals
-    of rho, which is read as exactly Hermitian (entry (0, 1) is not read):
-    herm_err is 0.0, or NaN if an entry is not finite; min_eig is the
-    unclipped smaller eigenvalue det(rho)/l1 of one
+    stores.  At every n herm_err is max|rho_ij - conj(rho_ji)|: 0.0 on an
+    exactly Hermitian rho, as every point :func:`simulate` records after
+    t = 0 is, and NaN if an entry is not finite; trace_err is |tr rho - 1|
+    in complex arithmetic.  At n = 2 these two read all four entries as
+    Python complex numbers, and the rest rho's four reals as floats:
+    min_eig is the unclipped smaller eigenvalue det(rho)/l1 of one
     :func:`~thermoqme.operators._two_level_spectrum` call, which keeps its
     relative precision near a pure state; the entropy is that spectrum's;
     and tr(H rho) comes from H's four reals."""
     if rho.shape[0] == 2:
-        r00, r11, x, y = _two_level_entries(rho)
-        trace_err = abs(r00 + r11 - 1.0)
-        herm_err = 0.0 if all(map(math.isfinite, (r00, r11, x, y))) else math.nan
+        (a00, a01), (a10, a11) = rho.tolist()
+        r00, r11, x, y = a00.real, a11.real, a10.real, a10.imag
+        trace_err = abs(a00 + a11 - 1.0)
+        errs = (abs(a00 - a00.conjugate()), abs(a11 - a11.conjugate()), abs(a01 - a10.conjugate()))
+        herm_err = math.nan if any(map(math.isnan, errs)) else max(errs)
         l1, min_eig, _ = _two_level_spectrum(r00, r11, x, y, math.hypot(2.0 * x, 2.0 * y, r00 - r11))
         spectrum = (min_eig, l1)
         h00, h11, hr, hi = system._h4
@@ -239,12 +240,12 @@ def simulate(
     ``monitor_every`` steps (plus the initial and final states).
 
     The rates are bound once per run into the advance of
-    :func:`~thermoqme.master_equation._bind_rates`, which carries the state
-    as :func:`step` does (at n = 2 as Python floats): one call covers a
-    whole sampled interval, min(monitor_every, n_steps - k) steps from step
-    k, and its zero-step call is the stage.  The density matrix is built
-    only at recorded points, where the run's bath is read at the carried
-    energy.  The results are a loop of :func:`step`'s, and every point is
+    :func:`~thermoqme.master_equation._bind_rates`, which takes and returns
+    (rho, H_e) as in :func:`step`, in between in its own form (at n = 2 as
+    Python floats): one call covers a whole sampled interval,
+    min(monitor_every, n_steps - k) steps from step k, and its zero-step
+    call is the stage.  The run's bath is read only at recorded points.
+    The results are a loop of :func:`step`'s, and every point is
     the same, bit for bit, at any cadence.  Above n = 2 a nonlinear point
     after t = 0 reads its spectrum from the eigh that its stage made, so it
     makes no decomposition of its own.
@@ -257,8 +258,8 @@ def simulate(
     The run starts, as :func:`step` does, from rho0 made exactly Hermitian
     (:func:`~thermoqme.master_equation._exactly_hermitian`), once validated
     to ``START_STATE_TOL``.  The point at t = 0 observes and records rho0
-    as given, so its monitors show the input's own trace and, above n = 2,
-    hermiticity errors.  Every point measures herm_err by the same rule
+    as given, so its monitors show the input's own trace and hermiticity
+    errors at every n.  Every point measures herm_err by the same rule
     (:func:`_observe`), so the exactly Hermitian points after t = 0 read 0.0.
 
     Terminates early with a monitor violation note when a tolerance is
@@ -271,9 +272,8 @@ def simulate(
     """
     given = _as_state(validate_density_matrix(rho0, START_STATE_TOL), system)
     advance = _bind(bath0, system, nonlinear)
-    # the advance's state and H_e: the stages start from rho0 made exactly
-    # Hermitian; the t = 0 point observes it as given
-    state = (*_state_entries(_exactly_hermitian(given)), bath0.H_e)
+    # the stages start from rho0 made exactly Hermitian; the t = 0 point observes it as given
+    rho, h = _exactly_hermitian(given), bath0.H_e
     points: list[TrajectoryPoint] = []
     energy_ref = None
     debug = log.isEnabledFor(logging.DEBUG)
@@ -283,12 +283,12 @@ def simulate(
         t = k * dt
         try:
             if steps:
-                state = advance(*state, dt, rates, steps)
+                rho, h = advance(rho, h, dt, rates, steps)
             # a finite bath drained by the interval's last step raises here, where T(H_e) is read
-            rates = advance(*state)
+            rates = advance(rho, h)
             # t = 0 observes rho0 as given, and a later point the stage's spectrum, if it made one
-            rho, w = (_state_matrix(*state[:-1]), rates[1]) if steps else (given, None)
-            point, violation = _observe(t, rho, state[-1], bath0, system, energy_ref, tol, rates[-1], w)
+            seen, w = (rho, rates[1]) if steps else (given, None)
+            point, violation = _observe(t, seen, h, bath0, system, energy_ref, tol, rates[-1], w)
         except (_BathDrained, np.linalg.LinAlgError) as exc:
             # the step that failed: the advance counts the steps before it;
             # past the advance, it is the interval's last

@@ -2,8 +2,9 @@
 
 Assembles the reversible commutator term plus, per coupling channel, a
 friction term built on the state-weighted modified operator and a double
-commutator diffusion term.  Also provides the Gibbs equilibrium state, the
-bath-equilibrium condition on channel rates, and energy bookkeeping.
+commutator diffusion term, and binds a run's rates into its RK4 advance of
+(rho, H_e), whose zero-step call is the stage.  Also provides the Gibbs
+equilibrium state, the bath-equilibrium condition and energy bookkeeping.
 """
 
 from __future__ import annotations
@@ -218,22 +219,23 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     0 < H_e < inf (the check and messages of :func:`_bath_temperature`),
     and the diffusion rates are then ``diffusion`` + T ``per_T``.
 
-    The advance is (*state, H_e, dt=0.0, first=None, steps=0) -> (*state,
-    H_e) ``steps`` steps on, for rho's :func:`_state_entries` as the state;
-    its zero-step call is the stage (or ``first``, if given).  A call costs
-    4 steps stages, one less with ``first`` given; the last step's end stage
-    is left to the caller.  An exception that a step raises carries
-    ``steps_done``, the steps finished before the failing one.
+    The advance is (rho, H_e, dt=0.0, first=None, steps=0) -> (rho, H_e)
+    ``steps`` steps on, rho a numpy array at every n; its zero-step call is
+    the stage (no caller hands it ``first``).  A call costs 4 steps stages,
+    one less with ``first``, the stage at the start, given; the last step's
+    end stage is left to the caller.  An exception that a step raises
+    carries ``steps_done``, the steps finished before the failing one.
 
     The dimension selects the kernel: above n = 2, the stage (rho, H_e) ->
     (drho/dt, w, dH_e/dt) by :func:`_lapack_stage` on numpy arrays, with the
     rates made into :func:`_rate_column` arrays once, where w is the
     ascending spectrum of rho from the stage's eigh, or None where it made
-    none (linearized, or no friction).  At n = 2, in real Pauli coordinates
-    with no numpy call and no Python call but ``math``'s, the stage
-    (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt) reads the four reals
-    (rho00, rho11, Re rho10, Im rho10) and gives g = dm/dt for the Bloch
-    vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
+    none (linearized, or no friction).  At n = 2 the advance reads rho's
+    four reals (rho00, rho11, Re rho10, Im rho10) once on entry and builds
+    the rho it steps to from them once; in real Pauli coordinates with no
+    numpy call and no Python call but ``math``'s, the stage
+    (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt) gives g = dm/dt for the
+    Bloch vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
     rho = (tr rho I + m . sigma)/2.
     With the Bloch map (A, U, P) and a finite bath's A_bath, unpacked once
     into closure locals (as are ``math``'s hypot, log and log1p, taken from
@@ -255,8 +257,6 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
 
         def advance(rho, h, dt=0.0, first=None, steps=0):
             if not steps:  # the stage at (rho, h)
-                if first is not None:
-                    return first
                 T = _bath_temperature(h, C_e) if finite else 0.0
                 k, w = _lapack_stage(rho, system, f, d if d_per_T is None else d + T * d_per_T, nonlinear)
                 return k, w, -float(np.vdot(system.H, k).real)
@@ -289,7 +289,7 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
 
     hypot, log, log1p, inf = math.hypot, math.log, math.log1p, math.inf
 
-    def advance(r00, r11, x, y, H_e, dt=0.0, first=None, steps=0):
+    def advance(rho, H_e, dt=0.0, first=None, steps=0):
         # One loop over stage evaluations, the stage written once at its end.
         # The state is (s00, s11, sx, sy, sh), and (r00, r11, x, y, H_e) the
         # point of the next stage.  Each pass files the stage in hand,
@@ -297,7 +297,9 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
         # (after k4, the state by dt/6 (((k1 + 2 k2) + 2 k3) + k4), for m and
         # for H_e), sets j to the stage it evaluates there, and evaluates it.
         # No tuple of more than three is packed per pass, as CPython builds
-        # one for a longer assignment.
+        # one for a longer assignment.  rho is read into its four reals here,
+        # and built from the state's at the stepping return.
+        r00, r11, x, y = _two_level_entries(rho)
         s00, s11, sx, sy, sh = r00, r11, x, y, H_e
         dt2, dt6 = 0.5 * dt, dt / 6.0
         dt4, dt12 = 0.5 * dt2, 0.5 * dt6
@@ -331,7 +333,7 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
                     sx, sy = sx + dt12 * gx, sy + dt12 * gy
                     done += 1
                     if done == steps:
-                        return s00, s11, sx, sy, sh
+                        return _two_level_matrix(s00, s11, sx, sy), sh
                     r00, r11, H_e = s00, s11, sh
                     x, y, j = sx, sy, 1
                 else:  # none in hand: k1 at the state
@@ -389,24 +391,13 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
 
 
 def _matrix_rates(advance, rho, H_e: float):
-    """(drho/dt, dH_e/dt) of the stage of an advance of :func:`_bind_rates`
-    at (rho, H_e), with rho and drho/dt numpy arrays at every n."""
-    out = advance(*_state_entries(rho), H_e)
+    """(drho/dt, dH_e/dt) of the stage of an advance of :func:`_bind_rates` at
+    (rho, H_e), drho/dt a numpy array at every n (at n = 2 built here only)."""
+    out = advance(rho, H_e)
     if len(out) == 4:  # n = 2: (dm/dt, dH_e/dt), and drho/dt = (dm/dt . sigma)/2
         gx, gy, gz, rate = out
-        return _state_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy), rate
+        return _two_level_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy), rate
     return out[0], out[2]
-
-
-def _state_entries(rho: np.ndarray) -> tuple:
-    """rho as an advance of :func:`_bind_rates` carries it: its four reals
-    (:func:`~thermoqme.operators._two_level_entries`) at n = 2, ``(rho,)`` above."""
-    return _two_level_entries(rho) if rho.shape[0] == 2 else (rho,)
-
-
-def _state_matrix(*entries) -> np.ndarray:
-    """rho from its :func:`_state_entries`: the exactly Hermitian 2x2 matrix of four reals, or the one array."""
-    return _two_level_matrix(*entries) if len(entries) == 4 else entries[0]
 
 
 def _rate_column(rates) -> np.ndarray | None:

@@ -7,12 +7,13 @@ system with a finite bath reaches its maximum total entropy.  The package
 needs none of them to run; the tests check its kernels against them.
 
 The dimension-2 kernel below is the stage and RK step written as separate
-functions over tuples, the form the advance that
+functions over tuples of rho's four reals, the form the advance that
 ``master_equation._bind_rates`` returns at n = 2, one loop with the stage
-written once, reproduces operation for operation.  The tests compare them
-bitwise, so a reordering of the arithmetic fails a test instead of
-changing output bytes.  Last, a plain RK4 step on numpy arrays, summed in
-the order of the advance above n = 2, is the reference that the
+written once, reproduces operation for operation between reading rho's
+four reals on entry and building rho from them on return.  The tests
+compare them bitwise, so a reordering of the arithmetic fails a test
+instead of changing output bytes.  Last, a plain RK4 step on numpy arrays,
+summed in the order of the advance above n = 2, is the reference that the
 float-carried dimension-2 step is checked against.
 """
 
@@ -355,8 +356,10 @@ def two_level_stage(r, a, u, p, nonlinear, b=None, T=0.0):
 
 def two_level_bound_stage(system, nonlinear, friction, diffusion, per_T=None, C_e=None):
     """The flat stage (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt), g = dm/dt,
-    the zero-step call of ``master_equation._bind_rates``' advance at n = 2,
-    with the same arguments, built on :func:`two_level_stage`; with a
+    of ``master_equation._bind_rates``' advance at n = 2, with the same
+    arguments, built on :func:`two_level_stage`: the advance's zero-step
+    call at (rho, H_e), which takes rho itself, with rho given by its four
+    reals (r00, r11, x, y) = (rho00, rho11, Re rho10, Im rho10); with a
     finite bath's ``C_e`` it reads T = H_e/C_e through
     ``master_equation._bath_temperature``, the stage's drain check."""
     hx, hy, hz = system._h2

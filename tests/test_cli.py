@@ -14,6 +14,7 @@ import pytest
 from thermoqme import cli, config_to_dict, integrator, load_config, parse_config, pauli_decompose, simulate
 from thermoqme.cli import main
 from thermoqme.config import ConfigError, build_run
+from thermoqme.operators import _two_level_matrix
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1135,13 +1136,14 @@ def test_run_total_energy_violation_ends_the_csv_at_the_flagged_row(tmp_path, ca
 
 
 def test_run_state_gone_non_finite_exits_with_violation(tmp_path, monkeypatch, capsys):
-    # a dim-2 run steps its state through the float-carried advance simulate
-    # binds; its zero-step calls, the stages at sampled points, stay as bound
+    # a dim-2 run steps rho through the advance simulate binds, which here
+    # returns a NaN rho; its zero-step calls, the stages at sampled points,
+    # stay as bound
     bind = integrator._bind
 
     def nan_stepping(*args):
         advance = bind(*args)
-        return lambda r00, r11, x, y, h, *rest: (np.nan,) * 4 + (h,) if rest else advance(r00, r11, x, y, h)
+        return lambda rho, h, *rest: (_two_level_matrix(*(np.nan,) * 4), h) if rest else advance(rho, h)
 
     monkeypatch.setattr(integrator, "_bind", nan_stepping)
     out = tmp_path / "nan.csv"

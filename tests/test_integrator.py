@@ -32,7 +32,7 @@ from thermoqme import (
 from thermoqme import environment, integrator, master_equation
 from thermoqme.environment import _bind
 from thermoqme.integrator import COMPLETED, MONITOR_VIOLATION, _observe
-from thermoqme.master_equation import _exactly_hermitian, _rate_column, _rates, _state_entries, _state_matrix
+from thermoqme.master_equation import _exactly_hermitian, _rate_column, _rates
 from thermoqme.operators import PhysicalConstants, _two_level_entries, _two_level_matrix, hermitianize
 from thermoqme.two_level import SIGMA
 
@@ -359,9 +359,34 @@ def test_nearly_hermitian_start_state_runs_from_its_hermitian_part(rng, dim):
         for p, q in zip(traj.points[1:], ref.points[1:]):
             assert p.t == q.t and np.array_equal(p.rho, q.rho)
             assert p.monitors == q.monitors and p.env == q.env
-        # the start point observes rho0 as given, which above n = 2 shows its hermiticity error
-        herm_err = traj.points[0].monitors["herm_err"]
-        assert herm_err == (0.0 if dim == 2 else pytest.approx(5e-11, rel=1e-3))
+        # the start point observes rho0 as given, which shows its hermiticity error at every n
+        assert traj.points[0].monitors["herm_err"] == pytest.approx(5e-11, rel=1e-3)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "entry, offset, herm_err, trace_err",
+    [((0, 1), 5e-11, 5e-11, 0.0), ((0, 0), 5e-11j, 1e-10, 5e-11)],
+    ids=["off_diagonal", "imaginary_diagonal"],
+)
+def test_start_point_reads_every_entry_at_every_dimension(dim, entry, offset, herm_err, trace_err):
+    # rho0 = I/n with one entry off by 5e-11 passes the 1e-10 input check;
+    # the t = 0 point reads herm_err as max|rho_ij - conj(rho_ji)| and
+    # trace_err as |tr rho - 1| in complex arithmetic from every entry at
+    # every n, so n = 2 and n = 3 give the same values and the same verdict
+    q = np.zeros((dim, dim))
+    q[0, 1] = q[1, 0] = 0.5
+    system = QuantumSystem(np.diag(np.arange(dim, dtype=float)), (CouplingChannel(q, bath_coupled=True),))
+    bath = HeatBath.infinite(T_e=1.0, gamma0=1.0, omega_ref=1.0)
+    rho0 = np.eye(dim, dtype=complex) / dim
+    rho0[entry] += offset
+    cfg = IntegratorConfig(dt=0.01, t_end=0.1, tolerances=MonitorTolerances(hermiticity=1e-11))
+    traj = simulate(rho0, bath, system, cfg)
+    assert traj.termination == MONITOR_VIOLATION
+    assert traj.violation == f"hermiticity error {herm_err:.3e} exceeds 1.0e-11 at t=0"
+    assert len(traj.points) == 1
+    assert traj.points[0].monitors["herm_err"] == herm_err
+    assert traj.points[0].monitors["trace_err"] == trace_err
 
 
 def test_two_level_start_point_records_rho0_as_given(rng):
@@ -725,9 +750,8 @@ def _given_first_step(rho, bath, system, dt, nonlinear):
     """The step as simulate takes it: the run's advance over one step, handed
     its first stage, the advance's zero-step call, evaluated beforehand."""
     advance = _bind(bath, system, nonlinear)
-    state = (*_state_entries(rho), bath.H_e)
-    *r, h = advance(*state, dt, advance(*state), 1)
-    return _state_matrix(*r), bath.with_energy(h)
+    rho, h = advance(rho, bath.H_e, dt, advance(rho, bath.H_e), 1)
+    return rho, bath.with_energy(h)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 16])
@@ -746,18 +770,18 @@ def test_step_with_given_first_stage_is_bit_identical(rng, nonlinear, dim):
     rho = random_density(rng, dim)
     rho_a, bath_a = step(*step(rho, bath, system, 1e-2, nonlinear=nonlinear), system, 1e-2, nonlinear=nonlinear)
     advance = _bind(bath, system, nonlinear)
-    state = (*_state_entries(_exactly_hermitian(rho)), bath.H_e)
+    state = (_exactly_hermitian(rho), bath.H_e)
     for _ in range(2):
         state = advance(*state, 1e-2, advance(*state), 1)
-    assert np.array_equal(rho_a, _state_matrix(*state[:-1]))
-    assert bath_a == bath.with_energy(state[-1])
+    assert np.array_equal(rho_a, state[0])
+    assert bath_a == bath.with_energy(state[1])
     if dim > 2:
         # above n = 2 the zero-step call is _lapack_stage's drho/dt and
         # spectrum at the stage's own T = H_e/C_e, with the closure flux
         # -Re tr(H k), bit for bit
         first = advance(*state)
         friction, diffusion, per_T = map(_rate_column, _rates(system, bath._friction_rate(system.constants)))
-        diffusion = diffusion + (state[-1] / bath.C_e) * per_T
+        diffusion = diffusion + (state[1] / bath.C_e) * per_T
         k, w = master_equation._lapack_stage(state[0], system, friction, diffusion, nonlinear)
         assert np.array_equal(first[0], k)
         if nonlinear:
@@ -905,12 +929,19 @@ def _bits(values):
     return [float.hex(v) for v in values]
 
 
+def _state_bits(rho, h):
+    """The real and imaginary parts of every entry of a complex rho, then h, as :func:`_bits`."""
+    return _bits([*rho.view(float).ravel().tolist(), h])
+
+
 def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
     # the dim-2 advance, whose zero-step call is the stage, against the stage
-    # and RK step written as separate functions (tests/oracles.py), bit for
-    # bit: infinite and finite baths, with and without bath-coupled
-    # channels, and without friction (gamma0 = 0, and bath-coupled channels
-    # of weight 0 only)
+    # and RK step written as separate functions over rho's four reals
+    # (tests/oracles.py), bit for bit: infinite and finite baths, with and
+    # without bath-coupled channels, and without friction (gamma0 = 0, and
+    # bath-coupled channels of weight 0 only); the advance takes rho and
+    # returns it, so its reading of rho's four reals and its building of the
+    # returned rho are checked too, signed zeros included
     consts = PhysicalConstants(hbar=0.8, kB=1.3)
     h = random_hermitian(rng, 2)
     qs = [random_hermitian(rng, 2) for _ in range(3)]
@@ -940,6 +971,8 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
     states += [(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.0), (1.0, 5e-324, 0.0, 0.0)]
     states += [(1.1, -0.1, 0.0, 0.0), master_equation._two_level_entries((u * [1.2, -0.2]) @ u.conj().T)]
     states += [(-0.3, -0.2, 0.1, 0.05), (0.0, 0.0, 0.0, 0.0)]
+    # signed zeros, which the advance must carry through rho unchanged
+    states += [(0.5, 0.5, -0.0, -0.0), (1.0, -0.0, 0.0, -0.0), (-0.0, 1.0, -0.0, 0.0), (-0.0, -0.0, -0.0, -0.0)]
     for system, bath in cases:
         for nonlinear in (True, False):
             advance = _bind(bath, system, nonlinear)
@@ -947,22 +980,29 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
                 patch.setattr(environment, "_bind_rates", oracles.two_level_bound_stage)
                 oracle = _bind(bath, system, nonlinear)
             for r in states:
+                rho = _two_level_matrix(*r)
                 # zero steps: the stage at the start
-                first = advance(*r, bath.H_e, 0.05, None, 0)
+                first = advance(rho, bath.H_e, 0.05, None, 0)
                 assert _bits(first) == _bits(oracle(*r, bath.H_e))
-                assert _bits(advance(*r, bath.H_e)) == _bits(first)
+                assert _bits(advance(rho, bath.H_e)) == _bits(first)
                 for steps in (1, 2, 5):
                     # an advance of 1, 2 and 5 steps, given its first stage or
-                    # evaluating it, against as many oracle steps: the first
-                    # evaluates its own first stage or is given the advance's,
-                    # and the later ones evaluate their own
-                    for out in (advance(*r, bath.H_e, 0.05, first, steps), advance(*r, bath.H_e, 0.05, None, steps)):
-                        for given in (None, first):
-                            ref = (*r, bath.H_e)
-                            for _ in range(steps):
-                                ref = oracles.two_level_advance(*ref, oracle, 0.05, given)
-                                given = None
-                            assert _bits(out) == _bits(ref)
+                    # evaluating it, and as many one-step advances chained
+                    # through the rho each returns, against as many oracle
+                    # steps: the first evaluates its own first stage or is
+                    # given the advance's, and the later ones evaluate their own
+                    outs = [advance(rho, bath.H_e, 0.05, first, steps), advance(rho, bath.H_e, 0.05, None, steps)]
+                    chained = (rho, bath.H_e)
+                    for _ in range(steps):
+                        chained = advance(*chained, 0.05, None, 1)
+                    outs.append(chained)
+                    for given in (None, first):
+                        ref = (*r, bath.H_e)
+                        for _ in range(steps):
+                            ref = oracles.two_level_advance(*ref, oracle, 0.05, given)
+                            given = None
+                        for out in outs:
+                            assert _state_bits(*out) == _state_bits(_two_level_matrix(*ref[:4]), ref[4])
 
 
 @VARIANTS
@@ -1011,21 +1051,21 @@ def test_non_finite_state_is_a_violation(nonlinear):
 
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
-    # simulate steps a dim-2 state through the float-carried advance it binds
-    # at the start of the run, so that is where the NaN goes in; its
-    # zero-step calls, the stages at sampled points, stay as bound
+    # simulate steps a dim-2 rho through the advance it binds at the start of
+    # the run, so that is where the NaN goes in; its zero-step calls, the
+    # stages at sampled points, stay as bound
     p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
-    nan = (np.nan,) * 4
+    nan = _two_level_matrix(*(np.nan,) * 4)
     bind = integrator._bind
 
     def bind_stepping(stepping):
         def binding(*args):
             advance = bind(*args)
-            return lambda r00, r11, x, y, h, *rest: stepping(advance, h, *rest) if rest else advance(r00, r11, x, y, h)
+            return lambda rho, h, *rest: stepping(advance, h, *rest) if rest else advance(rho, h)
 
         return binding
 
-    monkeypatch.setattr(integrator, "_bind", bind_stepping(lambda advance, h, dt, first, steps: (*nan, h)))
+    monkeypatch.setattr(integrator, "_bind", bind_stepping(lambda advance, h, dt, first, steps: (nan, h)))
     cfg = IntegratorConfig(dt=0.01, t_end=1.0, monitor_every=3)
     traj = simulate(I2 / 2, two_level_bath(p), two_level_system(p), cfg, nonlinear=nonlinear)
     assert traj.termination == MONITOR_VIOLATION
@@ -1038,7 +1078,7 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     system, bath = _finite_bath_setup()
 
     def nan_step(advance, h, dt, first, steps):
-        return advance(*nan, h, dt, advance(*nan, h), steps)
+        return advance(nan, h, dt, advance(nan, h), steps)
 
     monkeypatch.setattr(integrator, "_bind", bind_stepping(nan_step))
     traj = simulate(I2 / 2, bath, system, cfg, nonlinear=nonlinear)
