@@ -138,9 +138,9 @@ class EnvironmentObservableReport:
 
 
 def _bind(bath: HeatBath, system: QuantumSystem, nonlinear: bool):
-    """The RK4 advance (rho, H_e, ...) -> (rho, H_e) of one run at every n,
-    whose zero-step call is the coupled stage, the state's rate and, last,
-    dH_e/dt: the closure of :func:`~thermoqme.master_equation._bind_rates`
+    """The RK4 advance (rho, H_e, ...) -> (rho, H_e, stage) of one run at
+    every n, ``stage`` the coupled stage at the returned state, the state's
+    rate and, last, dH_e/dt: the closure of :func:`~thermoqme.master_equation._bind_rates`
     for the rates of the bath bracket (:func:`~thermoqme.master_equation._rates`).
 
     Every friction rate is constant, and the diffusion rates are a fixed
@@ -177,4 +177,4 @@ def environment_rhs(bath: HeatBath, rho, system: QuantumSystem) -> float:
     microseconds on a 2-core Xeon), whereas a run
     (:func:`~thermoqme.integrator.simulate`) binds its stage once.
     """
-    return _bind(bath, system, True)(_as_state(rho, system), bath.H_e)[-1]
+    return _bind(bath, system, True)(_as_state(rho, system), bath.H_e)[2][-1]

@@ -140,10 +140,10 @@ def step(
     A finite bath whose energy is not positive at any stage or at the end of
     the step raises ValueError, and so does an infinite bath whose ``H_e``
     ends the step non-finite.  The step is one call of the run's advance
-    (:func:`~thermoqme.master_equation._bind_rates`) over one step, 4
-    stages, which takes and returns rho at every n.
+    (:func:`~thermoqme.master_equation._bind_rates`) over one step, which
+    takes and returns rho at every n: 5 stages, the end stage discarded.
     """
-    rho, h = _bind(bath, system, nonlinear)(_exactly_hermitian(_as_state(rho, system)), bath.H_e, dt, None, 1)
+    rho, h, _ = _bind(bath, system, nonlinear)(_exactly_hermitian(_as_state(rho, system)), bath.H_e, dt, None, 1)
     return rho, bath.with_energy(h)
 
 
@@ -242,18 +242,18 @@ def simulate(
     The rates are bound once per run into the advance of
     :func:`~thermoqme.master_equation._bind_rates`, which takes and returns
     (rho, H_e) as in :func:`step`, in between in its own form (at n = 2 as
-    Python floats): one call covers a whole sampled interval,
-    min(monitor_every, n_steps - k) steps from step k, and its zero-step
-    call is the stage.  The run's bath is read only at recorded points.
+    Python floats): one call per recorded point covers its whole sampled
+    interval, min(monitor_every, n_steps - k) steps from step k, and the
+    call for t = 0 takes none.  The run's bath is read only at recorded points.
     The results are a loop of :func:`step`'s, and every point is
     the same, bit for bit, at any cadence.  Above n = 2 a nonlinear point
     after t = 0 reads its spectrum from the eigh that its stage made, so it
     makes no decomposition of its own.
 
-    The stage at each step's end state is evaluated once: it is the next
-    step's first stage, and at an interval's end, evaluated here after the
-    advance, a recorded point's energy flux.  So N steps cost 4N + 1 stages
-    at any cadence.  Each recorded point's monitors are logged at DEBUG level.
+    The stage at each step's end state is evaluated once, in the advance:
+    it is the next step's first stage, and at an interval's end, returned,
+    a recorded point's energy flux.  So N steps cost 4N + 1 stages at any
+    cadence.  Each recorded point's monitors are logged at DEBUG level.
 
     The run starts, as :func:`step` does, from rho0 made exactly Hermitian
     (:func:`~thermoqme.master_equation._exactly_hermitian`), once validated
@@ -273,7 +273,7 @@ def simulate(
     given = _as_state(validate_density_matrix(rho0, START_STATE_TOL), system)
     advance = _bind(bath0, system, nonlinear)
     # the stages start from rho0 made exactly Hermitian; the t = 0 point observes it as given
-    rho, h = _exactly_hermitian(given), bath0.H_e
+    rho, h, stage = _exactly_hermitian(given), bath0.H_e, None
     points: list[TrajectoryPoint] = []
     energy_ref = None
     debug = log.isEnabledFor(logging.DEBUG)
@@ -282,16 +282,14 @@ def simulate(
     while True:
         t = k * dt
         try:
-            if steps:
-                rho, h = advance(rho, h, dt, rates, steps)
-            # a finite bath drained by the interval's last step raises here, where T(H_e) is read
-            rates = advance(rho, h)
+            rho, h, stage = advance(rho, h, dt, stage, steps)
             # t = 0 observes rho0 as given, and a later point the stage's spectrum, if it made one
-            seen, w = (rho, rates[1]) if steps else (given, None)
-            point, violation = _observe(t, seen, h, bath0, system, energy_ref, tol, rates[-1], w)
+            seen, w = (rho, stage[1]) if steps else (given, None)
+            point, violation = _observe(t, seen, h, bath0, system, energy_ref, tol, stage[-1], w)
         except (_BathDrained, np.linalg.LinAlgError) as exc:
             # the step that failed: the advance counts the steps before it;
-            # past the advance, it is the interval's last
+            # _observe's eigvalsh (above n = 2, a linearized point) carries
+            # no count and fails at the interval's end, its last step
             t = (k - steps + getattr(exc, "steps_done", steps - 1) + 1) * dt
             if isinstance(exc, _BathDrained):
                 violation = f"{exc} in the step to t={t:.6g}"

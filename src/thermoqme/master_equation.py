@@ -3,7 +3,7 @@
 Assembles the reversible commutator term plus, per coupling channel, a
 friction term built on the state-weighted modified operator and a double
 commutator diffusion term, and binds a run's rates into its RK4 advance of
-(rho, H_e), whose zero-step call is the stage.  Also provides the Gibbs
+(rho, H_e), which returns the stage at its end.  Also provides the Gibbs
 equilibrium state, the bath-equilibrium condition and energy bookkeeping.
 """
 
@@ -219,12 +219,12 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     0 < H_e < inf (the check and messages of :func:`_bath_temperature`),
     and the diffusion rates are then ``diffusion`` + T ``per_T``.
 
-    The advance is (rho, H_e, dt=0.0, first=None, steps=0) -> (rho, H_e)
-    ``steps`` steps on, rho a numpy array at every n; its zero-step call is
-    the stage (no caller hands it ``first``).  A call costs 4 steps stages,
-    one less with ``first``, the stage at the start, given; the last step's
-    end stage is left to the caller.  An exception that a step raises
-    carries ``steps_done``, the steps finished before the failing one.
+    The advance (rho, H_e, dt=0.0, first=None, steps=0) -> (rho, H_e, stage)
+    takes ``steps`` steps, rho a numpy array at every n, and returns the
+    stage at the state it returns (zero steps: rho and H_e as given), the
+    next call's ``first``.  A call costs 4 steps + 1 stages, one less with
+    ``first``, the stage at the start, given.  An exception that a stage
+    raises carries ``steps_done``, the steps finished before the stage's own.
 
     The dimension selects the kernel: above n = 2, the stage (rho, H_e) ->
     (drho/dt, w, dH_e/dt) by :func:`_lapack_stage` on numpy arrays, with the
@@ -233,7 +233,7 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     none (linearized, or no friction).  At n = 2 the advance reads rho's
     four reals (rho00, rho11, Re rho10, Im rho10) once on entry and builds
     the rho it steps to from them once; in real Pauli coordinates with no
-    numpy call and no Python call but ``math``'s, the stage
+    numpy call and no Python call but ``math``'s, its stage
     (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt) gives g = dm/dt for the
     Bloch vector m = (2 Re rho10, 2 Im rho10, rho00 - rho11), so
     rho = (tr rho I + m . sigma)/2.
@@ -255,26 +255,27 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
     if system.dim > 2:
         f, d, d_per_T = _rate_column(friction), _rate_column(diffusion), _rate_column(per_T)
 
+        def stage(rho, h):
+            T = _bath_temperature(h, C_e) if finite else 0.0
+            k, w = _lapack_stage(rho, system, f, d if d_per_T is None else d + T * d_per_T, nonlinear)
+            return k, w, -float(np.vdot(system.H, k).real)
+
         def advance(rho, h, dt=0.0, first=None, steps=0):
-            if not steps:  # the stage at (rho, h)
-                T = _bath_temperature(h, C_e) if finite else 0.0
-                k, w = _lapack_stage(rho, system, f, d if d_per_T is None else d + T * d_per_T, nonlinear)
-                return k, w, -float(np.vdot(system.H, k).real)
-            half, sixth, last, done = 0.5 * dt, dt / 6.0, steps - 1, 0
+            half, sixth, done = 0.5 * dt, dt / 6.0, 0
             try:
-                k1, _, e1 = advance(rho, h) if first is None else first
+                s = stage(rho, h) if first is None else first
                 for done in range(steps):
-                    k2, _, e2 = advance(rho + half * k1, h + half * e1)
-                    k3, _, e3 = advance(rho + half * k2, h + half * e2)
-                    k4, _, e4 = advance(rho + dt * k3, h + dt * e3)
+                    k1, _, e1 = s
+                    k2, _, e2 = stage(rho + half * k1, h + half * e1)
+                    k3, _, e3 = stage(rho + half * k2, h + half * e2)
+                    k4, _, e4 = stage(rho + dt * k3, h + dt * e3)
                     rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     h = h + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-                    if done != last:
-                        k1, _, e1 = advance(rho, h)
+                    s = stage(rho, h)
             except (_BathDrained, np.linalg.LinAlgError) as exc:
                 exc.steps_done = done
                 raise
-            return rho, h
+            return rho, h, s
 
         return advance
     hx, hy, hz = system._h2
@@ -297,8 +298,9 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
         # (after k4, the state by dt/6 (((k1 + 2 k2) + 2 k3) + k4), for m and
         # for H_e), sets j to the stage it evaluates there, and evaluates it.
         # No tuple of more than three is packed per pass, as CPython builds
-        # one for a longer assignment.  rho is read into its four reals here,
-        # and built from the state's at the stepping return.
+        # one for a longer assignment.  rho is read into its four reals here;
+        # the one return, at j = 1 once the steps are done, builds rho from
+        # the state's (none taken: rho as given) and hands back the stage in hand.
         r00, r11, x, y = _two_level_entries(rho)
         s00, s11, sx, sy, sh = r00, r11, x, y, H_e
         dt2, dt6 = 0.5 * dt, dt / 6.0
@@ -309,8 +311,8 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
         try:
             while True:
                 if j == 1:
-                    if not steps:
-                        return gx, gy, gz, dh
+                    if done == steps:
+                        return (_two_level_matrix(s00, s11, sx, sy) if done else rho), sh, (gx, gy, gz, dh)
                     g1x, g1y, g1z = gx, gy, gz
                     r00, r11, e1 = s00 + dt4 * gz, s11 - dt4 * gz, dh
                     x, y, H_e = sx + dt4 * gx, sy + dt4 * gy, sh + dt2 * dh
@@ -332,8 +334,6 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
                     s00, s11, sh = s00 + dt12 * gz, s11 - dt12 * gz, sh + dt6 * (e1 + 2.0 * e2 + 2.0 * e3 + dh)
                     sx, sy = sx + dt12 * gx, sy + dt12 * gy
                     done += 1
-                    if done == steps:
-                        return _two_level_matrix(s00, s11, sx, sy), sh
                     r00, r11, H_e = s00, s11, sh
                     x, y, j = sx, sy, 1
                 else:  # none in hand: k1 at the state
@@ -383,21 +383,21 @@ def _bind_rates(system: QuantumSystem, nonlinear: bool, friction, diffusion, per
                         gx, gy, gz = gx + (py * nz - pz * ny), gy + (pz * nx - px * nz), gz + (px * ny - py * nx)
                 dh = -(hx * gx + hy * gy + hz * gz)
         except _BathDrained as exc:
-            if steps:  # a step's end stage (j = 1 after a step) fails in that step
-                exc.steps_done = done - 1 if done and j == 1 else done
+            # a step's end stage (j = 1 after a step) fails in that step
+            exc.steps_done = done - 1 if done and j == 1 else done
             raise
 
     return advance
 
 
 def _matrix_rates(advance, rho, H_e: float):
-    """(drho/dt, dH_e/dt) of the stage of an advance of :func:`_bind_rates` at
-    (rho, H_e), drho/dt a numpy array at every n (at n = 2 built here only)."""
-    out = advance(rho, H_e)
-    if len(out) == 4:  # n = 2: (dm/dt, dH_e/dt), and drho/dt = (dm/dt . sigma)/2
-        gx, gy, gz, rate = out
+    """(drho/dt, dH_e/dt) of the stage an advance of :func:`_bind_rates` returns
+    at (rho, H_e), drho/dt a numpy array at every n (at n = 2 built here only)."""
+    stage = advance(rho, H_e)[2]
+    if len(stage) == 4:  # n = 2: (dm/dt, dH_e/dt), and drho/dt = (dm/dt . sigma)/2
+        gx, gy, gz, rate = stage
         return _two_level_matrix(0.5 * gz, -0.5 * gz, 0.5 * gx, 0.5 * gy), rate
-    return out[0], out[2]
+    return stage[0], stage[2]
 
 
 def _rate_column(rates) -> np.ndarray | None:

@@ -211,17 +211,20 @@ def bloch_equilibrium(p: TwoLevelParams) -> np.ndarray:
 
 
 def bloch_linearized_matrix(p: TwoLevelParams) -> np.ndarray:
-    """Jacobian of :func:`bloch_rhs` at the equilibrium magnetization."""
+    """Jacobian of :func:`bloch_rhs` at the equilibrium m = tanh x, with
+    x = hbar omega / (2 k_B T_e), its mu terms taken in x (artanh m = x) so
+    that it holds where tanh x rounds to 1: m mu(m) = coth x - 1/x and
+    m^2 mu'(m) = sinh(2x)/(2x^2) - 2 coth x + 1/x."""
     consts = p.constants
     x = consts.hbar * p.omega / (2.0 * consts.kB * p.T_e)
-    meq = math.tanh(x)
     damping = p.gamma0 * consts.kB * p.T_e / (consts.hbar * p.omega)
     q3q3 = np.outer(_Q3, _Q3)
     jac = p.omega * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     jac -= damping * _diffusion_matrix(p)
     if p.gamma0 != 0.0:
-        jac -= 0.5 * p.gamma0 * meq * mu(meq) * (np.eye(3) + 3.0 * q3q3)
-        jac -= p.gamma0 * meq * meq * mu_derivative(meq) * q3q3
+        coth = 1.0 / math.tanh(x)
+        jac -= 0.5 * p.gamma0 * (coth - 1.0 / x) * (np.eye(3) + 3.0 * q3q3)
+        jac -= p.gamma0 * (math.sinh(2.0 * x) / (2.0 * x * x) - 2.0 * coth + 1.0 / x) * q3q3
     return jac
 
 

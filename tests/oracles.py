@@ -357,8 +357,8 @@ def two_level_stage(r, a, u, p, nonlinear, b=None, T=0.0):
 def two_level_bound_stage(system, nonlinear, friction, diffusion, per_T=None, C_e=None):
     """The flat stage (r00, r11, x, y, H_e) -> (gx, gy, gz, dH_e/dt), g = dm/dt,
     of ``master_equation._bind_rates``' advance at n = 2, with the same
-    arguments, built on :func:`two_level_stage`: the advance's zero-step
-    call at (rho, H_e), which takes rho itself, with rho given by its four
+    arguments, built on :func:`two_level_stage`: the stage that the
+    advance returns with a state (rho, H_e), here with rho given by its four
     reals (r00, r11, x, y) = (rho00, rho11, Re rho10, Im rho10); with a
     finite bath's ``C_e`` it reads T = H_e/C_e through
     ``master_equation._bath_temperature``, the stage's drain check."""

@@ -1137,13 +1137,15 @@ def test_run_total_energy_violation_ends_the_csv_at_the_flagged_row(tmp_path, ca
 
 def test_run_state_gone_non_finite_exits_with_violation(tmp_path, monkeypatch, capsys):
     # a dim-2 run steps rho through the advance simulate binds, which here
-    # returns a NaN rho; its zero-step calls, the stages at sampled points,
-    # stay as bound
+    # returns a NaN rho with the stage at it; its zero-step call, the stage
+    # at t = 0, stays as bound
     bind = integrator._bind
 
     def nan_stepping(*args):
         advance = bind(*args)
-        return lambda rho, h, *rest: (_two_level_matrix(*(np.nan,) * 4), h) if rest else advance(rho, h)
+        return lambda rho, h, dt, first, steps: (
+            advance(_two_level_matrix(*(np.nan,) * 4), h) if steps else advance(rho, h, dt, first, steps)
+        )
 
     monkeypatch.setattr(integrator, "_bind", nan_stepping)
     out = tmp_path / "nan.csv"

@@ -544,8 +544,10 @@ DIMENSIONS = ((2, _finite_bath_setup), (3, _three_level_setup))
 VARIANTS = pytest.mark.parametrize("nonlinear", [True, False], ids=lambda nonlinear: f"{nonlinear}-rk4")
 
 
-@pytest.mark.parametrize("nonlinear, expected", [(True, 4), (False, 0)])
+@pytest.mark.parametrize("nonlinear, expected", [(True, 5), (False, 0)])
 def test_one_decomposition_per_stage(monkeypatch, rng, nonlinear, expected):
+    # a step is one advance call, whose 5 stages (4, and the end stage it
+    # returns and step discards) each decompose rho once
     bases, eighs = _count_decompositions(monkeypatch)
     for dim, setup in DIMENSIONS:
         system, bath = setup()
@@ -734,6 +736,32 @@ def test_sampled_stage_is_the_next_first_stage(monkeypatch, rng, nonlinear, per_
             assert (bases, eighs) == _decompositions(dim, want)
 
 
+@pytest.mark.parametrize("dim, setup", DIMENSIONS)
+@pytest.mark.parametrize("every, intervals", [(1, [0, 1, 1, 1, 1, 1, 1]), (4, [0, 4, 2])])
+def test_one_advance_call_per_recorded_point(monkeypatch, rng, dim, setup, every, intervals):
+    # the advance returns the end stage with the state, so simulate calls it
+    # once per recorded point: with no step for t = 0, then once per sampled
+    # interval, handed the stage the previous call returned
+    calls = []
+    bind = integrator._bind
+
+    def counting(*args):
+        advance = bind(*args)
+
+        def counted(rho, h, *rest):
+            calls.append(rest[2] if rest else 0)  # the steps the call takes
+            return advance(rho, h, *rest)
+
+        return counted
+
+    monkeypatch.setattr(integrator, "_bind", counting)
+    system, bath = setup()
+    cfg = IntegratorConfig(dt=1e-3, t_end=6e-3, monitor_every=every)
+    traj = simulate(random_density(rng, dim), bath, system, cfg)
+    assert traj.termination == COMPLETED
+    assert calls == intervals and len(traj.points) == len(calls)
+
+
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
     system, bath0 = _finite_bath_setup(gamma0=0.7)
@@ -748,9 +776,9 @@ def test_sampled_flux_is_the_stage_at_the_point(rng, nonlinear):
 
 def _given_first_step(rho, bath, system, dt, nonlinear):
     """The step as simulate takes it: the run's advance over one step, handed
-    its first stage, the advance's zero-step call, evaluated beforehand."""
+    its first stage, the stage of the advance's zero-step call, evaluated beforehand."""
     advance = _bind(bath, system, nonlinear)
-    rho, h = advance(rho, bath.H_e, dt, advance(rho, bath.H_e), 1)
+    rho, h, _ = advance(rho, bath.H_e, dt, advance(rho, bath.H_e)[2], 1)
     return rho, bath.with_energy(h)
 
 
@@ -758,10 +786,11 @@ def _given_first_step(rho, bath, system, dt, nonlinear):
 @VARIANTS
 def test_step_with_given_first_stage_is_bit_identical(rng, nonlinear, dim):
     # two steps, each handed the stage at the previous end state as its first
-    # stage (as simulate hands it over), against two steps that evaluate it,
-    # through the one advance signature at every n; step starts from the
-    # exactly Hermitian form of rho, which random_density builds Hermitian
-    # only to rounding
+    # stage (as simulate hands it over: the end stage the previous call
+    # returned, the first from a zero-step call), against two steps that
+    # evaluate it, through the one advance signature at every n; step starts
+    # from the exactly Hermitian form of rho, which random_density builds
+    # Hermitian only to rounding
     if dim == 2:
         system, bath = _finite_bath_setup()
     else:
@@ -770,25 +799,29 @@ def test_step_with_given_first_stage_is_bit_identical(rng, nonlinear, dim):
     rho = random_density(rng, dim)
     rho_a, bath_a = step(*step(rho, bath, system, 1e-2, nonlinear=nonlinear), system, 1e-2, nonlinear=nonlinear)
     advance = _bind(bath, system, nonlinear)
-    state = (_exactly_hermitian(rho), bath.H_e)
+    state = advance(_exactly_hermitian(rho), bath.H_e)
     for _ in range(2):
-        state = advance(*state, 1e-2, advance(*state), 1)
+        state = advance(*state[:2], 1e-2, state[2], 1)
     assert np.array_equal(rho_a, state[0])
     assert bath_a == bath.with_energy(state[1])
     if dim > 2:
-        # above n = 2 the zero-step call is _lapack_stage's drho/dt and
-        # spectrum at the stage's own T = H_e/C_e, with the closure flux
-        # -Re tr(H k), bit for bit
-        first = advance(*state)
+        # above n = 2 the end stage a step returns, and the stage a
+        # zero-step call at the returned state returns with that state
+        # unchanged, are _lapack_stage's drho/dt and spectrum at the
+        # stage's own T = H_e/C_e, with the closure flux -Re tr(H k), bit
+        # for bit
+        zero = advance(*state[:2])
+        assert zero[0] is state[0] and zero[1] == state[1]
         friction, diffusion, per_T = map(_rate_column, _rates(system, bath._friction_rate(system.constants)))
         diffusion = diffusion + (state[1] / bath.C_e) * per_T
         k, w = master_equation._lapack_stage(state[0], system, friction, diffusion, nonlinear)
-        assert np.array_equal(first[0], k)
-        if nonlinear:
-            assert np.array_equal(first[1], w)
-        else:
-            assert first[1] is None and w is None
-        assert first[2] == -float(np.vdot(system.H, k).real)
+        for stage in (state[2], zero[2]):
+            assert np.array_equal(stage[0], k)
+            if nonlinear:
+                assert np.array_equal(stage[1], w)
+            else:
+                assert stage[1] is None and w is None
+            assert stage[2] == -float(np.vdot(system.H, k).real)
 
 
 def _unit_norm_system(rng, dim):
@@ -854,8 +887,9 @@ def test_states_above_two_levels_stay_exactly_hermitian(monkeypatch, rng, dim, n
         for _ in range(5):
             rho, b = step(rho, b, system, cfg.dt, nonlinear=nonlinear)
             seen.append(rho)
-    # per bath: 41 + 20 stages, 4 points, 5 steps
-    assert len(seen) == 2 * (2 * 61 + 9)
+    # per bath: 41 + 25 stages (each step also evaluates the end stage it
+    # discards), 4 points, 5 steps
+    assert len(seen) == 2 * (2 * 66 + 9)
     for x in seen:
         assert np.array_equal(x, x.conj().T)
 
@@ -935,13 +969,13 @@ def _state_bits(rho, h):
 
 
 def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
-    # the dim-2 advance, whose zero-step call is the stage, against the stage
-    # and RK step written as separate functions over rho's four reals
-    # (tests/oracles.py), bit for bit: infinite and finite baths, with and
-    # without bath-coupled channels, and without friction (gamma0 = 0, and
-    # bath-coupled channels of weight 0 only); the advance takes rho and
-    # returns it, so its reading of rho's four reals and its building of the
-    # returned rho are checked too, signed zeros included
+    # the dim-2 advance, which returns the stage at the state it returns,
+    # against the stage and RK step written as separate functions over rho's
+    # four reals (tests/oracles.py), bit for bit: infinite and finite baths,
+    # with and without bath-coupled channels, and without friction
+    # (gamma0 = 0, and bath-coupled channels of weight 0 only); the advance
+    # takes rho and returns it, so its reading of rho's four reals and its
+    # building of the returned rho are checked too, signed zeros included
     consts = PhysicalConstants(hbar=0.8, kB=1.3)
     h = random_hermitian(rng, 2)
     qs = [random_hermitian(rng, 2) for _ in range(3)]
@@ -981,28 +1015,35 @@ def test_two_level_kernel_is_bitwise_the_oracle(monkeypatch, rng):
                 oracle = _bind(bath, system, nonlinear)
             for r in states:
                 rho = _two_level_matrix(*r)
-                # zero steps: the stage at the start
-                first = advance(rho, bath.H_e, 0.05, None, 0)
+                # zero steps: rho and H_e as given, and the stage at them
+                zero = advance(rho, bath.H_e, 0.05, None, 0)
+                assert zero[0] is rho and zero[1] == bath.H_e
+                first = zero[2]
                 assert _bits(first) == _bits(oracle(*r, bath.H_e))
-                assert _bits(advance(rho, bath.H_e)) == _bits(first)
+                assert _bits(advance(rho, bath.H_e)[2]) == _bits(first)
                 for steps in (1, 2, 5):
                     # an advance of 1, 2 and 5 steps, given its first stage or
                     # evaluating it, and as many one-step advances chained
-                    # through the rho each returns, against as many oracle
-                    # steps: the first evaluates its own first stage or is
-                    # given the advance's, and the later ones evaluate their own
+                    # through the rho each returns, evaluating their first
+                    # stage or handed the end stage the previous one returned,
+                    # against as many oracle steps: the first evaluates its
+                    # own first stage or is given the advance's, and the later
+                    # ones evaluate their own; each returns the oracle's stage
+                    # at the state it returns
                     outs = [advance(rho, bath.H_e, 0.05, first, steps), advance(rho, bath.H_e, 0.05, None, steps)]
-                    chained = (rho, bath.H_e)
+                    chained, handed = (rho, bath.H_e), zero
                     for _ in range(steps):
-                        chained = advance(*chained, 0.05, None, 1)
-                    outs.append(chained)
+                        chained = advance(*chained[:2], 0.05, None, 1)
+                        handed = advance(*handed[:2], 0.05, handed[2], 1)
+                    outs += [chained, handed]
                     for given in (None, first):
                         ref = (*r, bath.H_e)
                         for _ in range(steps):
                             ref = oracles.two_level_advance(*ref, oracle, 0.05, given)
                             given = None
                         for out in outs:
-                            assert _state_bits(*out) == _state_bits(_two_level_matrix(*ref[:4]), ref[4])
+                            assert _state_bits(*out[:2]) == _state_bits(_two_level_matrix(*ref[:4]), ref[4])
+                            assert _bits(out[2]) == _bits(oracle(*ref))
 
 
 @VARIANTS
@@ -1052,8 +1093,8 @@ def test_non_finite_state_is_a_violation(nonlinear):
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     # simulate steps a dim-2 rho through the advance it binds at the start of
-    # the run, so that is where the NaN goes in; its zero-step calls, the
-    # stages at sampled points, stay as bound
+    # the run, so that is where the NaN goes in; its zero-step call, the
+    # stage at t = 0, stays as bound
     p = TwoLevelParams(omega=1.0, gamma0=1.0, T_e=1.0)
     nan = _two_level_matrix(*(np.nan,) * 4)
     bind = integrator._bind
@@ -1061,11 +1102,14 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     def bind_stepping(stepping):
         def binding(*args):
             advance = bind(*args)
-            return lambda rho, h, *rest: stepping(advance, h, *rest) if rest else advance(rho, h)
+            return lambda rho, h, dt, first, steps: (
+                stepping(advance, h, dt, first, steps) if steps else advance(rho, h, dt, first, steps)
+            )
 
         return binding
 
-    monkeypatch.setattr(integrator, "_bind", bind_stepping(lambda advance, h, dt, first, steps: (nan, h)))
+    # a NaN rho, with the stage at it
+    monkeypatch.setattr(integrator, "_bind", bind_stepping(lambda advance, h, dt, first, steps: advance(nan, h)))
     cfg = IntegratorConfig(dt=0.01, t_end=1.0, monitor_every=3)
     traj = simulate(I2 / 2, two_level_bath(p), two_level_system(p), cfg, nonlinear=nonlinear)
     assert traj.termination == MONITOR_VIOLATION
@@ -1078,7 +1122,7 @@ def test_simulate_flags_a_state_gone_non_finite(monkeypatch, nonlinear):
     system, bath = _finite_bath_setup()
 
     def nan_step(advance, h, dt, first, steps):
-        return advance(nan, h, dt, advance(nan, h), steps)
+        return advance(nan, h, dt, advance(nan, h)[2], steps)
 
     monkeypatch.setattr(integrator, "_bind", bind_stepping(nan_step))
     traj = simulate(I2 / 2, bath, system, cfg, nonlinear=nonlinear)

@@ -293,11 +293,32 @@ def test_bloch_equilibrium_values():
     assert linearized_steady > 1.0
 
 
-def test_bloch_linearized_matrix_finite_differences(rng):
+# cold x = hbar omega / (2 k_B T_e): tanh x rounds to 1 from x = 19.06 on
+COLD = (7.0, 10.0, 19.0, 20.0, 100.0)
+
+
+def _longitudinal_rate(p):
+    """-gamma0 sinh(2x)/(2x^2), the closed-form longitudinal entry of the
+    Jacobian at the x the matrix is built for (hbar = omega = k_B = 1)."""
+    x = 1.0 / (2.0 * p.T_e)
+    return -p.gamma0 * math.sinh(2.0 * x) / (2.0 * x * x)
+
+
+def test_bloch_linearized_matrix_finite_differences():
+    # against central differences of bloch_rhs; at cold x, where the
+    # equilibrium sits within 1e-6 of the boundary (or on it) and no
+    # difference resolves the stiff longitudinal mode, the (3, 3) entry
+    # against its closed form, transverse and isotropic (bound fixed before
+    # measuring: 1e-15 relative)
     h = 1e-6
-    for x in (0.1, 0.5, 1.0, 1.5):
+    for x in (0.1, 0.5, 1.0, 1.5) + COLD:
         for ratio in (0.05, 0.5):
             p = _params(gamma0=ratio, T_e=1.0 / (2.0 * x))
+            if x in COLD:
+                for q in (p, _params(gamma0=ratio, T_e=p.T_e, isotropic=True)):
+                    ref = _longitudinal_rate(q)
+                    assert abs(bloch_linearized_matrix(q)[2, 2] - ref) <= 1e-15 * abs(ref)
+                continue
             m_eq = bloch_equilibrium(p)
             jac = bloch_linearized_matrix(p)
             for k in range(3):
@@ -315,11 +336,15 @@ def test_bloch_linearized_matrix_rotation_limit():
 
 
 def test_bloch_linearized_matrix_stable(rng):
-    for x in (0.1, 0.5, 1.0, 2.0, 5.0):
+    for x in (0.1, 0.5, 1.0, 2.0, 5.0) + COLD:
         for ratio in (0.01, 0.1, 1.0, 3.0):
             p = _params(gamma0=ratio, T_e=1.0 / (2.0 * x))
-            eig = np.linalg.eigvals(bloch_linearized_matrix(p))
+            jac = bloch_linearized_matrix(p)
+            eig = np.linalg.eigvals(jac)
             assert np.max(eig.real) <= 1e-12
+            if x in COLD:  # bound fixed before measuring: 1e-15 relative
+                ref = _longitudinal_rate(p)
+                assert abs(jac[2, 2] - ref) <= 1e-15 * abs(ref)
 
 
 def test_dissipative_outflow_near_boundary(rng):
